@@ -18,16 +18,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable NaN/Inf detection on the output of every primitive."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 class no_grad:
@@ -79,10 +72,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        """A view of the same data with no tape history."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -140,10 +129,8 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-def _make(out_data: np.ndarray, parents, backward, opname: str) -> Tensor:
+def _make(out_data: np.ndarray, parents, backward) -> Tensor:
     """Wrap a forward result, attaching the tape entry when recording."""
-    if _debug_checks and not np.all(np.isfinite(out_data)):
-        raise NumericError(f"non-finite values produced by {opname}")
     out = Tensor(out_data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -185,7 +172,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, g)
 
-    return _make(a.data + b.data, (a, b), backward, "add")
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -195,7 +182,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum_owned(b, -g)
 
-    return _make(a.data - b.data, (a, b), backward, "sub")
+    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -206,7 +193,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum_owned(a, g * bd)
         _accum_owned(b, g * ad)
 
-    return _make(ad * bd, (a, b), backward, "mul")
+    return _make(ad * bd, (a, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -215,7 +202,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         _accum(x, np.broadcast_to(g, xd.shape).astype(xd.dtype, copy=False))
 
-    return _make(np.asarray(xd.sum(), dtype=xd.dtype), (x,), backward, "sum_all")
+    return _make(np.asarray(xd.sum(), dtype=xd.dtype), (x,), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -224,7 +211,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def backward(g):
         _accum(x, g.reshape(old))
 
-    return _make(x.data.reshape(shape), (x,), backward, "reshape")
+    return _make(x.data.reshape(shape), (x,), backward)
 
 
 def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -237,7 +224,7 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
                 x.grad = np.zeros_like(x.data)
             x.grad[idx] += g
 
-    return _make(x.data[idx].copy(), (x,), backward, "narrow")
+    return _make(x.data[idx].copy(), (x,), backward)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -252,7 +239,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
             np.add.at(gx, idx, g)
             _accum_owned(x, gx)
 
-    return _make(x.data[idx], (x,), backward, "take_rows")
+    return _make(x.data[idx], (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +252,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         _accum_owned(x, g * (out > 0))
 
-    return _make(out, (x,), backward, "relu")
+    return _make(out, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -274,7 +261,7 @@ def tanh(x: Tensor) -> Tensor:
     def backward(g):
         _accum_owned(x, g * (1 - y * y))
 
-    return _make(y, (x,), backward, "tanh")
+    return _make(y, (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -289,19 +276,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(g):
         _accum_owned(x, g * y * (1 - y))
 
-    return _make(y, (x,), backward, "sigmoid")
-
-
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def apply_activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise activation by name: relu, tanh or sigmoid."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}") from None
-    return fn(x)
+    return _make(y, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +310,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None:
             _accum_owned(b, g.sum(axis=0))
 
-    return _make(y[0] if squeeze else y, (x, w) + ((b,) if b is not None else ()), backward, "dense")
+    return _make(y[0] if squeeze else y, (x, w) + ((b,) if b is not None else ()), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -429,7 +404,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             _accum(x, gx[0] if squeeze else gx)
 
     return _make(out[0] if squeeze else out,
-                 (x, w) + ((b,) if b is not None else ()), backward, "conv2d")
+                 (x, w) + ((b,) if b is not None else ()), backward)
 
 
 def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
@@ -479,7 +454,7 @@ def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
                 gx[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] += g * hit
             _accum_owned(x, gx[0] if squeeze else gx)
 
-    return _make(out[0] if squeeze else out, (x,), backward, "max_pool2d")
+    return _make(out[0] if squeeze else out, (x,), backward)
 
 
 class BatchNormState:
@@ -569,7 +544,7 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
                 gx = g * scale
             _accum_owned(x, gx)
 
-    return _make(out, (x, gamma, beta), backward, "batch_norm")
+    return _make(out, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------

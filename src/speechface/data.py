@@ -35,6 +35,16 @@ EMOTION_NAMES = {
 
 _TARGET_DIM = NUM_ROTATION + NUM_EXPRESSIONS
 
+# One packed little-endian .sfd record, fields in Dataset column order.
+_RECORD = np.dtype([
+    ("seq_id", "<u4"),
+    ("frame_index", "<u4"),
+    ("spectrogram", "<f4", (NUM_BANDS, NUM_COLUMNS)),
+    ("target", "<f4", (_TARGET_DIM,)),
+    ("emotion", "u1"),
+    ("actor", "u1"),
+])
+
 
 @dataclass
 class Dataset:
@@ -90,15 +100,15 @@ class Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    out = bytearray()
-    out += DATASET_MAGIC
-    out += struct.pack("<II", DATASET_VERSION, len(dataset))
-    for i in range(len(dataset)):
-        out += struct.pack("<II", int(dataset.seq_ids[i]), int(dataset.frame_indices[i]))
-        out += dataset.spectrograms[i].astype("<f4").tobytes()
-        out += dataset.targets[i].astype("<f4").tobytes()
-        out += struct.pack("<BB", int(dataset.emotions[i]), int(dataset.actors[i]))
-    Path(path).write_bytes(bytes(out))
+    records = np.empty(len(dataset), dtype=_RECORD)
+    records["seq_id"] = dataset.seq_ids
+    records["frame_index"] = dataset.frame_indices
+    records["spectrogram"] = dataset.spectrograms
+    records["target"] = dataset.targets
+    records["emotion"] = dataset.emotions
+    records["actor"] = dataset.actors
+    header = DATASET_MAGIC + struct.pack("<II", DATASET_VERSION, len(dataset))
+    Path(path).write_bytes(header + records.tobytes())
 
 
 def load_dataset(path) -> Dataset:
@@ -110,29 +120,14 @@ def load_dataset(path) -> Dataset:
     version, count = struct.unpack_from("<II", raw, 4)
     if version != DATASET_VERSION:
         raise ParseError(f"{path}: unsupported dataset version {version}")
-    spec_len = NUM_BANDS * NUM_COLUMNS
-    record = 8 + 4 * spec_len + 4 * _TARGET_DIM + 2
-    if len(raw) != 12 + count * record:
-        raise ParseError(f"{path}: expected {12 + count * record} bytes for "
+    if len(raw) != 12 + count * _RECORD.itemsize:
+        raise ParseError(f"{path}: expected {12 + count * _RECORD.itemsize} bytes for "
                          f"{count} records, found {len(raw)}")
-    seq_ids = np.empty(count, dtype=np.uint32)
-    frames = np.empty(count, dtype=np.uint32)
-    specs = np.empty((count, NUM_BANDS, NUM_COLUMNS), dtype=np.float32)
-    targets = np.empty((count, _TARGET_DIM), dtype=np.float32)
-    emotions = np.empty(count, dtype=np.uint8)
-    actors = np.empty(count, dtype=np.uint8)
-    pos = 12
-    for i in range(count):
-        seq_ids[i], frames[i] = struct.unpack_from("<II", raw, pos)
-        pos += 8
-        specs[i] = np.frombuffer(raw, "<f4", spec_len, pos).reshape(NUM_BANDS, NUM_COLUMNS)
-        pos += 4 * spec_len
-        targets[i] = np.frombuffer(raw, "<f4", _TARGET_DIM, pos)
-        pos += 4 * _TARGET_DIM
-        emotions[i], actors[i] = raw[pos], raw[pos + 1]
-        pos += 2
+    records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=12)
+    # contiguous copies, so the raw buffer is freed and row gathers stay fast
+    columns = [records[name].copy() for name in _RECORD.names]
     try:
-        return Dataset(seq_ids, frames, specs, targets, emotions, actors)
+        return Dataset(*columns)
     except DataError as err:
         raise ParseError(f"{path}: {err}") from None
 

@@ -38,6 +38,8 @@ class FaceFrame:
             raise ShapeError(f"rotation parameters must have shape (3,), got {self.r.shape}")
         if self.e.shape != (NUM_EXPRESSIONS,):
             raise ShapeError(f"expression weights must have shape (46,), got {self.e.shape}")
+        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.e))):
+            raise DataError("face parameters must be finite")
         if np.any(self.e < 0.0) or np.any(self.e > 1.0):
             raise DataError("expression weights must lie in [0, 1]")
         if np.any(np.abs(self.r) > 1.0):

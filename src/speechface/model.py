@@ -169,20 +169,13 @@ class Model:
 
     # -- forward pieces ---------------------------------------------------------
 
-    def trunk(self, x: Tensor, training: bool, trace: list | None = None,
-              capture: dict | None = None) -> Tensor:
-        """Conv/pool stack plus the first dense layer: (B,1,F,T) -> (B,hidden).
-
-        ``trace`` collects (layer, output dims); ``capture`` collects raw
-        output arrays by layer name, for numeric diagnostics.
-        """
+    def layers(self, x: Tensor, training: bool):
+        """Walk the trunk, yielding (layer name, output) for the input, each
+        conv/pool stage and the first dense layer: (B,1,F,T) -> (B,hidden)."""
         expect = (1, self.arch.input_bands, self.arch.input_columns)
         if x.ndim != 4 or x.shape[1:] != expect:
             raise ShapeError(f"input: expected (B,) + {expect}, got {x.shape}")
-        if trace is not None:
-            trace.append(("input", x.shape[1:]))
-        if capture is not None:
-            capture["input"] = x.data
+        yield "input", x
         for spec in self.arch.stack:
             try:
                 if isinstance(spec, ConvSpec):
@@ -196,16 +189,14 @@ class Model:
                     x = ag.max_pool2d(x, spec.window, spec.stride)
             except ShapeError as err:
                 raise ShapeError(f"layer {spec.name}: {err}") from None
-            if trace is not None:
-                trace.append((spec.name, x.shape[1:]))
-            if capture is not None:
-                capture[spec.name] = x.data
+            yield spec.name, x
         x = ag.reshape(x, (x.shape[0], self.arch.flat_dim))
-        x = ag.tanh(ag.dense(x, self.dense1_w, self.dense1_b))
-        if trace is not None:
-            trace.append(("dense1", x.shape[1:]))
-        if capture is not None:
-            capture["dense1"] = x.data
+        yield "dense1", ag.tanh(ag.dense(x, self.dense1_w, self.dense1_b))
+
+    def trunk(self, x: Tensor, training: bool) -> Tensor:
+        """Conv/pool stack plus the first dense layer: (B,1,F,T) -> (B,hidden)."""
+        for _, x in self.layers(x, training):
+            pass
         return x
 
     def recur(self, x: Tensor, h: Tensor | None, c: Tensor | None):
@@ -218,15 +209,16 @@ class Model:
         h2 = ag.gru_step(x, h, self.cell)
         return h2, h2, None
 
-    def head_out(self, x: Tensor, trace: list | None = None):
+    def head_out(self, x: Tensor):
         """Second dense layer and the two output heads: (B,hidden) -> (B,3),(B,46)."""
-        x = ag.tanh(ag.dense(x, self.dense2_w, self.dense2_b))
-        if trace is not None:
-            trace.append(("dense2", x.shape[1:]))
+        return self._heads(self._dense2(x))
+
+    def _dense2(self, x: Tensor) -> Tensor:
+        return ag.tanh(ag.dense(x, self.dense2_w, self.dense2_b))
+
+    def _heads(self, x: Tensor):
         y_r = ag.tanh(ag.dense(x, self.head_r_w, self.head_r_b))
         y_e = ag.sigmoid(ag.dense(x, self.head_e_w, self.head_e_b))
-        if trace is not None:
-            trace.append(("output", (y_r.shape[1] + y_e.shape[1],)))
         return y_r, y_e
 
     def initial_state(self) -> RecurrentState:
@@ -324,66 +316,70 @@ def _state_tensors(model: Model, state: RecurrentState | None):
     return h, c
 
 
-def forward(model: Model, spec, state: RecurrentState | None = None,
-            mode: str = "infer", trace: list | None = None):
+def _infer(model: Model, bands: np.ndarray, state: RecurrentState | None):
+    """The one inference pass: bands (B,128,32) -> (params (B,49), state).
+
+    The convolutional trunk runs batched over all B frames; the recurrence
+    and the heads then advance one frame at a time, so a batch gives the same
+    arithmetic as B single-frame calls.
+    """
+    x = Tensor(np.asarray(bands, dtype=np.float64)[:, None])
+    with ag.no_grad():
+        feats = model.trunk(x, training=False)
+        h, c = _state_tensors(model, state)
+        rows = []
+        for i in range(len(feats.data)):
+            out, h, c = model.recur(Tensor(feats.data[i:i + 1]), h, c)
+            y_r, y_e = model.head_out(out)
+            rows.append(np.concatenate([y_r.data, y_e.data], axis=1))
+    new_state = RecurrentState(
+        None if h is None else h.data[0].copy(),
+        None if c is None else c.data[0].copy(),
+    )
+    return np.concatenate(rows), new_state
+
+
+def forward(model: Model, spec, state: RecurrentState | None = None):
     """Run one normalized spectrogram through the network.
 
-    Returns (FaceFrame, advanced RecurrentState). ``mode`` selects batch-norm
-    behaviour; inference uses running statistics.
+    Returns (FaceFrame, advanced RecurrentState). Batch norm uses its
+    running statistics.
     """
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    bands = _spec_bands(spec)
+    params, new_state = _infer(model, _spec_bands(spec)[None], state)
     frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
-    x = Tensor(bands[None, None, :, :].astype(np.float64))
-    h, c = _state_tensors(model, state)
-    with ag.no_grad():
-        feat = model.trunk(x, training=(mode == "train"), trace=trace)
-        out, h2, c2 = model.recur(feat, h, c)
-        if trace is not None and model.variant != "cnn_static":
-            trace.append(("rnn", (out.shape[1],)))
-        y_r, y_e = model.head_out(out, trace=trace)
-    new_state = RecurrentState(
-        None if h2 is None else h2.data[0].copy(),
-        None if c2 is None else c2.data[0].copy(),
-    )
-    frame = FaceFrame(y_r.data[0].astype(np.float64), y_e.data[0].astype(np.float64),
-                      frame_index)
-    return frame, new_state
+    return FaceFrame.from_vector(params[0], frame_index), new_state
 
 
 def forward_sequence(model: Model, specs, initial_state: RecurrentState | None = None):
-    """Fold :func:`forward` over a spectrogram sequence, carrying state.
+    """Run a spectrogram sequence through the network, carrying state.
 
-    The convolutional trunk runs batched over all frames; the recurrence then
-    advances frame by frame, which is arithmetically identical to streaming.
+    Gives the same frames as folding :func:`forward` over the sequence.
     """
     specs = list(specs)
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
-    bands = np.stack([_spec_bands(s) for s in specs]).astype(np.float64)
-    indices = [s.frame_index if isinstance(s, Spectrogram) else i
-               for i, s in enumerate(specs)]
-    with ag.no_grad():
-        feats = model.trunk(Tensor(bands[:, None, :, :]), training=False)
-        h, c = _state_tensors(model, initial_state)
-        frames = []
-        for i in range(len(specs)):
-            xt = Tensor(feats.data[i:i + 1])
-            out, h, c = model.recur(xt, h, c)
-            y_r, y_e = model.head_out(out)
-            frames.append(FaceFrame(y_r.data[0].astype(np.float64),
-                                    y_e.data[0].astype(np.float64), indices[i]))
-    return frames
+    params, _ = _infer(model, np.stack([_spec_bands(s) for s in specs]), initial_state)
+    return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
+            for i, (p, s) in enumerate(zip(params, specs))]
 
 
 def forward_trace(model: Model, spec=None) -> list:
     """Layer-by-layer output dims of a single-frame pass (batch dim stripped)."""
     if spec is None:
         spec = np.zeros((model.arch.input_bands, model.arch.input_columns))
-    trace: list = []
-    forward(model, spec, None, "infer", trace=trace)
-    return trace
+    x = Tensor(np.asarray(_spec_bands(spec), dtype=np.float64)[None, None])
+    rows = []
+    with ag.no_grad():
+        for name, feat in model.layers(x, training=False):
+            rows.append((name, feat.shape[1:]))
+        out, _, _ = model.recur(feat, *_state_tensors(model, None))
+        if model.variant != "cnn_static":
+            rows.append(("rnn", out.shape[1:]))
+        hidden = model._dense2(out)
+        rows.append(("dense2", hidden.shape[1:]))
+        y_r, y_e = model._heads(hidden)
+    rows.append(("output", (y_r.shape[1] + y_e.shape[1],)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
-from .errors import ConfigError
+from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
+from .errors import ConfigError, DataError
 from .model import Model, forward
 
 
@@ -36,8 +36,15 @@ class StreamingSession:
         self._heard = 0  # absolute sample count pushed so far
 
     def push(self, samples) -> list:
-        """Consume a chunk; return the FaceFrames whose boundaries it crossed."""
+        """Consume a chunk; return the FaceFrames whose boundaries it crossed.
+
+        A chunk holding any NaN or Inf sample raises DataError and is not
+        consumed: the buffered audio and the recurrent state stay as they were.
+        """
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
+        bad = np.count_nonzero(~np.isfinite(samples))
+        if bad:
+            raise DataError(f"chunk rejected: {bad} of {len(samples)} samples are not finite")
         emitted = []
         pos = 0
         while True:
@@ -69,22 +76,24 @@ class StreamingSession:
 
 def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,
           warmup: int = 5) -> dict:
-    """Median/p95 wall time of one frame's work (spectrogram + forward).
+    """Median/p95 wall time of one frame's work on a live session.
 
-    Feeds random audio windows through the per-frame pipeline with carried
-    recurrent state, mirroring what a live session does each frame.
+    Pushes random audio into a StreamingSession one frame interval at a
+    time, so each timed push buffers the audio and emits exactly one frame.
     """
     if iters < 1:
         raise ConfigError(f"iters must be positive, got {iters}")
+    session = StreamingSession(model, fps)
     rng = np.random.default_rng(seed)
-    windows = rng.standard_normal((warmup + iters, WINDOW_SAMPLES)) * 0.1
-    state = model.initial_state()
+    audio = rng.standard_normal(frame_boundary(warmup + iters - 1, fps)) * 0.1
     times = []
+    start = 0
     for i in range(warmup + iters):
+        stop = frame_boundary(i, fps)
         t0 = time.perf_counter()
-        spec = normalize(compute_spectrogram(windows[i], frame_index=i), model.norm_stats)
-        _, state = forward(model, spec, state)
+        session.push(audio[start:stop])
         times.append(time.perf_counter() - t0)
+        start = stop
     kept = np.array(times[warmup:])
     median = float(np.median(kept))
     return {

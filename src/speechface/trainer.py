@@ -50,6 +50,19 @@ class TrainConfig:
 # objective
 
 
+def loss_op(pred: Tensor, target, mask=None) -> Tensor:
+    """Sum of squared differences as a differentiable graph node.
+
+    ``mask`` optionally weights the rows of ``pred`` by 0 or 1.
+    """
+    diff = ag.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
+    sq = ag.mul(diff, diff)
+    if mask is not None:
+        sq = ag.mul(sq, Tensor(np.broadcast_to(
+            mask[:, None], sq.shape).astype(pred.dtype)))
+    return ag.sum_all(sq)
+
+
 def loss(pred, target) -> float:
     """Sum of squared differences over frames and all 49 components."""
     pred = np.stack([p.vector if isinstance(p, FaceFrame) else np.asarray(p, float)
@@ -59,29 +72,13 @@ def loss(pred, target) -> float:
     if pred.shape != target.shape:
         raise ShapeError(f"length mismatch: {pred.shape} predictions vs "
                          f"{target.shape} targets")
-    return float(((pred - target) ** 2).sum())
+    return float(loss_op(Tensor(pred), target).data)
 
 
-def loss_op(pred: Tensor, target) -> Tensor:
-    """The same objective as a differentiable graph node."""
-    diff = ag.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
-    return ag.sum_all(ag.mul(diff, diff))
-
-
-def _masked_head_loss(y_r, y_e, target, mask_col, dtype):
-    """Squared error of both heads, rows weighted 0/1 by ``mask_col``."""
-    t_r = Tensor(target[:, :ROT_DIM].astype(dtype))
-    t_e = Tensor(target[:, ROT_DIM:].astype(dtype))
-    total = None
-    for y, t in ((y_r, t_r), (y_e, t_e)):
-        d = ag.sub(y, t)
-        sq = ag.mul(d, d)
-        if mask_col is not None:
-            sq = ag.mul(sq, Tensor(np.broadcast_to(
-                mask_col[:, None], sq.shape).astype(dtype).copy()))
-        term = ag.sum_all(sq)
-        total = term if total is None else ag.add(total, term)
-    return total
+def _head_loss(y_r, y_e, target, mask=None) -> Tensor:
+    """Squared error of both heads against 49-wide target rows."""
+    return ag.add(loss_op(y_r, target[:, :ROT_DIM], mask),
+                  loss_op(y_e, target[:, ROT_DIM:], mask))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,7 @@ def _static_batch_loss(model: Model, dataset: Dataset, rows, training=True) -> T
     x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
     feats = model.trunk(Tensor(x), training=training)
     y_r, y_e = model.head_out(feats)
-    return _masked_head_loss(y_r, y_e, dataset.targets[rows], None, model.dtype)
+    return _head_loss(y_r, y_e, dataset.targets[rows])
 
 
 def _recurrent_batch_loss(model: Model, dataset: Dataset, segments, training=True) -> Tensor:
@@ -212,7 +209,7 @@ def _recurrent_batch_loss(model: Model, dataset: Dataset, segments, training=Tru
         out, h, c = model.recur(xt, h, c)
         y_r, y_e = model.head_out(out)
         target = dataset.targets[rows[idx[:, t]]]
-        term = _masked_head_loss(y_r, y_e, target, mask[:, t], model.dtype)
+        term = _head_loss(y_r, y_e, target, mask[:, t])
         total = term if total is None else ag.add(total, term)
     return total
 
@@ -233,20 +230,17 @@ def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
     else:
         rows = np.concatenate([np.arange(a, b) for a, b in batch])
     x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
-    capture: dict = {}
     with ag.no_grad():
-        feats = model.trunk(Tensor(x), training=False, capture=capture)
-    for name, arr in capture.items():
-        if not np.all(np.isfinite(arr)):
-            return name
-    if model.variant != "cnn_static":
-        h, c = Tensor(np.zeros((len(rows), model.arch.hidden), dtype=model.dtype)), None
-        if model.variant == "cnn_lstm":
-            c = Tensor(np.zeros_like(h.data))
-        with ag.no_grad():
+        for name, feats in model.layers(Tensor(x), training=False):
+            if not np.all(np.isfinite(feats.data)):
+                return name
+        if model.variant != "cnn_static":
+            h, c = Tensor(np.zeros((len(rows), model.arch.hidden), dtype=model.dtype)), None
+            if model.variant == "cnn_lstm":
+                c = Tensor(np.zeros_like(h.data))
             out, _, _ = model.recur(feats, h, c)
-        if not np.all(np.isfinite(out.data)):
-            return "rnn"
+            if not np.all(np.isfinite(out.data)):
+                return "rnn"
     return "loss"
 
 

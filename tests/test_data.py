@@ -1,5 +1,7 @@
 """Dataset file format, parameter CSV, and corpus naming tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,24 @@ class TestDatasetIO:
         save_dataset(ds, path)
         record = 8 + 4 * NUM_BANDS * NUM_COLUMNS + 4 * 49 + 2
         assert path.stat().st_size == 12 + 6 * record
+
+    def test_bytes_match_struct_oracle(self, tmp_path):
+        """A 2-record file, field by field: u32 seq, u32 frame, f32 spectrogram,
+        f32 targets, u8 emotion, u8 actor, all little-endian."""
+        ds = make_dataset(np.random.default_rng(8), counts=(2,))
+        path = tmp_path / "two.sfd"
+        save_dataset(ds, path)
+        want = DATASET_MAGIC + struct.pack("<II", 1, 2)
+        for i in range(2):
+            want += struct.pack("<II", int(ds.seq_ids[i]), int(ds.frame_indices[i]))
+            want += struct.pack(f"<{NUM_BANDS * NUM_COLUMNS}f", *ds.spectrograms[i].ravel())
+            want += struct.pack("<49f", *ds.targets[i])
+            want += struct.pack("<BB", int(ds.emotions[i]), int(ds.actors[i]))
+        assert path.read_bytes() == want
+        back = load_dataset(path)
+        for col in (back.seq_ids, back.frame_indices, back.spectrograms,
+                    back.targets, back.emotions, back.actors):
+            assert col.flags.c_contiguous and col.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sfd"
@@ -217,6 +237,16 @@ class TestParamCSV:
         row = ",".join(["0.0"] * 49)
         path.write_text(CSV_HEADER + "\n" + f"3,{row}\n" + f"3,{row}\n")
         with pytest.raises(ParseError):
+            read_param_csv(path)
+
+    @pytest.mark.parametrize("column, cell", [(1, "nan"), (10, "inf")])
+    def test_non_finite_cell_names_line(self, tmp_path, column, cell):
+        path = tmp_path / "nonfinite.csv"
+        vals = ["0.0"] * 49
+        vals[column] = cell
+        path.write_text(CSV_HEADER + "\n0," + ",".join(["0.0"] * 49)
+                        + "\n1," + ",".join(vals) + "\n")
+        with pytest.raises(ParseError, match="line 3"):
             read_param_csv(path)
 
     def test_unparseable_number_names_line(self, tmp_path):

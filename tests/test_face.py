@@ -59,6 +59,13 @@ class TestFaceFrame:
         with pytest.raises(ShapeError):
             FaceFrame(np.zeros(3), np.zeros(45))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            FaceFrame(np.array([0.0, bad, 0.0]), np.zeros(46))
+        with pytest.raises(DataError, match="finite"):
+            FaceFrame(np.zeros(3), np.r_[np.full(45, 0.5), bad])
+
 
 # =============================================================================
 # Quaternions

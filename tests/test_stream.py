@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speechface.audio import AudioClip, SAMPLE_RATE, clip_spectrograms, frame_boundary, normalize
+from speechface.errors import DataError
 from speechface.model import build_model, forward_sequence
 from speechface.stream import StreamingSession, bench
 
@@ -78,6 +79,28 @@ class TestStreamingSession:
         assert session.push(np.zeros(1469)) == []
         frames = session.push(np.zeros(1))
         assert len(frames) == 1
+
+    def test_non_finite_chunk_leaves_session_untouched(self):
+        """A rejected chunk changes nothing: later frames match a clean session."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        c1, c2 = samples[:7000], samples[7000:]
+        bad = np.full(3000, 0.1)
+        bad[[17, 2000]] = [np.nan, np.inf]
+
+        clean = StreamingSession(model)
+        want = clean.push(c1) + clean.push(c2)
+        session = StreamingSession(model)
+        got = session.push(c1)
+        with pytest.raises(DataError):
+            session.push(bad)
+        assert session.frames_emitted == len(got)
+        got += session.push(c2)
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            np.testing.assert_array_equal(g.vector, w.vector)
+            assert np.all(np.isfinite(g.vector))
 
     def test_silence_converges_to_fixed_point(self):
         """On constant input the recurrent state settles: deltas < 1e-3."""
