@@ -39,7 +39,6 @@ from .face import (
 )
 from .model import (
     Model,
-    RecurrentState,
     build_model,
     forward,
     forward_sequence,
@@ -61,7 +60,7 @@ __all__ = [
     "StateError", "DataError", "NumericError",
     "BlendshapeRig", "FaceFrame", "compose_shape", "landmark_rmse", "load_rig",
     "make_toy_rig", "save_rig", "weights_mse", "write_obj",
-    "Model", "RecurrentState", "build_model", "forward", "forward_sequence",
+    "Model", "build_model", "forward", "forward_sequence",
     "load_checkpoint", "save_checkpoint",
     "StreamingSession", "bench",
     "AdamState", "TrainConfig", "adam_step", "evaluate", "loss", "make_batches",

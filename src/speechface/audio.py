@@ -73,6 +73,8 @@ class NormStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != (NUM_BANDS,) or self.std.shape != (NUM_BANDS,):
             raise ShapeError("normalization stats must have one mean and std per band")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise DataError("normalization mean and std must be finite")
         if not np.all(self.std > 0):
             raise DataError("normalization std entries must be strictly positive")
 
@@ -109,8 +111,9 @@ def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file into a mono clip at 44.1 kHz.
 
     Accepts 16-bit integer or 32-bit float PCM with 1 or 2 channels. Stereo is
-    averaged to mono; integer samples are scaled by 1/32768; other sample
-    rates are linearly resampled to 44100 and flagged on the clip.
+    averaged to mono; integer samples are scaled by 1/32768; float samples
+    must be finite and are clipped to [-1, 1]; other sample rates are linearly
+    resampled to 44100 and flagged on the clip.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF":
@@ -126,6 +129,8 @@ def load_wav(path) -> AudioClip:
     codec, channels, rate, _byte_rate, _align, bits, fmt_pos = fmt
     if channels not in (1, 2):
         raise ParseError(f"{path}: unsupported channel count {channels} (fmt chunk at byte {fmt_pos})")
+    if rate == 0:
+        raise ParseError(f"{path}: sample rate 0 (fmt chunk at byte {fmt_pos})")
 
     start, size = data
     if codec == 1 and bits == 16:
@@ -135,6 +140,10 @@ def load_wav(path) -> AudioClip:
     elif codec == 3 and bits == 32:
         count = size // 4
         samples = np.frombuffer(raw, dtype="<f4", count=count, offset=start).astype(np.float64)
+        finite = np.isfinite(samples)
+        if not finite.all():
+            bad = start + 4 * int(np.argmin(finite))
+            raise ParseError(f"{path}: non-finite float sample at byte {bad}")
         samples = np.clip(samples, -1.0, 1.0)
     else:
         raise ParseError(

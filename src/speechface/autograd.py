@@ -285,8 +285,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map ``y = x @ w.T + b`` with ``w`` of shape (d_out, d_in)."""
-    squeeze = x.ndim == 1
-    xd = x.data[None, :] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 2 or w.ndim != 2:
         raise ShapeError(f"dense: expected 2-d operands, got {x.shape} and {w.shape}")
     if xd.shape[1] != w.data.shape[1]:
@@ -303,26 +302,23 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     wd = w.data
 
     def backward(g):
-        if squeeze:
-            g = g[None, :]
-        _accum_owned(x, g @ wd if not squeeze else (g @ wd)[0])
+        _accum_owned(x, g @ wd)
         _accum_owned(w, g.T @ xd)
         if b is not None:
             _accum_owned(b, g.sum(axis=0))
 
-    return _make(y[0] if squeeze else y, (x, w) + ((b,) if b is not None else ()), backward)
+    return _make(y, (x, w) + ((b,) if b is not None else ()), backward)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), pad=(0, 0)) -> Tensor:
     """2-d cross-correlation over (freq, time) with symmetric zero padding.
 
-    ``x`` is (C_in, F, T) or batched (B, C_in, F, T); ``w`` is
-    (C_out, C_in, kF, kT). Output spatial dims follow the usual
-    floor((size + 2*pad - kernel) / stride) + 1 rule.
+    ``x`` is (B, C_in, F, T) and ``w`` is (C_out, C_in, kF, kT). Output
+    spatial dims follow the usual floor((size + 2*pad - kernel) / stride) + 1
+    rule.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected (B,C,F,T) input and 4-d weights, got {x.shape} / {w.shape}")
     nb, c_in, f_in, t_in = xd.shape
@@ -375,8 +371,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         out = out.reshape(nb, c_out, f_out, t_out)
 
     def backward(g):
-        if squeeze:
-            g = g[None]
         if folded:
             gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
             _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
@@ -401,10 +395,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
                     else:
                         dst += gcol.reshape(nb, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
             gx = gxp[:, :, p_f:p_f + f_in, p_t:p_t + t_in] if (p_f or p_t) else gxp
-            _accum(x, gx[0] if squeeze else gx)
+            _accum(x, gx)
 
-    return _make(out[0] if squeeze else out,
-                 (x, w) + ((b,) if b is not None else ()), backward)
+    return _make(out, (x, w) + ((b,) if b is not None else ()), backward)
 
 
 def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
@@ -413,8 +406,7 @@ def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
     Argmax positions are recorded so the backward pass routes each upstream
     gradient element to exactly one input position.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d: expected (B,C,F,T) input, got {x.shape}")
     w_f, w_t = window
@@ -444,17 +436,15 @@ def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
         out = stacked.max(axis=0)
 
     def backward(g):
-        if squeeze:
-            g = g[None]
         if x.requires_grad:
             gx = np.zeros_like(xd)
             second = views[1] > views[0] if amax is None else None
             for k, (i, j) in enumerate(taps):
                 hit = (second if k else ~second) if amax is None else (amax == k)
                 gx[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] += g * hit
-            _accum_owned(x, gx[0] if squeeze else gx)
+            _accum_owned(x, gx)
 
-    return _make(out[0] if squeeze else out, (x,), backward)
+    return _make(out, (x,), backward)
 
 
 class BatchNormState:
@@ -558,61 +548,46 @@ GRUParams = namedtuple("GRUParams", ["w_x", "w_h", "w_c", "b"])
 candidate (applied to the reset-gated state), b (3H,); order z, r, candidate."""
 
 
-def _ensure_2d(t: Tensor):
-    if t.ndim == 1:
-        return reshape(t, (1, t.shape[0])), True
-    return t, False
-
-
 def lstm_step(x: Tensor, state, params: LSTMParams):
-    """One LSTM step; ``state`` is (h, c). Returns (h', c').
+    """One LSTM step on (B, D) input; ``state`` is (h, c), each (B, H).
+    Returns (h', c').
 
     Gates: i, f, o via sigmoid and candidate g via tanh over the fused affine
     map of input and previous hidden state; c' = f*c + i*g, h' = o*tanh(c').
     """
     h, c = state
-    x2, squeeze = _ensure_2d(x)
-    h2, _ = _ensure_2d(h)
-    c2, _ = _ensure_2d(c)
     hdim = params.w_h.shape[1]
-    if params.w_x.shape[0] != 4 * hdim or h2.shape[1] != hdim or c2.shape[1] != hdim:
+    if params.w_x.shape[0] != 4 * hdim or h.shape[1:] != (hdim,) or c.shape[1:] != (hdim,):
         raise ShapeError(
             f"lstm_step: inconsistent dims (w_x {params.w_x.shape}, w_h {params.w_h.shape}, "
             f"h {h.shape}, c {c.shape})")
 
-    pre = add(dense(x2, params.w_x, params.b), dense(h2, params.w_h))
+    pre = add(dense(x, params.w_x, params.b), dense(h, params.w_h))
     i_g = sigmoid(narrow(pre, 1, 0, hdim))
     f_g = sigmoid(narrow(pre, 1, hdim, 2 * hdim))
     g_c = tanh(narrow(pre, 1, 2 * hdim, 3 * hdim))
     o_g = sigmoid(narrow(pre, 1, 3 * hdim, 4 * hdim))
-    c_new = add(mul(f_g, c2), mul(i_g, g_c))
+    c_new = add(mul(f_g, c), mul(i_g, g_c))
     h_new = mul(o_g, tanh(c_new))
-    if squeeze:
-        h_new = reshape(h_new, (hdim,))
-        c_new = reshape(c_new, (hdim,))
     return h_new, c_new
 
 
 def gru_step(x: Tensor, h: Tensor, params: GRUParams) -> Tensor:
-    """One GRU step returning h'.
+    """One GRU step on (B, D) input and (B, H) state, returning h'.
 
     Update gate z and reset gate r via sigmoid; candidate is tanh over the
     input map plus the reset-gated previous state; h' = (1-z)*h + z*candidate.
     """
-    x2, squeeze = _ensure_2d(x)
-    h2, _ = _ensure_2d(h)
     hdim = params.w_c.shape[1]
-    if params.w_x.shape[0] != 3 * hdim or params.w_h.shape[0] != 2 * hdim or h2.shape[1] != hdim:
+    if (params.w_x.shape[0] != 3 * hdim or params.w_h.shape[0] != 2 * hdim
+            or h.shape[1:] != (hdim,)):
         raise ShapeError(
             f"gru_step: inconsistent dims (w_x {params.w_x.shape}, w_h {params.w_h.shape}, "
             f"w_c {params.w_c.shape}, h {h.shape})")
 
-    px = dense(x2, params.w_x, params.b)
-    ph = dense(h2, params.w_h)
+    px = dense(x, params.w_x, params.b)
+    ph = dense(h, params.w_h)
     z_g = sigmoid(add(narrow(px, 1, 0, hdim), narrow(ph, 1, 0, hdim)))
     r_g = sigmoid(add(narrow(px, 1, hdim, 2 * hdim), narrow(ph, 1, hdim, 2 * hdim)))
-    cand = tanh(add(narrow(px, 1, 2 * hdim, 3 * hdim), dense(mul(r_g, h2), params.w_c)))
-    h_new = add(h2, mul(z_g, sub(cand, h2)))  # (1-z)*h + z*cand
-    if squeeze:
-        h_new = reshape(h_new, (hdim,))
-    return h_new
+    cand = tanh(add(narrow(px, 1, 2 * hdim, 3 * hdim), dense(mul(r_g, h), params.w_c)))
+    return add(h, mul(z_g, sub(cand, h)))  # (1-z)*h + z*cand

@@ -77,6 +77,16 @@ class Dataset:
         self._check_invariants()
 
     def _check_invariants(self):
+        for name, arr in (("target", self.targets), ("spectrogram", self.spectrograms)):
+            rows = arr.reshape(len(arr), int(np.prod(arr.shape[1:])))
+            # One BLAS pass: NaN and Inf survive a row sum. A finite row whose
+            # sum overflows is cleared by the exact check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = rows @ np.ones(rows.shape[1], rows.dtype)
+            if not np.isfinite(sums).all():
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    raise DataError(f"record {int(np.argmin(finite))}: {name} is not finite")
         r, e = self.targets[:, :NUM_ROTATION], self.targets[:, NUM_ROTATION:]
         if self.targets.size and (np.abs(r).max() > 1.0 or e.min() < 0.0 or e.max() > 1.0):
             raise DataError("targets out of range: rotation in [-1,1], weights in [0,1]")
@@ -151,7 +161,10 @@ def load_norm_stats(path) -> NormStats:
         raise ParseError(f"{path}: expected {expected} bytes, found {len(raw)}")
     mean = np.frombuffer(raw, "<f4", NUM_BANDS, 8).astype(np.float64)
     std = np.frombuffer(raw, "<f4", NUM_BANDS, 8 + NUM_BANDS * 4).astype(np.float64)
-    return NormStats(mean, std)
+    try:
+        return NormStats(mean, std)
+    except DataError as err:
+        raise ParseError(f"{path}: stats at byte 8: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +184,11 @@ def write_param_csv(path, frames) -> None:
 
 def read_param_csv(path) -> list:
     """Parse a parameter CSV back into FaceFrames, validating as it goes."""
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: byte {err.start} is not valid UTF-8") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty file")

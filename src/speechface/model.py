@@ -13,6 +13,7 @@ layer, frame-by-frame), ``cnn_lstm`` and ``cnn_gru``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats, Spectrogram
 from .autograd import BatchNormState, GRUParams, LSTMParams, Parameter, Tensor
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, DataError, ParseError, ShapeError
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
@@ -96,32 +97,21 @@ class Architecture:
 
 STANDARD_ARCH = Architecture()
 
-
-@dataclass
-class RecurrentState:
-    """Per-stream recurrent state; zero at stream start, None entries unused."""
-
-    h: np.ndarray | None = None
-    c: np.ndarray | None = None
+# Arrays in the recurrent state tuple: h for the GRU, (h, c) for the LSTM.
+_STATE_SIZE = {"cnn_static": 0, "cnn_lstm": 2, "cnn_gru": 1}
 
 
 class Model:
     """A built network: variant tag, parameters and input normalization."""
 
-    def __init__(self, variant: str, arch: Architecture, dtype=np.float32):
+    arch = STANDARD_ARCH
+    dtype = np.float32  # parameters and training arithmetic
+
+    def __init__(self, variant: str):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         self.variant = variant
-        self.arch = arch
-        self.dtype = dtype
         self.norm_stats = NormStats.identity()
-        self._convs = []  # (ConvSpec, w, b, BatchNormState | None)
-        self._pools = {}  # name -> PoolSpec
-        for spec in arch.stack:
-            if isinstance(spec, ConvSpec):
-                self._convs.append(spec)
-            else:
-                self._pools[spec.name] = spec
         self.conv_w = {}
         self.conv_b = {}
         self.conv_bn = {}
@@ -199,15 +189,17 @@ class Model:
             pass
         return x
 
-    def recur(self, x: Tensor, h: Tensor | None, c: Tensor | None):
-        """One recurrent step on (B,hidden) features; identity for cnn_static."""
-        if self.variant == "cnn_static":
-            return x, None, None
+    def recur(self, x: Tensor, state: tuple):
+        """One recurrent step on (B,hidden) features: (x, state) -> (out, state).
+
+        ``state`` holds (B,hidden) Tensors laid out as :meth:`initial_state`
+        makes them; cnn_static has none and passes ``x`` through.
+        """
         if self.variant == "cnn_lstm":
-            h2, c2 = ag.lstm_step(x, (h, c), self.cell)
-            return h2, h2, c2
-        h2 = ag.gru_step(x, h, self.cell)
-        return h2, h2, None
+            state = ag.lstm_step(x, state, self.cell)
+        elif self.variant == "cnn_gru":
+            state = (ag.gru_step(x, state[0], self.cell),)
+        return (state[0] if state else x), state
 
     def head_out(self, x: Tensor):
         """Second dense layer and the two output heads: (B,hidden) -> (B,3),(B,46)."""
@@ -221,13 +213,11 @@ class Model:
         y_e = ag.sigmoid(ag.dense(x, self.head_e_w, self.head_e_b))
         return y_r, y_e
 
-    def initial_state(self) -> RecurrentState:
-        h = self.arch.hidden
-        if self.variant == "cnn_lstm":
-            return RecurrentState(np.zeros(h), np.zeros(h))
-        if self.variant == "cnn_gru":
-            return RecurrentState(np.zeros(h), None)
-        return RecurrentState(None, None)
+    def initial_state(self, batch: int = 1, dtype=np.float64) -> tuple:
+        """Zero recurrent state of ``batch`` streams: () for cnn_static, (h,)
+        for cnn_gru and (h, c) for cnn_lstm, each array (batch, hidden)."""
+        return tuple(np.zeros((batch, self.arch.hidden), dtype)
+                     for _ in range(_STATE_SIZE[self.variant]))
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -235,16 +225,16 @@ def _glorot(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-lim, lim, size=shape).astype(dtype)
 
 
-def build_model(variant: str, seed: int = 0, dtype=np.float32,
-                arch: Architecture = STANDARD_ARCH) -> Model:
+def build_model(variant: str, seed: int = 0) -> Model:
     """Deterministically initialize a model from a seed.
 
     Conv/dense/head weights use uniform Glorot fan-in/fan-out limits; recurrent
     matrices are Glorot per gate block; biases start at zero except the LSTM
     forget gate, which starts at 1.
     """
-    model = Model(variant, arch, dtype)
+    model = Model(variant)
     rng = np.random.default_rng(seed)
+    arch, dtype = model.arch, model.dtype
     hid = arch.hidden
 
     in_ch = 1
@@ -302,21 +292,7 @@ def _spec_bands(spec) -> np.ndarray:
     return spec.bands if isinstance(spec, Spectrogram) else np.asarray(spec)
 
 
-def _state_tensors(model: Model, state: RecurrentState | None):
-    if model.variant == "cnn_static":
-        return None, None
-    if state is None or state.h is None:
-        state = model.initial_state()
-    h = Tensor(np.atleast_2d(np.asarray(state.h, dtype=np.float64)))
-    c = None
-    if model.variant == "cnn_lstm":
-        if state.c is None:
-            raise ConfigError("LSTM state needs a cell vector")
-        c = Tensor(np.atleast_2d(np.asarray(state.c, dtype=np.float64)))
-    return h, c
-
-
-def _infer(model: Model, bands: np.ndarray, state: RecurrentState | None):
+def _infer(model: Model, bands: np.ndarray, state: tuple | None):
     """The one inference pass: bands (B,128,32) -> (params (B,49), state).
 
     The convolutional trunk runs batched over all B frames; the recurrence
@@ -324,33 +300,35 @@ def _infer(model: Model, bands: np.ndarray, state: RecurrentState | None):
     arithmetic as B single-frame calls.
     """
     x = Tensor(np.asarray(bands, dtype=np.float64)[:, None])
+    if state is None:
+        state = model.initial_state()
+    if len(state) != _STATE_SIZE[model.variant]:
+        raise ConfigError(f"{model.variant} state holds {_STATE_SIZE[model.variant]} "
+                          f"arrays, got {len(state)}")
     with ag.no_grad():
         feats = model.trunk(x, training=False)
-        h, c = _state_tensors(model, state)
+        state = tuple(Tensor(s, dtype=np.float64) for s in state)
         rows = []
         for i in range(len(feats.data)):
-            out, h, c = model.recur(Tensor(feats.data[i:i + 1]), h, c)
+            out, state = model.recur(Tensor(feats.data[i:i + 1]), state)
             y_r, y_e = model.head_out(out)
             rows.append(np.concatenate([y_r.data, y_e.data], axis=1))
-    new_state = RecurrentState(
-        None if h is None else h.data[0].copy(),
-        None if c is None else c.data[0].copy(),
-    )
-    return np.concatenate(rows), new_state
+    return np.concatenate(rows), tuple(s.data for s in state)
 
 
-def forward(model: Model, spec, state: RecurrentState | None = None):
+def forward(model: Model, spec, state: tuple | None = None):
     """Run one normalized spectrogram through the network.
 
-    Returns (FaceFrame, advanced RecurrentState). Batch norm uses its
-    running statistics.
+    ``state`` is a tuple from :meth:`Model.initial_state` (default: zeros).
+    Returns (FaceFrame, advanced state). Batch norm uses its running
+    statistics.
     """
     params, new_state = _infer(model, _spec_bands(spec)[None], state)
     frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
     return FaceFrame.from_vector(params[0], frame_index), new_state
 
 
-def forward_sequence(model: Model, specs, initial_state: RecurrentState | None = None):
+def forward_sequence(model: Model, specs, initial_state: tuple | None = None):
     """Run a spectrogram sequence through the network, carrying state.
 
     Gives the same frames as folding :func:`forward` over the sequence.
@@ -372,8 +350,8 @@ def forward_trace(model: Model, spec=None) -> list:
     with ag.no_grad():
         for name, feat in model.layers(x, training=False):
             rows.append((name, feat.shape[1:]))
-        out, _, _ = model.recur(feat, *_state_tensors(model, None))
-        if model.variant != "cnn_static":
+        out, _ = model.recur(feat, tuple(map(Tensor, model.initial_state())))
+        if model.cell is not None:
             rows.append(("rnn", out.shape[1:]))
         hidden = model._dense2(out)
         rows.append(("dense2", hidden.shape[1:]))
@@ -406,6 +384,13 @@ def save_checkpoint(model: Model, path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
+def _require_finite(path, what: str, values: np.ndarray, offset: int) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = offset + 4 * int(np.argmin(finite))
+        raise ParseError(f"{path}: {what} has a non-finite value at byte {bad}")
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
     raw = Path(path).read_bytes()
@@ -422,10 +407,15 @@ def load_checkpoint(path) -> Model:
     stats_bytes = NUM_BANDS * 4
     if pos + 2 * stats_bytes + 4 > len(raw):
         raise ParseError(f"{path}: normalization stats truncated")
-    mean = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos).astype(np.float64)
-    pos += stats_bytes
-    std = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos).astype(np.float64)
-    pos += stats_bytes
+    mean = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos)
+    std = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos + stats_bytes)
+    _require_finite(path, "normalization mean", mean, pos)
+    _require_finite(path, "normalization std", std, pos + stats_bytes)
+    try:
+        norm_stats = NormStats(mean, std)
+    except DataError as err:
+        raise ParseError(f"{path}: normalization stats at byte {pos}: {err}") from None
+    pos += 2 * stats_bytes
     (count,) = struct.unpack_from("<I", raw, pos)
     pos += 4
 
@@ -435,7 +425,11 @@ def load_checkpoint(path) -> Model:
             raise ParseError(f"{path}: parameter table truncated at byte {pos}")
         (name_len,) = struct.unpack_from("<H", raw, pos)
         pos += 2
-        name = raw[pos:pos + name_len].decode("utf-8")
+        try:
+            name = raw[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: field name at byte {pos + err.start} "
+                             "is not valid UTF-8") from None
         pos += name_len
         if pos + 1 > len(raw):
             raise ParseError(f"{path}: field {name!r} truncated")
@@ -445,28 +439,32 @@ def load_checkpoint(path) -> Model:
             raise ParseError(f"{path}: dims of field {name!r} truncated")
         dims = struct.unpack_from(f"<{rank}I", raw, pos)
         pos += 4 * rank
-        numel = int(np.prod(dims)) if rank else 1
+        numel = math.prod(dims)
         if pos + 4 * numel > len(raw):
             raise ParseError(f"{path}: values of field {name!r} truncated")
-        loaded[name] = np.frombuffer(raw, dtype="<f4", count=numel, offset=pos).reshape(dims)
+        values = np.frombuffer(raw, dtype="<f4", count=numel, offset=pos)
+        _require_finite(path, f"field {name!r}", values, pos)
+        loaded[name] = (dims, values)
         pos += 4 * numel
 
     model = build_model(VARIANTS[variant_id], seed=0)
-    model.norm_stats = NormStats(mean, std)
+    model.norm_stats = norm_stats
     expected = dict(model.named_arrays())
     if set(loaded) != set(expected):
         missing = sorted(set(expected) - set(loaded))
         extra = sorted(set(loaded) - set(expected))
         raise ParseError(f"{path}: parameter set mismatch (missing {missing}, unexpected {extra})")
-    for name, arr in loaded.items():
-        target = expected[name]
-        if target.shape != arr.shape:
-            raise ParseError(f"{path}: field {name!r} has dims {arr.shape}, expected {target.shape}")
+    for name, (dims, _) in loaded.items():
+        if expected[name].shape != dims:
+            raise ParseError(f"{path}: field {name!r} has dims {dims}, "
+                             f"expected {expected[name].shape}")
+    arrays = {name: values.reshape(dims).astype(model.dtype)
+              for name, (dims, values) in loaded.items()}
     for p in model.parameters():
-        p.data = loaded[p.name].astype(model.dtype).copy()
+        p.data = arrays[p.name]
     for spec in model.arch.stack:
         bn = model.conv_bn.get(spec.name) if isinstance(spec, ConvSpec) else None
         if bn is not None:
-            bn.running_mean = loaded[f"{spec.name}.bn.running_mean"].astype(model.dtype).copy()
-            bn.running_var = loaded[f"{spec.name}.bn.running_var"].astype(model.dtype).copy()
+            bn.running_mean = arrays[f"{spec.name}.bn.running_mean"]
+            bn.running_var = arrays[f"{spec.name}.bn.running_var"]
     return model

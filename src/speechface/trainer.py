@@ -175,14 +175,16 @@ def make_batches(dataset: Dataset, config: TrainConfig, epoch_seed) -> list:
 # forward + loss over one minibatch
 
 
-def _static_batch_loss(model: Model, dataset: Dataset, rows, training=True) -> Tensor:
-    x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
-    feats = model.trunk(Tensor(x), training=training)
-    y_r, y_e = model.head_out(feats)
-    return _head_loss(y_r, y_e, dataset.targets[rows])
+def _segments(model: Model, batch) -> list:
+    """A minibatch as (start, stop) row ranges; a cnn_static frame is a
+    length-1 segment."""
+    if model.variant == "cnn_static":
+        return [(r, r + 1) for r in np.asarray(batch).tolist()]
+    return batch
 
 
-def _recurrent_batch_loss(model: Model, dataset: Dataset, segments, training=True) -> Tensor:
+def _batch_loss(model: Model, dataset: Dataset, batch, training=True) -> Tensor:
+    segments = _segments(model, batch)
     rows = np.concatenate([np.arange(a, b) for a, b in segments])
     lengths = [b - a for a, b in segments]
     n_seg, max_len = len(segments), max(lengths)
@@ -200,13 +202,11 @@ def _recurrent_batch_loss(model: Model, dataset: Dataset, segments, training=Tru
         mask[s, :n] = 1.0
         offset += n
 
-    h = Tensor(np.zeros((n_seg, model.arch.hidden), dtype=model.dtype))
-    c = Tensor(np.zeros((n_seg, model.arch.hidden), dtype=model.dtype)) \
-        if model.variant == "cnn_lstm" else None
+    state = tuple(map(Tensor, model.initial_state(n_seg, model.dtype)))
     total = None
     for t in range(max_len):
         xt = ag.take_rows(feats, idx[:, t])
-        out, h, c = model.recur(xt, h, c)
+        out, state = model.recur(xt, state)
         y_r, y_e = model.head_out(out)
         target = dataset.targets[rows[idx[:, t]]]
         term = _head_loss(y_r, y_e, target, mask[:, t])
@@ -214,33 +214,21 @@ def _recurrent_batch_loss(model: Model, dataset: Dataset, segments, training=Tru
     return total
 
 
-def _batch_loss(model: Model, dataset: Dataset, batch, training=True) -> Tensor:
-    if model.variant == "cnn_static":
-        return _static_batch_loss(model, dataset, batch, training)
-    return _recurrent_batch_loss(model, dataset, batch, training)
-
-
 def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
     """Name the earliest source of non-finite values for a diagnostic."""
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             return f"parameter {p.name}"
-    if model.variant == "cnn_static":
-        rows = np.asarray(batch)
-    else:
-        rows = np.concatenate([np.arange(a, b) for a, b in batch])
+    rows = np.concatenate([np.arange(a, b) for a, b in _segments(model, batch)])
     x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
     with ag.no_grad():
         for name, feats in model.layers(Tensor(x), training=False):
             if not np.all(np.isfinite(feats.data)):
                 return name
-        if model.variant != "cnn_static":
-            h, c = Tensor(np.zeros((len(rows), model.arch.hidden), dtype=model.dtype)), None
-            if model.variant == "cnn_lstm":
-                c = Tensor(np.zeros_like(h.data))
-            out, _, _ = model.recur(feats, h, c)
-            if not np.all(np.isfinite(out.data)):
-                return "rnn"
+        state = tuple(map(Tensor, model.initial_state(len(rows), model.dtype)))
+        out, _ = model.recur(feats, state)
+        if not np.all(np.isfinite(out.data)):
+            return "rnn"
     return "loss"
 
 
