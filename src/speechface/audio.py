@@ -73,8 +73,9 @@ class NormStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != (NUM_BANDS,) or self.std.shape != (NUM_BANDS,):
             raise ShapeError("normalization stats must have one mean and std per band")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
-            raise DataError("normalization mean and std must be finite")
+        for name, values in (("mean", self.mean), ("std", self.std)):
+            if not np.isfinite(values).all():
+                raise DataError(f"normalization {name} must be finite")
         if not np.all(self.std > 0):
             raise DataError("normalization std entries must be strictly positive")
 

@@ -78,15 +78,9 @@ class Dataset:
 
     def _check_invariants(self):
         for name, arr in (("target", self.targets), ("spectrogram", self.spectrograms)):
-            rows = arr.reshape(len(arr), int(np.prod(arr.shape[1:])))
-            # One BLAS pass: NaN and Inf survive a row sum. A finite row whose
-            # sum overflows is cleared by the exact check.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = rows @ np.ones(rows.shape[1], rows.dtype)
-            if not np.isfinite(sums).all():
-                finite = np.isfinite(rows).all(axis=1)
-                if not finite.all():
-                    raise DataError(f"record {int(np.argmin(finite))}: {name} is not finite")
+            finite = np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            if not finite.all():
+                raise DataError(f"record {int(np.argmin(finite))}: {name} is not finite")
         r, e = self.targets[:, :NUM_ROTATION], self.targets[:, NUM_ROTATION:]
         if self.targets.size and (np.abs(r).max() > 1.0 or e.min() < 0.0 or e.max() > 1.0):
             raise DataError("targets out of range: rotation in [-1,1], weights in [0,1]")
@@ -164,7 +158,7 @@ def load_norm_stats(path) -> NormStats:
     try:
         return NormStats(mean, std)
     except DataError as err:
-        raise ParseError(f"{path}: stats at byte 8: {err}") from None
+        raise ParseError(f"{path}: normalization stats at byte 8: {err}") from None
 
 
 # ---------------------------------------------------------------------------

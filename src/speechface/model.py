@@ -409,8 +409,6 @@ def load_checkpoint(path) -> Model:
         raise ParseError(f"{path}: normalization stats truncated")
     mean = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos)
     std = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos + stats_bytes)
-    _require_finite(path, "normalization mean", mean, pos)
-    _require_finite(path, "normalization std", std, pos + stats_bytes)
     try:
         norm_stats = NormStats(mean, std)
     except DataError as err:

@@ -175,36 +175,35 @@ def make_batches(dataset: Dataset, config: TrainConfig, epoch_seed) -> list:
 # forward + loss over one minibatch
 
 
-def _segments(model: Model, batch) -> list:
-    """A minibatch as (start, stop) row ranges; a cnn_static frame is a
-    length-1 segment."""
+def _layout(model: Model, batch):
+    """A minibatch as dataset ``rows`` plus a (segment, step) grid over them.
+
+    ``idx[s, t]`` is the position in ``rows`` of step t of segment s, and
+    ``mask[s, t]`` is 1.0 where that step exists. Ragged segments are padded
+    with position 0 and weight 0, so padding contributes nothing to the
+    gradient. A cnn_static frame is a length-1 segment.
+    """
     if model.variant == "cnn_static":
-        return [(r, r + 1) for r in np.asarray(batch).tolist()]
-    return batch
+        starts = np.asarray(batch, dtype=np.int64)
+        lengths = np.ones_like(starts)
+    else:
+        starts, stops = np.asarray(batch, dtype=np.int64).T
+        lengths = stops - starts
+    steps = np.arange(lengths.max())
+    present = steps < lengths[:, None]
+    rows = (starts[:, None] + steps)[present]
+    idx = np.where(present, (np.cumsum(lengths) - lengths)[:, None] + steps, 0)
+    return rows, idx, present.astype(model.dtype)
 
 
 def _batch_loss(model: Model, dataset: Dataset, batch, training=True) -> Tensor:
-    segments = _segments(model, batch)
-    rows = np.concatenate([np.arange(a, b) for a, b in segments])
-    lengths = [b - a for a, b in segments]
-    n_seg, max_len = len(segments), max(lengths)
-
+    rows, idx, mask = _layout(model, batch)
     x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
     feats = model.trunk(Tensor(x), training=training)
 
-    # Pad ragged segments to a rectangle; padded slots index row 0 and carry
-    # zero loss weight, so they contribute nothing to the gradient.
-    idx = np.zeros((n_seg, max_len), dtype=np.int64)
-    mask = np.zeros((n_seg, max_len), dtype=model.dtype)
-    offset = 0
-    for s, n in enumerate(lengths):
-        idx[s, :n] = offset + np.arange(n)
-        mask[s, :n] = 1.0
-        offset += n
-
-    state = tuple(map(Tensor, model.initial_state(n_seg, model.dtype)))
+    state = tuple(map(Tensor, model.initial_state(len(idx), model.dtype)))
     total = None
-    for t in range(max_len):
+    for t in range(idx.shape[1]):
         xt = ag.take_rows(feats, idx[:, t])
         out, state = model.recur(xt, state)
         y_r, y_e = model.head_out(out)
@@ -219,7 +218,7 @@ def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             return f"parameter {p.name}"
-    rows = np.concatenate([np.arange(a, b) for a, b in _segments(model, batch)])
+    rows, _, _ = _layout(model, batch)
     x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
     with ag.no_grad():
         for name, feats in model.layers(Tensor(x), training=False):

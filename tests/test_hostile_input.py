@@ -122,12 +122,6 @@ class TestDataFiles:
             Dataset(ds.seq_ids, ds.frame_indices, ds.spectrograms, ds.targets,
                     ds.emotions, ds.actors)
 
-    def test_dataset_accepts_finite_rows_whose_sum_overflows(self):
-        ds = small_dataset()
-        ds.spectrograms[1] = np.finfo(np.float32).max
-        Dataset(ds.seq_ids, ds.frame_indices, ds.spectrograms, ds.targets,
-                ds.emotions, ds.actors)
-
     def test_sfd_with_nan_target_is_parse_error(self, tmp_path):
         path = tmp_path / "d.sfd"
         save_dataset(small_dataset(), path)
