@@ -22,6 +22,10 @@ HOP = 128
 NUM_BANDS = 128
 NUM_COLUMNS = 32
 WINDOW_SAMPLES = FFT_SIZE + (NUM_COLUMNS - 1) * HOP  # 4224, ~95.8 ms at 44.1 kHz
+# Lowest declared WAV rate accepted (telephony). Resampling to SAMPLE_RATE
+# multiplies the sample count by SAMPLE_RATE / rate, so a lower rate would
+# let a small file ask for an unbounded allocation.
+MIN_SAMPLE_RATE = 8000
 
 # periodic Hann, the standard analysis window for hopped DFTs
 _HANN = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FFT_SIZE) / FFT_SIZE)).astype(np.float64)
@@ -113,8 +117,8 @@ def load_wav(path) -> AudioClip:
 
     Accepts 16-bit integer or 32-bit float PCM with 1 or 2 channels. Stereo is
     averaged to mono; integer samples are scaled by 1/32768; float samples
-    must be finite and are clipped to [-1, 1]; other sample rates are linearly
-    resampled to 44100 and flagged on the clip.
+    must be finite and are clipped to [-1, 1]; other sample rates, from 8000 Hz
+    up, are linearly resampled to 44100 and flagged on the clip.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF":
@@ -130,8 +134,9 @@ def load_wav(path) -> AudioClip:
     codec, channels, rate, _byte_rate, _align, bits, fmt_pos = fmt
     if channels not in (1, 2):
         raise ParseError(f"{path}: unsupported channel count {channels} (fmt chunk at byte {fmt_pos})")
-    if rate == 0:
-        raise ParseError(f"{path}: sample rate 0 (fmt chunk at byte {fmt_pos})")
+    if rate < MIN_SAMPLE_RATE:
+        raise ParseError(f"{path}: sample rate {rate} is below {MIN_SAMPLE_RATE} Hz "
+                         f"(fmt chunk at byte {fmt_pos})")
 
     start, size = data
     if codec == 1 and bits == 16:

@@ -76,6 +76,8 @@ class BlendshapeRig:
         if self.shapes.ndim != 3 or self.shapes.shape[0] != NUM_EXPRESSIONS + 1 \
                 or self.shapes.shape[2] != 3:
             raise ShapeError(f"rig shapes must be (47, V, 3), got {self.shapes.shape}")
+        if not np.isfinite(self.shapes).all():
+            raise DataError("rig shapes must be finite")
         lm = self.landmark_indices
         if lm.ndim != 1 or lm.size == 0:
             raise DataError("rig needs a non-empty landmark index list")
@@ -264,6 +266,10 @@ def load_rig(path) -> BlendshapeRig:
     if pos + count * 4 > len(raw):
         raise ParseError(f"{path}: shape data truncated")
     shapes = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
+    finite = np.isfinite(shapes)
+    if not finite.all():
+        bad = pos + 4 * int(np.argmin(finite))
+        raise ParseError(f"{path}: non-finite shape value at byte {bad}")
     shapes = shapes.reshape(NUM_EXPRESSIONS + 1, nverts, 3).copy()
     pos += count * 4
     faces = None

@@ -225,15 +225,14 @@ def _glorot(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-lim, lim, size=shape).astype(dtype)
 
 
-def build_model(variant: str, seed: int = 0) -> Model:
-    """Deterministically initialize a model from a seed.
+def _assemble(variant: str, weight) -> Model:
+    """Allocate every parameter of ``variant``.
 
-    Conv/dense/head weights use uniform Glorot fan-in/fan-out limits; recurrent
-    matrices are Glorot per gate block; biases start at zero except the LSTM
-    forget gate, which starts at 1.
+    Weight matrices come from ``weight(shape, fan_in, fan_out)``, called in a
+    fixed order, with recurrent matrices made one gate block at a time.
+    Biases start at zero except the LSTM forget gate, which starts at 1.
     """
     model = Model(variant)
-    rng = np.random.default_rng(seed)
     arch, dtype = model.arch, model.dtype
     hid = arch.hidden
 
@@ -244,7 +243,7 @@ def build_model(variant: str, seed: int = 0) -> Model:
         kf, kt = spec.kernel
         shape = (spec.out_channels, in_ch, kf, kt)
         model.conv_w[spec.name] = Parameter(
-            f"{spec.name}.w", _glorot(rng, shape, in_ch * kf * kt, spec.out_channels * kf * kt, dtype))
+            f"{spec.name}.w", weight(shape, in_ch * kf * kt, spec.out_channels * kf * kt))
         model.conv_b[spec.name] = Parameter(
             f"{spec.name}.b", np.zeros(spec.out_channels, dtype=dtype))
         if spec.batch_norm:
@@ -253,67 +252,267 @@ def build_model(variant: str, seed: int = 0) -> Model:
         in_ch = spec.out_channels
 
     flat = arch.flat_dim
-    model.dense1_w = Parameter("dense1.w", _glorot(rng, (hid, flat), flat, hid, dtype))
+    model.dense1_w = Parameter("dense1.w", weight((hid, flat), flat, hid))
     model.dense1_b = Parameter("dense1.b", np.zeros(hid, dtype=dtype))
 
+    def blocks(n):
+        return np.vstack([weight((hid, hid), hid, hid) for _ in range(n)])
+
     if variant == "cnn_lstm":
-        w_x = np.vstack([_glorot(rng, (hid, hid), hid, hid, dtype) for _ in range(4)])
-        w_h = np.vstack([_glorot(rng, (hid, hid), hid, hid, dtype) for _ in range(4)])
+        w_x, w_h = blocks(4), blocks(4)
         b = np.zeros(4 * hid, dtype=dtype)
         b[hid:2 * hid] = 1.0  # forget gate starts open
         model.cell = LSTMParams(Parameter("rnn.w_x", w_x), Parameter("rnn.w_h", w_h),
                                 Parameter("rnn.b", b))
     elif variant == "cnn_gru":
-        w_x = np.vstack([_glorot(rng, (hid, hid), hid, hid, dtype) for _ in range(3)])
-        w_h = np.vstack([_glorot(rng, (hid, hid), hid, hid, dtype) for _ in range(2)])
-        w_c = _glorot(rng, (hid, hid), hid, hid, dtype)
+        w_x, w_h, w_c = blocks(3), blocks(2), weight((hid, hid), hid, hid)
         model.cell = GRUParams(Parameter("rnn.w_x", w_x), Parameter("rnn.w_h", w_h),
                                Parameter("rnn.w_c", w_c),
                                Parameter("rnn.b", np.zeros(3 * hid, dtype=dtype)))
 
-    model.dense2_w = Parameter("dense2.w", _glorot(rng, (hid, hid), hid, hid, dtype))
+    model.dense2_w = Parameter("dense2.w", weight((hid, hid), hid, hid))
     model.dense2_b = Parameter("dense2.b", np.zeros(hid, dtype=dtype))
-    model.head_r_w = Parameter("head_r.w", _glorot(rng, (arch.rot_dim, hid), hid, arch.rot_dim, dtype))
+    model.head_r_w = Parameter("head_r.w", weight((arch.rot_dim, hid), hid, arch.rot_dim))
     model.head_r_b = Parameter("head_r.b", np.zeros(arch.rot_dim, dtype=dtype))
-    model.head_e_w = Parameter("head_e.w", _glorot(rng, (arch.expr_dim, hid), hid, arch.expr_dim, dtype))
+    model.head_e_w = Parameter("head_e.w", weight((arch.expr_dim, hid), hid, arch.expr_dim))
     model.head_e_b = Parameter("head_e.b", np.zeros(arch.expr_dim, dtype=dtype))
     return model
+
+
+def build_model(variant: str, seed: int = 0) -> Model:
+    """Deterministically initialize a model from a seed.
+
+    Conv/dense/head weights use uniform Glorot fan-in/fan-out limits; recurrent
+    matrices are Glorot per gate block; biases start at zero except the LSTM
+    forget gate, which starts at 1.
+    """
+    rng = np.random.default_rng(seed)
+    return _assemble(variant, lambda shape, fan_in, fan_out:
+                     _glorot(rng, shape, fan_in, fan_out, Model.dtype))
 
 
 # ---------------------------------------------------------------------------
 # inference
 #
-# Inference arithmetic runs in 64-bit (parameters upcast on the fly), so
-# batched and one-frame-at-a-time passes agree far below the float32 noise
-# floor while the trained parameters stay 32-bit on disk and in training.
+# Inference runs a plan compiled from the model: every weight is upcast once
+# to 64-bit, so batched and one-frame-at-a-time passes agree far below the
+# float32 noise floor while the trained parameters stay 32-bit on disk and in
+# training. Batch norm (inference mode) is an affine map per channel, so it
+# is folded into the weights and bias of the convolution before it.
 
 
 def _spec_bands(spec) -> np.ndarray:
     return spec.bands if isinstance(spec, Spectrogram) else np.asarray(spec)
 
 
-def _infer(model: Model, bands: np.ndarray, state: tuple | None):
+# Frames per trunk chunk: small enough that a chunk's intermediates (1 MB
+# per frame out of conv1) are reused from cache, large enough that the early
+# convs still run GEMMs of thousands of rows. Chosen by the sweep recorded in
+# CHANGES.md.
+TRUNK_CHUNK = 8
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A model compiled for inference: float64 weights in GEMM layout.
+
+    ``trunk`` holds one (axis, k, stride, pad, w, b) row per layer of the
+    stack; ``axis`` indexes the channels-last activation (B, T, F, C), and a
+    pool has ``w`` None. Conv weights keep their (C_out, C_in*k) order with
+    batch norm folded in. ``head_w``/``head_b`` stack the rotation head over
+    the expression head; ``head_w`` has zero rows after them.
+    """
+
+    variant: str
+    input_shape: tuple
+    hidden: int
+    trunk: tuple
+    dense1: tuple
+    cell: tuple
+    dense2: tuple
+    head_w: np.ndarray
+    head_b: np.ndarray
+    rot_dim: int
+
+
+def _f64(p) -> np.ndarray:
+    """A float64 copy, so a plan never shares memory with the model."""
+    return np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64)
+
+
+def _compile(model: Model) -> _Plan:
+    """Compile the model's current weights into an inference plan."""
+    arch = model.arch
+    trunk = []
+    for spec in arch.stack:
+        conv = isinstance(spec, ConvSpec)
+        kernel, pad = (spec.kernel, spec.pad) if conv else (spec.window, (0, 0))
+        # (k, s, p) per axis; every layer of the stack acts along one of them
+        freq, time = zip(kernel, spec.stride, pad)
+        axis, (k, s, p) = (2, freq) if time == (1, 1, 0) else (1, time)
+        w = b = None
+        if conv:
+            w = _f64(model.conv_w[spec.name]).reshape(spec.out_channels, -1)
+            b = _f64(model.conv_b[spec.name])
+            bn = model.conv_bn.get(spec.name)
+            if bn is not None:
+                scale = _f64(bn.gamma) / np.sqrt(_f64(bn.running_var) + bn.epsilon)
+                w *= scale[:, None]
+                b = (b - bn.running_mean) * scale + bn.beta.data
+        trunk.append((axis, k, s, p, w, b))
+    # Zero rows pad the heads to a multiple of 8 outputs. OpenBLAS computes a
+    # row of x @ w.T to the same bits wherever it sits in x when w has a
+    # multiple of 8 rows, but not with 49 rows (measured), and cnn_static
+    # must not depend on the order of its frames.
+    head_pad = np.zeros((-(arch.rot_dim + arch.expr_dim) % 8, arch.hidden))
+    return _Plan(
+        variant=model.variant,
+        input_shape=(arch.input_bands, arch.input_columns),
+        hidden=arch.hidden,
+        trunk=tuple(trunk),
+        dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
+        cell=tuple(map(_f64, model.cell or ())),
+        dense2=(_f64(model.dense2_w), _f64(model.dense2_b)),
+        head_w=np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w), head_pad]),
+        head_b=np.concatenate([_f64(model.head_r_b), _f64(model.head_e_b)]),
+        rot_dim=arch.rot_dim,
+    )
+
+
+def _along(axis: int, start, stop, step=1) -> tuple:
+    return (slice(None),) * axis + (slice(start, stop, step),)
+
+
+def _conv(x, axis, k, s, p, w):
+    """Convolution of channels-last x along ``axis``, without bias.
+
+    One strided copy per kernel tap builds the (rows, C_in*k) im2col matrix
+    in the weights' (C_in, k) order; zero padding is written only into the
+    slots it covers. Then one GEMM.
+    """
+    n_in = x.shape[axis]
+    n_out = (n_in + 2 * p - k) // s + 1
+    shape = x.shape[:axis] + (n_out,) + x.shape[axis + 1:]
+    col = np.empty(shape + (k,))
+    for i in range(k):
+        # outputs t whose input row s*t + i - p lies inside x
+        lo = min(n_out, max(0, -((i - p) // s)))
+        hi = max(lo, min(n_out, (n_in - 1 + p - i) // s + 1))
+        tap = col[..., i]
+        tap[_along(axis, 0, lo)] = 0.0
+        tap[_along(axis, hi, None)] = 0.0
+        if hi > lo:
+            tap[_along(axis, lo, hi)] = x[_along(axis, s * lo + i - p, s * (hi - 1) + i - p + 1, s)]
+    return (col.reshape(-1, w.shape[1]) @ w.T).reshape(shape[:-1] + (len(w),))
+
+
+def _bias_relu(x, b):
+    x += b
+    return np.maximum(x, 0.0, out=x)
+
+
+def _pool(x, axis, k, s):
+    n_out = (x.shape[axis] - k) // s + 1
+    out = x[_along(axis, 0, s * (n_out - 1) + 1, s)]
+    for i in range(1, k):
+        out = np.maximum(out, x[_along(axis, i, i + s * (n_out - 1) + 1, s)])
+    return out
+
+
+def _sigmoid(x):
+    # the split by sign of autograd.sigmoid, without overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
+    """Conv/pool stack and dense1 on (B, F, T) bands -> (B, hidden).
+
+    A conv's bias and ReLU wait until after the pools that follow it: max
+    pooling commutes with adding a per-channel constant and with ReLU, both
+    monotone even when rounded, so this is exact and works on fewer values.
+    """
+    x = bands.transpose(0, 2, 1)[..., None]  # channels-last (B, T, F, 1)
+    bias = None
+    for axis, k, s, p, w, b in plan.trunk:
+        if w is None:
+            x = _pool(x, axis, k, s)
+            continue
+        if bias is not None:
+            x = _bias_relu(x, bias)
+        x, bias = _conv(x, axis, k, s, p, w), b
+    x = _bias_relu(x, bias)
+    w, b = plan.dense1
+    h = x.transpose(0, 3, 2, 1).reshape(len(x), -1) @ w.T  # flatten as (C, F, T)
+    h += b
+    return np.tanh(h, out=h)
+
+
+def _recur(plan: _Plan, x: np.ndarray, state: tuple):
+    """Run the recurrent layer over the B frames of x, in order."""
+    if not plan.cell:
+        return x, state
+    hid = plan.hidden
+    w_x, w_h = plan.cell[:2]
+    px = x @ w_x.T  # input projection of every frame in one GEMM
+    px += plan.cell[-1]
+    out = np.empty_like(x)
+    if plan.variant == "cnn_lstm":
+        h, c = state
+        for t in range(len(x)):
+            pre = px[t:t + 1] + h @ w_h.T
+            gate = _sigmoid(pre)  # i, f and o; the g block takes tanh instead
+            c = gate[:, hid:2 * hid] * c + gate[:, :hid] * np.tanh(pre[:, 2 * hid:3 * hid])
+            h = out[t:t + 1] = gate[:, 3 * hid:] * np.tanh(c)
+        return out, (h, c)
+    w_c = plan.cell[2]
+    (h,) = state
+    for t in range(len(x)):
+        zr = _sigmoid(px[t:t + 1, :2 * hid] + h @ w_h.T)
+        cand = np.tanh(px[t:t + 1, 2 * hid:] + (zr[:, hid:] * h) @ w_c.T)
+        h = out[t:t + 1] = h + zr[:, :hid] * (cand - h)
+    return out, (h,)
+
+
+def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
     """The one inference pass: bands (B,128,32) -> (params (B,49), state).
 
-    The convolutional trunk runs batched over all B frames; the recurrence
-    and the heads then advance one frame at a time, so a batch gives the same
-    arithmetic as B single-frame calls.
+    The trunk runs in chunks of TRUNK_CHUNK frames; when B exceeds the
+    chunk, the last chunk is zero-padded so that every GEMM sees the same row
+    count and a frame's result does not depend on where it sits. The
+    recurrence then advances one frame at a time, and dense2 and the heads
+    run once over all B frames.
     """
-    x = Tensor(np.asarray(bands, dtype=np.float64)[:, None])
+    bands = np.asarray(bands, dtype=np.float64)
+    if bands.ndim != 3 or bands.shape[1:] != plan.input_shape:
+        raise ShapeError(f"input: expected (B,) + {plan.input_shape}, got {bands.shape}")
+    want = _STATE_SIZE[plan.variant]
     if state is None:
-        state = model.initial_state()
-    if len(state) != _STATE_SIZE[model.variant]:
-        raise ConfigError(f"{model.variant} state holds {_STATE_SIZE[model.variant]} "
-                          f"arrays, got {len(state)}")
-    with ag.no_grad():
-        feats = model.trunk(x, training=False)
-        state = tuple(Tensor(s, dtype=np.float64) for s in state)
-        rows = []
-        for i in range(len(feats.data)):
-            out, state = model.recur(Tensor(feats.data[i:i + 1]), state)
-            y_r, y_e = model.head_out(out)
-            rows.append(np.concatenate([y_r.data, y_e.data], axis=1))
-    return np.concatenate(rows), tuple(s.data for s in state)
+        state = tuple(np.zeros((1, plan.hidden)) for _ in range(want))
+    if len(state) != want:
+        raise ConfigError(f"{plan.variant} state holds {want} arrays, got {len(state)}")
+    state = tuple(np.asarray(s, dtype=np.float64) for s in state)
+    if any(s.shape != (1, plan.hidden) for s in state):
+        raise ShapeError(f"state arrays must be (1, {plan.hidden}), "
+                         f"got {[s.shape for s in state]}")
+
+    n = len(bands)
+    feats = np.empty((n, plan.hidden))
+    for start in range(0, n, TRUNK_CHUNK):
+        chunk = bands[start:start + TRUNK_CHUNK]
+        rows = len(chunk)
+        if n > TRUNK_CHUNK and rows < TRUNK_CHUNK:
+            chunk = np.concatenate([chunk, np.zeros((TRUNK_CHUNK - rows,) + plan.input_shape)])
+        feats[start:start + rows] = _trunk(plan, chunk)[:rows]
+
+    out, state = _recur(plan, feats, state)
+    w, b = plan.dense2
+    hidden = out @ w.T
+    hidden += b
+    np.tanh(hidden, out=hidden)
+    y = (hidden @ plan.head_w.T)[:, :len(plan.head_b)] + plan.head_b
+    r = plan.rot_dim
+    return np.concatenate([np.tanh(y[:, :r]), _sigmoid(y[:, r:])], axis=1), state
 
 
 def forward(model: Model, spec, state: tuple | None = None):
@@ -321,9 +520,9 @@ def forward(model: Model, spec, state: tuple | None = None):
 
     ``state`` is a tuple from :meth:`Model.initial_state` (default: zeros).
     Returns (FaceFrame, advanced state). Batch norm uses its running
-    statistics.
+    statistics. The model's current weights are compiled on every call.
     """
-    params, new_state = _infer(model, _spec_bands(spec)[None], state)
+    params, new_state = _infer(_compile(model), _spec_bands(spec)[None], state)
     frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
     return FaceFrame.from_vector(params[0], frame_index), new_state
 
@@ -336,7 +535,8 @@ def forward_sequence(model: Model, specs, initial_state: tuple | None = None):
     specs = list(specs)
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
-    params, _ = _infer(model, np.stack([_spec_bands(s) for s in specs]), initial_state)
+    params, _ = _infer(_compile(model), np.stack([_spec_bands(s) for s in specs]),
+                       initial_state)
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
             for i, (p, s) in enumerate(zip(params, specs))]
 
@@ -445,7 +645,8 @@ def load_checkpoint(path) -> Model:
         loaded[name] = (dims, values)
         pos += 4 * numel
 
-    model = build_model(VARIANTS[variant_id], seed=0)
+    # only the shapes matter: every value is overwritten from the file below
+    model = _assemble(VARIANTS[variant_id], lambda shape, *fans: np.empty(shape, Model.dtype))
     model.norm_stats = norm_stats
     expected = dict(model.named_arrays())
     if set(loaded) != set(expected):

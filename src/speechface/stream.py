@@ -14,7 +14,8 @@ import numpy as np
 
 from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
 from .errors import ConfigError, DataError
-from .model import Model, forward
+from .face import FaceFrame
+from .model import Model, _compile, _infer
 
 
 class StreamingSession:
@@ -23,6 +24,11 @@ class StreamingSession:
     Audio must already be mono at 44100 Hz. The session keeps only the most
     recent window of samples plus the recurrent state, so memory use is
     constant regardless of stream length.
+
+    The model is compiled once, here: the session keeps running the weights
+    and batch-norm statistics the model had when the session was built, even
+    if the model's parameters change later. The input normalization stats
+    are read from the model for each frame.
     """
 
     def __init__(self, model: Model, fps: float = 30.0):
@@ -30,7 +36,13 @@ class StreamingSession:
             raise ConfigError(f"fps must be positive, got {fps}")
         self.model = model
         self.fps = float(fps)
-        self.state = model.initial_state()
+        self._plan = _compile(model)
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new stream: zero the recurrent state, the buffered audio
+        and the frame count. The compiled weights are kept."""
+        self.state = self.model.initial_state()
         self.frames_emitted = 0
         self._tail = np.zeros(WINDOW_SAMPLES)  # last 4224 samples, zero-primed
         self._heard = 0  # absolute sample count pushed so far
@@ -69,9 +81,9 @@ class StreamingSession:
     def _emit(self):
         spec = compute_spectrogram(self._tail, frame_index=self.frames_emitted)
         spec = normalize(spec, self.model.norm_stats)
-        frame, self.state = forward(self.model, spec, self.state)
+        params, self.state = _infer(self._plan, spec.bands[None], self.state)
         self.frames_emitted += 1
-        return frame
+        return FaceFrame.from_vector(params[0], spec.frame_index)
 
 
 def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,

@@ -52,6 +52,16 @@ class TestWav:
         with pytest.raises(ParseError, match="sample rate 0"):
             load_wav(path)
 
+    def test_tiny_sample_rate(self, tmp_path):
+        """A rate of 1 Hz would resample 100 samples to 4.4 M."""
+        path = tmp_path / "slow.wav"
+        write_wav(path, np.linspace(-0.5, 0.5, 100), SAMPLE_RATE)
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="sample rate 1 is below 8000 Hz .*byte 12"):
+            load_wav(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_sample_names_byte(self, tmp_path, value):
         path = tmp_path / "f32.wav"
@@ -98,6 +108,29 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError, match="normalization"):
             load_checkpoint(path)
+
+
+# =============================================================================
+# Rig
+# =============================================================================
+
+class TestRig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_shape_value_names_byte(self, tmp_path, value):
+        path = tmp_path / "r.rig"
+        _write_rig(path)
+        blob = bytearray(path.read_bytes())
+        bad = 15 + 3 * 4 + 4 * 40  # header, 3 landmark indices, 40th shape value
+        blob[bad:bad + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"byte {bad}"):
+            load_rig(path)
+
+    def test_rig_rejects_non_finite_shapes(self):
+        shapes = np.zeros((NUM_EXPRESSIONS + 1, 6, 3))
+        shapes[3, 2, 1] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            BlendshapeRig(shapes, [0, 2, 4])
 
 
 # =============================================================================
@@ -165,8 +198,7 @@ def _write_rig(path):
 
 
 def _load_rig(path):
-    load_rig(path)  # rig shapes carry no finiteness contract yet
-    return True
+    return _finite(load_rig(path).shapes)
 
 
 def _write_csv(path):

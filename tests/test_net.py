@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from speechface.audio import NUM_BANDS, NUM_COLUMNS, Spectrogram
+from speechface import autograd as ag
+from speechface.audio import NUM_BANDS, NUM_COLUMNS, SAMPLE_RATE, Spectrogram
 from speechface.errors import ParseError, ShapeError
 from speechface.model import (
     CHECKPOINT_MAGIC,
     STANDARD_ARCH,
+    TRUNK_CHUNK,
     VARIANTS,
+    _compile,
+    _infer,
     build_model,
     forward,
     forward_sequence,
@@ -16,6 +20,7 @@ from speechface.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from speechface.stream import StreamingSession
 
 
 def random_spec(rng, frame_index=0):
@@ -218,6 +223,96 @@ class TestForward:
         a, _ = forward(model, spec)
         b, _ = forward(model, spec)
         assert a.vector.tobytes() == b.vector.tobytes()
+
+
+# =============================================================================
+# Compiled inference plan
+# =============================================================================
+
+# Longer than one trunk chunk and not a multiple of it, so the last chunk is
+# zero-padded.
+LONG_CLIP = 2 * TRUNK_CHUNK + 3
+
+
+def randomize_batch_norm(model, rng):
+    for bn in model.conv_bn.values():
+        c = bn.channels
+        bn.running_mean = rng.normal(0.0, 0.5, c).astype(np.float32)
+        bn.running_var = rng.uniform(0.2, 3.0, c).astype(np.float32)
+        bn.gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        bn.beta.data = rng.normal(0.0, 0.3, c).astype(np.float32)
+    for b in model.conv_b.values():
+        b.data = rng.normal(0.0, 0.1, b.data.shape).astype(np.float32)
+
+
+def autograd_reference(model, bands, state):
+    """The float64 autograd path, one recurrent step and head per frame."""
+    with ag.no_grad():
+        feats = model.trunk(ag.Tensor(bands[:, None], dtype=np.float64), training=False)
+        state = tuple(ag.Tensor(s) for s in state)
+        rows = []
+        for i in range(len(bands)):
+            out, state = model.recur(ag.Tensor(feats.data[i:i + 1]), state)
+            y_r, y_e = model.head_out(out)
+            rows.append(np.concatenate([y_r.data, y_e.data], axis=1))
+    return np.concatenate(rows), tuple(s.data for s in state)
+
+
+class TestInferencePlan:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_autograd_path_with_folded_batch_norm(self, variant):
+        rng = np.random.default_rng(9)
+        model = build_model(variant, seed=5)
+        randomize_batch_norm(model, rng)
+        bands = rng.normal(size=(LONG_CLIP, NUM_BANDS, NUM_COLUMNS))
+        state = tuple(rng.normal(0.0, 0.5, s.shape) for s in model.initial_state())
+        want, want_state = autograd_reference(model, bands, state)
+        got, got_state = _infer(_compile(model), bands, state)
+        assert got.shape == want.shape == (LONG_CLIP, 49)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert len(got_state) == len(want_state)
+        for g, w in zip(got_state, want_state):
+            assert np.max(np.abs(g - w)) <= 1e-12
+
+    def test_static_permutation_across_chunks_is_bitwise(self):
+        rng = np.random.default_rng(10)
+        model = build_model("cnn_static", seed=2)
+        randomize_batch_norm(model, rng)
+        specs = random_specs(rng, LONG_CLIP)
+        base = [f.vector for f in forward_sequence(model, specs)]
+        perm = rng.permutation(LONG_CLIP)
+        shuffled = [f.vector for f in forward_sequence(model, [specs[i] for i in perm])]
+        for out_pos, src in enumerate(perm):
+            np.testing.assert_array_equal(shuffled[out_pos], base[src])
+
+    def test_long_sequence_matches_per_frame_forward(self):
+        rng = np.random.default_rng(11)
+        model = build_model("cnn_lstm", seed=3)
+        specs = random_specs(rng, LONG_CLIP)
+        batch = forward_sequence(model, specs)
+        state = model.initial_state()
+        worst = 0.0
+        for spec, want in zip(specs, batch):
+            frame, state = forward(model, spec, state)
+            worst = max(worst, float(np.max(np.abs(frame.vector - want.vector))))
+        assert worst <= 1e-6
+
+    def test_session_keeps_weights_it_was_built_with(self):
+        model = build_model("cnn_gru", seed=6)
+        audio = 0.3 * np.sin(np.arange(SAMPLE_RATE // 5) * 0.05)
+        before = [f.vector for f in StreamingSession(model).push(audio)]
+        spec = random_spec(np.random.default_rng(12))
+        old, _ = forward(model, spec)
+
+        session = StreamingSession(model)
+        model.dense2_w.data *= 1.5  # in place: the plan must hold its own copy
+        kept = [f.vector for f in session.push(audio)]
+        new, _ = forward(model, spec)
+
+        assert len(kept) == len(before) == 6
+        for k, b in zip(kept, before):
+            np.testing.assert_array_equal(k, b)
+        assert not np.allclose(new.vector, old.vector)
 
 
 # =============================================================================

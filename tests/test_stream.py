@@ -102,6 +102,21 @@ class TestStreamingSession:
             np.testing.assert_array_equal(g.vector, w.vector)
             assert np.all(np.isfinite(g.vector))
 
+    @pytest.mark.parametrize("variant", ["cnn_lstm", "cnn_gru"])
+    def test_reset_starts_a_fresh_stream(self, variant):
+        model = build_model(variant, seed=6)
+        first, second = tone(0.4, freq=300.0), tone(0.5, freq=700.0)
+        session = StreamingSession(model)
+        session.push(first[:-500])  # leaves a partial frame buffered
+        session.reset()
+        assert session.frames_emitted == 0
+        got = session.push(second)
+        want = StreamingSession(model).push(second)
+        assert len(got) == len(want) == 15
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            np.testing.assert_array_equal(g.vector, w.vector)
+
     def test_silence_converges_to_fixed_point(self):
         """On constant input the recurrent state settles: deltas < 1e-3."""
         for variant in ("cnn_lstm", "cnn_gru"):
