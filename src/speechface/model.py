@@ -294,11 +294,12 @@ def build_model(variant: str, seed: int = 0) -> Model:
 # ---------------------------------------------------------------------------
 # inference
 #
-# Inference runs a plan compiled from the model: every weight is upcast once
-# to 64-bit, so batched and one-frame-at-a-time passes agree far below the
-# float32 noise floor while the trained parameters stay 32-bit on disk and in
-# training. Batch norm (inference mode) is an affine map per channel, so it
-# is folded into the weights and bias of the convolution before it.
+# Inference runs in 64-bit, so batched and one-frame-at-a-time passes agree
+# far below the float32 noise floor while the trained parameters stay 32-bit
+# on disk and in training. A sequence runs a plan compiled from the model:
+# every weight is upcast once, and batch norm (inference mode), an affine map
+# per channel, is folded into the weights and bias of the convolution before
+# it. One frame runs the model's own layers, which costs less than compiling.
 
 
 def _spec_bands(spec) -> np.ndarray:
@@ -320,7 +321,7 @@ class _Plan:
     stack; ``axis`` indexes the channels-last activation (B, T, F, C), and a
     pool has ``w`` None. Conv weights keep their (C_out, C_in*k) order with
     batch norm folded in. ``head_w``/``head_b`` stack the rotation head over
-    the expression head; ``head_w`` has zero rows after them.
+    the expression head.
     """
 
     variant: str
@@ -360,11 +361,6 @@ def _compile(model: Model) -> _Plan:
                 w *= scale[:, None]
                 b = (b - bn.running_mean) * scale + bn.beta.data
         trunk.append((axis, k, s, p, w, b))
-    # Zero rows pad the heads to a multiple of 8 outputs. OpenBLAS computes a
-    # row of x @ w.T to the same bits wherever it sits in x when w has a
-    # multiple of 8 rows, but not with 49 rows (measured), and cnn_static
-    # must not depend on the order of its frames.
-    head_pad = np.zeros((-(arch.rot_dim + arch.expr_dim) % 8, arch.hidden))
     return _Plan(
         variant=model.variant,
         input_shape=(arch.input_bands, arch.input_columns),
@@ -373,7 +369,7 @@ def _compile(model: Model) -> _Plan:
         dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
         cell=tuple(map(_f64, model.cell or ())),
         dense2=(_f64(model.dense2_w), _f64(model.dense2_b)),
-        head_w=np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w), head_pad]),
+        head_w=np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w)]),
         head_b=np.concatenate([_f64(model.head_r_b), _f64(model.head_e_b)]),
         rot_dim=arch.rot_dim,
     )
@@ -475,13 +471,14 @@ def _recur(plan: _Plan, x: np.ndarray, state: tuple):
 
 
 def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
-    """The one inference pass: bands (B,128,32) -> (params (B,49), state).
+    """Run a plan over a sequence: bands (B,128,32) -> (params (B,49), state).
 
     The trunk runs in chunks of TRUNK_CHUNK frames; when B exceeds the
     chunk, the last chunk is zero-padded so that every GEMM sees the same row
     count and a frame's result does not depend on where it sits. The
     recurrence then advances one frame at a time, and dense2 and the heads
-    run once over all B frames.
+    run one frame at a time after it, so their rows never depend on the
+    batch either.
     """
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 3 or bands.shape[1:] != plan.input_shape:
@@ -506,13 +503,14 @@ def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
         feats[start:start + rows] = _trunk(plan, chunk)[:rows]
 
     out, state = _recur(plan, feats, state)
-    w, b = plan.dense2
-    hidden = out @ w.T
-    hidden += b
-    np.tanh(hidden, out=hidden)
-    y = (hidden @ plan.head_w.T)[:, :len(plan.head_b)] + plan.head_b
-    r = plan.rot_dim
-    return np.concatenate([np.tanh(y[:, :r]), _sigmoid(y[:, r:])], axis=1), state
+    (w, b), r = plan.dense2, plan.rot_dim
+    params = np.empty((n, len(plan.head_b)))
+    for t in range(n):
+        hidden = np.tanh(out[t:t + 1] @ w.T + b)
+        y = (hidden @ plan.head_w.T + plan.head_b)[0]
+        params[t, :r] = np.tanh(y[:r])
+        params[t, r:] = _sigmoid(y[r:])
+    return params, state
 
 
 def forward(model: Model, spec, state: tuple | None = None):
@@ -520,21 +518,37 @@ def forward(model: Model, spec, state: tuple | None = None):
 
     ``state`` is a tuple from :meth:`Model.initial_state` (default: zeros).
     Returns (FaceFrame, advanced state). Batch norm uses its running
-    statistics. The model's current weights are compiled on every call.
+    statistics. One frame runs the model's own layers in float64 without
+    recording gradients, so nothing is compiled per call.
     """
-    params, new_state = _infer(_compile(model), _spec_bands(spec)[None], state)
+    if state is None:
+        state = model.initial_state()
+    if len(state) != _STATE_SIZE[model.variant]:
+        raise ConfigError(f"{model.variant} state holds {_STATE_SIZE[model.variant]} "
+                          f"arrays, got {len(state)}")
+    x = Tensor(np.asarray(_spec_bands(spec), dtype=np.float64)[None, None])
+    with ag.no_grad():
+        out, state = model.recur(model.trunk(x, training=False),
+                                 tuple(Tensor(s, dtype=np.float64) for s in state))
+        y_r, y_e = model.head_out(out)
     frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
-    return FaceFrame.from_vector(params[0], frame_index), new_state
+    return (FaceFrame.from_vector(np.concatenate([y_r.data[0], y_e.data[0]]), frame_index),
+            tuple(s.data for s in state))
 
 
 def forward_sequence(model: Model, specs, initial_state: tuple | None = None):
     """Run a spectrogram sequence through the network, carrying state.
 
-    Gives the same frames as folding :func:`forward` over the sequence.
+    Compiles the model's current weights into a plan and runs every frame
+    through it. Gives the frames of folding :func:`forward` over the
+    sequence, to within about 1e-15. A one-frame sequence runs :func:`forward`
+    itself: compiling costs more than that frame.
     """
     specs = list(specs)
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
+    if len(specs) == 1:
+        return [forward(model, specs[0], initial_state)[0]]
     params, _ = _infer(_compile(model), np.stack([_spec_bands(s) for s in specs]),
                        initial_state)
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)

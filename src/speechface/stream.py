@@ -14,8 +14,7 @@ import numpy as np
 
 from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
 from .errors import ConfigError, DataError
-from .face import FaceFrame
-from .model import Model, _compile, _infer
+from .model import Model, forward
 
 
 class StreamingSession:
@@ -24,11 +23,6 @@ class StreamingSession:
     Audio must already be mono at 44100 Hz. The session keeps only the most
     recent window of samples plus the recurrent state, so memory use is
     constant regardless of stream length.
-
-    The model is compiled once, here: the session keeps running the weights
-    and batch-norm statistics the model had when the session was built, even
-    if the model's parameters change later. The input normalization stats
-    are read from the model for each frame.
     """
 
     def __init__(self, model: Model, fps: float = 30.0):
@@ -36,12 +30,11 @@ class StreamingSession:
             raise ConfigError(f"fps must be positive, got {fps}")
         self.model = model
         self.fps = float(fps)
-        self._plan = _compile(model)
         self.reset()
 
     def reset(self) -> None:
         """Start a new stream: zero the recurrent state, the buffered audio
-        and the frame count. The compiled weights are kept."""
+        and the frame count."""
         self.state = self.model.initial_state()
         self.frames_emitted = 0
         self._tail = np.zeros(WINDOW_SAMPLES)  # last 4224 samples, zero-primed
@@ -81,9 +74,9 @@ class StreamingSession:
     def _emit(self):
         spec = compute_spectrogram(self._tail, frame_index=self.frames_emitted)
         spec = normalize(spec, self.model.norm_stats)
-        params, self.state = _infer(self._plan, spec.bands[None], self.state)
+        frame, self.state = forward(self.model, spec, self.state)
         self.frames_emitted += 1
-        return FaceFrame.from_vector(params[0], spec.frame_index)
+        return frame
 
 
 def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from speechface import autograd as ag
-from speechface.audio import NUM_BANDS, NUM_COLUMNS, SAMPLE_RATE, Spectrogram
+from speechface.audio import NUM_BANDS, NUM_COLUMNS, Spectrogram
 from speechface.errors import ParseError, ShapeError
 from speechface.model import (
     CHECKPOINT_MAGIC,
@@ -20,7 +20,6 @@ from speechface.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from speechface.stream import StreamingSession
 
 
 def random_spec(rng, frame_index=0):
@@ -297,22 +296,18 @@ class TestInferencePlan:
             worst = max(worst, float(np.max(np.abs(frame.vector - want.vector))))
         assert worst <= 1e-6
 
-    def test_session_keeps_weights_it_was_built_with(self):
+    def test_sequence_compiles_the_current_weights(self):
+        rng = np.random.default_rng(12)
         model = build_model("cnn_gru", seed=6)
-        audio = 0.3 * np.sin(np.arange(SAMPLE_RATE // 5) * 0.05)
-        before = [f.vector for f in StreamingSession(model).push(audio)]
-        spec = random_spec(np.random.default_rng(12))
-        old, _ = forward(model, spec)
-
-        session = StreamingSession(model)
-        model.dense2_w.data *= 1.5  # in place: the plan must hold its own copy
-        kept = [f.vector for f in session.push(audio)]
-        new, _ = forward(model, spec)
-
-        assert len(kept) == len(before) == 6
-        for k, b in zip(kept, before):
-            np.testing.assert_array_equal(k, b)
-        assert not np.allclose(new.vector, old.vector)
+        specs = random_specs(rng, 3)
+        old = [f.vector for f in forward_sequence(model, specs)]
+        model.dense2_w.data *= 1.5  # in place, as an optimizer step would
+        new = [f.vector for f in forward_sequence(model, specs)]
+        state = model.initial_state()
+        for spec, want, stale in zip(specs, new, old):
+            frame, state = forward(model, spec, state)
+            assert np.max(np.abs(frame.vector - want)) <= 1e-12
+            assert not np.allclose(want, stale)
 
 
 # =============================================================================
