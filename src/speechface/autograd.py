@@ -108,9 +108,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # A non-leaf gradient is handed to its node's backward, which may
+        # reuse it in place, and is dropped there; leaves and the root keep
+        # theirs.
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g = node.grad
+                if node is self:
+                    g = g.copy()
+                else:
+                    node.grad = None
+                node._backward(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -250,7 +258,8 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(g):
-        _accum_owned(x, g * (out > 0))
+        if x.requires_grad:
+            _accum_owned(x, np.multiply(g, out > 0, out=g))
 
     return _make(out, (x,), backward)
 
@@ -310,13 +319,38 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(y, (x, w) + ((b,) if b is not None else ()), backward)
 
 
+def _tap_span(n_in: int, n_out: int, i: int, s: int, p: int):
+    """Outputs [lo, hi) whose input s*t + i - p of kernel tap i lies inside
+    [0, n_in), and the input slice they read (meaningful when hi > lo)."""
+    lo = min(n_out, max(0, -((i - p) // s)))
+    hi = max(lo, min(n_out, (n_in - 1 + p - i) // s + 1))
+    return lo, hi, slice(s * lo + i - p, s * (hi - 1) + i - p + 1, s)
+
+
+def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
+    """Write ``src`` into dst[..., f0:f1, t0:t1] and zero the rest of dst."""
+    (f0, f1), (t0, t1) = f, t
+    if f0:
+        dst[..., :f0, :] = 0
+    if f1 < dst.shape[-2]:
+        dst[..., f1:, :] = 0
+    if t0:
+        dst[..., f0:f1, :t0] = 0
+    if t1 < dst.shape[-1]:
+        dst[..., f0:f1, t1:] = 0
+    if f1 > f0 and t1 > t0:
+        dst[..., f0:f1, t0:t1] = src
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), pad=(0, 0)) -> Tensor:
     """2-d cross-correlation over (freq, time) with symmetric zero padding.
 
     ``x`` is (B, C_in, F, T) and ``w`` is (C_out, C_in, kF, kT). Output
     spatial dims follow the usual floor((size + 2*pad - kernel) / stride) + 1
-    rule.
+    rule. The padded input is never built: padding is written as zeros into
+    the im2col slots it covers, and the input gradient is assembled from the
+    spans of input that the kernel taps cover.
     """
     xd = x.data
     if xd.ndim != 4 or w.ndim != 4:
@@ -336,35 +370,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     f_out = (f_in + 2 * p_f - k_f) // s_f + 1
     t_out = (t_in + 2 * p_t - k_t) // s_t + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (p_f, p_f), (p_t, p_t))) if (p_f or p_t) else xd
     wmat = w.data.reshape(c_out, -1)
     dtype = np.result_type(xd.dtype, w.data.dtype)
     n_pos = f_out * t_out
     k_all = c_in * k_f * k_t
+    # per kernel tap (i, j): its output box and the input it reads there
+    taps = [(i, j, _tap_span(f_in, f_out, i, s_f, p_f), _tap_span(t_in, t_out, j, s_t, p_t))
+            for i in range(k_f) for j in range(k_t)]
 
-    # im2col, one strided slice per kernel tap. Two layouts: with many output
+    # im2col, one strided copy per kernel tap. Two layouts: with many output
     # positions per sample, batched (B,K,P) matmuls have plenty of work each;
     # with few positions the batch is folded into one big GEMM instead, since
-    # the extra transpose copies are tiny at that size.
+    # the extra transpose copies are tiny at that size. ``tap_view`` shows
+    # either layout's slots of one tap as (B, C_in, F_out, T_out).
     folded = n_pos < 64
     if folded:
         col = np.empty((k_all, nb * n_pos), dtype=dtype)
-        colv = col.reshape(c_in, k_f, k_t, nb, f_out, t_out)
-        for i in range(k_f):
-            for j in range(k_t):
-                colv[:, i, j] = xp[:, :, i:i + s_f * f_out:s_f,
-                                   j:j + s_t * t_out:s_t].transpose(1, 0, 2, 3)
+
+        def tap_view(a, i, j):
+            return a.reshape(c_in, k_f, k_t, nb, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+    else:
+        col = np.empty((nb, k_all, n_pos), dtype=dtype)
+
+        def tap_view(a, i, j):
+            return a.reshape(nb, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
+
+    for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
+        _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xd[:, :, fs, ts])
+    if folded:
         out2 = wmat @ col  # (C_out, B*P)
         if b is not None:
             out2 += b.data[:, None]
         out = np.ascontiguousarray(
             out2.reshape(c_out, nb, f_out, t_out).transpose(1, 0, 2, 3))
     else:
-        col = np.empty((nb, k_all, n_pos), dtype=dtype)
-        colv = col.reshape(nb, c_in, k_f, k_t, f_out, t_out)
-        for i in range(k_f):
-            for j in range(k_t):
-                colv[:, :, i, j] = xp[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t]
         out = wmat @ col  # (B, C_out, P)
         if b is not None:
             out += b.data[:, None]
@@ -376,35 +415,56 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
             if b is not None:
                 _accum_owned(b, gmat.sum(axis=1))
-            gcol = wmat.T @ gmat if x.requires_grad else None
         else:
             gmat = g.reshape(nb, c_out, -1)
             gw = np.matmul(gmat, col.transpose(0, 2, 1)).sum(axis=0)
             _accum_owned(w, gw.reshape(w.data.shape))
             if b is not None:
                 _accum_owned(b, gmat.sum(axis=(0, 2)))
-            gcol = wmat.T @ gmat if x.requires_grad else None
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(k_f):
-                for j in range(k_t):
-                    dst = gxp[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t]
-                    if folded:
-                        dst += gcol.reshape(c_in, k_f, k_t, nb, f_out, t_out)[
-                            :, i, j].transpose(1, 0, 2, 3)
-                    else:
-                        dst += gcol.reshape(nb, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
-            gx = gxp[:, :, p_f:p_f + f_in, p_t:p_t + t_in] if (p_f or p_t) else gxp
-            _accum(x, gx)
+            _accum_owned(x, _col2im(wmat.T @ gmat, tap_view, taps, xd.shape, (s_f, s_t), pad))
 
     return _make(out, (x, w) + ((b,) if b is not None else ()), backward)
+
+
+def _col2im(gcol, tap_view, taps, shape, stride, pad) -> np.ndarray:
+    """Sum each kernel tap's column gradient back onto the input positions
+    it read, writing every element of the result once before adding to it.
+
+    Tap (i, j) reads the input rows and columns congruent to (i - p_f,
+    j - p_t) modulo the stride. Within that residue class the first tap
+    writes its span and zeroes the rest; later taps of the class add to
+    theirs, in the same order as a scatter-add into zeros would. Classes no
+    tap reads are zero.
+    """
+    (s_f, s_t), (p_f, p_t) = stride, pad
+    gx = np.empty(shape, dtype=gcol.dtype)
+    written = set()
+    for i, j, (f0, f1, _), (t0, t1, _) in taps:
+        cls = ((i - p_f) % s_f, (j - p_t) % s_t)
+        dst = gx[:, :, cls[0]::s_f, cls[1]::s_t]
+        # class row m holds input row s*m + cls, which tap i reads at output m - q
+        q_f, q_t = (i - p_f) // s_f, (j - p_t) // s_t
+        box = ((f0 + q_f, f1 + q_f), (t0 + q_t, t1 + q_t))
+        src = tap_view(gcol, i, j)[:, :, f0:f1, t0:t1]
+        if cls in written:
+            if f1 > f0 and t1 > t0:
+                dst[:, :, box[0][0]:box[0][1], box[1][0]:box[1][1]] += src
+        else:
+            written.add(cls)
+            _fill_box(dst, *box, src)
+    for a in range(s_f):
+        for c in range(s_t):
+            if (a, c) not in written:
+                gx[:, :, a::s_f, c::s_t] = 0
+    return gx
 
 
 def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
     """Max pooling over (freq, time) windows; trailing partial windows drop.
 
     Argmax positions are recorded so the backward pass routes each upstream
-    gradient element to exactly one input position.
+    gradient element to exactly one input position; ties go to the first.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -417,31 +477,37 @@ def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
     f_out = (f_in - w_f) // s_f + 1
     t_out = (t_in - w_t) // s_t + 1
 
+    if w_f * w_t == 2 and (s_f, s_t) == (w_f, w_t) and (f_in, t_in) == (w_f * f_out, w_t * t_out):
+        # Non-overlapping two-element windows that tile the input: both taps
+        # are views of one reshape, and the gradient is written through it
+        # once. The winner mask is recomputed only if backward runs.
+        pair = (nb, nc, f_out, 2, t_out) if w_f == 2 else (nb, nc, f_out, t_out, 2)
+        tap = [(slice(None),) * (3 if w_f == 2 else 4) + (k,) for k in (0, 1)]
+        xv = xd.reshape(pair)
+        out = np.maximum(xv[tap[0]], xv[tap[1]])
+
+        def backward(g):
+            if x.requires_grad:
+                gx = np.empty(xd.shape, dtype=xd.dtype)
+                gv = gx.reshape(pair)
+                wins = xv[tap[1]] > xv[tap[0]]
+                np.multiply(g, wins, out=gv[tap[1]])
+                np.multiply(g, ~wins, out=gv[tap[0]])
+                _accum_owned(x, gx)
+
+        return _make(out, (x,), backward)
+
     taps = [(i, j) for i in range(w_f) for j in range(w_t)]
     views = [xd[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] for i, j in taps]
-    two_tap = len(taps) == 2 and (s_f, s_t) == (w_f, w_t)
-    if two_tap:
-        # Non-overlapping two-element windows: a contiguous reshape-max is one
-        # fast pass; the winner mask is recomputed only if backward runs.
-        if w_f == 2:
-            out = xd[:, :, :2 * f_out, :t_out].reshape(
-                nb, nc, f_out, 2, t_out).max(axis=3)
-        else:
-            out = xd[:, :, :f_out, :2 * t_out].reshape(
-                nb, nc, f_out, t_out, 2).max(axis=4)
-        amax = None
-    else:
-        stacked = np.stack(views)
-        amax = stacked.argmax(axis=0)
-        out = stacked.max(axis=0)
+    stacked = np.stack(views)
+    amax = stacked.argmax(axis=0)
+    out = stacked.max(axis=0)
 
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(xd)
-            second = views[1] > views[0] if amax is None else None
             for k, (i, j) in enumerate(taps):
-                hit = (second if k else ~second) if amax is None else (amax == k)
-                gx[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] += g * hit
+                gx[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] += g * (amax == k)
             _accum_owned(x, gx)
 
     return _make(out, (x,), backward)
@@ -464,6 +530,21 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel float64 sums of ``a`` (or of ``a * b``) over every axis
+    but 1.
+
+    Each (sample, channel) row is reduced contiguously by BLAS in the
+    arrays' own precision, and the rows are summed over the batch in float64.
+    """
+    a3 = a.reshape(a.shape[0], a.shape[1], -1)
+    if b is None:
+        rows = a3 @ np.ones(a3.shape[2], dtype=a3.dtype)
+    else:
+        rows = (a3[:, :, None, :] @ b.reshape(a3.shape)[:, :, :, None])[:, :, 0, 0]
+    return rows.sum(axis=0, dtype=np.float64)
+
+
 def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Normalize per channel (axis 1), then scale by gamma and shift by beta.
 
@@ -480,22 +561,14 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     if training and xd.shape[0] < 2:
         raise ConfigError("batch_norm: training mode requires batch size >= 2")
 
-    axes = (0,) + tuple(range(2, xd.ndim))
     bshape = (1, state.channels) + (1,) * (xd.ndim - 2)
     eps = state.epsilon
+    n_red = xd.size // xd.shape[1]
 
     if training:
-        # single-pass channel sums, accumulated in 64-bit
-        n_r = xd.size // xd.shape[1]
-        if xd.ndim == 4:
-            ssq = np.einsum("bcft,bcft->c", xd, xd, dtype=np.float64)
-        elif xd.ndim == 2:
-            ssq = np.einsum("bc,bc->c", xd, xd, dtype=np.float64)
-        else:
-            ssq = (xd.astype(np.float64) ** 2).sum(axis=axes)
-        mu64 = xd.sum(axis=axes, dtype=np.float64) / n_r
+        mu64 = _channel_sums(xd) / n_red
         mu = mu64.astype(xd.dtype)
-        var = np.maximum(ssq / n_r - mu64 * mu64, 0.0).astype(xd.dtype)
+        var = np.maximum(_channel_sums(xd, xd) / n_red - mu64 * mu64, 0.0).astype(xd.dtype)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype, copy=False)
@@ -510,28 +583,26 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     # folded per-channel affine: out = x * scale + shift
     scale = (gamma.data * inv).reshape(bshape)
     shift = (beta.data - mu * gamma.data * inv).reshape(bshape)
-    out = xd * scale + shift
-
-    n_red = xd.size // xd.shape[1]
+    out = np.multiply(xd, scale)
+    out += shift
 
     def backward(g):
         # Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
         # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged below
-        # into g * scale + x * A + C so xhat is never materialized.
-        sum_g = g.sum(axis=axes)
-        sum_gx = ((g * xd).sum(axis=axes) - mu * sum_g) * inv
-        _accum_owned(gamma, sum_gx)
-        _accum(beta, sum_g)
+        # into g * scale + x * A + C so xhat is never materialized. The
+        # upstream gradient is consumed in place.
+        sum_g = _channel_sums(g)
+        sum_gx = (_channel_sums(g, xd) - mu * sum_g) * inv
+        _accum_owned(gamma, sum_gx.astype(gamma.dtype))
+        _accum_owned(beta, sum_g.astype(beta.dtype))
         if x.requires_grad:
+            gx = np.multiply(g, scale, out=g)
             if training:
                 s = scale.reshape(-1)
                 a_ch = -(s * inv) * (sum_gx / n_red)
                 c_ch = (s * inv * mu) * (sum_gx / n_red) - s * (sum_g / n_red)
-                gx = g * scale
-                gx += xd * a_ch.reshape(bshape)
-                gx += c_ch.reshape(bshape)
-            else:
-                gx = g * scale
+                gx += xd * a_ch.astype(g.dtype).reshape(bshape)
+                gx += c_ch.astype(g.dtype).reshape(bshape)
             _accum_owned(x, gx)
 
     return _make(out, (x, gamma, beta), backward)
