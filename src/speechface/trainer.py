@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .face import FaceFrame, landmark_rmse, weights_mse
-from .model import VARIANTS, Model, build_model, forward_sequence
+from .model import VARIANTS, Model, _compile, _infer, build_model
 
 ROT_DIM = 3
 
@@ -325,12 +325,18 @@ def metric_report(pred, truth, rig=None, emotions=None, actors=None,
 
 def evaluate(model: Model, dataset: Dataset, rig=None,
              metrics=("landmark_rmse", "weights_mse")) -> dict:
-    """Run inference over every sequence and report grouped metrics."""
+    """Run inference over every sequence and report grouped metrics.
+
+    The model is compiled once, and each sequence runs through the plan from
+    a zero state, as :func:`forward_sequence` would run it.
+    """
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty dataset")
+    plan = _compile(model)
     pred, truth = [], []
     for a, b in dataset.sequence_spans():
-        pred += forward_sequence(model, [dataset.spectrograms[i] for i in range(a, b)])
+        params, _ = _infer(plan, dataset.spectrograms[a:b], None)
+        pred += [FaceFrame.from_vector(p, i) for i, p in enumerate(params)]
         truth += [FaceFrame.from_vector(dataset.targets[i], int(dataset.frame_indices[i]))
                   for i in range(a, b)]
     return metric_report(pred, truth, rig, dataset.emotions, dataset.actors, metrics)

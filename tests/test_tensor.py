@@ -511,6 +511,26 @@ class TestGradients:
 
         check_gradients(build, [x, w, b])
 
+    @pytest.mark.parametrize("t_in", [7, 190])
+    def test_conv2d_padding_and_stride_on_both_axes(self, t_in):
+        """Tap 0 along freq reads only padding (one output row), the time
+        stride exceeds the kernel so some input columns feed no output, and
+        both im2col layouts (7 and 190 columns) are covered."""
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(2, 2, 2, t_in))
+        w = rng.normal(size=(3, 2, 3, 2))
+        b = rng.normal(size=3)
+        out_shape = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 3), pad=(1, 1)).shape
+        assert out_shape[2] == 1
+        proj = rng.normal(size=out_shape)
+
+        def build(vals):
+            tx, tw, tb = (Tensor(v, requires_grad=True) for v in vals)
+            out = conv2d(tx, tw, tb, stride=(2, 3), pad=(1, 1))
+            return _proj_loss(out, proj), [tx, tw, tb]
+
+        check_gradients(build, [x, w, b])
+
     def test_max_pool(self):
         rng = np.random.default_rng(25)
         # distinct entries keep the argmax stable under the FD probe
@@ -524,6 +544,19 @@ class TestGradients:
                 return _proj_loss(max_pool2d(t, window, stride), proj), [t]
 
             check_gradients(build, [x])
+
+    @pytest.mark.parametrize("shape,window", [((2, 3, 7, 4), (2, 1)), ((2, 2, 3, 5), (1, 2))])
+    def test_max_pool_two_tap_with_odd_trailing_row(self, shape, window):
+        """A dropped trailing row or column takes the general path."""
+        rng = np.random.default_rng(33)
+        x = (rng.permutation(np.prod(shape)).astype(np.float64) * 0.37).reshape(shape)
+        proj = rng.normal(size=max_pool2d(Tensor(x), window).shape)
+
+        def build(vals):
+            t = Tensor(vals[0], requires_grad=True)
+            return _proj_loss(max_pool2d(t, window), proj), [t]
+
+        check_gradients(build, [x])
 
     def test_batch_norm_training(self):
         rng = np.random.default_rng(26)
@@ -541,6 +574,39 @@ class TestGradients:
             return _proj_loss(out, proj), [tx, state.gamma, state.beta]
 
         check_gradients(build, [x, gamma, beta])
+
+    def test_batch_norm_training_2d(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(loc=-0.4, scale=0.8, size=(5, 3))
+        gamma = rng.normal(size=3)
+        beta = rng.normal(size=3)
+        proj = rng.normal(size=x.shape)
+
+        def build(vals):
+            state = BatchNormState("bn", 3, dtype=np.float64)
+            state.gamma.data[:] = vals[1]
+            state.beta.data[:] = vals[2]
+            tx = Tensor(vals[0], requires_grad=True)
+            out = batch_norm(tx, state, training=True)
+            return _proj_loss(out, proj), [tx, state.gamma, state.beta]
+
+        check_gradients(build, [x, gamma, beta])
+
+    def test_relu_with_shared_input_and_output(self):
+        """relu reuses its upstream gradient in place; the sums over both
+        consumers of its input and of its output must survive that."""
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(4, 5))
+        x[np.abs(x) < 0.1] += 0.2
+        p1, p2 = rng.normal(size=(2, 4, 5))
+
+        def build(vals):
+            t = Tensor(vals[0], requires_grad=True)
+            r = relu(t)
+            loss = add(_proj_loss(mul(r, tanh(t)), p1), _proj_loss(r, p2))
+            return loss, [t]
+
+        check_gradients(build, [x])
 
     def test_batch_norm_inference_grad(self):
         rng = np.random.default_rng(27)
@@ -618,6 +684,48 @@ class TestGradients:
     def test_rel_error_metric(self):
         assert rel_error([1.0], [1.0]) == 0.0
         assert rel_error([1.0], [1.0001]) == pytest.approx(1e-4, rel=1e-2)
+
+
+# =============================================================================
+# Gradient lifetime
+# =============================================================================
+
+def _trunk_graph(dtype, seed=36):
+    """conv -> batch norm -> relu -> pool -> dense -> squared sum, with every
+    intermediate returned so its gradient can be inspected."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(4, 2, 8, 4)).astype(dtype), requires_grad=True)
+    w = Parameter("conv.w", rng.normal(size=(3, 2, 3, 1)).astype(dtype))
+    b = Parameter("conv.b", rng.normal(size=3).astype(dtype))
+    bn = BatchNormState("conv.bn", 3, dtype=dtype)
+    dw = Parameter("dense.w", rng.normal(size=(2, 48)).astype(dtype))
+    conv = conv2d(x, w, b, stride=(1, 1), pad=(1, 0))
+    nrm = batch_norm(conv, bn, training=True)
+    act = relu(nrm)
+    pooled = max_pool2d(act, (2, 1))
+    flat = reshape(pooled, (4, 48))
+    y = dense(flat, dw)
+    sq = mul(y, y)
+    loss = sum_all(sq)
+    leaves = [x, w, b, bn.gamma, bn.beta, dw]
+    return loss, leaves, [conv, nrm, act, pooled, flat, y, sq]
+
+
+class TestGradientLifetime:
+    def test_backward_frees_intermediate_gradients(self):
+        loss, leaves, inner = _trunk_graph(np.float64)
+        loss.backward()
+        assert all(t.grad is None for t in inner)
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+        assert loss.grad is not None and float(loss.grad) == 1.0
+
+    def test_fresh_graphs_give_bit_identical_gradients(self):
+        grads = []
+        for _ in range(2):
+            loss, leaves, _ = _trunk_graph(np.float32)
+            loss.backward()
+            grads.append([t.grad.tobytes() for t in leaves])
+        assert grads[0] == grads[1]
 
 
 # =============================================================================

@@ -1,14 +1,21 @@
 """Trainer tests: loss, Adam, batching, the training loop, and evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import speechface
 
 from speechface.audio import NUM_BANDS, NUM_COLUMNS
 from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
 from speechface.errors import ConfigError, DataError, NumericError
 from speechface.face import FaceFrame, make_toy_rig
-from speechface.model import build_model, save_checkpoint
+from speechface.model import build_model, forward_sequence, save_checkpoint
 from speechface.trainer import (
     AdamState,
     TrainConfig,
@@ -252,6 +259,28 @@ class TestTrain:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+        """Batch-norm statistics and every GEMM go through BLAS; one and two
+        BLAS threads must train to the same bytes."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from test_trainer import build_synth_dataset, tiny_config\n"
+            "from speechface.model import save_checkpoint\n"
+            "from speechface.trainer import train\n"
+            "ds = build_synth_dataset(np.random.default_rng(10), counts=(20, 12))\n"
+            "model, _ = train(tiny_config(minibatch_frames=16, epoch_frames=32, epochs=1), ds)\n"
+            "save_checkpoint(model, sys.argv[1])\n")
+        src = Path(speechface.__file__).resolve().parents[1]
+        paths = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+            path = tmp_path / f"threads{threads}.ckpt"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_loss_trace_shape_and_finiteness(self):
         rng = np.random.default_rng(11)
         ds = build_synth_dataset(rng, counts=(12,))
@@ -364,3 +393,29 @@ class TestEvaluate:
             assert block["mean"] > 0.0
             assert set(block["by_emotion"]) == {"calm", "surprised"}
             assert set(block["by_actor"]) == {"4", "9"}
+
+    @pytest.mark.parametrize("variant", ["cnn_static", "cnn_lstm", "cnn_gru"])
+    def test_report_matches_per_sequence_forward_sequence(self, variant):
+        """One compiled plan over every sequence gives the report of running
+        forward_sequence per sequence, one-frame sequences included."""
+        rng = np.random.default_rng(18)
+        rig = make_toy_rig(seed=0)
+        ds = build_synth_dataset(rng, counts=(6, 1, 5))
+        ds.emotions[:] = np.repeat([2, 8, 2], (6, 1, 5)).astype(np.uint8)
+        ds.actors[:] = np.repeat([4, 9, 9], (6, 1, 5)).astype(np.uint8)
+        model = build_model(variant, seed=3)
+        pred, truth = [], []
+        for a, b in ds.sequence_spans():
+            pred += forward_sequence(model, list(ds.spectrograms[a:b]))
+            truth += [FaceFrame.from_vector(ds.targets[i], int(ds.frame_indices[i]))
+                      for i in range(a, b)]
+        want = metric_report(pred, truth, rig, ds.emotions, ds.actors)
+        got = evaluate(model, ds, rig=rig)
+        assert got["frames"] == want["frames"] == 12
+        for metric, block in want["metrics"].items():
+            assert got["metrics"][metric]["mean"] == pytest.approx(block["mean"], rel=0, abs=1e-12)
+            for group in ("by_emotion", "by_actor"):
+                assert got["metrics"][metric][group].keys() == block[group].keys()
+                for key, value in block[group].items():
+                    assert got["metrics"][metric][group][key] == pytest.approx(
+                        value, rel=0, abs=1e-12)
