@@ -290,6 +290,22 @@ def sigmoid(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # dense / convolution / pooling / normalization
+#
+# The full-size trunk ops run over the batch in blocks of samples, about
+# 512 KiB of each operand: a block that one step reads from memory is still
+# in cache (2 MiB of L2 per core, with up to three operands in flight) for
+# the steps after it, so each full-size array is written once.
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(nb: int, sample_bytes: int) -> list:
+    step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
+    return [slice(i, i + step) for i in range(0, nb, step)]
+
+
+def _by_sample(a: np.ndarray) -> np.ndarray:
+    """(B, C, ...) as (B, C, rest); a view when ``a`` is C-contiguous."""
+    return a.reshape(a.shape[0], a.shape[1], -1)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -530,19 +546,44 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel float64 sums of ``a`` (or of ``a * b``) over every axis
-    but 1.
+def _channel_sums(a: np.ndarray, b: np.ndarray):
+    """Per-channel float64 sums of ``a`` and of ``a * b`` over every axis
+    but 1, in one pass over both.
 
     Each (sample, channel) row is reduced contiguously by BLAS in the
     arrays' own precision, and the rows are summed over the batch in float64.
     """
-    a3 = a.reshape(a.shape[0], a.shape[1], -1)
-    if b is None:
-        rows = a3 @ np.ones(a3.shape[2], dtype=a3.dtype)
-    else:
-        rows = (a3[:, :, None, :] @ b.reshape(a3.shape)[:, :, :, None])[:, :, 0, 0]
-    return rows.sum(axis=0, dtype=np.float64)
+    a3, b3 = _by_sample(a), _by_sample(b)
+    ones = np.ones(a3.shape[2], dtype=a3.dtype)
+    sum_a = np.zeros(a3.shape[1])
+    sum_ab = np.zeros(a3.shape[1])
+    for blk in _blocks(len(a3), a3[0].nbytes):
+        sum_a += (a3[blk] @ ones).sum(axis=0, dtype=np.float64)
+        dots = a3[blk, :, None, :] @ b3[blk, :, :, None]
+        sum_ab += dots[:, :, 0, 0].sum(axis=0, dtype=np.float64)
+    return sum_a, sum_ab
+
+
+def _channel_affine(out: np.ndarray, terms, shift=None) -> np.ndarray:
+    """out = sum of a * f over (a, f) in ``terms``, plus ``shift``, where f
+    and shift are per channel; ``out`` is C-contiguous and may be one of the
+    a. Runs block by block, so ``out`` is written once."""
+    o3 = _by_sample(out)
+    per_channel = (1, o3.shape[1], 1)
+    terms = [(_by_sample(a), np.asarray(f, out.dtype).reshape(per_channel)) for a, f in terms]
+    if shift is not None:
+        shift = np.asarray(shift, out.dtype).reshape(per_channel)
+    tmp = None
+    for blk in _blocks(len(o3), o3[0].nbytes):
+        ob = o3[blk]
+        (a, f), rest = terms[0], terms[1:]
+        np.multiply(a[blk], f, out=ob)
+        for a, f in rest:
+            tmp = np.multiply(a[blk], f, out=None if tmp is None else tmp[:len(ob)])
+            ob += tmp
+        if shift is not None:
+            ob += shift
+    return out
 
 
 def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -561,14 +602,14 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     if training and xd.shape[0] < 2:
         raise ConfigError("batch_norm: training mode requires batch size >= 2")
 
-    bshape = (1, state.channels) + (1,) * (xd.ndim - 2)
     eps = state.epsilon
     n_red = xd.size // xd.shape[1]
 
     if training:
-        mu64 = _channel_sums(xd) / n_red
+        sum_x, sum_xx = _channel_sums(xd, xd)
+        mu64 = sum_x / n_red
         mu = mu64.astype(xd.dtype)
-        var = np.maximum(_channel_sums(xd, xd) / n_red - mu64 * mu64, 0.0).astype(xd.dtype)
+        var = np.maximum(sum_xx / n_red - mu64 * mu64, 0.0).astype(xd.dtype)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype, copy=False)
@@ -581,29 +622,29 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     gamma, beta = state.gamma, state.beta
     # folded per-channel affine: out = x * scale + shift
-    scale = (gamma.data * inv).reshape(bshape)
-    shift = (beta.data - mu * gamma.data * inv).reshape(bshape)
-    out = np.multiply(xd, scale)
-    out += shift
+    scale = gamma.data * inv
+    shift = beta.data - mu * gamma.data * inv
+    out = np.empty(xd.shape, dtype=np.result_type(xd, scale, shift))
+    _channel_affine(out, [(xd, scale)], shift)
 
     def backward(g):
         # Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
         # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged below
         # into g * scale + x * A + C so xhat is never materialized. The
-        # upstream gradient is consumed in place.
-        sum_g = _channel_sums(g)
-        sum_gx = (_channel_sums(g, xd) - mu * sum_g) * inv
+        # upstream gradient is overwritten with it.
+        g = np.ascontiguousarray(g)
+        sum_g, sum_gx = _channel_sums(g, xd)
+        sum_gx = (sum_gx - mu * sum_g) * inv
         _accum_owned(gamma, sum_gx.astype(gamma.dtype))
         _accum_owned(beta, sum_g.astype(beta.dtype))
         if x.requires_grad:
-            gx = np.multiply(g, scale, out=g)
             if training:
-                s = scale.reshape(-1)
-                a_ch = -(s * inv) * (sum_gx / n_red)
-                c_ch = (s * inv * mu) * (sum_gx / n_red) - s * (sum_g / n_red)
-                gx += xd * a_ch.astype(g.dtype).reshape(bshape)
-                gx += c_ch.astype(g.dtype).reshape(bshape)
-            _accum_owned(x, gx)
+                a_ch = -(scale * inv) * (sum_gx / n_red)
+                c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
+                _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
+            else:
+                _channel_affine(g, [(g, scale)])
+            _accum_owned(x, g)
 
     return _make(out, (x, gamma, beta), backward)
 
