@@ -395,57 +395,78 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             for i in range(k_f) for j in range(k_t)]
 
     # im2col, one strided copy per kernel tap. Two layouts: with many output
-    # positions per sample, batched (B,K,P) matmuls have plenty of work each;
-    # with few positions the batch is folded into one big GEMM instead, since
-    # the extra transpose copies are tiny at that size. ``tap_view`` shows
-    # either layout's slots of one tap as (B, C_in, F_out, T_out).
+    # positions per sample, batched (B,K,P) matmuls have plenty of work each
+    # and run a block of samples at a time; with few positions the batch is
+    # folded into one big GEMM instead, since the extra transpose copies are
+    # tiny at that size. ``tap_view`` shows either layout's slots of one tap
+    # as (B, C_in, F_out, T_out).
     folded = n_pos < 64
     if folded:
-        col = np.empty((k_all, nb * n_pos), dtype=dtype)
-
-        def tap_view(a, i, j):
-            return a.reshape(c_in, k_f, k_t, nb, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+        def tap_view(a, n, i, j):
+            return a.reshape(c_in, k_f, k_t, n, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
     else:
-        col = np.empty((nb, k_all, n_pos), dtype=dtype)
+        def tap_view(a, n, i, j):
+            return a.reshape(n, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
 
-        def tap_view(a, i, j):
-            return a.reshape(nb, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
+    def im2col(col, xb):
+        for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
+            _fill_box(tap_view(col, len(xb), i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
+        return col
 
-    for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
-        _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xd[:, :, fs, ts])
     if folded:
+        col = im2col(np.empty((k_all, nb * n_pos), dtype=dtype), xd)
         out2 = wmat @ col  # (C_out, B*P)
         if b is not None:
             out2 += b.data[:, None]
         out = np.ascontiguousarray(
             out2.reshape(c_out, nb, f_out, t_out).transpose(1, 0, 2, 3))
     else:
-        out = wmat @ col  # (B, C_out, P)
-        if b is not None:
-            out += b.data[:, None]
+        # the block's im2col buffer is rebuilt from x in backward, not kept
+        blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(dtype).itemsize)
+        col = np.empty((min(nb, blocks[0].stop), k_all, n_pos), dtype=dtype)
+        out = np.empty((nb, c_out, n_pos), dtype=dtype)
+        for blk in blocks:
+            xb = xd[blk]
+            ob = np.matmul(wmat, im2col(col[:len(xb)], xb), out=out[blk])  # (n, C_out, P)
+            if b is not None:
+                ob += b.data[:, None]
         out = out.reshape(nb, c_out, f_out, t_out)
 
     def backward(g):
+        gx = np.empty(xd.shape, dtype=dtype) if x.requires_grad else None
         if folded:
             gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
             _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
             if b is not None:
                 _accum_owned(b, gmat.sum(axis=1))
+            if gx is not None:
+                _col2im(gx, wmat.T @ gmat, lambda a, i, j: tap_view(a, nb, i, j), taps, stride, pad)
         else:
             gmat = g.reshape(nb, c_out, -1)
-            gw = np.matmul(gmat, col.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.zeros((c_out, k_all), dtype=dtype)
+            gb = np.zeros(c_out, dtype=dtype)
+            gcol = np.empty_like(col) if gx is not None else None
+            for blk in blocks:
+                xb, gb_ = xd[blk], gmat[blk]
+                n = len(xb)
+                cb = im2col(col[:n], xb)
+                gw += np.matmul(gb_, cb.transpose(0, 2, 1)).sum(axis=0)
+                gb += gb_.sum(axis=(0, 2))
+                if gx is not None:
+                    _col2im(gx[blk], np.matmul(wmat.T, gb_, out=gcol[:n]),
+                            lambda a, i, j, n=n: tap_view(a, n, i, j), taps, stride, pad)
             _accum_owned(w, gw.reshape(w.data.shape))
             if b is not None:
-                _accum_owned(b, gmat.sum(axis=(0, 2)))
-        if x.requires_grad:
-            _accum_owned(x, _col2im(wmat.T @ gmat, tap_view, taps, xd.shape, (s_f, s_t), pad))
+                _accum_owned(b, gb)
+        if gx is not None:
+            _accum_owned(x, gx)
 
     return _make(out, (x, w) + ((b,) if b is not None else ()), backward)
 
 
-def _col2im(gcol, tap_view, taps, shape, stride, pad) -> np.ndarray:
+def _col2im(gx, gcol, tap_view, taps, stride, pad) -> None:
     """Sum each kernel tap's column gradient back onto the input positions
-    it read, writing every element of the result once before adding to it.
+    it read, writing every element of ``gx`` once before adding to it.
 
     Tap (i, j) reads the input rows and columns congruent to (i - p_f,
     j - p_t) modulo the stride. Within that residue class the first tap
@@ -454,7 +475,6 @@ def _col2im(gcol, tap_view, taps, shape, stride, pad) -> np.ndarray:
     tap reads are zero.
     """
     (s_f, s_t), (p_f, p_t) = stride, pad
-    gx = np.empty(shape, dtype=gcol.dtype)
     written = set()
     for i, j, (f0, f1, _), (t0, t1, _) in taps:
         cls = ((i - p_f) % s_f, (j - p_t) % s_t)
@@ -473,7 +493,6 @@ def _col2im(gcol, tap_view, taps, shape, stride, pad) -> np.ndarray:
         for c in range(s_t):
             if (a, c) not in written:
                 gx[:, :, a::s_f, c::s_t] = 0
-    return gx
 
 
 def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
