@@ -402,15 +402,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     # as (B, C_in, F_out, T_out).
     folded = n_pos < 64
     if folded:
-        def tap_view(a, n, i, j):
-            return a.reshape(c_in, k_f, k_t, n, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+        def tap_view(a, i, j):
+            return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
     else:
-        def tap_view(a, n, i, j):
-            return a.reshape(n, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
+        def tap_view(a, i, j):
+            return a.reshape(-1, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
 
     def im2col(col, xb):
         for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
-            _fill_box(tap_view(col, len(xb), i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
+            _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
         return col
 
     if folded:
@@ -440,21 +440,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             if b is not None:
                 _accum_owned(b, gmat.sum(axis=1))
             if gx is not None:
-                _col2im(gx, wmat.T @ gmat, lambda a, i, j: tap_view(a, nb, i, j), taps, stride, pad)
+                _col2im(gx, wmat.T @ gmat, tap_view, taps, stride, pad)
         else:
             gmat = g.reshape(nb, c_out, -1)
             gw = np.zeros((c_out, k_all), dtype=dtype)
             gb = np.zeros(c_out, dtype=dtype)
             gcol = np.empty_like(col) if gx is not None else None
             for blk in blocks:
-                xb, gb_ = xd[blk], gmat[blk]
-                n = len(xb)
-                cb = im2col(col[:n], xb)
-                gw += np.matmul(gb_, cb.transpose(0, 2, 1)).sum(axis=0)
-                gb += gb_.sum(axis=(0, 2))
+                xb, gm = xd[blk], gmat[blk]
+                cb = im2col(col[:len(xb)], xb)
+                gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
+                gb += gm.sum(axis=(0, 2))
                 if gx is not None:
-                    _col2im(gx[blk], np.matmul(wmat.T, gb_, out=gcol[:n]),
-                            lambda a, i, j, n=n: tap_view(a, n, i, j), taps, stride, pad)
+                    gcb = np.matmul(wmat.T, gm, out=gcol[:len(xb)])
+                    _col2im(gx[blk], gcb, tap_view, taps, stride, pad)
             _accum_owned(w, gw.reshape(w.data.shape))
             if b is not None:
                 _accum_owned(b, gb)
