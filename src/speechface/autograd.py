@@ -5,7 +5,9 @@ convolution, max pooling, batch normalization, dense layers, elementwise
 activations and the LSTM/GRU cell steps. Each primitive records a backward
 closure on a tape; calling :meth:`Tensor.backward` on a scalar loss walks the
 tape in reverse topological order and accumulates exact gradients into every
-tensor that requested them.
+leaf tensor that requested them. Backward closures read their inputs' arrays
+when they run, so those arrays must not change in place between the forward
+pass and the backward pass.
 
 Arrays are float32 by default. Building inputs and parameters as float64
 switches the whole graph to 64-bit, which is what the finite-difference
@@ -77,10 +79,12 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None) -> None:
-        """Accumulate d(self)/d(x) into every tensor x on the recorded tape.
+        """Accumulate d(self)/d(x) into every leaf tensor x on the recorded
+        tape (parameters and inputs that requested gradients).
 
         ``self`` must be a scalar produced by a recorded forward pass; ``grad``
-        optionally seeds the upstream gradient (defaults to 1).
+        optionally seeds the upstream gradient (defaults to 1). ``self`` keeps
+        its gradient; intermediate tensors are left with ``grad`` None.
         """
         if not self._prev:
             raise StateError("backward called before any forward pass was recorded")
@@ -108,9 +112,8 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        # A non-leaf gradient is handed to its node's backward, which may
-        # reuse it in place, and is dropped there; leaves and the root keep
-        # theirs.
+        # A non-leaf gradient is handed over to its node's backward, which
+        # may reuse the array in place, so the tape frees it as it goes.
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 g = node.grad
@@ -421,7 +424,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         out = np.ascontiguousarray(
             out2.reshape(c_out, nb, f_out, t_out).transpose(1, 0, 2, 3))
     else:
-        # the block's im2col buffer is rebuilt from x in backward, not kept
+        # One block's im2col buffer, rebuilt from x in backward: x stays
+        # alive anyway, and a whole batch of columns is up to 1.5x its size.
         blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(dtype).itemsize)
         col = np.empty((min(nb, blocks[0].stop), k_all, n_pos), dtype=dtype)
         out = np.empty((nb, c_out, n_pos), dtype=dtype)
@@ -433,7 +437,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         out = out.reshape(nb, c_out, f_out, t_out)
 
     def backward(g):
-        gx = np.empty(xd.shape, dtype=dtype) if x.requires_grad else None
+        gx = np.empty(xd.shape, dtype=xd.dtype) if x.requires_grad else None
         if folded:
             gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
             _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
@@ -582,7 +586,7 @@ def _channel_sums(a: np.ndarray, b: np.ndarray):
     return sum_a, sum_ab
 
 
-def _channel_affine(out: np.ndarray, terms, shift=None) -> np.ndarray:
+def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
     """out = sum of a * f over (a, f) in ``terms``, plus ``shift``, where f
     and shift are per channel; ``out`` is C-contiguous and may be one of the
     a. Runs block by block, so ``out`` is written once."""
@@ -601,7 +605,6 @@ def _channel_affine(out: np.ndarray, terms, shift=None) -> np.ndarray:
             ob += tmp
         if shift is not None:
             ob += shift
-    return out
 
 
 def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import speechface
-
 from speechface.audio import NUM_BANDS, NUM_COLUMNS
 from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
