@@ -303,12 +303,12 @@ _BLOCK_BYTES = 1 << 19
 
 def _blocks(nb: int, sample_bytes: int) -> list:
     step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
-    return [slice(i, i + step) for i in range(0, nb, step)]
+    return [slice(i, min(i + step, nb)) for i in range(0, nb, step)]
 
 
 def _by_sample(a: np.ndarray) -> np.ndarray:
     """(B, C, ...) as (B, C, rest); a view when ``a`` is C-contiguous."""
-    return a.reshape(a.shape[0], a.shape[1], -1)
+    return a.reshape(a.shape[:2] + (int(np.prod(a.shape[2:])),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -427,7 +427,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         # One block's im2col buffer, rebuilt from x in backward: x stays
         # alive anyway, and a whole batch of columns is up to 1.5x its size.
         blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(dtype).itemsize)
-        col = np.empty((min(nb, blocks[0].stop), k_all, n_pos), dtype=dtype)
+        col = np.empty((blocks[0].stop if blocks else 0, k_all, n_pos), dtype=dtype)
         out = np.empty((nb, c_out, n_pos), dtype=dtype)
         for blk in blocks:
             xb = xd[blk]
@@ -446,7 +446,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
             if gx is not None:
                 _col2im(gx, wmat.T @ gmat, tap_view, taps, stride, pad)
         else:
-            gmat = g.reshape(nb, c_out, -1)
+            gmat = g.reshape(nb, c_out, n_pos)
             gw = np.zeros((c_out, k_all), dtype=dtype)
             gb = np.zeros(c_out, dtype=dtype)
             gcol = np.empty_like(col) if gx is not None else None
@@ -579,7 +579,7 @@ def _channel_sums(a: np.ndarray, b: np.ndarray):
     ones = np.ones(a3.shape[2], dtype=a3.dtype)
     sum_a = np.zeros(a3.shape[1])
     sum_ab = np.zeros(a3.shape[1])
-    for blk in _blocks(len(a3), a3[0].nbytes):
+    for blk in _blocks(len(a3), a3[:1].nbytes):
         sum_a += (a3[blk] @ ones).sum(axis=0, dtype=np.float64)
         dots = a3[blk, :, None, :] @ b3[blk, :, :, None]
         sum_ab += dots[:, :, 0, 0].sum(axis=0, dtype=np.float64)
@@ -596,7 +596,7 @@ def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
     if shift is not None:
         shift = np.asarray(shift, out.dtype).reshape(per_channel)
     tmp = None
-    for blk in _blocks(len(o3), o3[0].nbytes):
+    for blk in _blocks(len(o3), o3[:1].nbytes):
         ob = o3[blk]
         (a, f), rest = terms[0], terms[1:]
         np.multiply(a[blk], f, out=ob)

@@ -686,6 +686,21 @@ class TestGradients:
         assert rel_error([1.0], [1.0001]) == pytest.approx(1e-4, rel=1e-2)
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize("f_in", [2, 16])
+    def test_trunk_ops_pass_an_empty_batch(self, f_in):
+        """conv (folded and batched layouts), batch norm, relu and pool
+        forward and backward on zero samples."""
+        x = Tensor(np.zeros((0, 2, f_in, 8)), requires_grad=True)
+        w = Tensor(np.ones((3, 2, 3, 1)), requires_grad=True)
+        bn = BatchNormState("bn", 3, dtype=np.float64)
+        out = max_pool2d(relu(batch_norm(conv2d(x, w, None, pad=(1, 0)), bn, False)), (2, 1))
+        assert out.shape == (0, 3, f_in // 2, 8)
+        sum_all(out).backward()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert not w.grad.any()
+
+
 # =============================================================================
 # Gradient lifetime
 # =============================================================================
