@@ -686,6 +686,10 @@ class TestGradients:
         assert rel_error([1.0], [1.0001]) == pytest.approx(1e-4, rel=1e-2)
 
 
+# =============================================================================
+# Empty batch
+# =============================================================================
+
 class TestEmptyBatch:
     @pytest.mark.parametrize("f_in", [2, 16])
     def test_trunk_ops_pass_an_empty_batch(self, f_in):
