@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, RangeError, ShapeError
+from .binfile import Reader
+from .errors import ConfigError, DataError, RangeError, ShapeError
 
 SAMPLE_RATE = 44100
 FFT_SIZE = 256
@@ -92,26 +93,6 @@ class NormStats:
 # WAV I/O
 
 
-def _scan_chunks(raw: bytes, path):
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body_start = pos + 8
-        if body_start + size > len(raw):
-            raise ParseError(f"{path}: chunk {cid!r} at byte {pos} overruns file end")
-        if cid == b"fmt ":
-            if size < 16:
-                raise ParseError(f"{path}: fmt chunk at byte {pos} too short ({size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start) + (pos,)
-        elif cid == b"data":
-            data = (body_start, size)
-        pos = body_start + size + (size & 1)  # chunks are word-aligned
-    return fmt, data
-
-
 def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file into a mono clip at 44.1 kHz.
 
@@ -120,41 +101,41 @@ def load_wav(path) -> AudioClip:
     must be finite and are clipped to [-1, 1]; other sample rates, from 8000 Hz
     up, are linearly resampled to 44100 and flagged on the clip.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[0:4] != b"RIFF":
-        raise ParseError(f"{path}: not a RIFF file (bad magic at byte 0)")
-    if raw[8:12] != b"WAVE":
-        raise ParseError(f"{path}: not a WAVE form (bad type at byte 8)")
-
-    fmt, data = _scan_chunks(raw, path)
+    r = Reader(path, b"RIFF")
+    r.unpack("<I", "RIFF size")
+    if r.take(4, "form type") != b"WAVE":
+        r.fail("not a WAVE form", 8)
+    fmt = data = None
+    while r.left >= 8:  # fewer trailing bytes are tolerated
+        at = r.pos
+        cid, size = r.unpack("<4sI", "chunk header")
+        body = r.take(size, f"chunk {cid!r}")
+        if cid == b"fmt ":
+            if size < 16:
+                r.fail(f"fmt chunk too short ({size} bytes)", at)
+            fmt = struct.unpack_from("<HHIIHH", body) + (at,)
+        elif cid == b"data":
+            data = (at + 8, size)
+        r.take(min(size & 1, r.left), "pad byte")  # chunks are word-aligned
     if fmt is None:
-        raise ParseError(f"{path}: no fmt chunk found")
+        r.fail("no fmt chunk found", r.pos)
     if data is None:
-        raise ParseError(f"{path}: no data chunk found")
+        r.fail("no data chunk found", r.pos)
     codec, channels, rate, _byte_rate, _align, bits, fmt_pos = fmt
     if channels not in (1, 2):
-        raise ParseError(f"{path}: unsupported channel count {channels} (fmt chunk at byte {fmt_pos})")
+        r.fail(f"unsupported channel count {channels} in the fmt chunk", fmt_pos)
     if rate < MIN_SAMPLE_RATE:
-        raise ParseError(f"{path}: sample rate {rate} is below {MIN_SAMPLE_RATE} Hz "
-                         f"(fmt chunk at byte {fmt_pos})")
+        r.fail(f"sample rate {rate} is below {MIN_SAMPLE_RATE} Hz in the fmt chunk", fmt_pos)
+    dtype = {(1, 16): "<i2", (3, 32): "<f4"}.get((codec, bits))
+    if dtype is None:
+        r.fail(f"unsupported codec (format {codec}, {bits}-bit) in the fmt chunk", fmt_pos)
 
-    start, size = data
-    if codec == 1 and bits == 16:
-        count = size // 2
-        samples = np.frombuffer(raw, dtype="<i2", count=count, offset=start)
-        samples = samples.astype(np.float64) / 32768.0
-    elif codec == 3 and bits == 32:
-        count = size // 4
-        samples = np.frombuffer(raw, dtype="<f4", count=count, offset=start).astype(np.float64)
-        finite = np.isfinite(samples)
-        if not finite.all():
-            bad = start + 4 * int(np.argmin(finite))
-            raise ParseError(f"{path}: non-finite float sample at byte {bad}")
-        samples = np.clip(samples, -1.0, 1.0)
+    r.pos, size = data
+    samples = r.array(dtype, size // (bits // 8), "data chunk").astype(np.float64)
+    if codec == 1:
+        samples /= 32768.0
     else:
-        raise ParseError(
-            f"{path}: unsupported codec (format {codec}, {bits}-bit; fmt chunk at byte {fmt_pos})")
-
+        samples = np.clip(samples, -1.0, 1.0)
     if channels == 2:
         samples = samples[: (len(samples) // 2) * 2].reshape(-1, 2).mean(axis=1)
 

@@ -276,14 +276,14 @@ def tanh(x: Tensor) -> Tensor:
     return _make(y, (x,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split by sign, so exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # split by sign for overflow-free exp
-    xd = x.data
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1 / (1 + np.exp(-xd[pos]))
-    e = np.exp(xd[~pos])
-    y[~pos] = e / (1 + e)
+    y = _sigmoid(x.data)
 
     def backward(g):
         _accum_owned(x, g * y * (1 - y))

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats
+from .binfile import Reader
 from .errors import DataError, ParseError
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 DATASET_MAGIC = b"SFDS"
 DATASET_VERSION = 1
 NORM_MAGIC = b"SFNS"
+NORM_VERSION = 1
 
 LABEL_ABSENT = 255
 
@@ -116,24 +118,18 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != DATASET_MAGIC:
-        raise ParseError(f"{path}: dataset magic mismatch at byte 0")
-    if len(raw) < 12:
-        raise ParseError(f"{path}: dataset header truncated")
-    version, count = struct.unpack_from("<II", raw, 4)
+    r = Reader(path, DATASET_MAGIC)
+    version, count = r.unpack("<II", "dataset header")
     if version != DATASET_VERSION:
-        raise ParseError(f"{path}: unsupported dataset version {version}")
-    if len(raw) != 12 + count * _RECORD.itemsize:
-        raise ParseError(f"{path}: expected {12 + count * _RECORD.itemsize} bytes for "
-                         f"{count} records, found {len(raw)}")
-    records = np.frombuffer(raw, dtype=_RECORD, count=count, offset=12)
+        r.fail(f"unsupported dataset version {version}", 4)
+    records = r.array(_RECORD, count, f"{count} records")
+    r.end()
     # contiguous copies, so the raw buffer is freed and row gathers stay fast
     columns = [records[name].copy() for name in _RECORD.names]
     try:
         return Dataset(*columns)
     except DataError as err:
-        raise ParseError(f"{path}: {err}") from None
+        r.fail(f"{err}, in the records starting", 12)
 
 
 def norm_sidecar_path(dataset_path) -> Path:
@@ -141,24 +137,23 @@ def norm_sidecar_path(dataset_path) -> Path:
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
-    out = NORM_MAGIC + struct.pack("<I", 1)
+    out = NORM_MAGIC + struct.pack("<I", NORM_VERSION)
     out += stats.mean.astype("<f4").tobytes() + stats.std.astype("<f4").tobytes()
     Path(path).write_bytes(out)
 
 
 def load_norm_stats(path) -> NormStats:
-    raw = Path(path).read_bytes()
-    expected = 8 + 2 * NUM_BANDS * 4
-    if len(raw) < 4 or raw[:4] != NORM_MAGIC:
-        raise ParseError(f"{path}: normalization file magic mismatch at byte 0")
-    if len(raw) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    mean = np.frombuffer(raw, "<f4", NUM_BANDS, 8).astype(np.float64)
-    std = np.frombuffer(raw, "<f4", NUM_BANDS, 8 + NUM_BANDS * 4).astype(np.float64)
+    r = Reader(path, NORM_MAGIC)
+    (version,) = r.unpack("<I", "version")
+    if version != NORM_VERSION:
+        r.fail(f"unsupported normalization file version {version}", 4)
+    mean = r.array("<f4", NUM_BANDS, "normalization mean")
+    std = r.array("<f4", NUM_BANDS, "normalization std")
+    r.end()
     try:
         return NormStats(mean, std)
     except DataError as err:
-        raise ParseError(f"{path}: normalization stats at byte 8: {err}") from None
+        r.fail(f"normalization stats: {err}", 8)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +180,7 @@ def read_param_csv(path) -> list:
         raise ParseError(f"{path}: byte {err.start} is not valid UTF-8") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParseError(f"{path}: empty file")
+        raise ParseError(f"{path}: line 1: empty file")
     if lines[0].strip() != CSV_HEADER:
         raise ParseError(f"{path}: line 1: unexpected header")
     frames = []

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError, ShapeError
+from .binfile import Reader
+from .errors import DataError, ShapeError
 
 NUM_EXPRESSIONS = 46
 NUM_ROTATION = 3
@@ -246,40 +247,20 @@ def save_rig(rig: BlendshapeRig, path) -> None:
 
 
 def load_rig(path) -> BlendshapeRig:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != RIG_MAGIC:
-        raise ParseError(f"{path}: rig magic mismatch at byte 0")
-    if len(raw) < 15:
-        raise ParseError(f"{path}: rig header truncated")
-    version, nverts, nexpr, nlm = struct.unpack_from("<IIBH", raw, 4)
+    r = Reader(path, RIG_MAGIC)
+    version, nverts, nexpr, nlm = r.unpack("<IIBH", "rig header")
     if version != RIG_VERSION:
-        raise ParseError(f"{path}: unsupported rig version {version}")
+        r.fail(f"unsupported rig version {version}", 4)
     if nexpr != NUM_EXPRESSIONS:
-        raise ParseError(f"{path}: rig declares {nexpr} expression shapes, expected {NUM_EXPRESSIONS}")
-    pos = 15
-    need = nlm * 4
-    if pos + need > len(raw):
-        raise ParseError(f"{path}: landmark table truncated")
-    landmarks = np.frombuffer(raw, dtype="<u4", count=nlm, offset=pos).astype(np.int64)
-    pos += need
-    count = (NUM_EXPRESSIONS + 1) * nverts * 3
-    if pos + count * 4 > len(raw):
-        raise ParseError(f"{path}: shape data truncated")
-    shapes = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
-    finite = np.isfinite(shapes)
-    if not finite.all():
-        bad = pos + 4 * int(np.argmin(finite))
-        raise ParseError(f"{path}: non-finite shape value at byte {bad}")
+        r.fail(f"rig declares {nexpr} expression shapes, expected {NUM_EXPRESSIONS}", 12)
+    landmarks = r.array("<u4", nlm, "landmark table").astype(np.int64)
+    shapes = r.array("<f4", (NUM_EXPRESSIONS + 1) * nverts * 3, "shape data")
     shapes = shapes.reshape(NUM_EXPRESSIONS + 1, nverts, 3).copy()
-    pos += count * 4
     faces = None
-    if pos + 4 <= len(raw):
-        (nfaces,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if pos + nfaces * 12 > len(raw):
-            raise ParseError(f"{path}: face list truncated")
-        faces = np.frombuffer(raw, dtype="<u4", count=nfaces * 3, offset=pos)
-        faces = faces.reshape(-1, 3).astype(np.int64)
+    if r.left:
+        (nfaces,) = r.unpack("<I", "face count")
+        faces = r.array("<u4", nfaces * 3, "face list").reshape(-1, 3).astype(np.int64)
+    r.end()
     return BlendshapeRig(shapes, landmarks, faces)
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import autograd as ag
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats, Spectrogram
 from .autograd import BatchNormState, GRUParams, LSTMParams, Parameter, Tensor
-from .errors import ConfigError, DataError, ParseError, ShapeError
+from .binfile import Reader
+from .errors import ConfigError, DataError, ShapeError
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
@@ -391,14 +392,12 @@ def _conv(x, axis, k, s, p, w):
     shape = x.shape[:axis] + (n_out,) + x.shape[axis + 1:]
     col = np.empty(shape + (k,))
     for i in range(k):
-        # outputs t whose input row s*t + i - p lies inside x
-        lo = min(n_out, max(0, -((i - p) // s)))
-        hi = max(lo, min(n_out, (n_in - 1 + p - i) // s + 1))
+        lo, hi, src = ag._tap_span(n_in, n_out, i, s, p)
         tap = col[..., i]
         tap[_along(axis, 0, lo)] = 0.0
         tap[_along(axis, hi, None)] = 0.0
         if hi > lo:
-            tap[_along(axis, lo, hi)] = x[_along(axis, s * lo + i - p, s * (hi - 1) + i - p + 1, s)]
+            tap[_along(axis, lo, hi)] = x[(slice(None),) * axis + (src,)]
     return (col.reshape(-1, w.shape[1]) @ w.T).reshape(shape[:-1] + (len(w),))
 
 
@@ -413,12 +412,6 @@ def _pool(x, axis, k, s):
     for i in range(1, k):
         out = np.maximum(out, x[_along(axis, i, i + s * (n_out - 1) + 1, s)])
     return out
-
-
-def _sigmoid(x):
-    # the split by sign of autograd.sigmoid, without overflow
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
@@ -457,14 +450,14 @@ def _recur(plan: _Plan, x: np.ndarray, state: tuple):
         h, c = state
         for t in range(len(x)):
             pre = px[t:t + 1] + h @ w_h.T
-            gate = _sigmoid(pre)  # i, f and o; the g block takes tanh instead
+            gate = ag._sigmoid(pre)  # i, f and o; the g block takes tanh instead
             c = gate[:, hid:2 * hid] * c + gate[:, :hid] * np.tanh(pre[:, 2 * hid:3 * hid])
             h = out[t:t + 1] = gate[:, 3 * hid:] * np.tanh(c)
         return out, (h, c)
     w_c = plan.cell[2]
     (h,) = state
     for t in range(len(x)):
-        zr = _sigmoid(px[t:t + 1, :2 * hid] + h @ w_h.T)
+        zr = ag._sigmoid(px[t:t + 1, :2 * hid] + h @ w_h.T)
         cand = np.tanh(px[t:t + 1, 2 * hid:] + (zr[:, hid:] * h) @ w_c.T)
         h = out[t:t + 1] = h + zr[:, :hid] * (cand - h)
     return out, (h,)
@@ -509,7 +502,7 @@ def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
         hidden = np.tanh(out[t:t + 1] @ w.T + b)
         y = (hidden @ plan.head_w.T + plan.head_b)[0]
         params[t, :r] = np.tanh(y[:r])
-        params[t, r:] = _sigmoid(y[r:])
+        params[t, r:] = ag._sigmoid(y[r:])
     return params, state
 
 
@@ -598,81 +591,51 @@ def save_checkpoint(model: Model, path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
-def _require_finite(path, what: str, values: np.ndarray, offset: int) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = offset + 4 * int(np.argmin(finite))
-        raise ParseError(f"{path}: {what} has a non-finite value at byte {bad}")
-
-
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
-        raise ParseError(f"{path}: checkpoint magic mismatch at byte 0")
-    if len(raw) < 9:
-        raise ParseError(f"{path}: checkpoint header truncated")
-    version, variant_id = struct.unpack_from("<IB", raw, 4)
+    r = Reader(path, CHECKPOINT_MAGIC)
+    version, variant_id = r.unpack("<IB", "checkpoint header")
     if version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        r.fail(f"unsupported checkpoint version {version}", 4)
     if variant_id >= len(VARIANTS):
-        raise ParseError(f"{path}: unknown variant id {variant_id}")
-    pos = 9
-    stats_bytes = NUM_BANDS * 4
-    if pos + 2 * stats_bytes + 4 > len(raw):
-        raise ParseError(f"{path}: normalization stats truncated")
-    mean = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos)
-    std = np.frombuffer(raw, dtype="<f4", count=NUM_BANDS, offset=pos + stats_bytes)
+        r.fail(f"unknown variant id {variant_id}", 8)
+    mean = r.array("<f4", NUM_BANDS, "normalization mean")
+    std = r.array("<f4", NUM_BANDS, "normalization std")
     try:
         norm_stats = NormStats(mean, std)
     except DataError as err:
-        raise ParseError(f"{path}: normalization stats at byte {pos}: {err}") from None
-    pos += 2 * stats_bytes
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+        r.fail(f"normalization stats: {err}", 9)
+    table = r.pos
+    (count,) = r.unpack("<I", "parameter count")
 
-    loaded = {}
+    loaded = {}  # name -> (byte where its entry starts, dims, values)
     for _ in range(count):
-        if pos + 2 > len(raw):
-            raise ParseError(f"{path}: parameter table truncated at byte {pos}")
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
+        at = r.pos
+        (name_len,) = r.unpack("<H", "field name length")
+        encoded = r.take(name_len, "field name")
         try:
-            name = raw[pos:pos + name_len].decode("utf-8")
+            name = str(encoded, "utf-8")
         except UnicodeDecodeError as err:
-            raise ParseError(f"{path}: field name at byte {pos + err.start} "
-                             "is not valid UTF-8") from None
-        pos += name_len
-        if pos + 1 > len(raw):
-            raise ParseError(f"{path}: field {name!r} truncated")
-        rank = raw[pos]
-        pos += 1
-        if pos + 4 * rank > len(raw):
-            raise ParseError(f"{path}: dims of field {name!r} truncated")
-        dims = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        numel = math.prod(dims)
-        if pos + 4 * numel > len(raw):
-            raise ParseError(f"{path}: values of field {name!r} truncated")
-        values = np.frombuffer(raw, dtype="<f4", count=numel, offset=pos)
-        _require_finite(path, f"field {name!r}", values, pos)
-        loaded[name] = (dims, values)
-        pos += 4 * numel
+            r.fail("field name is not valid UTF-8", at + 2 + err.start)
+        (rank,) = r.unpack("<B", f"rank of field {name!r}")
+        dims = r.unpack(f"<{rank}I", f"dims of field {name!r}")
+        loaded[name] = (at, dims, r.array("<f4", math.prod(dims), f"field {name!r}"))
+    r.end()
 
     # only the shapes matter: every value is overwritten from the file below
     model = _assemble(VARIANTS[variant_id], lambda shape, *fans: np.empty(shape, Model.dtype))
     model.norm_stats = norm_stats
     expected = dict(model.named_arrays())
-    if set(loaded) != set(expected):
-        missing = sorted(set(expected) - set(loaded))
-        extra = sorted(set(loaded) - set(expected))
-        raise ParseError(f"{path}: parameter set mismatch (missing {missing}, unexpected {extra})")
-    for name, (dims, _) in loaded.items():
+    for name, (at, dims, _) in loaded.items():
+        if name not in expected:
+            r.fail(f"unexpected field {name!r}", at)
         if expected[name].shape != dims:
-            raise ParseError(f"{path}: field {name!r} has dims {dims}, "
-                             f"expected {expected[name].shape}")
+            r.fail(f"field {name!r} has dims {dims}, expected {expected[name].shape}", at)
+    missing = sorted(set(expected) - set(loaded))
+    if missing:
+        r.fail(f"parameter table lacks {missing}", table)
     arrays = {name: values.reshape(dims).astype(model.dtype)
-              for name, (dims, values) in loaded.items()}
+              for name, (_, dims, values) in loaded.items()}
     for p in model.parameters():
         p.data = arrays[p.name]
     for spec in model.arch.stack:

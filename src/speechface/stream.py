@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SpeechFaceError
 from .model import Model, forward
 
 
@@ -43,25 +43,37 @@ class StreamingSession:
     def push(self, samples) -> list:
         """Consume a chunk; return the FaceFrames whose boundaries it crossed.
 
-        A chunk holding any NaN or Inf sample raises DataError and is not
-        consumed: the buffered audio and the recurrent state stay as they were.
+        A chunk is consumed whole or not at all. One holding any NaN or Inf
+        sample raises DataError up front; one whose audio makes a frame fail
+        (samples so large that the spectrogram overflows, say) raises naming
+        that frame. Either way the buffered audio, the frame count and the
+        recurrent state stay as they were before the chunk.
         """
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
         bad = np.count_nonzero(~np.isfinite(samples))
         if bad:
             raise DataError(f"chunk rejected: {bad} of {len(samples)} samples are not finite")
+        # _append and forward replace these arrays rather than mutate them
+        saved = (self._tail, self._heard, self.frames_emitted, self.state)
         emitted = []
         pos = 0
-        while True:
-            boundary = frame_boundary(self.frames_emitted, self.fps)
-            take = min(len(samples) - pos, boundary - self._heard)
-            if take > 0:
-                self._append(samples[pos:pos + take])
-                pos += take
-            if self._heard == boundary:
-                emitted.append(self._emit())
-            elif pos >= len(samples):
-                return emitted
+        try:
+            while True:
+                boundary = frame_boundary(self.frames_emitted, self.fps)
+                take = min(len(samples) - pos, boundary - self._heard)
+                if take > 0:
+                    self._append(samples[pos:pos + take])
+                    pos += take
+                if self._heard == boundary:
+                    emitted.append(self._emit())
+                elif pos >= len(samples):
+                    return emitted
+        except Exception as err:
+            failed = self.frames_emitted
+            self._tail, self._heard, self.frames_emitted, self.state = saved
+            if not isinstance(err, SpeechFaceError):
+                raise
+            raise DataError(f"chunk rejected at frame {failed}: {err}") from None
 
     def _append(self, chunk) -> None:
         n = len(chunk)

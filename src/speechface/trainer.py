@@ -32,9 +32,6 @@ class TrainConfig:
     epochs: int = 300
     bptt_len: int = 32
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -265,8 +262,7 @@ def train(config: TrainConfig, dataset: Dataset, rig=None, model: Model | None =
                 raise NumericError(
                     f"non-finite loss at step {step}; first non-finite values in {where}")
             total.backward()
-            adam_step(params, opt, config.learning_rate,
-                      config.beta1, config.beta2, config.epsilon)
+            adam_step(params, opt, config.learning_rate)
             losses.append(value)
             step += 1
             if on_step is not None and on_step(step, value):

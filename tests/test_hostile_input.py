@@ -1,11 +1,14 @@
 """Malformed and non-finite input: every parser fails with a SpeechFaceError.
 
 The first part pins specific holes (zero sample rate, NaN/Inf payloads,
-undecodable bytes). The second part is a seeded byte-mutation sweep over the
+undecodable bytes). The second part cuts every binary format short and
+appends junk to it. The third is a seeded byte-mutation sweep over the
 seven on-disk formats: whatever the mutation, a load either succeeds with
-finite values or raises a SpeechFaceError subclass.
+finite values or raises a SpeechFaceError subclass, and a ParseError names
+the byte or the line.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -173,6 +176,60 @@ class TestDataFiles:
         with pytest.raises(ParseError, match="finite"):
             load_norm_stats(path)
 
+    def test_norm_with_unknown_version_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.norm"
+        save_norm_stats(NormStats.identity(), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="version 2 at byte 4"):
+            load_norm_stats(path)
+
+
+# =============================================================================
+# Truncated files and trailing junk
+# =============================================================================
+
+NAMES_PLACE = re.compile(r"byte \d+|line \d+")
+
+
+def _write_faceless_rig(path):
+    """Without a face list: a rig cut just after its shapes is a valid
+    faceless rig, so only this form makes every prefix malformed."""
+    shapes = np.random.default_rng(0).normal(size=(NUM_EXPRESSIONS + 1, 6, 3))
+    save_rig(BlendshapeRig(shapes, [0, 2, 4]), path)
+
+
+@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "wav_pcm16", "wav_float32", "sfd", "norm"])
+def test_every_prefix_fails_naming_a_byte_within_it(tmp_path, fmt):
+    write, load, _, hot = FORMATS[fmt]
+    if fmt == "rig":
+        write = _write_faceless_rig
+    path = tmp_path / f"valid.{fmt}"
+    write(path)
+    valid = path.read_bytes()
+    # every cut inside the headers, then evenly spaced ones through the payload
+    cuts = sorted(set(range(hot)) | set(np.linspace(hot, len(valid) - 1, 200).astype(int)))
+    for cut in cuts:
+        path.write_bytes(valid[:cut])
+        with pytest.raises(ParseError, match=r"byte \d+") as info:
+            load(path)
+        named = int(re.findall(r"byte (\d+)", str(info.value))[-1])
+        assert named <= cut, (cut, str(info.value))
+
+
+@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "sfd", "norm"])
+@pytest.mark.parametrize("junk", [b"\x00", b"\x00" * 4, b"SFCK" * 5],
+                         ids=["one_byte", "four_zeros", "magic_run"])
+def test_trailing_bytes_are_rejected(tmp_path, fmt, junk):
+    write, load, _, _ = FORMATS[fmt]
+    path = tmp_path / f"valid.{fmt}"
+    write(path)
+    valid = path.read_bytes()
+    path.write_bytes(valid + junk)
+    with pytest.raises(ParseError, match=f"{len(junk)} unexpected trailing bytes at byte {len(valid)}"):
+        load(path)
+
 
 # =============================================================================
 # Seeded byte-mutation sweep
@@ -270,15 +327,19 @@ def test_byte_mutations_raise_only_speechface_errors(tmp_path, fmt):
     valid = path.read_bytes()
     assert load(path)
     rng = np.random.default_rng(sorted(FORMATS).index(fmt))
-    escaped, non_finite = [], []
+    escaped, non_finite, unplaced = [], [], []
     for trial in range(trials):
         path.write_bytes(mutate(valid, rng, hot))
         try:
             if not load(path):
                 non_finite.append(trial)
+        except ParseError as err:
+            if not NAMES_PLACE.search(str(err)):
+                unplaced.append((trial, str(err)))
         except SpeechFaceError:
             pass
         except Exception as err:  # noqa: BLE001 - the sweep reports any escape
             escaped.append((trial, repr(err)))
     assert not escaped, escaped[:5]
     assert not non_finite, non_finite[:5]
+    assert not unplaced, unplaced[:5]

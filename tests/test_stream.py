@@ -102,6 +102,34 @@ class TestStreamingSession:
             np.testing.assert_array_equal(g.vector, w.vector)
             assert np.all(np.isfinite(g.vector))
 
+    def test_chunk_that_fails_a_frame_is_not_consumed(self):
+        """Samples of 1e200 overflow the spectrogram. The chunk below emits
+        frame 4 from clean audio, then fails frame 5; afterwards the session
+        carries on exactly as if the chunk had never been pushed."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        c1, c2 = samples[:7000], samples[7000:]
+        bad = np.concatenate([samples[7000:8000], np.full(2000, 1e200)])
+
+        clean = StreamingSession(model)
+        want = clean.push(c1) + clean.push(c2)
+        session = StreamingSession(model)
+        got = session.push(c1)
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="at frame 5"):
+            session.push(bad)
+        assert session.frames_emitted == len(got) == 4
+        got += session.push(c2)
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            np.testing.assert_array_equal(g.vector, w.vector)
+
+        fresh = StreamingSession(model)
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="at frame 0"):
+            fresh.push(np.full(1470, 1e200))
+        for g, w in zip(fresh.push(c2), StreamingSession(model).push(c2)):
+            np.testing.assert_array_equal(g.vector, w.vector)
+
     @pytest.mark.parametrize("variant", ["cnn_lstm", "cnn_gru"])
     def test_reset_starts_a_fresh_stream(self, variant):
         model = build_model(variant, seed=6)
