@@ -178,14 +178,15 @@ def read_param_csv(path) -> list:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: byte {err.start} is not valid UTF-8") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: line 1: empty file")
-    if lines[0].strip() != CSV_HEADER:
-        raise ParseError(f"{path}: line 1: unexpected header")
+    lineno, header = lines[0]
+    if header.strip() != CSV_HEADER:
+        raise ParseError(f"{path}: line {lineno}: unexpected header")
     frames = []
     prev_index = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 1 + _TARGET_DIM:
             raise ParseError(f"{path}: line {lineno}: expected {1 + _TARGET_DIM} "

@@ -253,6 +253,7 @@ def load_rig(path) -> BlendshapeRig:
         r.fail(f"unsupported rig version {version}", 4)
     if nexpr != NUM_EXPRESSIONS:
         r.fail(f"rig declares {nexpr} expression shapes, expected {NUM_EXPRESSIONS}", 12)
+    tables = r.pos
     landmarks = r.array("<u4", nlm, "landmark table").astype(np.int64)
     shapes = r.array("<f4", (NUM_EXPRESSIONS + 1) * nverts * 3, "shape data")
     shapes = shapes.reshape(NUM_EXPRESSIONS + 1, nverts, 3).copy()
@@ -261,7 +262,10 @@ def load_rig(path) -> BlendshapeRig:
         (nfaces,) = r.unpack("<I", "face count")
         faces = r.array("<u4", nfaces * 3, "face list").reshape(-1, 3).astype(np.int64)
     r.end()
-    return BlendshapeRig(shapes, landmarks, faces)
+    try:
+        return BlendshapeRig(shapes, landmarks, faces)
+    except DataError as err:
+        r.fail(f"{err}, in the tables starting", tables)
 
 
 def write_obj(path, vertices: np.ndarray, faces: np.ndarray | None = None) -> None:

@@ -617,6 +617,8 @@ def load_checkpoint(path) -> Model:
             name = str(encoded, "utf-8")
         except UnicodeDecodeError as err:
             r.fail("field name is not valid UTF-8", at + 2 + err.start)
+        if name in loaded:
+            r.fail(f"field {name!r} appears twice", at)
         (rank,) = r.unpack("<B", f"rank of field {name!r}")
         dims = r.unpack(f"<{rank}I", f"dims of field {name!r}")
         loaded[name] = (at, dims, r.array("<f4", math.prod(dims), f"field {name!r}"))
@@ -626,21 +628,13 @@ def load_checkpoint(path) -> Model:
     model = _assemble(VARIANTS[variant_id], lambda shape, *fans: np.empty(shape, Model.dtype))
     model.norm_stats = norm_stats
     expected = dict(model.named_arrays())
-    for name, (at, dims, _) in loaded.items():
+    for name, (at, dims, values) in loaded.items():
         if name not in expected:
             r.fail(f"unexpected field {name!r}", at)
         if expected[name].shape != dims:
             r.fail(f"field {name!r} has dims {dims}, expected {expected[name].shape}", at)
+        np.copyto(expected[name], values.reshape(dims))
     missing = sorted(set(expected) - set(loaded))
     if missing:
         r.fail(f"parameter table lacks {missing}", table)
-    arrays = {name: values.reshape(dims).astype(model.dtype)
-              for name, (_, dims, values) in loaded.items()}
-    for p in model.parameters():
-        p.data = arrays[p.name]
-    for spec in model.arch.stack:
-        bn = model.conv_bn.get(spec.name) if isinstance(spec, ConvSpec) else None
-        if bn is not None:
-            bn.running_mean = arrays[f"{spec.name}.bn.running_mean"]
-            bn.running_var = arrays[f"{spec.name}.bn.running_var"]
     return model

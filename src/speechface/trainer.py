@@ -4,7 +4,8 @@ The objective is the plain sum of squared output errors over every frame and
 all 49 components. Recurrent variants train with truncated backpropagation
 through time: contiguous subsequences of at most ``bptt_len`` frames, hidden
 state zeroed at each subsequence start. The static variant trains on shuffled
-individual frames.
+one-frame segments. Every variant's minibatch is a list of (start, stop) row
+ranges.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        for name in ("minibatch_frames", "epoch_frames", "epochs", "bptt_len"):
+        for name in ("epochs", "bptt_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("minibatch_frames", "epoch_frames"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "
+                                  "batch norm needs two frames per batch")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -121,33 +126,21 @@ def adam_step(params, state: AdamState, lr: float,
 def make_batches(dataset: Dataset, config: TrainConfig, epoch_seed) -> list:
     """One epoch's minibatches, deterministic in ``epoch_seed``.
 
-    For recurrent variants each batch is a list of (start, stop) row ranges:
-    contiguous subsequences of at most ``bptt_len`` frames, never crossing a
-    sequence boundary, bundled to about ``minibatch_frames`` frames. For
-    cnn_static each batch is an index array of shuffled frames. About
-    ``epoch_frames`` frames are drawn without replacement per epoch, cycling
-    with fresh shuffles when the dataset is smaller.
+    Every batch is a list of (start, stop) row ranges that never cross a
+    sequence boundary: segments of at most ``bptt_len`` frames for the
+    recurrent variants, single frames for cnn_static. Segments are drawn in
+    shuffled order, cycling with fresh shuffles when the dataset is smaller
+    than an epoch, and bundled to about ``minibatch_frames`` frames until at
+    least ``epoch_frames`` are drawn. Training-mode batch norm needs two
+    frames per batch, so a batch closes only once it holds two, and a
+    one-frame tail joins the batch before it.
     """
     if len(dataset) == 0:
         raise DataError("cannot batch an empty dataset")
     rng = np.random.default_rng(epoch_seed)
-
-    if config.variant == "cnn_static":
-        stream: list = []
-        while len(stream) < config.epoch_frames:
-            stream.extend(rng.permutation(len(dataset)).tolist())
-        stream = stream[:config.epoch_frames]
-        step = config.minibatch_frames
-        batches = [np.asarray(stream[i:i + step], dtype=np.int64)
-                   for i in range(0, len(stream), step)]
-        if len(batches) > 1 and len(batches[-1]) < 2:
-            batches[-2] = np.concatenate([batches[-2], batches.pop()])
-        return batches
-
-    segments = []
-    for a, b in dataset.sequence_spans():
-        for s in range(a, b, config.bptt_len):
-            segments.append((s, min(s + config.bptt_len, b)))
+    seg_len = 1 if config.variant == "cnn_static" else config.bptt_len
+    segments = [(s, min(s + seg_len, b))
+                for a, b in dataset.sequence_spans() for s in range(a, b, seg_len)]
     batches, current, cur_frames, total = [], [], 0, 0
     order = iter(())
     while total < config.epoch_frames:
@@ -157,13 +150,15 @@ def make_batches(dataset: Dataset, config: TrainConfig, epoch_seed) -> list:
             continue
         seg = segments[pick]
         n = seg[1] - seg[0]
-        if current and cur_frames + n > config.minibatch_frames:
+        if cur_frames >= 2 and cur_frames + n > config.minibatch_frames:
             batches.append(current)
             current, cur_frames = [], 0
         current.append(seg)
         cur_frames += n
         total += n
-    if current:
+    if cur_frames == 1 and batches:
+        batches[-1] += current
+    else:
         batches.append(current)
     return batches
 
@@ -178,14 +173,10 @@ def _layout(model: Model, batch):
     ``idx[s, t]`` is the position in ``rows`` of step t of segment s, and
     ``mask[s, t]`` is 1.0 where that step exists. Ragged segments are padded
     with position 0 and weight 0, so padding contributes nothing to the
-    gradient. A cnn_static frame is a length-1 segment.
+    gradient.
     """
-    if model.variant == "cnn_static":
-        starts = np.asarray(batch, dtype=np.int64)
-        lengths = np.ones_like(starts)
-    else:
-        starts, stops = np.asarray(batch, dtype=np.int64).T
-        lengths = stops - starts
+    starts, stops = np.asarray(batch, dtype=np.int64).T
+    lengths = stops - starts
     steps = np.arange(lengths.max())
     present = steps < lengths[:, None]
     rows = (starts[:, None] + steps)[present]

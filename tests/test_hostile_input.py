@@ -112,6 +112,31 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="normalization"):
             load_checkpoint(path)
 
+    def test_field_given_twice_names_its_second_entry(self, tmp_path):
+        """A second copy of a field fails at the byte where it starts rather
+        than silently overriding the first."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model("cnn_static"), path)
+        blob = bytearray(path.read_bytes())
+        count_at = NORM_STATS + 2 * NUM_BANDS * 4
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        struct.pack_into("<I", blob, count_at, count + 1)
+        second = len(blob)
+        blob += struct.pack("<H", 8) + b"dense2.b" + struct.pack("<BI", 1, 256)
+        blob += np.full(256, 7.0, dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"'dense2.b' appears twice at byte {second}$"):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_bitwise_the_saved_float32(self, tmp_path):
+        model = build_model("cnn_lstm", seed=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = dict(load_checkpoint(path).named_arrays())
+        for name, arr in model.named_arrays():
+            assert loaded[name].dtype == np.float32 and loaded[name].flags.writeable
+            np.testing.assert_array_equal(loaded[name], arr.astype(np.float32), strict=True)
+
 
 # =============================================================================
 # Rig
@@ -127,6 +152,17 @@ class TestRig:
         blob[bad:bad + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError, match=f"byte {bad}"):
+            load_rig(path)
+
+    def test_landmark_out_of_range_names_the_tables(self, tmp_path):
+        """A table BlendshapeRig rejects fails as a ParseError naming byte 15,
+        where the landmark table starts."""
+        path = tmp_path / "r.rig"
+        _write_rig(path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 15, 99)  # a 6-vertex rig
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="landmark index out of vertex range.* at byte 15$"):
             load_rig(path)
 
     def test_rig_rejects_non_finite_shapes(self):
@@ -148,6 +184,15 @@ class TestDataFiles:
         at = len(CSV_HEADER) + 1 + 4
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
         with pytest.raises(ParseError, match=f"byte {at}"):
+            read_param_csv(path)
+
+    def test_csv_error_names_the_line_in_the_file(self, tmp_path):
+        """Blank lines count: the bad row below is the file's sixth line."""
+        path = tmp_path / "p.csv"
+        row = "0," + ",".join(["0.0"] * 3 + ["0.5"] * 46)
+        bad = "1," + ",".join(["0.0"] * 3 + ["2.0"] + ["0.5"] * 45)
+        path.write_text("\n".join([CSV_HEADER, "", "", row, "", bad]) + "\n")
+        with pytest.raises(ParseError, match=": line 6: "):
             read_param_csv(path)
 
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])

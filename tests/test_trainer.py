@@ -1,5 +1,6 @@
 """Trainer tests: loss, Adam, batching, the training loop, and evaluation."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -203,10 +204,7 @@ class TestMakeBatches:
             cfg = TrainConfig(variant=variant, minibatch_frames=10,
                               epoch_frames=50, bptt_len=4, seed=0)
             batches = make_batches(ds, cfg, epoch_seed=0)
-            if variant == "cnn_static":
-                total = sum(len(b) for b in batches)
-            else:
-                total = sum(b - a for batch in batches for a, b in batch)
+            total = sum(b - a for batch in batches for a, b in batch)
             assert 50 <= total < 50 + cfg.minibatch_frames
 
     def test_small_dataset_cycles_all_frames(self):
@@ -215,9 +213,60 @@ class TestMakeBatches:
         cfg = TrainConfig(variant="cnn_static", minibatch_frames=6,
                           epoch_frames=18, seed=0)
         batches = make_batches(ds, cfg, epoch_seed=0)
-        drawn = np.concatenate(batches)
-        counts = np.bincount(drawn, minlength=6)
+        starts = [a for batch in batches for a, _ in batch]
+        counts = np.bincount(starts, minlength=6)
         np.testing.assert_array_equal(counts, 3)  # each frame exactly 3 times
+
+    @pytest.mark.parametrize("variant", ["cnn_static", "cnn_lstm", "cnn_gru"])
+    def test_every_batch_is_segments_of_two_frames_or_more(self, variant):
+        """One format for every variant: lists of (start, stop) tuples inside
+        one sequence, at least 2 frames a batch, covering epoch_frames. Only a
+        recurrent variant's last segment may run past epoch_frames."""
+        rng = np.random.default_rng(19)
+        datasets = [build_synth_dataset(rng, counts) for counts in
+                    [(1,), (2,), (33,), (1, 1, 1), (5, 1, 7), (3, 32, 1, 2)]]
+        for ds, bptt, minibatch, epoch_kind in itertools.product(
+                datasets, (1, 4, 32), (2, 3, 7, 32), range(4)):
+            epoch_frames = (2, minibatch + 1, 2 * minibatch + 1, 50)[epoch_kind]
+            seg_len = 1 if variant == "cnn_static" else bptt
+            cfg = TrainConfig(variant=variant, minibatch_frames=minibatch,
+                              epoch_frames=epoch_frames, bptt_len=bptt)
+            spans = ds.sequence_spans()
+            total = 0
+            for batch in make_batches(ds, cfg, epoch_seed=(3, epoch_frames)):
+                assert isinstance(batch, list)
+                assert all(type(seg) is tuple and len(seg) == 2 for seg in batch)
+                for a, b in batch:
+                    assert 0 < b - a <= seg_len
+                    assert any(sa <= a and b <= sb for sa, sb in spans)
+                frames = sum(b - a for a, b in batch)
+                assert frames >= 2
+                total += frames
+            assert epoch_frames <= total < epoch_frames + seg_len
+
+    def test_static_batches_cut_the_seeded_permutation_stream(self):
+        """cnn_static draws the permutations it always drew, cut every
+        minibatch_frames frames, with a one-frame tail merged backwards."""
+        rng = np.random.default_rng(20)
+        ds = build_synth_dataset(rng, counts=(4, 3))
+        for minibatch, epoch_frames in [(3, 3), (3, 4), (3, 7), (4, 9), (5, 23), (8, 30)]:
+            cfg = TrainConfig(variant="cnn_static", minibatch_frames=minibatch,
+                              epoch_frames=epoch_frames)
+            draws = np.random.default_rng((1, 2))
+            stream = np.concatenate([draws.permutation(len(ds)) for _ in
+                                     range(-(-epoch_frames // len(ds)))])[:epoch_frames]
+            want = [stream[i:i + minibatch] for i in range(0, epoch_frames, minibatch)]
+            if len(want[-1]) == 1:
+                tail = want.pop()
+                want[-1] = np.concatenate([want[-1], tail])
+            got = make_batches(ds, cfg, epoch_seed=(1, 2))
+            assert [[(int(r), int(r) + 1) for r in w] for w in want] == got
+
+    @pytest.mark.parametrize("field", ["minibatch_frames", "epoch_frames"])
+    def test_fewer_than_two_frames_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be at least 2, got 1: "
+                                              "batch norm needs two frames per batch"):
+            TrainConfig(**{field: 1})
 
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(8)
@@ -309,6 +358,23 @@ class TestTrain:
         train(tiny_config(epochs=50), ds, on_step=stop_at_three)
         assert seen[-1][0] == 3
         assert len(seen) == 3
+
+    @pytest.mark.parametrize("variant,counts,minibatch,epoch_frames,bptt", [
+        ("cnn_static", (12,), 8, 9, 32),     # one-frame tail after the only full batch
+        ("cnn_lstm", (33,), 32, 33, 32),     # a one-frame tail segment of its own
+    ])
+    def test_one_frame_tails_train(self, variant, counts, minibatch, epoch_frames, bptt):
+        """Configs whose last frame used to form a batch of its own: that
+        frame now joins the batch before it, and the epoch trains."""
+        ds = build_synth_dataset(np.random.default_rng(21), counts=counts)
+        cfg = tiny_config(variant=variant, minibatch_frames=minibatch,
+                          epoch_frames=epoch_frames, bptt_len=bptt, epochs=1)
+        batches = make_batches(ds, cfg, (cfg.seed, 0))
+        assert sum(b - a for a, b in batches[-1]) == minibatch + 1
+        steps = []
+        train(cfg, ds, on_step=lambda step, value: steps.append(value))
+        assert len(steps) == len(batches)
+        assert all(np.isfinite(steps))
 
     def test_training_reduces_loss_on_tiny_overfit(self):
         """A few dozen steps on one tiny batch should cut the loss."""
