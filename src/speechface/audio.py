@@ -88,6 +88,22 @@ class NormStats:
     def identity(cls) -> "NormStats":
         return cls(np.zeros(NUM_BANDS), np.ones(NUM_BANDS))
 
+    def to_bytes(self) -> bytes:
+        """Mean then std, one little-endian float32 per band each."""
+        return self.mean.astype("<f4").tobytes() + self.std.astype("<f4").tobytes()
+
+    @classmethod
+    def read(cls, r: Reader) -> "NormStats":
+        """Read the :meth:`to_bytes` layout; invalid stats fail naming the
+        byte where they start."""
+        at = r.pos
+        mean = r.array("<f4", NUM_BANDS, "normalization mean")
+        std = r.array("<f4", NUM_BANDS, "normalization std")
+        try:
+            return cls(mean, std)
+        except DataError as err:
+            r.fail(f"normalization stats: {err}", at)
+
 
 # ---------------------------------------------------------------------------
 # WAV I/O

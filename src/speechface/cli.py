@@ -23,28 +23,27 @@ from .trainer import TrainConfig, metric_report, train as run_training
 _CLI_VARIANTS = {"cnn-static": "cnn_static", "cnn-lstm": "cnn_lstm", "cnn-gru": "cnn_gru"}
 
 
-def _variant(name: str) -> str:
-    return _CLI_VARIANTS[name]
+def _paired_stems(first: Path, first_ext: str, second: Path, second_ext: str,
+                  unpaired: str) -> list:
+    """(stem, first file, second file) for each stem, in stem order; a stem
+    with a file in only one directory fails with ``unpaired`` and the stems."""
+    a = {p.stem: p for p in sorted(first.glob(f"*{first_ext}"))}
+    b = {p.stem: p for p in sorted(second.glob(f"*{second_ext}"))}
+    if not a:
+        raise DataError(f"no {first_ext} files in {first}")
+    orphans = sorted(set(a) ^ set(b))
+    if orphans:
+        raise DataError(f"{unpaired}: " + ", ".join(orphans))
+    return [(stem, a[stem], b[stem]) for stem in sorted(a)]
 
 
 # ---------------------------------------------------------------------------
 # prepare
 
 
-def _paired_stems(wav_dir: Path, params_dir: Path) -> list:
-    wavs = {p.stem: p for p in sorted(wav_dir.glob("*.wav"))}
-    csvs = {p.stem: p for p in sorted(params_dir.glob("*.csv"))}
-    if not wavs:
-        raise DataError(f"no .wav files in {wav_dir}")
-    orphans = sorted(set(wavs) ^ set(csvs))
-    if orphans:
-        raise DataError("unpaired stems (need matching .wav and .csv): "
-                        + ", ".join(orphans))
-    return [(stem, wavs[stem], csvs[stem]) for stem in sorted(wavs)]
-
-
 def cmd_prepare(args) -> int:
-    pairs = _paired_stems(Path(args.wav_dir), Path(args.params_dir))
+    pairs = _paired_stems(Path(args.wav_dir), ".wav", Path(args.params_dir), ".csv",
+                          "unpaired stems (need matching .wav and .csv)")
     clips = []
     for seq_id, (stem, wav_path, csv_path) in enumerate(pairs):
         clip = audio.load_wav(wav_path)
@@ -72,42 +71,44 @@ def cmd_prepare(args) -> int:
             emotions.append(data.LABEL_ABSENT if emotion is None else emotion)
             actors.append(data.LABEL_ABSENT if actor is None else actor)
     dataset = data.Dataset(np.array(seq_ids), np.array(frame_idx), np.stack(bands),
-                           np.stack(targets), np.array(emotions), np.array(actors))
+                           np.stack(targets), np.array(emotions), np.array(actors), stats)
     data.save_dataset(dataset, args.out)
-    norm_path = data.norm_sidecar_path(args.out)
-    data.save_norm_stats(stats, norm_path)
     labeled = sum(1 for c in clips if c[4] is not None)
     print(f"prepared {len(dataset)} records from {len(clips)} clips "
-          f"({labeled} with emotion/actor labels) -> {args.out} (+ {norm_path.name})")
+          f"({labeled} with emotion/actor labels) -> {args.out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # train
 
+# TrainConfig field -> the flag that sets it, for naming rejected values
+_TRAIN_FLAGS = {"learning_rate": "--lr", "minibatch_frames": "--minibatch",
+                "epoch_frames": "--epoch-frames", "epochs": "--epochs", "bptt_len": "--bptt"}
+
 
 def cmd_train(args) -> int:
-    variant = _variant(args.variant)
+    variant = _CLI_VARIANTS[args.variant]
     bptt = args.bptt
     if variant == "cnn_static" and bptt is not None:
         print("warning: --bptt is ignored for cnn-static", file=sys.stderr)
-    config = TrainConfig(
-        variant=variant, learning_rate=args.lr, minibatch_frames=args.minibatch,
-        epoch_frames=args.epoch_frames, epochs=args.epochs,
-        bptt_len=32 if bptt is None else bptt, seed=args.seed)
+    try:
+        config = TrainConfig(
+            variant=variant, learning_rate=args.lr, minibatch_frames=args.minibatch,
+            epoch_frames=args.epoch_frames, epochs=args.epochs,
+            bptt_len=32 if bptt is None else bptt, seed=args.seed)
+    except ConfigError as err:
+        # every field check reads "<field> must ..."
+        name, _, reason = str(err).partition(" ")
+        if name not in _TRAIN_FLAGS:
+            raise
+        raise ConfigError(f"{_TRAIN_FLAGS[name]} {reason}") from None
     dataset = data.load_dataset(args.dataset)
     print(f"training {variant}: lr={config.learning_rate} "
           f"minibatch={config.minibatch_frames} epochs={config.epochs} "
           f"epoch_frames={config.epoch_frames} bptt={config.bptt_len} "
           f"seed={config.seed} ({len(dataset)} records)")
-    mdl = net.build_model(variant, config.seed)
-    norm_path = data.norm_sidecar_path(args.dataset)
-    if norm_path.exists():
-        mdl.norm_stats = data.load_norm_stats(norm_path)
-    else:
-        print(f"warning: {norm_path} not found; checkpoint keeps identity "
-              "normalization", file=sys.stderr)
-    mdl, trace = run_training(config, dataset, model=mdl)
+    mdl, trace = run_training(config, dataset)
     net.save_checkpoint(mdl, args.out)
     trace_path = Path(str(args.out) + ".trace.csv")
     trace_path.write_text("epoch,mean_minibatch_loss\n" + "".join(
@@ -163,26 +164,19 @@ def _infer_realtime(mdl, clip, fps, n_frames):
 # eval
 
 
-def _eval_pairs(pred_path: Path, truth_path: Path) -> list:
-    if pred_path.is_dir() != truth_path.is_dir():
-        raise ConfigError("--pred and --truth must both be files or both directories")
-    if not pred_path.is_dir():
-        return [(truth_path.stem, pred_path, truth_path)]
-    preds = {p.stem: p for p in sorted(pred_path.glob("*.csv"))}
-    truths = {p.stem: p for p in sorted(truth_path.glob("*.csv"))}
-    if not preds:
-        raise DataError(f"no .csv files in {pred_path}")
-    orphans = sorted(set(preds) ^ set(truths))
-    if orphans:
-        raise DataError("unpaired prediction/truth stems: " + ", ".join(orphans))
-    return [(stem, preds[stem], truths[stem]) for stem in sorted(preds)]
-
-
 def cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     rig = face.load_rig(args.rig) if args.rig else None
+    pred_in, truth_in = Path(args.pred), Path(args.truth)
+    if pred_in.is_dir() != truth_in.is_dir():
+        raise ConfigError("--pred and --truth must both be files or both directories")
+    if pred_in.is_dir():
+        pairs = _paired_stems(pred_in, ".csv", truth_in, ".csv",
+                              "unpaired prediction/truth stems")
+    else:
+        pairs = [(truth_in.stem, pred_in, truth_in)]
     pred, truth, emotions, actors = [], [], [], []
-    for stem, pred_path, truth_path in _eval_pairs(Path(args.pred), Path(args.truth)):
+    for stem, pred_path, truth_path in pairs:
         p = data.read_param_csv(pred_path)
         t = data.read_param_csv(truth_path)
         if len(p) != len(t):

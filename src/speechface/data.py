@@ -2,8 +2,9 @@
 
 A prepared dataset (``.sfd``) carries normalized spectrograms with per-frame
 target vectors, grouped into contiguous sequences, plus optional emotion and
-actor labels parsed from RAVDESS-style filenames. Normalization statistics
-are stored alongside the dataset in a small ``.norm`` sidecar.
+actor labels parsed from RAVDESS-style filenames, and the per-band
+normalization statistics that standardized the spectrograms. One file holds
+everything a training run needs.
 
 Parameter CSVs are the interchange format for ground truth and inference
 output: a header row, then one row per frame with the 3 rotation parameters
@@ -13,7 +14,7 @@ and 46 expression weights at 6 decimal places.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,7 @@ from .errors import DataError, ParseError
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 DATASET_MAGIC = b"SFDS"
-DATASET_VERSION = 1
-NORM_MAGIC = b"SFNS"
-NORM_VERSION = 1
+DATASET_VERSION = 2
 
 LABEL_ABSENT = 255
 
@@ -58,6 +57,8 @@ class Dataset:
     targets: np.ndarray        # (N, 49) float32
     emotions: np.ndarray       # (N,) uint8, 255 = absent
     actors: np.ndarray         # (N,) uint8, 255 = absent
+    # the per-band stats that standardized the spectrograms
+    norm_stats: NormStats = field(default_factory=NormStats.identity)
 
     def __post_init__(self):
         n = len(self.seq_ids)
@@ -106,6 +107,9 @@ class Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write the 12-byte header (magic, version, record count), the
+    normalization mean then std (128 little-endian float32 each), then one
+    packed record per row."""
     records = np.empty(len(dataset), dtype=_RECORD)
     records["seq_id"] = dataset.seq_ids
     records["frame_index"] = dataset.frame_indices
@@ -114,46 +118,25 @@ def save_dataset(dataset: Dataset, path) -> None:
     records["emotion"] = dataset.emotions
     records["actor"] = dataset.actors
     header = DATASET_MAGIC + struct.pack("<II", DATASET_VERSION, len(dataset))
-    Path(path).write_bytes(header + records.tobytes())
+    Path(path).write_bytes(header + dataset.norm_stats.to_bytes() + records.tobytes())
 
 
 def load_dataset(path) -> Dataset:
     r = Reader(path, DATASET_MAGIC)
     version, count = r.unpack("<II", "dataset header")
     if version != DATASET_VERSION:
-        r.fail(f"unsupported dataset version {version}", 4)
+        r.fail(f"unsupported dataset version {version}, expected {DATASET_VERSION}: "
+               "re-run prepare to rebuild the dataset", 4)
+    stats = NormStats.read(r)
+    start = r.pos
     records = r.array(_RECORD, count, f"{count} records")
     r.end()
     # contiguous copies, so the raw buffer is freed and row gathers stay fast
     columns = [records[name].copy() for name in _RECORD.names]
     try:
-        return Dataset(*columns)
+        return Dataset(*columns, stats)
     except DataError as err:
-        r.fail(f"{err}, in the records starting", 12)
-
-
-def norm_sidecar_path(dataset_path) -> Path:
-    return Path(str(dataset_path) + ".norm")
-
-
-def save_norm_stats(stats: NormStats, path) -> None:
-    out = NORM_MAGIC + struct.pack("<I", NORM_VERSION)
-    out += stats.mean.astype("<f4").tobytes() + stats.std.astype("<f4").tobytes()
-    Path(path).write_bytes(out)
-
-
-def load_norm_stats(path) -> NormStats:
-    r = Reader(path, NORM_MAGIC)
-    (version,) = r.unpack("<I", "version")
-    if version != NORM_VERSION:
-        r.fail(f"unsupported normalization file version {version}", 4)
-    mean = r.array("<f4", NUM_BANDS, "normalization mean")
-    std = r.array("<f4", NUM_BANDS, "normalization std")
-    r.end()
-    try:
-        return NormStats(mean, std)
-    except DataError as err:
-        r.fail(f"normalization stats: {err}", 8)
+        r.fail(f"{err}, in the records starting", start)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +161,10 @@ def read_param_csv(path) -> list:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: byte {err.start} is not valid UTF-8") from None
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    # lines end at \n, \r\n or \r, as editors number them; str.splitlines
+    # would also break at form feeds, \x1c-\x1e, \x85 and \u2028
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: line 1: empty file")
     lineno, header = lines[0]

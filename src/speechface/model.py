@@ -24,7 +24,7 @@ from . import autograd as ag
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats, Spectrogram
 from .autograd import BatchNormState, GRUParams, LSTMParams, Parameter, Tensor
 from .binfile import Reader
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ShapeError
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
@@ -70,8 +70,6 @@ class Architecture:
         ConvSpec("conv8", 256, (1, 4), (1, 4), (0, 0), batch_norm=False),
     )
     hidden: int = 256
-    rot_dim: int = NUM_ROTATION
-    expr_dim: int = NUM_EXPRESSIONS
 
     def stack_shapes(self):
         """Per-layer (channels, freq, time) output dims, input row first."""
@@ -273,10 +271,10 @@ def _assemble(variant: str, weight) -> Model:
 
     model.dense2_w = Parameter("dense2.w", weight((hid, hid), hid, hid))
     model.dense2_b = Parameter("dense2.b", np.zeros(hid, dtype=dtype))
-    model.head_r_w = Parameter("head_r.w", weight((arch.rot_dim, hid), hid, arch.rot_dim))
-    model.head_r_b = Parameter("head_r.b", np.zeros(arch.rot_dim, dtype=dtype))
-    model.head_e_w = Parameter("head_e.w", weight((arch.expr_dim, hid), hid, arch.expr_dim))
-    model.head_e_b = Parameter("head_e.b", np.zeros(arch.expr_dim, dtype=dtype))
+    model.head_r_w = Parameter("head_r.w", weight((NUM_ROTATION, hid), hid, NUM_ROTATION))
+    model.head_r_b = Parameter("head_r.b", np.zeros(NUM_ROTATION, dtype=dtype))
+    model.head_e_w = Parameter("head_e.w", weight((NUM_EXPRESSIONS, hid), hid, NUM_EXPRESSIONS))
+    model.head_e_b = Parameter("head_e.b", np.zeros(NUM_EXPRESSIONS, dtype=dtype))
     return model
 
 
@@ -334,7 +332,6 @@ class _Plan:
     dense2: tuple
     head_w: np.ndarray
     head_b: np.ndarray
-    rot_dim: int
 
 
 def _f64(p) -> np.ndarray:
@@ -372,7 +369,6 @@ def _compile(model: Model) -> _Plan:
         dense2=(_f64(model.dense2_w), _f64(model.dense2_b)),
         head_w=np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w)]),
         head_b=np.concatenate([_f64(model.head_r_b), _f64(model.head_e_b)]),
-        rot_dim=arch.rot_dim,
     )
 
 
@@ -496,7 +492,7 @@ def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
         feats[start:start + rows] = _trunk(plan, chunk)[:rows]
 
     out, state = _recur(plan, feats, state)
-    (w, b), r = plan.dense2, plan.rot_dim
+    (w, b), r = plan.dense2, NUM_ROTATION
     params = np.empty((n, len(plan.head_b)))
     for t in range(n):
         hidden = np.tanh(out[t:t + 1] @ w.T + b)
@@ -578,8 +574,7 @@ def save_checkpoint(model: Model, path) -> None:
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<IB", CHECKPOINT_VERSION, _VARIANT_IDS[model.variant])
-    out += model.norm_stats.mean.astype("<f4").tobytes()
-    out += model.norm_stats.std.astype("<f4").tobytes()
+    out += model.norm_stats.to_bytes()
     entries = model.named_arrays()
     out += struct.pack("<I", len(entries))
     for name, arr in entries:
@@ -599,12 +594,7 @@ def load_checkpoint(path) -> Model:
         r.fail(f"unsupported checkpoint version {version}", 4)
     if variant_id >= len(VARIANTS):
         r.fail(f"unknown variant id {variant_id}", 8)
-    mean = r.array("<f4", NUM_BANDS, "normalization mean")
-    std = r.array("<f4", NUM_BANDS, "normalization std")
-    try:
-        norm_stats = NormStats(mean, std)
-    except DataError as err:
-        r.fail(f"normalization stats: {err}", 9)
+    norm_stats = NormStats.read(r)
     table = r.pos
     (count,) = r.unpack("<I", "parameter count")
 

@@ -16,6 +16,11 @@ from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normaliz
 from .errors import ConfigError, DataError, SpeechFaceError
 from .model import Model, forward
 
+# bench times frames at BENCH_FPS on seeded noise, after BENCH_WARMUP untimed ones
+BENCH_FPS = 30.0
+BENCH_SEED = 0
+BENCH_WARMUP = 5
+
 
 class StreamingSession:
     """Stateful per-stream decoder: push samples, collect FaceFrames.
@@ -91,8 +96,7 @@ class StreamingSession:
         return frame
 
 
-def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,
-          warmup: int = 5) -> dict:
+def bench(model: Model, iters: int = 100) -> dict:
     """Median/p95 wall time of one frame's work on a live session.
 
     Pushes random audio into a StreamingSession one frame interval at a
@@ -100,18 +104,18 @@ def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,
     """
     if iters < 1:
         raise ConfigError(f"iters must be positive, got {iters}")
-    session = StreamingSession(model, fps)
-    rng = np.random.default_rng(seed)
-    audio = rng.standard_normal(frame_boundary(warmup + iters - 1, fps)) * 0.1
+    session = StreamingSession(model, BENCH_FPS)
+    rng = np.random.default_rng(BENCH_SEED)
+    audio = rng.standard_normal(frame_boundary(BENCH_WARMUP + iters - 1, BENCH_FPS)) * 0.1
     times = []
     start = 0
-    for i in range(warmup + iters):
-        stop = frame_boundary(i, fps)
+    for i in range(BENCH_WARMUP + iters):
+        stop = frame_boundary(i, BENCH_FPS)
         t0 = time.perf_counter()
         session.push(audio[start:stop])
         times.append(time.perf_counter() - t0)
         start = stop
-    kept = np.array(times[warmup:])
+    kept = np.array(times[BENCH_WARMUP:])
     median = float(np.median(kept))
     return {
         "variant": model.variant,
@@ -119,5 +123,5 @@ def bench(model: Model, iters: int = 100, fps: float = 30.0, seed: int = 0,
         "median_ms": median * 1000.0,
         "p95_ms": float(np.percentile(kept, 95)) * 1000.0,
         "fps": (1.0 / median) if median > 0 else float("inf"),
-        "budget_ms": 1000.0 / fps,
+        "budget_ms": 1000.0 / BENCH_FPS,
     }

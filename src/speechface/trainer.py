@@ -18,10 +18,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .face import FaceFrame, landmark_rmse, weights_mse
+from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame, landmark_rmse, weights_mse
 from .model import VARIANTS, Model, _compile, _infer, build_model
-
-ROT_DIM = 3
 
 
 @dataclass
@@ -67,10 +65,11 @@ def loss_op(pred: Tensor, target, mask=None) -> Tensor:
 
 def loss(pred, target) -> float:
     """Sum of squared differences over frames and all 49 components."""
+    empty = np.zeros((0, NUM_ROTATION + NUM_EXPRESSIONS))
     pred = np.stack([p.vector if isinstance(p, FaceFrame) else np.asarray(p, float)
-                     for p in pred]) if len(pred) else np.zeros((0, 49))
+                     for p in pred]) if len(pred) else empty
     target = np.stack([t.vector if isinstance(t, FaceFrame) else np.asarray(t, float)
-                       for t in target]) if len(target) else np.zeros((0, 49))
+                       for t in target]) if len(target) else empty
     if pred.shape != target.shape:
         raise ShapeError(f"length mismatch: {pred.shape} predictions vs "
                          f"{target.shape} targets")
@@ -79,8 +78,8 @@ def loss(pred, target) -> float:
 
 def _head_loss(y_r, y_e, target, mask=None) -> Tensor:
     """Squared error of both heads against 49-wide target rows."""
-    return ag.add(loss_op(y_r, target[:, :ROT_DIM], mask),
-                  loss_op(y_e, target[:, ROT_DIM:], mask))
+    return ag.add(loss_op(y_r, target[:, :NUM_ROTATION], mask),
+                  loss_op(y_e, target[:, NUM_ROTATION:], mask))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,11 @@ def train(config: TrainConfig, dataset: Dataset, rig=None, model: Model | None =
           on_step=None):
     """Run the training loop; returns (model, per-epoch mean minibatch loss).
 
-    ``on_step(step, loss_value)`` is called after every optimizer step; a
-    truthy return stops training early (the trace still covers the partial
-    epoch). Aborts with a diagnostic if the loss goes non-finite.
+    The model takes ``dataset.norm_stats``, so its checkpoint standardizes
+    new audio as the corpus was. ``on_step(step, loss_value)`` is called
+    after every optimizer step; a truthy return stops training early (the
+    trace still covers the partial epoch). Aborts with a diagnostic if the
+    loss goes non-finite.
     """
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -238,6 +239,7 @@ def train(config: TrainConfig, dataset: Dataset, rig=None, model: Model | None =
     elif model.variant != config.variant:
         raise ConfigError(f"model variant {model.variant!r} does not match "
                           f"config variant {config.variant!r}")
+    model.norm_stats = dataset.norm_stats
     params = model.parameters()
     opt = AdamState.for_params(params)
     trace = []

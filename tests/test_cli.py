@@ -94,8 +94,35 @@ class TestPrepare:
         assert ds.emotions[0] == 3 and ds.actors[0] == 4
         assert ds.emotions[30] == 6 and ds.actors[30] == 12
 
-    def test_norm_sidecar_written(self, workdir):
-        assert (workdir["root"] / "corpus.sfd.norm").exists()
+    def test_moved_dataset_trains_and_infers_as_in_place(self, workdir, tmp_path):
+        """prepare writes one file, which carries the normalization stats:
+        moved alone to another directory, it trains to the checkpoint bytes
+        of the in-place run, and that checkpoint infers the same CSV."""
+        prep = tmp_path / "prep"
+        prep.mkdir()
+        assert main(["prepare", "--wav-dir", str(workdir["wavs"]), "--params-dir",
+                     str(workdir["params"]), "--out", str(prep / "corpus.sfd")]) == 0
+        assert [p.name for p in prep.iterdir()] == ["corpus.sfd"]
+        assert (prep / "corpus.sfd").read_bytes() == workdir["dataset"].read_bytes()
+        moved = tmp_path / "moved" / "corpus.sfd"
+        moved.parent.mkdir()
+        (prep / "corpus.sfd").rename(moved)
+
+        model = tmp_path / "model.ckpt"
+        assert main(["train", "--dataset", str(moved), "--variant", "cnn-gru",
+                     "--epochs", "2", "--minibatch", "32", "--epoch-frames", "64",
+                     "--bptt", "16", "--out", str(model)]) == 0
+        assert model.read_bytes() == workdir["model"].read_bytes()
+        stats = load_dataset(moved).norm_stats
+        assert not np.array_equal(stats.mean, np.zeros_like(stats.mean))
+        np.testing.assert_array_equal(load_checkpoint(model).norm_stats.mean, stats.mean)
+
+        wav = workdir["wavs"] / "03-01-03-01-01-01-04.wav"
+        csvs = [tmp_path / "in_place.csv", tmp_path / "moved.csv"]
+        for ckpt, csv in zip((workdir["model"], model), csvs):
+            assert main(["infer", "--model", str(ckpt), "--wav", str(wav),
+                         "--out", str(csv)]) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     def test_empty_dir_errors_without_output(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -154,6 +181,17 @@ class TestTrain:
                    "--epoch-frames", "32", "--bptt", "16", "--out", str(out)])
         assert rc == 0
         assert "bptt" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("flag,value", [("--minibatch", "1"), ("--epoch-frames", "1"),
+                                            ("--epochs", "0"), ("--bptt", "0"), ("--lr", "0")])
+    def test_rejected_value_names_the_flag(self, workdir, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--dataset", str(workdir["dataset"]), flag, value,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_determinism_across_runs(self, workdir, tmp_path):
         outs = []

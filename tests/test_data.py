@@ -12,12 +12,9 @@ from speechface.data import (
     LABEL_ABSENT,
     Dataset,
     load_dataset,
-    load_norm_stats,
-    norm_sidecar_path,
     parse_ravdess_stem,
     read_param_csv,
     save_dataset,
-    save_norm_stats,
     write_param_csv,
 )
 from speechface.errors import DataError, ParseError
@@ -25,7 +22,8 @@ from speechface.face import FaceFrame
 
 
 def make_dataset(rng, counts=(3, 2), with_labels=True):
-    """A small dataset of len(counts) sequences with the given frame counts."""
+    """A small dataset of len(counts) sequences with the given frame counts
+    and non-identity normalization stats."""
     n = sum(counts)
     seq_ids = np.concatenate([np.full(c, i, dtype=np.uint32) for i, c in enumerate(counts)])
     frames = np.concatenate([np.arange(c, dtype=np.uint32) for c in counts])
@@ -39,7 +37,8 @@ def make_dataset(rng, counts=(3, 2), with_labels=True):
     else:
         emotions = np.full(n, LABEL_ABSENT, dtype=np.uint8)
         actors = np.full(n, LABEL_ABSENT, dtype=np.uint8)
-    return Dataset(seq_ids, frames, specs, targets, emotions, actors)
+    stats = NormStats(rng.uniform(0, 3, NUM_BANDS), rng.uniform(0.1, 2, NUM_BANDS))
+    return Dataset(seq_ids, frames, specs, targets, emotions, actors, stats)
 
 
 # =============================================================================
@@ -92,22 +91,48 @@ class TestDatasetIO:
         np.testing.assert_array_equal(back.frame_indices, ds.frame_indices)
         np.testing.assert_array_equal(back.emotions, ds.emotions)
         np.testing.assert_array_equal(back.actors, ds.actors)
+        for name in ("mean", "std"):
+            np.testing.assert_array_equal(getattr(back.norm_stats, name),
+                                          getattr(ds.norm_stats, name).astype(np.float32))
+
+    def test_norm_stats_default_to_identity(self, tmp_path):
+        ds = make_dataset(np.random.default_rng(12))
+        plain = Dataset(ds.seq_ids, ds.frame_indices, ds.spectrograms, ds.targets,
+                        ds.emotions, ds.actors)
+        path = tmp_path / "plain.sfd"
+        save_dataset(plain, path)
+        back = load_dataset(path).norm_stats
+        np.testing.assert_array_equal(back.mean, np.zeros(NUM_BANDS))
+        np.testing.assert_array_equal(back.std, np.ones(NUM_BANDS))
+
+    def test_version_1_asks_to_rerun_prepare(self, tmp_path):
+        path = tmp_path / "old.sfd"
+        save_dataset(make_dataset(np.random.default_rng(13)), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="version 1, .*re-run prepare.* at byte 4$"):
+            load_dataset(path)
 
     def test_byte_size_formula(self, tmp_path):
-        """12-byte header plus (8 + 4*4096 + 4*49 + 2) bytes per record."""
+        """12-byte header, 2*128 float32 stats, then (8 + 4*4096 + 4*49 + 2)
+        bytes per record."""
         ds = make_dataset(np.random.default_rng(5), counts=(3, 3))
         path = tmp_path / "train.sfd"
         save_dataset(ds, path)
         record = 8 + 4 * NUM_BANDS * NUM_COLUMNS + 4 * 49 + 2
-        assert path.stat().st_size == 12 + 6 * record
+        assert path.stat().st_size == 12 + 8 * NUM_BANDS + 6 * record
 
     def test_bytes_match_struct_oracle(self, tmp_path):
-        """A 2-record file, field by field: u32 seq, u32 frame, f32 spectrogram,
-        f32 targets, u8 emotion, u8 actor, all little-endian."""
+        """A 2-record file, field by field: the header, f32 mean and std per
+        band, then per record u32 seq, u32 frame, f32 spectrogram, f32
+        targets, u8 emotion, u8 actor, all little-endian."""
         ds = make_dataset(np.random.default_rng(8), counts=(2,))
         path = tmp_path / "two.sfd"
         save_dataset(ds, path)
-        want = DATASET_MAGIC + struct.pack("<II", 1, 2)
+        want = DATASET_MAGIC + struct.pack("<II", 2, 2)
+        want += struct.pack(f"<{NUM_BANDS}f", *ds.norm_stats.mean)
+        want += struct.pack(f"<{NUM_BANDS}f", *ds.norm_stats.std)
         for i in range(2):
             want += struct.pack("<II", int(ds.seq_ids[i]), int(ds.frame_indices[i]))
             want += struct.pack(f"<{NUM_BANDS * NUM_COLUMNS}f", *ds.spectrograms[i].ravel())
@@ -144,30 +169,6 @@ class TestDatasetIO:
         back = load_dataset(path)
         assert np.all(back.emotions == LABEL_ABSENT)
         assert np.all(back.actors == LABEL_ABSENT)
-
-
-# =============================================================================
-# Normalization sidecar
-# =============================================================================
-
-class TestNormSidecar:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        stats = NormStats(rng.uniform(0, 3, NUM_BANDS), rng.uniform(0.1, 2, NUM_BANDS))
-        path = tmp_path / "train.sfd.norm"
-        save_norm_stats(stats, path)
-        back = load_norm_stats(path)
-        np.testing.assert_allclose(back.mean, stats.mean, rtol=1e-7)
-        np.testing.assert_allclose(back.std, stats.std, rtol=1e-7)
-
-    def test_sidecar_path_derivation(self):
-        assert str(norm_sidecar_path("corpus/train.sfd")).endswith("train.sfd.norm")
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.norm"
-        path.write_bytes(b"WRNG" + bytes(16))
-        with pytest.raises(ParseError):
-            load_norm_stats(path)
 
 
 # =============================================================================

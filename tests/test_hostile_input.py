@@ -3,7 +3,7 @@
 The first part pins specific holes (zero sample rate, NaN/Inf payloads,
 undecodable bytes). The second part cuts every binary format short and
 appends junk to it. The third is a seeded byte-mutation sweep over the
-seven on-disk formats: whatever the mutation, a load either succeeds with
+six on-disk formats: whatever the mutation, a load either succeeds with
 finite values or raises a SpeechFaceError subclass, and a ParseError names
 the byte or the line.
 """
@@ -14,15 +14,13 @@ import struct
 import numpy as np
 import pytest
 
-from speechface.audio import NUM_BANDS, NUM_COLUMNS, SAMPLE_RATE, NormStats, load_wav, write_wav
+from speechface.audio import NUM_BANDS, NUM_COLUMNS, SAMPLE_RATE, load_wav, write_wav
 from speechface.data import (
     CSV_HEADER,
     Dataset,
     load_dataset,
-    load_norm_stats,
     read_param_csv,
     save_dataset,
-    save_norm_stats,
     write_param_csv,
 )
 from speechface.errors import DataError, ParseError, SpeechFaceError
@@ -31,7 +29,9 @@ from speechface.model import build_model, load_checkpoint, save_checkpoint
 
 WAV_DATA = 44  # byte offset of the first sample in files from write_wav
 NORM_STATS = 9  # byte offset of the normalization mean in a checkpoint
-SFD_TARGET0 = 12 + 8 + NUM_BANDS * NUM_COLUMNS * 4  # record 0's first target value
+# byte offsets in a .sfd: the normalization mean, and record 0's first target value
+SFD_NORM_STATS = 12
+SFD_TARGET0 = SFD_NORM_STATS + 8 * NUM_BANDS + 8 + NUM_BANDS * NUM_COLUMNS * 4
 
 
 def small_dataset(n=3):
@@ -173,7 +173,7 @@ class TestRig:
 
 
 # =============================================================================
-# CSV, .sfd and .norm
+# CSV and .sfd
 # =============================================================================
 
 class TestDataFiles:
@@ -187,13 +187,18 @@ class TestDataFiles:
             read_param_csv(path)
 
     def test_csv_error_names_the_line_in_the_file(self, tmp_path):
-        """Blank lines count: the bad row below is the file's sixth line."""
+        """Blank lines count: the bad row below is the file's sixth line.
+        Lines end at \n, \r\n or \r: a form feed ending a row starts none."""
         path = tmp_path / "p.csv"
         row = "0," + ",".join(["0.0"] * 3 + ["0.5"] * 46)
         bad = "1," + ",".join(["0.0"] * 3 + ["2.0"] + ["0.5"] * 45)
         path.write_text("\n".join([CSV_HEADER, "", "", row, "", bad]) + "\n")
         with pytest.raises(ParseError, match=": line 6: "):
             read_param_csv(path)
+        for end in ("\n", "\r\n", "\r"):
+            path.write_bytes(end.join([CSV_HEADER, row + "\x0c", bad, ""]).encode())
+            with pytest.raises(ParseError, match=": line 3: "):
+                read_param_csv(path)
 
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):
@@ -212,23 +217,19 @@ class TestDataFiles:
         with pytest.raises(ParseError, match="record 0"):
             load_dataset(path)
 
-    def test_norm_with_nan_mean_is_parse_error(self, tmp_path):
-        path = tmp_path / "d.norm"
-        save_norm_stats(NormStats.identity(), path)
+    @pytest.mark.parametrize("which,value,named", [
+        ("mean", np.nan, "non-finite value at byte 32"),  # the NaN's own byte
+        ("std", 0.0, "strictly positive at byte 12"),     # where the stats start
+    ], ids=["nan_mean", "zero_std"])
+    def test_sfd_with_bad_norm_stats_names_a_byte(self, tmp_path, which, value, named):
+        path = tmp_path / "d.sfd"
+        save_dataset(small_dataset(), path)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = np.float32(np.nan).tobytes()
+        at = SFD_NORM_STATS + (NUM_BANDS * 4 if which == "std" else 0) + 4 * 5
+        blob[at:at + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(ParseError, match="finite"):
-            load_norm_stats(path)
-
-    def test_norm_with_unknown_version_is_parse_error(self, tmp_path):
-        path = tmp_path / "d.norm"
-        save_norm_stats(NormStats.identity(), path)
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ParseError, match="version 2 at byte 4"):
-            load_norm_stats(path)
+        with pytest.raises(ParseError, match=f"normalization .*{named}$"):
+            load_dataset(path)
 
 
 # =============================================================================
@@ -245,9 +246,9 @@ def _write_faceless_rig(path):
     save_rig(BlendshapeRig(shapes, [0, 2, 4]), path)
 
 
-@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "wav_pcm16", "wav_float32", "sfd", "norm"])
+@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "wav_pcm16", "wav_float32", "sfd"])
 def test_every_prefix_fails_naming_a_byte_within_it(tmp_path, fmt):
-    write, load, _, hot = FORMATS[fmt]
+    write, load, _, hot, _ = FORMATS[fmt]
     if fmt == "rig":
         write = _write_faceless_rig
     path = tmp_path / f"valid.{fmt}"
@@ -263,11 +264,11 @@ def test_every_prefix_fails_naming_a_byte_within_it(tmp_path, fmt):
         assert named <= cut, (cut, str(info.value))
 
 
-@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "sfd", "norm"])
+@pytest.mark.parametrize("fmt", ["checkpoint", "rig", "sfd"])
 @pytest.mark.parametrize("junk", [b"\x00", b"\x00" * 4, b"SFCK" * 5],
                          ids=["one_byte", "four_zeros", "magic_run"])
 def test_trailing_bytes_are_rejected(tmp_path, fmt, junk):
-    write, load, _, _ = FORMATS[fmt]
+    write, load, _, _, _ = FORMATS[fmt]
     path = tmp_path / f"valid.{fmt}"
     write(path)
     valid = path.read_bytes()
@@ -321,22 +322,16 @@ def _load_sfd(path):
     return _finite(ds.spectrograms, ds.targets)
 
 
-def _load_norm(path):
-    stats = load_norm_stats(path)
-    return _finite(stats.mean, stats.std)
-
-
-# name -> (writer, loader returning "values are finite", trials, hot span)
+# name -> (writer, loader returning "values are finite", trials, hot span, seed);
+# each seed is fixed, so adding or removing a format changes no other's mutations
 FORMATS = {
-    "checkpoint": (_write_checkpoint, _load_checkpoint, 60, 1100),
-    "rig": (_write_rig, _load_rig, 200, 64),
-    "wav_pcm16": (lambda p: write_wav(p, np.linspace(-0.9, 0.9, 100)), _load_wav, 200, 64),
+    "checkpoint": (_write_checkpoint, _load_checkpoint, 60, 1100, 0),
+    "rig": (_write_rig, _load_rig, 200, 64, 3),
+    "wav_pcm16": (lambda p: write_wav(p, np.linspace(-0.9, 0.9, 100)), _load_wav, 200, 64, 6),
     "wav_float32": (lambda p: write_wav(p, np.linspace(-0.9, 0.9, 100), fmt="float32"),
-                    _load_wav, 200, 64),
-    "csv": (_write_csv, _load_csv, 200, 600),
-    "sfd": (lambda p: save_dataset(small_dataset(), p), _load_sfd, 100, 64),
-    "norm": (lambda p: save_norm_stats(NormStats(np.ones(NUM_BANDS), np.ones(NUM_BANDS)), p),
-             _load_norm, 200, 64),
+                    _load_wav, 200, 64, 5),
+    "csv": (_write_csv, _load_csv, 200, 600, 1),
+    "sfd": (lambda p: save_dataset(small_dataset(), p), _load_sfd, 100, 1100, 4),
 }
 
 
@@ -366,12 +361,12 @@ def mutate(blob: bytes, rng, hot: int) -> bytes:
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_byte_mutations_raise_only_speechface_errors(tmp_path, fmt):
-    write, load, trials, hot = FORMATS[fmt]
+    write, load, trials, hot, seed = FORMATS[fmt]
     path = tmp_path / f"valid.{fmt}"
     write(path)
     valid = path.read_bytes()
     assert load(path)
-    rng = np.random.default_rng(sorted(FORMATS).index(fmt))
+    rng = np.random.default_rng(seed)
     escaped, non_finite, unplaced = [], [], []
     for trial in range(trials):
         path.write_bytes(mutate(valid, rng, hot))

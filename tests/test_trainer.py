@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import speechface
-from speechface.audio import NUM_BANDS, NUM_COLUMNS
+from speechface.audio import NUM_BANDS, NUM_COLUMNS, NormStats
 from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
 from speechface.errors import ConfigError, DataError, NumericError
@@ -358,6 +358,20 @@ class TestTrain:
         train(tiny_config(epochs=50), ds, on_step=stop_at_three)
         assert seen[-1][0] == 3
         assert len(seen) == 3
+
+    @pytest.mark.parametrize("given", [False, True], ids=["built", "passed_in"])
+    def test_model_takes_the_dataset_norm_stats(self, given):
+        """Built or passed in, the trained model carries the stats that
+        standardized the dataset, so its checkpoint normalizes new audio the
+        same way."""
+        rng = np.random.default_rng(15)
+        ds = build_synth_dataset(rng, counts=(8,))
+        ds.norm_stats = NormStats(rng.uniform(0, 3, NUM_BANDS), rng.uniform(0.1, 2, NUM_BANDS))
+        cfg = tiny_config(variant="cnn_static", epochs=1)
+        model = build_model(cfg.variant, cfg.seed) if given else None
+        trained, _ = train(cfg, ds, model=model)
+        np.testing.assert_array_equal(trained.norm_stats.mean, ds.norm_stats.mean)
+        np.testing.assert_array_equal(trained.norm_stats.std, ds.norm_stats.std)
 
     @pytest.mark.parametrize("variant,counts,minibatch,epoch_frames,bptt", [
         ("cnn_static", (12,), 8, 9, 32),     # one-frame tail after the only full batch
