@@ -91,8 +91,14 @@ class TestDatasetIO:
         np.testing.assert_array_equal(back.frame_indices, ds.frame_indices)
         np.testing.assert_array_equal(back.emotions, ds.emotions)
         np.testing.assert_array_equal(back.actors, ds.actors)
+
+    def test_norm_stats_roundtrip(self, tmp_path):
+        ds = make_dataset(np.random.default_rng(4), counts=(5, 4))
+        path = tmp_path / "train.sfd"
+        save_dataset(ds, path)
+        back = load_dataset(path).norm_stats
         for name in ("mean", "std"):
-            np.testing.assert_array_equal(getattr(back.norm_stats, name),
+            np.testing.assert_array_equal(getattr(back, name),
                                           getattr(ds.norm_stats, name).astype(np.float32))
 
     def test_norm_stats_default_to_identity(self, tmp_path):
