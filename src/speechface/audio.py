@@ -203,6 +203,14 @@ def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.nda
 # frame windows and spectrograms
 
 
+def check_fps(fps: float) -> float:
+    """``fps`` as a float, once it is known to be finite, positive and at most
+    SAMPLE_RATE, so that frame boundaries lie at least one sample apart."""
+    if not 0 < fps <= SAMPLE_RATE:  # also false for NaN
+        raise ConfigError(f"fps must be in (0, {SAMPLE_RATE}], got {fps}")
+    return float(fps)
+
+
 def frame_boundary(t: int, fps: float, sample_rate: int = SAMPLE_RATE) -> int:
     """Sample index just past video frame t: round((t+1) * rate / fps)."""
     return int(round((t + 1) * sample_rate / fps))
@@ -210,8 +218,7 @@ def frame_boundary(t: int, fps: float, sample_rate: int = SAMPLE_RATE) -> int:
 
 def frame_count(clip: AudioClip, fps: float) -> int:
     """Number of whole video frames covered by the clip."""
-    if fps <= 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
+    check_fps(fps)
     n = len(clip.samples)
     count = max(0, int(n * fps / clip.sample_rate) + 2)
     while count > 0 and frame_boundary(count - 1, fps, clip.sample_rate) > n:
@@ -227,8 +234,7 @@ def extract_frame_window(clip: AudioClip, t: int, fps: float) -> np.ndarray:
     """
     if t < 0:
         raise RangeError(f"frame index must be non-negative, got {t}")
-    if fps <= 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
+    check_fps(fps)
     if clip.sample_rate != SAMPLE_RATE:
         raise ConfigError(f"clip must be at {SAMPLE_RATE} Hz, got {clip.sample_rate}")
     end = frame_boundary(t, fps)

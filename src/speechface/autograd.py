@@ -554,14 +554,14 @@ def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
 class BatchNormState:
     """Per-channel scale/shift parameters plus running statistics."""
 
-    def __init__(self, name: str, channels: int, momentum: float = 0.9,
-                 epsilon: float = 1e-5, dtype=np.float32):
+    momentum = 0.9  # weight of the old running statistics per training batch
+    epsilon = 1e-5  # added to the variance before the square root
+
+    def __init__(self, name: str, channels: int, dtype=np.float32):
         self.gamma = Parameter(f"{name}.gamma", np.ones(channels, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.epsilon = epsilon
 
     @property
     def channels(self) -> int:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .audio import WINDOW_SAMPLES, compute_spectrogram, frame_boundary, normalize
+from .audio import WINDOW_SAMPLES, check_fps, compute_spectrogram, frame_boundary, normalize
 from .errors import ConfigError, DataError, SpeechFaceError
 from .model import Model, forward
 
@@ -31,10 +31,8 @@ class StreamingSession:
     """
 
     def __init__(self, model: Model, fps: float = 30.0):
-        if fps <= 0:
-            raise ConfigError(f"fps must be positive, got {fps}")
         self.model = model
-        self.fps = float(fps)
+        self.fps = check_fps(fps)
         self.reset()
 
     def reset(self) -> None:
@@ -48,16 +46,18 @@ class StreamingSession:
     def push(self, samples) -> list:
         """Consume a chunk; return the FaceFrames whose boundaries it crossed.
 
-        A chunk is consumed whole or not at all. One holding any NaN or Inf
-        sample raises DataError up front; one whose audio makes a frame fail
-        (samples so large that the spectrogram overflows, say) raises naming
-        that frame. Either way the buffered audio, the frame count and the
-        recurrent state stay as they were before the chunk.
+        A chunk is consumed whole or not at all. Samples must lie in [-1, 1],
+        the range of :class:`AudioClip`: a chunk holding any sample outside it,
+        NaN or Inf included, raises DataError up front. A chunk whose audio
+        makes a frame fail raises naming that frame. Either way the buffered
+        audio, the frame count and the recurrent state stay as they were
+        before the chunk.
         """
         samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-        bad = np.count_nonzero(~np.isfinite(samples))
+        bad = np.count_nonzero(~(np.abs(samples) <= 1.0))
         if bad:
-            raise DataError(f"chunk rejected: {bad} of {len(samples)} samples are not finite")
+            raise DataError(f"chunk rejected: {bad} of {len(samples)} samples "
+                            "are not finite values in [-1, 1]")
         # _append and forward replace these arrays rather than mutate them
         saved = (self._tail, self._heard, self.frames_emitted, self.state)
         emitted = []

@@ -5,7 +5,8 @@ all 49 components. Recurrent variants train with truncated backpropagation
 through time: contiguous subsequences of at most ``bptt_len`` frames, hidden
 state zeroed at each subsequence start. The static variant trains on shuffled
 one-frame segments. Every variant's minibatch is a list of (start, stop) row
-ranges.
+ranges. The trunk runs once over a minibatch's rows; recurrent step t then runs
+on the segments longer than t, so no step is padded and no loss is masked.
 """
 
 from __future__ import annotations
@@ -42,25 +43,19 @@ class TrainConfig:
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "
                                   "batch norm needs two frames per batch")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # also false for NaN
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
 
 # ---------------------------------------------------------------------------
 # objective
 
 
-def loss_op(pred: Tensor, target, mask=None) -> Tensor:
-    """Sum of squared differences as a differentiable graph node.
-
-    ``mask`` optionally weights the rows of ``pred`` by 0 or 1.
-    """
+def loss_op(pred: Tensor, target) -> Tensor:
+    """Sum of squared differences as a differentiable graph node."""
     diff = ag.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
-    sq = ag.mul(diff, diff)
-    if mask is not None:
-        sq = ag.mul(sq, Tensor(np.broadcast_to(
-            mask[:, None], sq.shape).astype(pred.dtype)))
-    return ag.sum_all(sq)
+    return ag.sum_all(ag.mul(diff, diff))
 
 
 def loss(pred, target) -> float:
@@ -76,10 +71,10 @@ def loss(pred, target) -> float:
     return float(loss_op(Tensor(pred), target).data)
 
 
-def _head_loss(y_r, y_e, target, mask=None) -> Tensor:
+def _head_loss(y_r, y_e, target) -> Tensor:
     """Squared error of both heads against 49-wide target rows."""
-    return ag.add(loss_op(y_r, target[:, :NUM_ROTATION], mask),
-                  loss_op(y_e, target[:, NUM_ROTATION:], mask))
+    return ag.add(loss_op(y_r, target[:, :NUM_ROTATION]),
+                  loss_op(y_e, target[:, NUM_ROTATION:]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,36 +161,35 @@ def make_batches(dataset: Dataset, config: TrainConfig, epoch_seed) -> list:
 # forward + loss over one minibatch
 
 
-def _layout(model: Model, batch):
-    """A minibatch as dataset ``rows`` plus a (segment, step) grid over them.
+def _trunk_input(model: Model, dataset: Dataset, batch) -> np.ndarray:
+    """The spectrograms of a minibatch, segment after segment, as (N,1,F,T)."""
+    rows = np.concatenate([np.arange(a, b) for a, b in batch])
+    return dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
 
-    ``idx[s, t]`` is the position in ``rows`` of step t of segment s, and
-    ``mask[s, t]`` is 1.0 where that step exists. Ragged segments are padded
-    with position 0 and weight 0, so padding contributes nothing to the
-    gradient.
+
+def _batch_loss(model: Model, dataset: Dataset, batch) -> Tensor:
+    """Summed squared error of one minibatch of (start, stop) segments.
+
+    The trunk runs once over every row of the batch. Step t of the recurrence
+    and the heads then run on the segments longer than t only: when a segment
+    ends, its rows leave the recurrent state.
     """
     starts, stops = np.asarray(batch, dtype=np.int64).T
     lengths = stops - starts
-    steps = np.arange(lengths.max())
-    present = steps < lengths[:, None]
-    rows = (starts[:, None] + steps)[present]
-    idx = np.where(present, (np.cumsum(lengths) - lengths)[:, None] + steps, 0)
-    return rows, idx, present.astype(model.dtype)
+    offsets = np.cumsum(lengths) - lengths
+    feats = model.trunk(Tensor(_trunk_input(model, dataset, batch)), training=True)
 
-
-def _batch_loss(model: Model, dataset: Dataset, batch, training=True) -> Tensor:
-    rows, idx, mask = _layout(model, batch)
-    x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
-    feats = model.trunk(Tensor(x), training=training)
-
-    state = tuple(map(Tensor, model.initial_state(len(idx), model.dtype)))
+    live = np.arange(len(batch))
+    state = tuple(map(Tensor, model.initial_state(len(batch), model.dtype)))
     total = None
-    for t in range(idx.shape[1]):
-        xt = ag.take_rows(feats, idx[:, t])
-        out, state = model.recur(xt, state)
+    for t in range(lengths.max()):
+        keep = np.flatnonzero(lengths[live] > t)
+        if len(keep) < len(live):
+            live = live[keep]
+            state = tuple(ag.take_rows(s, keep) for s in state)
+        out, state = model.recur(ag.take_rows(feats, offsets[live] + t), state)
         y_r, y_e = model.head_out(out)
-        target = dataset.targets[rows[idx[:, t]]]
-        term = _head_loss(y_r, y_e, target, mask[:, t])
+        term = _head_loss(y_r, y_e, dataset.targets[starts[live] + t])
         total = term if total is None else ag.add(total, term)
     return total
 
@@ -205,13 +199,12 @@ def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             return f"parameter {p.name}"
-    rows, _, _ = _layout(model, batch)
-    x = dataset.spectrograms[rows][:, None, :, :].astype(model.dtype)
+    x = _trunk_input(model, dataset, batch)
     with ag.no_grad():
         for name, feats in model.layers(Tensor(x), training=False):
             if not np.all(np.isfinite(feats.data)):
                 return name
-        state = tuple(map(Tensor, model.initial_state(len(rows), model.dtype)))
+        state = tuple(map(Tensor, model.initial_state(len(x), model.dtype)))
         out, _ = model.recur(feats, state)
         if not np.all(np.isfinite(out.data)):
             return "rnn"

@@ -31,7 +31,7 @@ from speechface.audio import (
     resample_linear,
     write_wav,
 )
-from speechface.errors import DataError, ParseError, RangeError, ShapeError
+from speechface.errors import ConfigError, DataError, ParseError, RangeError, ShapeError
 
 
 # =============================================================================
@@ -171,6 +171,22 @@ class TestFrameWindows:
         assert frame_count(clip2, 30.0) == 60
         short = AudioClip(np.zeros(100), SAMPLE_RATE)
         assert frame_count(short, 30.0) == 0
+
+    @pytest.mark.parametrize("fps", [0.0, -30.0, np.nan, np.inf, SAMPLE_RATE + 0.5, 1e9])
+    def test_unusable_fps_is_config_error(self, fps):
+        """Frames must lie at least one sample apart, so fps is at most the
+        sample rate; NaN and Inf never reach the frame arithmetic."""
+        clip = AudioClip(np.zeros(SAMPLE_RATE), SAMPLE_RATE)
+        with pytest.raises(ConfigError, match="fps must be in"):
+            frame_count(clip, fps)
+        with pytest.raises(ConfigError, match="fps must be in"):
+            extract_frame_window(clip, 0, fps)
+
+    def test_fps_at_the_sample_rate_gives_one_frame_per_sample(self):
+        clip = AudioClip(np.arange(SAMPLE_RATE) / SAMPLE_RATE, SAMPLE_RATE)
+        assert frame_count(clip, float(SAMPLE_RATE)) == SAMPLE_RATE
+        win = extract_frame_window(clip, 9, float(SAMPLE_RATE))
+        np.testing.assert_array_equal(win[-10:], clip.samples[:10])
 
     def test_first_frame_is_left_padded(self):
         """t=0 at 30 fps covers [-2754, 1470): zeros then samples 0..1469."""

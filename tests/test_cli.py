@@ -183,7 +183,8 @@ class TestTrain:
         assert "bptt" in capsys.readouterr().err.lower()
 
     @pytest.mark.parametrize("flag,value", [("--minibatch", "1"), ("--epoch-frames", "1"),
-                                            ("--epochs", "0"), ("--bptt", "0"), ("--lr", "0")])
+                                            ("--epochs", "0"), ("--bptt", "0"), ("--lr", "0"),
+                                            ("--lr", "nan"), ("--lr", "inf")])
     def test_rejected_value_names_the_flag(self, workdir, tmp_path, capsys, flag, value):
         out = tmp_path / "m.ckpt"
         rc = main(["train", "--dataset", str(workdir["dataset"]), flag, value,
@@ -227,6 +228,17 @@ class TestInfer:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "1e9"])
+    def test_unusable_fps_is_one_error_line(self, workdir, tmp_path, capsys, fps):
+        wav = workdir["wavs"] / "03-01-03-01-01-01-04.wav"
+        out = tmp_path / "x.csv"
+        rc = main(["infer", "--model", str(workdir["model"]), "--wav", str(wav),
+                   "--out", str(out), "--fps", fps])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fps must be in ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_realtime_matches_batch(self, workdir, tmp_path):
         wav = workdir["wavs"] / "03-01-03-01-01-01-04.wav"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from speechface.audio import AudioClip, SAMPLE_RATE, clip_spectrograms, frame_boundary, normalize
-from speechface.errors import DataError
+from speechface import stream
+from speechface.errors import ConfigError, DataError
 from speechface.model import build_model, forward_sequence
 from speechface.stream import StreamingSession, bench
 
@@ -73,6 +74,11 @@ class TestStreamingSession:
         assert any(
             not np.array_equal(a[t].vector, b[t].vector) for t in range(10, len(a)))
 
+    @pytest.mark.parametrize("fps", [0.0, np.nan, np.inf, 1e9])
+    def test_unusable_fps_is_config_error(self, fps):
+        with pytest.raises(ConfigError, match="fps must be in"):
+            StreamingSession(build_model("cnn_static", seed=0), fps=fps)
+
     def test_partial_frame_stays_buffered(self):
         model = build_model("cnn_static", seed=0)
         session = StreamingSession(model)
@@ -102,22 +108,49 @@ class TestStreamingSession:
             np.testing.assert_array_equal(g.vector, w.vector)
             assert np.all(np.isfinite(g.vector))
 
-    def test_chunk_that_fails_a_frame_is_not_consumed(self):
-        """Samples of 1e200 overflow the spectrogram. The chunk below emits
-        frame 4 from clean audio, then fails frame 5; afterwards the session
-        carries on exactly as if the chunk had never been pushed."""
+    @pytest.mark.parametrize("value", [1e200, 1.5, -1.0000001])
+    def test_short_out_of_range_chunk_does_not_wedge_the_stream(self, value):
+        """A chunk that crosses no frame boundary is still checked whole: a
+        sample outside [-1, 1] is rejected before it reaches the buffer."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        session = StreamingSession(model)
+        assert session.push(samples[:1000]) == []
+        with pytest.raises(DataError, match=r"1 of 10 samples .* \[-1, 1\]"):
+            session.push(np.concatenate([np.zeros(9), [value]]))
+        got = session.push(samples[1000:])
+        want = StreamingSession(model).push(samples)
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            assert g.vector.tobytes() == w.vector.tobytes()
+
+    def test_chunk_that_fails_a_frame_is_not_consumed(self, monkeypatch):
+        """The chunk below emits frame 4, then fails frame 5 through a forward
+        that raises; afterwards the session carries on exactly as if the chunk
+        had never been pushed."""
         model = build_model("cnn_gru", seed=5)
         samples = tone(0.6, freq=440.0)
         c1, c2 = samples[:7000], samples[7000:]
-        bad = np.concatenate([samples[7000:8000], np.full(2000, 1e200)])
+        bad = -samples[7000:10000]
+        failing = set()
 
+        def forward(model, spec, state):
+            if spec.frame_index in failing:
+                raise DataError("face parameters must be finite")
+            return real_forward(model, spec, state)
+
+        real_forward = stream.forward
+        monkeypatch.setattr(stream, "forward", forward)
         clean = StreamingSession(model)
         want = clean.push(c1) + clean.push(c2)
         session = StreamingSession(model)
         got = session.push(c1)
-        with np.errstate(all="ignore"), pytest.raises(DataError, match="at frame 5"):
+        failing.add(5)
+        with pytest.raises(DataError, match="at frame 5"):
             session.push(bad)
         assert session.frames_emitted == len(got) == 4
+        failing.clear()
         got += session.push(c2)
         assert len(got) == len(want) == 18
         for g, w in zip(got, want):
@@ -125,8 +158,10 @@ class TestStreamingSession:
             np.testing.assert_array_equal(g.vector, w.vector)
 
         fresh = StreamingSession(model)
-        with np.errstate(all="ignore"), pytest.raises(DataError, match="at frame 0"):
-            fresh.push(np.full(1470, 1e200))
+        failing.add(0)
+        with pytest.raises(DataError, match="at frame 0"):
+            fresh.push(bad[:1470])
+        failing.clear()
         for g, w in zip(fresh.push(c2), StreamingSession(model).push(c2)):
             np.testing.assert_array_equal(g.vector, w.vector)
 

@@ -10,15 +10,18 @@ import numpy as np
 import pytest
 
 import speechface
+from speechface import autograd as ag
 from speechface.audio import NUM_BANDS, NUM_COLUMNS, NormStats
 from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
 from speechface.errors import ConfigError, DataError, NumericError
 from speechface.face import FaceFrame, make_toy_rig
-from speechface.model import build_model, forward_sequence, save_checkpoint
+from speechface.model import VARIANTS, build_model, forward_sequence, save_checkpoint
 from speechface.trainer import (
     AdamState,
     TrainConfig,
+    _batch_loss,
+    _head_loss,
     adam_step,
     evaluate,
     loss,
@@ -276,6 +279,48 @@ class TestMakeBatches:
         cfg = TrainConfig(variant="cnn_static", seed=0)
         with pytest.raises(DataError):
             make_batches(empty, cfg, epoch_seed=0)
+
+
+# =============================================================================
+# Minibatch loss
+# =============================================================================
+
+def segmentwise_loss(model, ds, batch):
+    """Oracle for _batch_loss: one trunk pass over the batch's rows, then
+    each segment's recurrence and heads on their own from a zero state."""
+    rows = np.concatenate([np.arange(a, b) for a, b in batch])
+    feats = model.trunk(Tensor(ds.spectrograms[rows][:, None].astype(model.dtype)),
+                        training=True)
+    total, pos = None, 0
+    for a, b in batch:
+        state = tuple(map(Tensor, model.initial_state(1, model.dtype)))
+        for t in range(b - a):
+            out, state = model.recur(ag.take_rows(feats, [pos + t]), state)
+            term = _head_loss(*model.head_out(out), ds.targets[a + t:a + t + 1])
+            total = term if total is None else ag.add(total, term)
+        pos += b - a
+    return total
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ragged_batch_matches_segmentwise_oracle(self, variant):
+        """Segments of 4, 5, 1, 7 and 4 frames: each recurrent step runs on
+        the live segments only, and the loss and every parameter gradient
+        agree with the oracle to float32 rounding."""
+        ds = build_synth_dataset(np.random.default_rng(22), counts=(9, 5, 7))
+        batch = [(0, 4), (9, 14), (4, 5), (14, 21), (5, 9)]
+        got_model, want_model = build_model(variant, seed=7), build_model(variant, seed=7)
+        got = _batch_loss(got_model, ds, batch)
+        want = segmentwise_loss(want_model, ds, batch)
+        assert float(got.data) == pytest.approx(float(want.data), rel=1e-6)
+        got.backward()
+        want.backward()
+        pairs = [(p.name, p.grad, q.grad) for p, q in
+                 zip(got_model.parameters(), want_model.parameters())]
+        scale = max(float(np.abs(w).max()) for _, _, w in pairs)
+        for name, g, w in pairs:
+            assert float(np.abs(g - w).max()) <= 1e-5 * scale, name
 
 
 # =============================================================================
