@@ -7,7 +7,9 @@ closure on a tape; calling :meth:`Tensor.backward` on a scalar loss walks the
 tape in reverse topological order and accumulates exact gradients into every
 leaf tensor that requested them. Backward closures read their inputs' arrays
 when they run, so those arrays must not change in place between the forward
-pass and the backward pass.
+pass and the backward pass. The walk consumes the tape, releasing each node's
+saved arrays once its closure has run, so a recorded graph is differentiated
+once; a second backward through it raises :class:`StateError`.
 
 Arrays are float32 by default. Building inputs and parameters as float64
 switches the whole graph to 64-bit, which is what the finite-difference
@@ -38,6 +40,12 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._saved
         return False
+
+
+def _consumed(g):
+    """Backward of a node whose graph an earlier backward already walked."""
+    raise StateError("graph already consumed by an earlier backward; "
+                     "record the forward pass again")
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -85,8 +93,15 @@ class Tensor:
         ``self`` must be a scalar produced by a recorded forward pass; ``grad``
         optionally seeds the upstream gradient (defaults to 1). ``self`` keeps
         its gradient; intermediate tensors are left with ``grad`` None.
+
+        The walk consumes the graph: each node drops its parents and its
+        backward closure before the closure runs, so the arrays saved for
+        backward are freed as soon as they are used. A second backward that
+        reaches a consumed node, from this root or from another root sharing
+        the subgraph, raises :class:`StateError`; record the forward pass
+        again instead.
         """
-        if not self._prev:
+        if self._backward is None:
             raise StateError("backward called before any forward pass was recorded")
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -113,15 +128,22 @@ class Tensor:
                     stack.append((parent, False))
 
         # A non-leaf gradient is handed over to its node's backward, which
-        # may reuse the array in place, so the tape frees it as it goes.
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # may reuse the array in place, so the tape frees it as it goes. The
+        # node's links and closure go before the closure runs, so the arrays
+        # it saved are freed as soon as the walk moves on.
+        while order:
+            node = order.pop()
+            fn = node._backward
+            if fn is None:
+                continue
+            node._prev, node._backward = (), _consumed
+            if node.grad is not None:
                 g = node.grad
                 if node is self:
                     g = g.copy()
                 else:
                     node.grad = None
-                node._backward(g)
+                fn(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"

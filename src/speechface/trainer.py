@@ -36,6 +36,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        for name in ("epochs", "bptt_len", "minibatch_frames", "epoch_frames", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("epochs", "bptt_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

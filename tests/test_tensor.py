@@ -6,6 +6,9 @@ pooling, per-gate recurrent cells). Gradients are verified in 64-bit mode
 against the central-difference oracle in ``_gradcheck``.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -745,6 +748,39 @@ class TestGradientLifetime:
             loss.backward()
             grads.append([t.grad.tobytes() for t in leaves])
         assert grads[0] == grads[1]
+
+    def test_backward_releases_the_tape(self):
+        """Arrays that only the tape holds die during backward by reference
+        counting alone, so no closure keeps its own output alive."""
+        loss, _, inner = _trunk_graph(np.float64)
+        refs = [weakref.ref(t.data) for t in inner]
+        del inner
+        gc.disable()
+        try:
+            assert all(r() is not None for r in refs)
+            loss.backward()
+            assert [r() is None for r in refs] == [True] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_second_backward_on_a_root_raises(self):
+        loss, leaves, _ = _trunk_graph(np.float64)
+        loss.backward()
+        grads = [t.grad.copy() for t in leaves]
+        with pytest.raises(StateError, match="graph already consumed by an earlier backward"):
+            loss.backward()
+        for t, g in zip(leaves, grads):
+            np.testing.assert_array_equal(t.grad, g)
+
+    def test_backward_into_a_consumed_subgraph_raises(self):
+        """A second root sharing a subgraph with a differentiated one fails
+        instead of silently dropping the shared part's gradient."""
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        h = mul(x, x)
+        first, second = sum_all(h), sum_all(relu(h))
+        first.backward()
+        with pytest.raises(StateError, match="graph already consumed by an earlier backward"):
+            second.backward()
 
 
 # =============================================================================

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,13 @@ class TestMakeBatches:
                                               "batch norm needs two frames per batch"):
             TrainConfig(**{field: 1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", float("nan")), ("bptt_len", float("inf")),
+        ("minibatch_frames", 2.5), ("seed", 1.5), ("epoch_frames", True)])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig(**{field: value})
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(8)
         ds = build_synth_dataset(rng, counts=(4,))
@@ -434,6 +442,25 @@ class TestTrain:
         train(cfg, ds, on_step=lambda step, value: steps.append(value))
         assert len(steps) == len(batches)
         assert all(np.isfinite(steps))
+
+    def test_step_memory_does_not_grow(self):
+        """Backward releases a step's graph, so the next step does not build
+        its graph while the last one is still alive."""
+        ds = build_synth_dataset(np.random.default_rng(23), counts=(16, 16))
+        cfg = tiny_config(minibatch_frames=32, epoch_frames=32, bptt_len=8)
+        peaks = []
+
+        def record_peak(step, value):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            train(cfg, ds, on_step=record_peak)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_training_reduces_loss_on_tiny_overfit(self):
         """A few dozen steps on one tiny batch should cut the loss."""
