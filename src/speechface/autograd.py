@@ -1,8 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Everything the network needs is built from the primitives in this module:
-convolution, max pooling, batch normalization, dense layers, elementwise
-activations and the LSTM/GRU cell steps. Each primitive records a backward
+convolution, max pooling, batch normalization (alone, or fused with ReLU and
+a two-tap pool for training), dense layers, elementwise activations and the
+LSTM/GRU cell steps. Each primitive records a backward
 closure on a tape; calling :meth:`Tensor.backward` on a scalar loss walks the
 tape in reverse topological order and accumulates exact gradients into every
 leaf tensor that requested them. Backward closures read their inputs' arrays
@@ -320,6 +321,13 @@ def sigmoid(x: Tensor) -> Tensor:
 # 512 KiB of each operand: a block that one step reads from memory is still
 # in cache (2 MiB of L2 per core, with up to three operands in flight) for
 # the steps after it, so each full-size array is written once.
+#
+# In training, a batch-normalized conv followed by a two-tap pool runs
+# bn_relu_pool: batch norm, ReLU and the pool as one node that keeps only its
+# input on the tape and renormalizes block by block in backward, so the
+# normalized and activated arrays are never stored at full size. Inference
+# keeps the separate ops, whose every stage the layer walk reports; the
+# batched inference plan folds batch norm into the conv weights instead.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -629,26 +637,22 @@ def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
             ob += shift
 
 
-def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Normalize per channel (axis 1), then scale by gamma and shift by beta.
+def _bn_fold(xd: np.ndarray, state: BatchNormState, training: bool, op: str):
+    """Batch norm on ``xd`` as (mu, inv, scale, shift) per channel, where
+    out = x * scale + shift and inv = 1 / sqrt(var + eps).
 
-    Training mode uses batch statistics and folds them into the running
-    mean/variance with the state's momentum; inference mode uses the running
-    statistics. Variance is the population (biased) variance throughout, so
-    running statistics converge exactly to the training-mode normalizer.
+    Training mode takes the batch statistics and folds them into the running
+    mean/variance with the state's momentum; inference mode reads the running
+    statistics. Errors name ``op``.
     """
-    xd = x.data
     if xd.ndim < 2:
-        raise ShapeError(f"batch_norm: expected at least (B,C) input, got {x.shape}")
+        raise ShapeError(f"{op}: expected at least (B,C) input, got {xd.shape}")
     if xd.shape[1] != state.channels:
-        raise ShapeError(f"batch_norm: input has {xd.shape[1]} channels, state has {state.channels}")
+        raise ShapeError(f"{op}: input has {xd.shape[1]} channels, state has {state.channels}")
     if training and xd.shape[0] < 2:
-        raise ConfigError("batch_norm: training mode requires batch size >= 2")
-
-    eps = state.epsilon
-    n_red = xd.size // xd.shape[1]
-
+        raise ConfigError(f"{op}: training mode requires batch size >= 2")
     if training:
+        n_red = xd.size // xd.shape[1]
         sum_x, sum_xx = _channel_sums(xd, xd)
         mu64 = sum_x / n_red
         mu = mu64.astype(xd.dtype)
@@ -661,35 +665,113 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     else:
         mu = state.running_mean.astype(xd.dtype, copy=False)
         var = state.running_var.astype(xd.dtype, copy=False)
+    inv = 1.0 / np.sqrt(var + state.epsilon)
+    gamma, beta = state.gamma.data, state.beta.data
+    return mu, inv, gamma * inv, beta - mu * gamma * inv
 
-    inv = 1.0 / np.sqrt(var + eps)
-    gamma, beta = state.gamma, state.beta
-    # folded per-channel affine: out = x * scale + shift
-    scale = gamma.data * inv
-    shift = beta.data - mu * gamma.data * inv
+
+def _bn_backward(g: np.ndarray, x: Tensor, state: BatchNormState, fold, training: bool) -> None:
+    """Accumulate batch norm's gamma, beta and input gradients from the
+    C-contiguous gradient ``g`` of its output, which becomes the input's.
+
+    Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
+    gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged below into
+    g * scale + x * A + C so xhat is never materialized.
+    """
+    xd = x.data
+    mu, inv, scale, _ = fold
+    n_red = xd.size // xd.shape[1]
+    sum_g, sum_gx = _channel_sums(g, xd)
+    sum_gx = (sum_gx - mu * sum_g) * inv
+    _accum_owned(state.gamma, sum_gx.astype(state.gamma.dtype))
+    _accum_owned(state.beta, sum_g.astype(state.beta.dtype))
+    if x.requires_grad:
+        if training:
+            a_ch = -(scale * inv) * (sum_gx / n_red)
+            c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
+            _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
+        else:
+            _channel_affine(g, [(g, scale)])
+        _accum_owned(x, g)
+
+
+def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
+    """Normalize per channel (axis 1), then scale by gamma and shift by beta.
+
+    Training mode uses batch statistics and folds them into the running
+    mean/variance with the state's momentum; inference mode uses the running
+    statistics. Variance is the population (biased) variance throughout, so
+    running statistics converge exactly to the training-mode normalizer.
+    """
+    xd = x.data
+    fold = _bn_fold(xd, state, training, "batch_norm")
+    _, _, scale, shift = fold
     out = np.empty(xd.shape, dtype=np.result_type(xd, scale, shift))
     _channel_affine(out, [(xd, scale)], shift)
 
     def backward(g):
-        # Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
-        # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged below
-        # into g * scale + x * A + C so xhat is never materialized. The
-        # upstream gradient is overwritten with it.
-        g = np.ascontiguousarray(g)
-        sum_g, sum_gx = _channel_sums(g, xd)
-        sum_gx = (sum_gx - mu * sum_g) * inv
-        _accum_owned(gamma, sum_gx.astype(gamma.dtype))
-        _accum_owned(beta, sum_g.astype(beta.dtype))
-        if x.requires_grad:
-            if training:
-                a_ch = -(scale * inv) * (sum_gx / n_red)
-                c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
-                _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
-            else:
-                _channel_affine(g, [(g, scale)])
-            _accum_owned(x, g)
+        # the upstream gradient is overwritten with the input gradient
+        _bn_backward(np.ascontiguousarray(g), x, state, fold, training)
 
-    return _make(out, (x, gamma, beta), backward)
+    return _make(out, (x, state.gamma, state.beta), backward)
+
+
+def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
+    """``max_pool2d(relu(batch_norm(x, state, True)), window)`` as one node,
+    for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
+
+    Gives the same output, running statistics and gradients, bit for bit, but
+    keeps only ``x`` on the tape: the normalized and activated arrays never
+    exist at full size. After the statistics pass, each block of samples is
+    normalized into one reused buffer and the larger of its two taps goes to
+    the output; ReLU then runs on the pooled output, since max commutes with
+    it. Backward masks the upstream gradient by the ReLU of the pooled output,
+    renormalizes each block to route it to the winning tap (ties to the
+    first, as in max_pool2d), then finishes as batch_norm's backward does.
+    """
+    xd = x.data
+    window = tuple(window)
+    if xd.ndim != 4 or window not in ((2, 1), (1, 2)):
+        raise ShapeError(f"bn_relu_pool: expected (B,C,F,T) input and a (2,1) or (1,2) "
+                         f"window, got {x.shape} and {window}")
+    axis = 2 if window[0] == 2 else 3
+    n_out = xd.shape[axis] // 2
+    if n_out == 0:
+        raise ShapeError(f"bn_relu_pool: window {window} larger than input {xd.shape[2:]}")
+
+    def tap(a, k):
+        return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
+
+    fold = _bn_fold(xd, state, True, "bn_relu_pool")
+    _, _, scale, shift = fold
+    dtype = np.result_type(xd, scale, shift)
+    out = np.empty(xd.shape[:axis] + (n_out,) + xd.shape[axis + 1:], dtype=dtype)
+    blocks = _blocks(len(xd), xd[:1].size * np.dtype(dtype).itemsize)
+
+    def normalized():
+        """Each block of samples with batch norm applied, in one reused buffer."""
+        buf = np.empty((blocks[0].stop,) + xd.shape[1:], dtype=dtype)
+        for blk in blocks:
+            b = buf[:blk.stop - blk.start]
+            _channel_affine(b, [(xd[blk], scale)], shift)
+            yield blk, b
+
+    for blk, b in normalized():
+        ob = np.maximum(tap(b, 0), tap(b, 1), out=out[blk])
+        np.maximum(ob, 0, out=ob)
+
+    def backward(g):
+        np.multiply(g, out > 0, out=g)
+        gx = np.empty(xd.shape, dtype=dtype)
+        if 2 * n_out < xd.shape[axis]:
+            gx[(slice(None),) * axis + (-1,)] = 0  # the dropped trailing row
+        for blk, b in normalized():
+            wins = tap(b, 1) > tap(b, 0)
+            np.multiply(g[blk], wins, out=tap(gx[blk], 1))
+            np.multiply(g[blk], ~wins, out=tap(gx[blk], 0))
+        _bn_backward(gx, x, state, fold, True)
+
+    return _make(out, (x, state.gamma, state.beta), backward)
 
 
 # ---------------------------------------------------------------------------

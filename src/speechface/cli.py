@@ -84,7 +84,8 @@ def cmd_prepare(args) -> int:
 
 # TrainConfig field -> the flag that sets it, for naming rejected values
 _TRAIN_FLAGS = {"learning_rate": "--lr", "minibatch_frames": "--minibatch",
-                "epoch_frames": "--epoch-frames", "epochs": "--epochs", "bptt_len": "--bptt"}
+                "epoch_frames": "--epoch-frames", "epochs": "--epochs", "bptt_len": "--bptt",
+                "seed": "--seed"}
 
 
 def cmd_train(args) -> int:

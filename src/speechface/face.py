@@ -274,12 +274,3 @@ def write_obj(path, vertices: np.ndarray, faces: np.ndarray | None = None) -> No
     if faces is not None:
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in np.asarray(faces)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_obj_vertices(path) -> np.ndarray:
-    """Parse vertex lines back out of an OBJ file."""
-    verts = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("v "):
-            verts.append([float(x) for x in line.split()[1:4]])
-    return np.array(verts)

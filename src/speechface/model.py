@@ -139,9 +139,6 @@ class Model:
                    self.head_r_w, self.head_r_b, self.head_e_w, self.head_e_b]
         return params
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def named_arrays(self):
         """Parameters plus batch-norm running statistics, for persistence."""
         entries = [(p.name, p.data) for p in self.parameters()]
@@ -160,20 +157,36 @@ class Model:
 
     def layers(self, x: Tensor, training: bool):
         """Walk the trunk, yielding (layer name, output) for the input, each
-        conv/pool stage and the first dense layer: (B,1,F,T) -> (B,hidden)."""
+        conv/pool stage and the first dense layer: (B,1,F,T) -> (B,hidden).
+
+        In training, a batch-normalized conv followed by a two-tap pool runs
+        its batch norm, ReLU and pool as one :func:`~.autograd.bn_relu_pool`
+        node, yielded under the pool's name: the tape then keeps the conv's
+        output only. Inference yields every stage, which is what
+        :func:`forward_trace` and the non-finite diagnostics read.
+        """
         expect = (1, self.arch.input_bands, self.arch.input_columns)
         if x.ndim != 4 or x.shape[1:] != expect:
             raise ShapeError(f"input: expected (B,) + {expect}, got {x.shape}")
         yield "input", x
-        for spec in self.arch.stack:
+        stack = self.arch.stack
+        fused = None
+        for spec, nxt in zip(stack, stack[1:] + (None,)):
+            if spec is fused:
+                continue
             try:
                 if isinstance(spec, ConvSpec):
                     x = ag.conv2d(x, self.conv_w[spec.name], self.conv_b[spec.name],
                                   spec.stride, spec.pad)
                     bn = self.conv_bn.get(spec.name)
-                    if bn is not None:
-                        x = ag.batch_norm(x, bn, training)
-                    x = ag.relu(x)
+                    if (training and bn is not None and isinstance(nxt, PoolSpec)
+                            and nxt.window in ((2, 1), (1, 2)) and nxt.stride == nxt.window):
+                        x = ag.bn_relu_pool(x, bn, nxt.window)
+                        spec = fused = nxt
+                    else:
+                        if bn is not None:
+                            x = ag.batch_norm(x, bn, training)
+                        x = ag.relu(x)
                 else:
                     x = ag.max_pool2d(x, spec.window, spec.stride)
             except ShapeError as err:

@@ -43,6 +43,8 @@ class TrainConfig:
         for name in ("epochs", "bptt_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("minibatch_frames", "epoch_frames"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "

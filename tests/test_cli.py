@@ -12,8 +12,10 @@ import pytest
 from speechface.audio import SAMPLE_RATE, write_wav
 from speechface.cli import build_parser, main
 from speechface.data import load_dataset, read_param_csv, write_param_csv
-from speechface.face import FaceFrame, make_toy_rig, read_obj_vertices, save_rig
+from speechface.face import FaceFrame, make_toy_rig, save_rig
 from speechface.model import load_checkpoint
+
+from _objfile import read_obj_vertices
 
 
 def sine_clip(seconds, freq):
@@ -184,7 +186,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [("--minibatch", "1"), ("--epoch-frames", "1"),
                                             ("--epochs", "0"), ("--bptt", "0"), ("--lr", "0"),
-                                            ("--lr", "nan"), ("--lr", "inf")])
+                                            ("--lr", "nan"), ("--lr", "inf"), ("--seed", "-1")])
     def test_rejected_value_names_the_flag(self, workdir, tmp_path, capsys, flag, value):
         out = tmp_path / "m.ckpt"
         rc = main(["train", "--dataset", str(workdir["dataset"]), flag, value,

@@ -18,11 +18,12 @@ from speechface.face import (
     make_toy_rig,
     quaternion_from_free_params,
     quaternion_to_matrix,
-    read_obj_vertices,
     save_rig,
     weights_mse,
     write_obj,
 )
+
+from _objfile import read_obj_vertices
 
 
 def neutral_frame(frame_index=0):

@@ -82,7 +82,7 @@ class TestArchitecture:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_parameter_totals(self, variant):
         model = build_model(variant, seed=1)
-        assert model.param_count() == EXPECTED_PARAMS[variant]
+        assert sum(p.data.size for p in model.parameters()) == EXPECTED_PARAMS[variant]
 
     def test_variant_ordering(self):
         counts = [EXPECTED_PARAMS[v] for v in ("cnn_static", "cnn_gru", "cnn_lstm")]
@@ -100,6 +100,60 @@ class TestArchitecture:
     def test_unknown_variant_rejected(self):
         with pytest.raises(Exception):
             build_model("cnn_rnn", seed=0)
+
+
+def unfused_trunk(model, x):
+    """Model.layers' training walk with every stage as its own op."""
+    for spec in model.arch.stack:
+        if spec.name in model.conv_w:
+            x = ag.conv2d(x, model.conv_w[spec.name], model.conv_b[spec.name],
+                          spec.stride, spec.pad)
+            if spec.name in model.conv_bn:
+                x = ag.batch_norm(x, model.conv_bn[spec.name], training=True)
+            x = ag.relu(x)
+        else:
+            x = ag.max_pool2d(x, spec.window, spec.stride)
+    x = ag.reshape(x, (x.shape[0], model.arch.flat_dim))
+    return ag.tanh(ag.dense(x, model.dense1_w, model.dense1_b))
+
+
+class TestTrainingWalk:
+    def test_pooled_stages_are_fused_in_training_only(self):
+        model = build_model("cnn_static", seed=0)
+        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))
+        dims = dict(EXPECTED_TRACE)
+        with ag.no_grad():
+            train_rows = [(n, t.shape[1:]) for n, t in model.layers(x, training=True)]
+            infer_rows = [(n, t.shape[1:]) for n, t in model.layers(x, training=False)]
+        assert [n for n, _ in train_rows] == ["input", "pool1", "pool2", "conv3", "conv4",
+                                              "pool5", "conv6", "conv7", "conv8", "dense1"]
+        assert all(dims[n] == d for n, d in train_rows)
+        assert infer_rows == EXPECTED_TRACE[:13]
+
+    def test_fused_trunk_is_bitwise_the_unfused_walk(self):
+        """Features, every trunk gradient and the running stats after one
+        training-mode pass each."""
+        x = np.random.default_rng(5).normal(size=(3, 1, NUM_BANDS, NUM_COLUMNS))
+        proj = np.random.default_rng(6).normal(size=(3, STANDARD_ARCH.hidden))
+        results = []
+        for fused in (True, False):
+            model = build_model("cnn_static", seed=4)
+            tx = ag.Tensor(x.astype(np.float32))
+            feats = model.trunk(tx, training=True) if fused else unfused_trunk(model, tx)
+            ag.sum_all(ag.mul(feats, ag.Tensor(proj.astype(np.float32)))).backward()
+            results.append([feats.data.tobytes()]
+                           + [p.grad.tobytes() for p in model.parameters() if p.grad is not None]
+                           + [bn.running_mean.tobytes() + bn.running_var.tobytes()
+                              for bn in model.conv_bn.values()])
+        assert results[0] == results[1]
+
+    def test_fused_stage_error_names_its_conv(self):
+        model = build_model("cnn_static", seed=0)
+        model.conv_bn["conv2"] = ag.BatchNormState("conv2.bn", 3)
+        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))
+        with pytest.raises(ShapeError, match="layer conv2: bn_relu_pool: input has 96 "
+                                             "channels, state has 3"):
+            model.trunk(x, training=True)
 
 
 # =============================================================================

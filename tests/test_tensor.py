@@ -7,11 +7,13 @@ against the central-difference oracle in ``_gradcheck``.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from speechface import autograd as ag
 from speechface.autograd import (
     BatchNormState,
     GRUParams,
@@ -20,6 +22,7 @@ from speechface.autograd import (
     Tensor,
     add,
     batch_norm,
+    bn_relu_pool,
     conv2d,
     dense,
     gru_step,
@@ -400,6 +403,120 @@ class TestBatchNorm:
         state = BatchNormState("bn", 2)
         with pytest.raises(ShapeError):
             batch_norm(Tensor(np.zeros((2, 3, 4, 4))), state, training=True)
+
+
+def _tied_pairs(rng, shape, window, dtype):
+    """Input whose pooled pairs include exact ties and pairs below the mean."""
+    x = rng.normal(loc=0.3, scale=1.5, size=shape).astype(dtype)
+    axis = 2 if window[0] == 2 else 3
+    tap0, tap1 = (np.moveaxis(x, axis, 0)[k:shape[axis] // 2 * 2:2] for k in (0, 1))
+    tap1[...] = np.where(rng.random(tap1.shape) < 0.2, tap0, tap1)
+    return x
+
+
+def _bn_relu_pool_run(fused, x, window, gamma, beta, proj):
+    """Output, input/gamma/beta gradients and running stats of one stage."""
+    state = BatchNormState("bn", x.shape[1], dtype=x.dtype)
+    state.gamma.data[:] = gamma
+    state.beta.data[:] = beta
+    tx = Tensor(x, requires_grad=True)
+    if fused:
+        out = bn_relu_pool(tx, state, window)
+    else:
+        out = max_pool2d(relu(batch_norm(tx, state, training=True)), window)
+    _proj_loss(out, proj).backward()
+    return [out.data, tx.grad, state.gamma.grad, state.beta.grad,
+            state.running_mean, state.running_var]
+
+
+class TestBnReluPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,window", [((6, 4, 8, 5), (2, 1)), ((6, 4, 5, 8), (1, 2)),
+                                              ((5, 3, 7, 4), (2, 1)), ((40, 8, 64, 16), (2, 1))])
+    def test_bitwise_equal_to_unfused_chain(self, shape, window, dtype):
+        """Output, every gradient and the running stats, with exact ties and
+        pairs whose taps are both negative; an odd trailing row is dropped.
+        The last shape spans several sample blocks."""
+        rng = np.random.default_rng(37)
+        x = _tied_pairs(rng, shape, window, dtype)
+        gamma = rng.normal(size=shape[1]).astype(dtype)
+        beta = rng.normal(size=shape[1]).astype(dtype)
+        proj = rng.normal(size=max_pool2d(Tensor(x), window).shape).astype(dtype)
+        # the cases this test is about occur in the normalized input
+        norm = batch_norm(Tensor(x), BatchNormState("bn", shape[1], dtype=dtype), True).data
+        axis = 2 if window[0] == 2 else 3
+        taps = [np.moveaxis(norm, axis, 0)[k:shape[axis] // 2 * 2:2] for k in (0, 1)]
+        assert (taps[0] == taps[1]).any() and ((taps[0] < 0) & (taps[1] < 0)).any()
+
+        got = _bn_relu_pool_run(True, x, window, gamma, beta, proj)
+        want = _bn_relu_pool_run(False, x, window, gamma, beta, proj)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("window", [(2, 1), (1, 2)])
+    def test_gradients(self, window):
+        """Float64 central differences. The input is distinct and spaced,
+        so no pair is near a tie, and no activation is within 1e-4 of the
+        ReLU kink, while a probe moves an activation by under 1e-6."""
+        rng = np.random.default_rng(38)
+        shape = (4, 2, 6, 4)
+        x = (rng.permutation(np.prod(shape)) * 0.37).reshape(shape)
+        gamma = np.array([1.3, -0.8])
+        beta = np.array([0.05, -0.11])
+        proj = rng.normal(size=max_pool2d(Tensor(x), window).shape)
+        norm = batch_norm(Tensor(x), BatchNormState("bn", 2, dtype=np.float64), True).data
+        act = norm * gamma[:, None, None] + beta[:, None, None]
+        assert np.abs(act).min() > 1e-4 and (act < 0).any()
+
+        def build(vals):
+            state = BatchNormState("bn", 2, dtype=np.float64)
+            state.gamma.data[:] = vals[1]
+            state.beta.data[:] = vals[2]
+            tx = Tensor(vals[0], requires_grad=True)
+            out = bn_relu_pool(tx, state, window)
+            return _proj_loss(out, proj), [tx, state.gamma, state.beta]
+
+        assert check_gradients(build, [x, gamma, beta]) <= 1e-4
+
+    def test_training_needs_batch_of_two(self):
+        with pytest.raises(ConfigError, match="batch size >= 2"):
+            bn_relu_pool(Tensor(np.zeros((1, 2, 4, 4))), BatchNormState("bn", 2), (2, 1))
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeError, match="bn_relu_pool: input has 3 channels, state has 2"):
+            bn_relu_pool(Tensor(np.zeros((2, 3, 4, 4))), BatchNormState("bn", 2), (2, 1))
+
+    @pytest.mark.parametrize("shape,window", [((2, 2, 4, 4), (2, 2)), ((2, 2, 1, 4), (2, 1)),
+                                              ((2, 2, 4), (2, 1))])
+    def test_bad_window_or_input_rejected(self, shape, window):
+        with pytest.raises(ShapeError, match="bn_relu_pool"):
+            bn_relu_pool(Tensor(np.zeros(shape)), BatchNormState("bn", 2), window)
+
+    def test_tape_holds_only_input_and_output(self):
+        """Forward of a conv1-sized stage under tracemalloc: the fused node
+        allocates its output and one block buffer at most (plus numpy's
+        ufunc buffers, under 128 KiB), and keeps only its output, while the
+        unfused chain keeps two more full-size arrays (the normalized and
+        the activated input)."""
+        x = np.random.default_rng(39).normal(size=(8, 64, 64, 32)).astype(np.float32)
+        for fused in (True, False):
+            state = BatchNormState("conv1.bn", 64)
+            tx = Tensor(x, requires_grad=True)
+            tracemalloc.start()
+            try:
+                if fused:
+                    out = bn_relu_pool(tx, state, (2, 1))
+                else:
+                    out = max_pool2d(relu(batch_norm(tx, state, training=True)), (2, 1))
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if fused:
+                assert peak <= out.data.nbytes + ag._BLOCK_BYTES + (128 << 10), peak
+                assert held <= out.data.nbytes + (64 << 10), held
+            else:
+                assert held >= out.data.nbytes + 2 * x.nbytes, held
 
 
 # =============================================================================

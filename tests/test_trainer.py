@@ -279,6 +279,10 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(8)
         ds = build_synth_dataset(rng, counts=(4,))
