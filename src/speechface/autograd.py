@@ -87,13 +87,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad=None) -> None:
+    def backward(self) -> None:
         """Accumulate d(self)/d(x) into every leaf tensor x on the recorded
         tape (parameters and inputs that requested gradients).
 
-        ``self`` must be a scalar produced by a recorded forward pass; ``grad``
-        optionally seeds the upstream gradient (defaults to 1). ``self`` keeps
-        its gradient; intermediate tensors are left with ``grad`` None.
+        ``self`` must be a scalar produced by a recorded forward pass; it keeps
+        its gradient of 1, and intermediate tensors are left with ``grad`` None.
 
         The walk consumes the graph: each node drops its parents and its
         backward closure before the closure runs, so the arrays saved for
@@ -106,11 +105,7 @@ class Tensor:
             raise StateError("backward called before any forward pass was recorded")
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.data.shape}")
-        if grad is None:
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.data.shape)
-        self.grad = grad
+        self.grad = np.ones_like(self.data)
 
         order = []
         visited = set()
@@ -322,12 +317,10 @@ def sigmoid(x: Tensor) -> Tensor:
 # in cache (2 MiB of L2 per core, with up to three operands in flight) for
 # the steps after it, so each full-size array is written once.
 #
-# In training, a batch-normalized conv followed by a two-tap pool runs
-# bn_relu_pool: batch norm, ReLU and the pool as one node that keeps only its
-# input on the tape and renormalizes block by block in backward, so the
-# normalized and activated arrays are never stored at full size. Inference
-# keeps the separate ops, whose every stage the layer walk reports; the
-# batched inference plan folds batch norm into the conv weights instead.
+# In training every pool follows a batch-normalized conv and runs inside
+# bn_relu_pool, one node that keeps only its input on the tape. The layer
+# walk of inference runs batch norm, ReLU and max_pool2d as separate ops, so
+# it reports every stage; the batched plan folds batch norm into the convs.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -531,52 +524,34 @@ def _col2im(gx, gcol, tap_view, taps, stride, pad) -> None:
 def max_pool2d(x: Tensor, window, stride=None) -> Tensor:
     """Max pooling over (freq, time) windows; trailing partial windows drop.
 
-    Argmax positions are recorded so the backward pass routes each upstream
-    gradient element to exactly one input position; ties go to the first.
+    Only ``x`` and the output stay on the tape: backward routes each upstream
+    gradient element to the first tap, in window order, equal to the output.
     """
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d: expected (B,C,F,T) input, got {x.shape}")
     w_f, w_t = window
     s_f, s_t = stride if stride is not None else window
-    nb, nc, f_in, t_in = xd.shape
+    f_in, t_in = xd.shape[2:]
     if w_f > f_in or w_t > t_in:
         raise ShapeError(f"max_pool2d: window ({w_f},{w_t}) larger than input ({f_in},{t_in})")
     f_out = (f_in - w_f) // s_f + 1
     t_out = (t_in - w_t) // s_t + 1
+    taps = [(..., slice(i, i + s_f * f_out, s_f), slice(j, j + s_t * t_out, s_t))
+            for i in range(w_f) for j in range(w_t)]
 
-    if w_f * w_t == 2 and (s_f, s_t) == (w_f, w_t) and (f_in, t_in) == (w_f * f_out, w_t * t_out):
-        # Non-overlapping two-element windows that tile the input: both taps
-        # are views of one reshape, and the gradient is written through it
-        # once. The winner mask is recomputed only if backward runs.
-        pair = (nb, nc, f_out, 2, t_out) if w_f == 2 else (nb, nc, f_out, t_out, 2)
-        tap = [(slice(None),) * (3 if w_f == 2 else 4) + (k,) for k in (0, 1)]
-        xv = xd.reshape(pair)
-        out = np.maximum(xv[tap[0]], xv[tap[1]])
+    out = np.maximum(xd[taps[0]], xd[taps[-1]])  # a copy for a one-tap window
+    for tap in taps[1:-1]:
+        np.maximum(out, xd[tap], out=out)
 
-        def backward(g):
-            if x.requires_grad:
-                gx = np.empty(xd.shape, dtype=xd.dtype)
-                gv = gx.reshape(pair)
-                wins = xv[tap[1]] > xv[tap[0]]
-                np.multiply(g, wins, out=gv[tap[1]])
-                np.multiply(g, ~wins, out=gv[tap[0]])
-                _accum_owned(x, gx)
-
-        return _make(out, (x,), backward)
-
-    taps = [(i, j) for i in range(w_f) for j in range(w_t)]
-    views = [xd[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] for i, j in taps]
-    stacked = np.stack(views)
-    amax = stacked.argmax(axis=0)
-    out = stacked.max(axis=0)
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for k, (i, j) in enumerate(taps):
-                gx[:, :, i:i + s_f * f_out:s_f, j:j + s_t * t_out:s_t] += g * (amax == k)
-            _accum_owned(x, gx)
+    def backward(g):  # recorded only when x requires a gradient
+        gx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)
+        for tap in taps:
+            won = free & (xd[tap] == out)
+            free &= ~won
+            gx[tap] += g * won
+        _accum_owned(x, gx)
 
     return _make(out, (x,), backward)
 

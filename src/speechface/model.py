@@ -538,8 +538,8 @@ def forward(model: Model, spec, state: tuple | None = None):
             tuple(s.data for s in state))
 
 
-def forward_sequence(model: Model, specs, initial_state: tuple | None = None):
-    """Run a spectrogram sequence through the network, carrying state.
+def forward_sequence(model: Model, specs):
+    """Run a spectrogram sequence through the network from a zero state.
 
     Compiles the model's current weights into a plan and runs every frame
     through it. Gives the frames of folding :func:`forward` over the
@@ -550,18 +550,15 @@ def forward_sequence(model: Model, specs, initial_state: tuple | None = None):
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
     if len(specs) == 1:
-        return [forward(model, specs[0], initial_state)[0]]
-    params, _ = _infer(_compile(model), np.stack([_spec_bands(s) for s in specs]),
-                       initial_state)
+        return [forward(model, specs[0])[0]]
+    params, _ = _infer(_compile(model), np.stack([_spec_bands(s) for s in specs]), None)
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
             for i, (p, s) in enumerate(zip(params, specs))]
 
 
-def forward_trace(model: Model, spec=None) -> list:
-    """Layer-by-layer output dims of a single-frame pass (batch dim stripped)."""
-    if spec is None:
-        spec = np.zeros((model.arch.input_bands, model.arch.input_columns))
-    x = Tensor(np.asarray(_spec_bands(spec), dtype=np.float64)[None, None])
+def forward_trace(model: Model) -> list:
+    """Layer-by-layer output dims of a one-frame pass of zeros (batch dim stripped)."""
+    x = Tensor(np.zeros((1, 1, model.arch.input_bands, model.arch.input_columns)))
     rows = []
     with ag.no_grad():
         for name, feat in model.layers(x, training=False):

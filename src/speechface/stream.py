@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .audio import WINDOW_SAMPLES, check_fps, compute_spectrogram, frame_boundary, normalize
-from .errors import ConfigError, DataError, SpeechFaceError
+from .errors import ConfigError, DataError, ShapeError, SpeechFaceError
 from .model import Model, forward
 
 # bench times frames at BENCH_FPS on seeded noise, after BENCH_WARMUP untimed ones
@@ -46,14 +46,17 @@ class StreamingSession:
     def push(self, samples) -> list:
         """Consume a chunk; return the FaceFrames whose boundaries it crossed.
 
-        A chunk is consumed whole or not at all. Samples must lie in [-1, 1],
-        the range of :class:`AudioClip`: a chunk holding any sample outside it,
-        NaN or Inf included, raises DataError up front. A chunk whose audio
-        makes a frame fail raises naming that frame. Either way the buffered
-        audio, the frame count and the recurrent state stay as they were
-        before the chunk.
+        A chunk is consumed whole or not at all. As in :class:`AudioClip`, it
+        must be a 1-d sample array, and its samples must lie in [-1, 1]. A
+        chunk of any other shape raises ShapeError up front, and one holding
+        any sample outside [-1, 1], NaN or Inf included, raises DataError up
+        front. A chunk whose audio makes a frame fail raises naming that
+        frame. Either way the buffered audio, the frame count and the
+        recurrent state stay as they were before the chunk.
         """
-        samples = np.asarray(samples, dtype=np.float64).reshape(-1)
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 1:
+            raise ShapeError(f"chunk must be a 1-d sample array, got shape {samples.shape}")
         bad = np.count_nonzero(~(np.abs(samples) <= 1.0))
         if bad:
             raise DataError(f"chunk rejected: {bad} of {len(samples)} samples "

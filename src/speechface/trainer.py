@@ -89,6 +89,12 @@ def _head_loss(y_r, y_e, target) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Adam's per-parameter moment estimates and its step count."""
+
+    beta1 = 0.9  # decay of the first-moment average per step
+    beta2 = 0.999  # decay of the second-moment average per step
+    epsilon = 1e-8  # added to the second-moment root in the denominator
+
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
@@ -102,9 +108,10 @@ class AdamState:
         return state
 
 
-def adam_step(params, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place; missing gradients count as 0."""
+def adam_step(params, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, in place, with the constants of
+    :class:`AdamState`; missing gradients count as 0."""
+    beta1, beta2, epsilon = state.beta1, state.beta2, state.epsilon
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -221,8 +228,7 @@ def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
 # training loop
 
 
-def train(config: TrainConfig, dataset: Dataset, rig=None, model: Model | None = None,
-          on_step=None):
+def train(config: TrainConfig, dataset: Dataset, model: Model | None = None, on_step=None):
     """Run the training loop; returns (model, per-epoch mean minibatch loss).
 
     The model takes ``dataset.norm_stats``, so its checkpoint standardizes

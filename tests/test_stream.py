@@ -1,11 +1,13 @@
 """Streaming session tests: chunking invariance, causality, latency report."""
 
+import re
+
 import numpy as np
 import pytest
 
 from speechface.audio import AudioClip, SAMPLE_RATE, clip_spectrograms, frame_boundary, normalize
 from speechface import stream
-from speechface.errors import ConfigError, DataError
+from speechface.errors import ConfigError, DataError, ShapeError
 from speechface.model import build_model, forward_sequence
 from speechface.stream import StreamingSession, bench
 
@@ -107,6 +109,29 @@ class TestStreamingSession:
             assert g.frame_index == w.frame_index
             np.testing.assert_array_equal(g.vector, w.vector)
             assert np.all(np.isfinite(g.vector))
+
+    @pytest.mark.parametrize("chunk", [np.full((1470, 2), 0.1), np.full((1, 1470), 0.1), 0.5],
+                             ids=["stereo", "row", "scalar"])
+    def test_chunk_that_is_not_1d_leaves_session_untouched(self, chunk):
+        """A chunk of any shape but 1-d is rejected naming its shape, rather
+        than flattened into interleaved samples; later frames match a clean
+        session."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        c1, c2 = samples[:7000], samples[7000:]
+
+        clean = StreamingSession(model)
+        want = clean.push(c1) + clean.push(c2)
+        session = StreamingSession(model)
+        got = session.push(c1)
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {np.shape(chunk)}")):
+            session.push(chunk)
+        assert session.frames_emitted == len(got)
+        got += session.push(c2)
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            np.testing.assert_array_equal(g.vector, w.vector)
 
     @pytest.mark.parametrize("value", [1e200, 1.5, -1.0000001])
     def test_short_out_of_range_chunk_does_not_wedge_the_stream(self, value):

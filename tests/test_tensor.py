@@ -87,6 +87,18 @@ def max_pool_naive(x, window, stride):
     return out
 
 
+def max_pool_grad_naive(x, g, window, stride):
+    """Input gradient of max pooling: each window's upstream gradient goes to
+    its first maximum in row-major window order (np.argmax's tie rule)."""
+    (w_f, w_t), (s_f, s_t) = window, stride
+    gx = np.zeros_like(x)
+    for n, ch, fo, to in np.ndindex(g.shape):
+        win = x[n, ch, fo * s_f:fo * s_f + w_f, to * s_t:to * s_t + w_t]
+        i, j = np.unravel_index(np.argmax(win), win.shape)
+        gx[n, ch, fo * s_f + i, to * s_t + j] += g[n, ch, fo, to]
+    return gx
+
+
 def _sig(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -346,6 +358,36 @@ class TestMaxPool:
         g = rng.normal(size=out.shape)
         sum_all(mul(out, Tensor(g))).backward()
         assert float(x.grad.sum()) == pytest.approx(float(g.sum()), rel=1e-10)
+
+    @pytest.mark.parametrize("window,stride", [((2, 2), (2, 2)), ((2, 1), (1, 1))])
+    def test_gradient_with_ties_goes_to_first_maximum(self, window, stride):
+        """Exact ties inside a window, and with overlapping windows inputs that
+        win more than one window: each window's gradient goes to its first
+        maximum, and an input sums what it wins."""
+        rng = np.random.default_rng(40)
+        x = rng.integers(0, 3, size=(2, 3, 7, 6)).astype(np.float64)
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t, window, stride)
+        g = rng.normal(size=out.shape)
+        (w_f, w_t), (s_f, s_t) = window, stride
+        assert any(np.count_nonzero(x[n, c, f * s_f:f * s_f + w_f, u * s_t:u * s_t + w_t]
+                                    == out.data[n, c, f, u]) > 1
+                   for n, c, f, u in np.ndindex(out.shape))
+        sum_all(mul(out, Tensor(g))).backward()
+        np.testing.assert_array_equal(t.grad, max_pool_grad_naive(x, g, window, stride))
+
+    def test_tape_holds_only_input_and_output(self):
+        """A 2x2 node keeps nothing beyond its output: no argmax array and no
+        stacked copy of the taps."""
+        x = Tensor(np.random.default_rng(41).normal(size=(4, 4, 64, 64)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = max_pool2d(x, (2, 2))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 128 << 10
+        assert held <= out.data.nbytes + (64 << 10), held
 
     def test_window_exceeding_input_raises(self):
         with pytest.raises(ShapeError):
@@ -667,7 +709,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("shape,window", [((2, 3, 7, 4), (2, 1)), ((2, 2, 3, 5), (1, 2))])
     def test_max_pool_two_tap_with_odd_trailing_row(self, shape, window):
-        """A dropped trailing row or column takes the general path."""
+        """A dropped trailing row or column gets no gradient."""
         rng = np.random.default_rng(33)
         x = (rng.permutation(np.prod(shape)).astype(np.float64) * 0.37).reshape(shape)
         proj = rng.normal(size=max_pool2d(Tensor(x), window).shape)

@@ -139,7 +139,8 @@ class TestAdam:
 
     def test_thousand_steps_match_scalar_oracle(self):
         """Constant gradient, 1000 steps, against a hand-written recurrence."""
-        lr, b1, b2, eps, g = 1e-3, 0.9, 0.999, 1e-8, 0.7
+        lr, g = 1e-3, 0.7
+        b1, b2, eps = AdamState.beta1, AdamState.beta2, AdamState.epsilon
         p = Parameter("w", np.array([0.25], dtype=np.float64))
         state = AdamState.for_params([p])
 
@@ -152,7 +153,7 @@ class TestAdam:
             theta -= lr * mhat / (np.sqrt(vhat) + eps)
 
             p.grad = np.array([g], dtype=np.float64)
-            adam_step([p], state, lr=lr, beta1=b1, beta2=b2, epsilon=eps)
+            adam_step([p], state, lr=lr)
             assert float(p.data[0]) == pytest.approx(theta, abs=1e-6)
 
     def test_state_shapes_follow_params(self):
