@@ -32,9 +32,19 @@ MIN_SAMPLE_RATE = 8000
 _HANN = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FFT_SIZE) / FFT_SIZE)).astype(np.float64)
 
 
+def check_samples(samples: np.ndarray, what: str) -> None:
+    """Raise DataError, naming ``what``, unless every sample is a finite
+    value in [-1, 1]."""
+    bad = len(samples) - np.count_nonzero((samples >= -1.0) & (samples <= 1.0))  # NaN fails both
+    if bad:
+        raise DataError(f"{what} rejected: {bad} of {len(samples)} samples "
+                        "are not finite values in [-1, 1]")
+
+
 @dataclass
 class AudioClip:
-    """Mono waveform with samples in [-1, 1]."""
+    """Mono waveform with samples in [-1, 1]; a clip holding any other
+    sample, NaN or Inf included, raises DataError."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
@@ -44,6 +54,7 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ShapeError(f"AudioClip needs a 1-d sample array, got shape {self.samples.shape}")
+        check_samples(self.samples, "AudioClip")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
 

@@ -2,11 +2,12 @@
 
 Everything the network needs is built from the primitives in this module:
 convolution, max pooling, batch normalization (alone, or fused with ReLU and
-a two-tap pool for training), dense layers, elementwise activations and the
-LSTM/GRU cell steps. Each primitive records a backward
-closure on a tape; calling :meth:`Tensor.backward` on a scalar loss walks the
-tape in reverse topological order and accumulates exact gradients into every
-leaf tensor that requested them. Backward closures read their inputs' arrays
+a two-tap pool for training, optionally with the convolution before it,
+whose output is then recomputed rather than stored), dense layers,
+elementwise activations and the LSTM/GRU cell steps. Each primitive records
+a backward closure on a tape; calling :meth:`Tensor.backward` on a scalar
+loss walks the tape in reverse topological order and accumulates exact
+gradients into every leaf tensor that requested them. Backward closures read their inputs' arrays
 when they run, so those arrays must not change in place between the forward
 pass and the backward pass. The walk consumes the tape, releasing each node's
 saved arrays once its closure has run, so a recorded graph is differentiated
@@ -318,9 +319,12 @@ def sigmoid(x: Tensor) -> Tensor:
 # the steps after it, so each full-size array is written once.
 #
 # In training every pool follows a batch-normalized conv and runs inside
-# bn_relu_pool, one node that keeps only its input on the tape. The layer
-# walk of inference runs batch norm, ReLU and max_pool2d as separate ops, so
-# it reports every stage; the batched plan folds batch norm into the convs.
+# bn_relu_pool, one node that keeps its input, its output and a bool mask of
+# the winning taps on the tape. conv1, over the one-channel spectrogram,
+# joins that node as conv_bn_relu_pool, which keeps the conv's input instead
+# of its output and recomputes the conv a block at a time. The layer walk of
+# inference runs batch norm, ReLU and max_pool2d as separate ops, so it
+# reports every stage; the batched plan folds batch norm into the convs.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -384,6 +388,106 @@ def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
         dst[..., f0:f1, t0:t1] = src
 
 
+class _Conv:
+    """One convolution's geometry and its im2col, plus, for the blocked
+    layout, the forward of one block of samples and the backward over
+    blocks.
+
+    :func:`conv2d` runs the blocks over the batch once; the fused stage
+    :func:`conv_bn_relu_pool` reruns them to recompute the output instead of
+    keeping it. Errors name ``op``.
+    """
+
+    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str):
+        xd = x.data
+        if xd.ndim != 4 or w.ndim != 4:
+            raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
+                             f"got {x.shape} / {w.shape}")
+        nb, c_in, f_in, t_in = xd.shape
+        c_out, c_w, k_f, k_t = w.data.shape
+        if c_w != c_in:
+            raise ShapeError(f"{op}: input has {c_in} channels but weights expect {c_w}")
+        (s_f, s_t), (p_f, p_t) = stride, pad
+        if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
+            raise ShapeError(f"{op}: kernel ({k_f},{k_t}) larger than padded input "
+                             f"({f_in + 2 * p_f},{t_in + 2 * p_t})")
+        if b is not None and b.data.shape != (c_out,):
+            raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
+
+        self.x, self.w, self.b, self.stride, self.pad = x, w, b, stride, pad
+        self.parents = (x, w) + ((b,) if b is not None else ())
+        f_out = (f_in + 2 * p_f - k_f) // s_f + 1
+        t_out = (t_in + 2 * p_t - k_t) // s_t + 1
+        self.shape = (nb, c_out, f_out, t_out)
+        self.wmat = w.data.reshape(c_out, -1)
+        self.dtype = np.result_type(xd.dtype, w.data.dtype)
+        n_pos = f_out * t_out
+        k_all = c_in * k_f * k_t
+        # per kernel tap (i, j): its output box and the input it reads there
+        self.taps = [(i, j, _tap_span(f_in, f_out, i, s_f, p_f),
+                      _tap_span(t_in, t_out, j, s_t, p_t))
+                     for i in range(k_f) for j in range(k_t)]
+
+        # im2col, one strided copy per kernel tap. Two layouts: with many
+        # output positions per sample, batched (B,K,P) matmuls have plenty of
+        # work each and run a block of samples at a time; with few positions
+        # the batch is folded into one big GEMM instead, since the extra
+        # transpose copies are tiny at that size. ``tap_view`` shows either
+        # layout's slots of one tap as (B, C_in, F_out, T_out).
+        self.folded = n_pos < 64
+        if self.folded:
+            def tap_view(a, i, j):
+                return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+        else:
+            def tap_view(a, i, j):
+                return a.reshape(-1, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
+        self.tap_view = tap_view
+        # One block's im2col buffer, rebuilt from x in backward: x stays
+        # alive anyway, and a whole batch of columns is up to 1.5x its size.
+        self.blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(self.dtype).itemsize)
+        self.col = None if self.folded else np.empty(
+            (self.blocks[0].stop if self.blocks else 0, k_all, n_pos), dtype=self.dtype)
+
+    def im2col(self, col, xb):
+        for i, j, (f0, f1, fs), (t0, t1, ts) in self.taps:
+            _fill_box(self.tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
+        return col
+
+    def cols(self, blk):
+        """The block's im2col, (n, K, P), in the reused block buffer."""
+        xb = self.x.data[blk]
+        return self.im2col(self.col[:len(xb)], xb)
+
+    def output(self, blk, out):
+        """The conv of the block's samples into ``out``, (n, C_out, P)."""
+        np.matmul(self.wmat, self.cols(blk), out=out)
+        if self.b is not None:
+            out += self.b.data[:, None]
+        return out
+
+    def backward(self, grads) -> None:
+        """Accumulate the w, b and x gradients from (blk, gm) pairs, gm being
+        the output gradient (n, C_out, P) of the samples in blk, taken in
+        block order."""
+        xd = self.x.data
+        gw = np.zeros(self.wmat.shape, dtype=self.dtype)
+        gb = np.zeros(self.shape[1], dtype=self.dtype)
+        gx = np.empty(xd.shape, dtype=xd.dtype) if self.x.requires_grad else None
+        gcol = np.empty_like(self.col) if gx is not None else None
+        for blk, gm in grads:
+            cb = self.cols(blk)
+            gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
+            gb += gm.sum(axis=(0, 2))
+            if gx is not None:
+                gcb = np.matmul(self.wmat.T, gm, out=gcol[:len(gm)])
+                _col2im(gx[blk], gcb, self.tap_view, self.taps, self.stride, self.pad)
+        _accum_owned(self.w, gw.reshape(self.w.data.shape))
+        if self.b is not None:
+            _accum_owned(self.b, gb)
+        if gx is not None:
+            _accum_owned(self.x, gx)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), pad=(0, 0)) -> Tensor:
     """2-d cross-correlation over (freq, time) with symmetric zero padding.
@@ -394,100 +498,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     the im2col slots it covers, and the input gradient is assembled from the
     spans of input that the kernel taps cover.
     """
-    xd = x.data
-    if xd.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d: expected (B,C,F,T) input and 4-d weights, got {x.shape} / {w.shape}")
-    nb, c_in, f_in, t_in = xd.shape
-    c_out, c_w, k_f, k_t = w.data.shape
-    if c_w != c_in:
-        raise ShapeError(f"conv2d: input has {c_in} channels but weights expect {c_w}")
-    s_f, s_t = stride
-    p_f, p_t = pad
-    if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
-        raise ShapeError(
-            f"conv2d: kernel ({k_f},{k_t}) larger than padded input ({f_in + 2 * p_f},{t_in + 2 * p_t})"
-        )
-    if b is not None and b.data.shape != (c_out,):
-        raise ShapeError(f"conv2d: bias shape {b.data.shape} does not match {c_out} channels")
-
-    f_out = (f_in + 2 * p_f - k_f) // s_f + 1
-    t_out = (t_in + 2 * p_t - k_t) // s_t + 1
-    wmat = w.data.reshape(c_out, -1)
-    dtype = np.result_type(xd.dtype, w.data.dtype)
-    n_pos = f_out * t_out
-    k_all = c_in * k_f * k_t
-    # per kernel tap (i, j): its output box and the input it reads there
-    taps = [(i, j, _tap_span(f_in, f_out, i, s_f, p_f), _tap_span(t_in, t_out, j, s_t, p_t))
-            for i in range(k_f) for j in range(k_t)]
-
-    # im2col, one strided copy per kernel tap. Two layouts: with many output
-    # positions per sample, batched (B,K,P) matmuls have plenty of work each
-    # and run a block of samples at a time; with few positions the batch is
-    # folded into one big GEMM instead, since the extra transpose copies are
-    # tiny at that size. ``tap_view`` shows either layout's slots of one tap
-    # as (B, C_in, F_out, T_out).
-    folded = n_pos < 64
-    if folded:
-        def tap_view(a, i, j):
-            return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
-    else:
-        def tap_view(a, i, j):
-            return a.reshape(-1, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
-
-    def im2col(col, xb):
-        for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
-            _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
-        return col
-
-    if folded:
-        col = im2col(np.empty((k_all, nb * n_pos), dtype=dtype), xd)
-        out2 = wmat @ col  # (C_out, B*P)
+    cv = _Conv(x, w, b, stride, pad, "conv2d")
+    nb, c_out, f_out, t_out = cv.shape
+    if cv.folded:
+        col = cv.im2col(np.empty((cv.wmat.shape[1], nb * f_out * t_out), dtype=cv.dtype), x.data)
+        out2 = cv.wmat @ col  # (C_out, B*P)
         if b is not None:
             out2 += b.data[:, None]
         out = np.ascontiguousarray(
             out2.reshape(c_out, nb, f_out, t_out).transpose(1, 0, 2, 3))
     else:
-        # One block's im2col buffer, rebuilt from x in backward: x stays
-        # alive anyway, and a whole batch of columns is up to 1.5x its size.
-        blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(dtype).itemsize)
-        col = np.empty((blocks[0].stop if blocks else 0, k_all, n_pos), dtype=dtype)
-        out = np.empty((nb, c_out, n_pos), dtype=dtype)
-        for blk in blocks:
-            xb = xd[blk]
-            ob = np.matmul(wmat, im2col(col[:len(xb)], xb), out=out[blk])  # (n, C_out, P)
-            if b is not None:
-                ob += b.data[:, None]
-        out = out.reshape(nb, c_out, f_out, t_out)
+        out = np.empty((nb, c_out, f_out * t_out), dtype=cv.dtype)
+        for blk in cv.blocks:
+            cv.output(blk, out[blk])
+        out = out.reshape(cv.shape)
 
     def backward(g):
-        gx = np.empty(xd.shape, dtype=xd.dtype) if x.requires_grad else None
-        if folded:
+        if cv.folded:
             gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
             _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
             if b is not None:
                 _accum_owned(b, gmat.sum(axis=1))
-            if gx is not None:
-                _col2im(gx, wmat.T @ gmat, tap_view, taps, stride, pad)
+            if x.requires_grad:
+                gx = np.empty(x.data.shape, dtype=x.data.dtype)
+                _col2im(gx, cv.wmat.T @ gmat, cv.tap_view, cv.taps, stride, pad)
+                _accum_owned(x, gx)
         else:
-            gmat = g.reshape(nb, c_out, n_pos)
-            gw = np.zeros((c_out, k_all), dtype=dtype)
-            gb = np.zeros(c_out, dtype=dtype)
-            gcol = np.empty_like(col) if gx is not None else None
-            for blk in blocks:
-                xb, gm = xd[blk], gmat[blk]
-                cb = im2col(col[:len(xb)], xb)
-                gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
-                gb += gm.sum(axis=(0, 2))
-                if gx is not None:
-                    gcb = np.matmul(wmat.T, gm, out=gcol[:len(xb)])
-                    _col2im(gx[blk], gcb, tap_view, taps, stride, pad)
-            _accum_owned(w, gw.reshape(w.data.shape))
-            if b is not None:
-                _accum_owned(b, gb)
-        if gx is not None:
-            _accum_owned(x, gx)
+            gmat = g.reshape(nb, c_out, f_out * t_out)
+            cv.backward((blk, gmat[blk]) for blk in cv.blocks)
 
-    return _make(out, (x, w) + ((b,) if b is not None else ()), backward)
+    return _make(out, cv.parents, backward)
 
 
 def _col2im(gx, gcol, tap_view, taps, stride, pad) -> None:
@@ -573,20 +613,24 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def _channel_sums(a: np.ndarray, b: np.ndarray):
+def _split(a: np.ndarray):
+    """``a`` as views of its blocks of samples."""
+    return (a[blk] for blk in _blocks(len(a), a[:1].nbytes))
+
+
+def _channel_sums(pairs, channels: int):
     """Per-channel float64 sums of ``a`` and of ``a * b`` over every axis
-    but 1, in one pass over both.
+    but 1, from the (a, b) pairs of blocks of samples that make up both.
 
     Each (sample, channel) row is reduced contiguously by BLAS in the
-    arrays' own precision, and the rows are summed over the batch in float64.
+    arrays' own precision, and the rows are summed over the batch in float64,
+    one block after another.
     """
-    a3, b3 = _by_sample(a), _by_sample(b)
-    ones = np.ones(a3.shape[2], dtype=a3.dtype)
-    sum_a = np.zeros(a3.shape[1])
-    sum_ab = np.zeros(a3.shape[1])
-    for blk in _blocks(len(a3), a3[:1].nbytes):
-        sum_a += (a3[blk] @ ones).sum(axis=0, dtype=np.float64)
-        dots = a3[blk, :, None, :] @ b3[blk, :, :, None]
+    sum_a, sum_ab = np.zeros(channels), np.zeros(channels)
+    for a, b in pairs:
+        a3, b3 = _by_sample(a), _by_sample(b)
+        sum_a += (a3 @ np.ones(a3.shape[2], dtype=a3.dtype)).sum(axis=0, dtype=np.float64)
+        dots = a3[:, :, None, :] @ b3[:, :, :, None]
         sum_ab += dots[:, :, 0, 0].sum(axis=0, dtype=np.float64)
     return sum_a, sum_ab
 
@@ -612,62 +656,59 @@ def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
             ob += shift
 
 
-def _bn_fold(xd: np.ndarray, state: BatchNormState, training: bool, op: str):
-    """Batch norm on ``xd`` as (mu, inv, scale, shift) per channel, where
-    out = x * scale + shift and inv = 1 / sqrt(var + eps).
+def _bn_fold(shape, dtype, blocks, state: BatchNormState, training: bool, op: str):
+    """Batch norm on an input of ``shape`` as (mu, inv, scale, shift) per
+    channel, where out = x * scale + shift and inv = 1 / sqrt(var + eps).
 
-    Training mode takes the batch statistics and folds them into the running
-    mean/variance with the state's momentum; inference mode reads the running
-    statistics. Errors name ``op``.
+    Training mode takes the batch statistics from ``blocks``, the input's
+    blocks of samples in order, and folds them into the running mean/variance
+    with the state's momentum; inference mode reads the running statistics
+    and leaves ``blocks`` unread. Errors name ``op``.
     """
-    if xd.ndim < 2:
-        raise ShapeError(f"{op}: expected at least (B,C) input, got {xd.shape}")
-    if xd.shape[1] != state.channels:
-        raise ShapeError(f"{op}: input has {xd.shape[1]} channels, state has {state.channels}")
-    if training and xd.shape[0] < 2:
+    if len(shape) < 2:
+        raise ShapeError(f"{op}: expected at least (B,C) input, got {shape}")
+    if shape[1] != state.channels:
+        raise ShapeError(f"{op}: input has {shape[1]} channels, state has {state.channels}")
+    if training and shape[0] < 2:
         raise ConfigError(f"{op}: training mode requires batch size >= 2")
     if training:
-        n_red = xd.size // xd.shape[1]
-        sum_x, sum_xx = _channel_sums(xd, xd)
+        n_red = int(np.prod(shape)) // shape[1]
+        sum_x, sum_xx = _channel_sums(((v, v) for v in blocks), shape[1])
         mu64 = sum_x / n_red
-        mu = mu64.astype(xd.dtype)
-        var = np.maximum(sum_xx / n_red - mu64 * mu64, 0.0).astype(xd.dtype)
+        mu = mu64.astype(dtype)
+        var = np.maximum(sum_xx / n_red - mu64 * mu64, 0.0).astype(dtype)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype, copy=False)
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype, copy=False)
     else:
-        mu = state.running_mean.astype(xd.dtype, copy=False)
-        var = state.running_var.astype(xd.dtype, copy=False)
+        mu = state.running_mean.astype(dtype, copy=False)
+        var = state.running_var.astype(dtype, copy=False)
     inv = 1.0 / np.sqrt(var + state.epsilon)
     gamma, beta = state.gamma.data, state.beta.data
     return mu, inv, gamma * inv, beta - mu * gamma * inv
 
 
-def _bn_backward(g: np.ndarray, x: Tensor, state: BatchNormState, fold, training: bool) -> None:
-    """Accumulate batch norm's gamma, beta and input gradients from the
-    C-contiguous gradient ``g`` of its output, which becomes the input's.
+def _bn_grad_terms(sums, n_red: int, state: BatchNormState, fold, training: bool):
+    """Accumulate gamma's and beta's gradients from the per-channel sums of
+    the output gradient g and of g * x; in training, return (A, C) such that
+    the input gradient is g * scale + x * A + C.
 
     Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
-    gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged below into
-    g * scale + x * A + C so xhat is never materialized.
+    gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged so xhat
+    is never materialized. In inference it is g * scale.
     """
-    xd = x.data
     mu, inv, scale, _ = fold
-    n_red = xd.size // xd.shape[1]
-    sum_g, sum_gx = _channel_sums(g, xd)
+    sum_g, sum_gx = sums
     sum_gx = (sum_gx - mu * sum_g) * inv
     _accum_owned(state.gamma, sum_gx.astype(state.gamma.dtype))
     _accum_owned(state.beta, sum_g.astype(state.beta.dtype))
-    if x.requires_grad:
-        if training:
-            a_ch = -(scale * inv) * (sum_gx / n_red)
-            c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
-            _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
-        else:
-            _channel_affine(g, [(g, scale)])
-        _accum_owned(x, g)
+    if not training:
+        return None, None
+    a_ch = -(scale * inv) * (sum_gx / n_red)
+    c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
+    return a_ch, c_ch
 
 
 def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -679,14 +720,22 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     running statistics converge exactly to the training-mode normalizer.
     """
     xd = x.data
-    fold = _bn_fold(xd, state, training, "batch_norm")
+    fold = _bn_fold(xd.shape, xd.dtype, _split(xd), state, training, "batch_norm")
     _, _, scale, shift = fold
     out = np.empty(xd.shape, dtype=np.result_type(xd, scale, shift))
     _channel_affine(out, [(xd, scale)], shift)
 
     def backward(g):
         # the upstream gradient is overwritten with the input gradient
-        _bn_backward(np.ascontiguousarray(g), x, state, fold, training)
+        g = np.ascontiguousarray(g)
+        sums = _channel_sums(zip(_split(g), _split(xd)), xd.shape[1])
+        a_ch, c_ch = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, training)
+        if x.requires_grad:
+            if training:
+                _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
+            else:
+                _channel_affine(g, [(g, scale)])
+            _accum_owned(x, g)
 
     return _make(out, (x, state.gamma, state.beta), backward)
 
@@ -696,57 +745,126 @@ def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
     for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
 
     Gives the same output, running statistics and gradients, bit for bit, but
-    keeps only ``x`` on the tape: the normalized and activated arrays never
-    exist at full size. After the statistics pass, each block of samples is
-    normalized into one reused buffer and the larger of its two taps goes to
-    the output; ReLU then runs on the pooled output, since max commutes with
-    it. Backward masks the upstream gradient by the ReLU of the pooled output,
-    renormalizes each block to route it to the winning tap (ties to the
-    first, as in max_pool2d), then finishes as batch_norm's backward does.
+    keeps only ``x``, the output and a bool mask of the winning taps on the
+    tape: the normalized and activated arrays never exist at full size.
     """
-    xd = x.data
+    return _bn_relu_pool(x, None, state, window)
+
+
+def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
+                      state: BatchNormState, window) -> Tensor:
+    """``bn_relu_pool(conv2d(x, w, b, stride, pad), state, window)`` as one
+    node that never keeps the conv's output: each pass over it recomputes
+    the conv one block of samples at a time, from ``x``.
+
+    The tape holds ``x``, the pooled output and the winner mask. That pays
+    where the conv is cheap against its output, as for a conv over a
+    one-channel input. Output, running statistics and gradients are those of
+    the two-node chain, bit for bit, when conv2d runs that conv a block at a
+    time (64 or more output positions per sample) on the same blocks as
+    batch norm (C_in * kF * kT <= C_out).
+    """
+    return _bn_relu_pool(x, _Conv(x, w, b, stride, pad, "conv_bn_relu_pool"), state, window)
+
+
+def _bn_relu_pool(x: Tensor, conv, state: BatchNormState, window) -> Tensor:
+    """The body of both fused stages. The batch-norm input is ``x`` itself
+    when ``conv`` is None, and otherwise ``conv``'s output, recomputed block by
+    block each time it is read.
+
+    Forward: one pass takes the statistics; a second normalizes each block
+    into a reused buffer, sends the larger of its two taps to the output,
+    records where the second tap won, and applies ReLU to the pooled output,
+    since max commutes with it. Backward: the upstream gradient is masked by
+    the ReLU of the output, then pass A routes it through the saved winners
+    (ties to the first tap, as in max_pool2d) and takes batch norm's
+    per-channel sums in the same loop, and pass B applies batch norm's input
+    gradient. With ``x`` as the input, the routed gradient is the full-size
+    input gradient and pass B rewrites it in place; with ``conv``, pass B
+    recomputes and routes each block again and hands it to the conv's
+    backward, so neither the conv's output nor its gradient is ever
+    allocated at full size.
+    """
+    op = "bn_relu_pool" if conv is None else "conv_bn_relu_pool"
     window = tuple(window)
-    if xd.ndim != 4 or window not in ((2, 1), (1, 2)):
-        raise ShapeError(f"bn_relu_pool: expected (B,C,F,T) input and a (2,1) or (1,2) "
-                         f"window, got {x.shape} and {window}")
+    shape = x.shape if conv is None else conv.shape
+    if len(shape) != 4 or window not in ((2, 1), (1, 2)):
+        raise ShapeError(f"{op}: expected (B,C,F,T) input and a (2,1) or (1,2) "
+                         f"window, got {shape} and {window}")
     axis = 2 if window[0] == 2 else 3
-    n_out = xd.shape[axis] // 2
+    n_out = shape[axis] // 2
     if n_out == 0:
-        raise ShapeError(f"bn_relu_pool: window {window} larger than input {xd.shape[2:]}")
+        raise ShapeError(f"{op}: window {window} larger than input {shape[2:]}")
 
     def tap(a, k):
         return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
 
-    fold = _bn_fold(xd, state, True, "bn_relu_pool")
+    if conv is None:
+        xd = x.data
+        src_dtype = xd.dtype
+        blocks = _blocks(len(xd), xd[:1].nbytes)
+
+        def values():
+            for blk in blocks:
+                yield blk, xd[blk]
+    else:
+        src_dtype = conv.dtype
+        blocks = conv.blocks
+
+        def values():
+            buf = np.empty((blocks[0].stop,) + shape[1:], dtype=src_dtype)
+            for blk in blocks:
+                vb = buf[:blk.stop - blk.start]
+                conv.output(blk, _by_sample(vb))
+                yield blk, vb
+
+    n_red = int(np.prod(shape)) // shape[1]
+    fold = _bn_fold(shape, src_dtype, (v for _, v in values()), state, True, op)
     _, _, scale, shift = fold
-    dtype = np.result_type(xd, scale, shift)
-    out = np.empty(xd.shape[:axis] + (n_out,) + xd.shape[axis + 1:], dtype=dtype)
-    blocks = _blocks(len(xd), xd[:1].size * np.dtype(dtype).itemsize)
-
-    def normalized():
-        """Each block of samples with batch norm applied, in one reused buffer."""
-        buf = np.empty((blocks[0].stop,) + xd.shape[1:], dtype=dtype)
-        for blk in blocks:
-            b = buf[:blk.stop - blk.start]
-            _channel_affine(b, [(xd[blk], scale)], shift)
-            yield blk, b
-
-    for blk, b in normalized():
-        ob = np.maximum(tap(b, 0), tap(b, 1), out=out[blk])
+    dtype = np.result_type(src_dtype, scale, shift)
+    pooled = shape[:axis] + (n_out,) + shape[axis + 1:]
+    out = np.empty(pooled, dtype=dtype)
+    wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
+    buf = np.empty((blocks[0].stop,) + shape[1:], dtype=dtype)
+    for blk, v in values():
+        nb = buf[:blk.stop - blk.start]
+        _channel_affine(nb, [(v, scale)], shift)
+        ob = np.maximum(tap(nb, 0), tap(nb, 1), out=out[blk])
+        np.greater(tap(nb, 1), tap(nb, 0), out=wins[blk])
         np.maximum(ob, 0, out=ob)
 
     def backward(g):
         np.multiply(g, out > 0, out=g)
-        gx = np.empty(xd.shape, dtype=dtype)
-        if 2 * n_out < xd.shape[axis]:
-            gx[(slice(None),) * axis + (-1,)] = 0  # the dropped trailing row
-        for blk, b in normalized():
-            wins = tap(b, 1) > tap(b, 0)
-            np.multiply(g[blk], wins, out=tap(gx[blk], 1))
-            np.multiply(g[blk], ~wins, out=tap(gx[blk], 0))
-        _bn_backward(gx, x, state, fold, True)
+        gx = np.empty(shape if conv is None else (blocks[0].stop,) + shape[1:], dtype=dtype)
 
-    return _make(out, (x, state.gamma, state.beta), backward)
+        def routed(blk):
+            gb = gx[blk] if conv is None else gx[:blk.stop - blk.start]
+            np.multiply(g[blk], wins[blk], out=tap(gb, 1))
+            np.multiply(g[blk], ~wins[blk], out=tap(gb, 0))
+            if 2 * n_out < shape[axis]:
+                gb[(slice(None),) * axis + (-1,)] = 0  # the dropped trailing row
+            return gb
+
+        sums = _channel_sums(((routed(blk), v) for blk, v in values()), shape[1])
+        a_ch, c_ch = _bn_grad_terms(sums, n_red, state, fold, True)
+        if conv is None and not x.requires_grad:
+            return
+
+        def input_grads():
+            for blk, v in values():
+                gb = gx[blk] if conv is None else routed(blk)
+                _channel_affine(gb, [(gb, scale), (v, a_ch)], c_ch)
+                yield blk, _by_sample(gb)
+
+        if conv is None:
+            for _ in input_grads():
+                pass
+            _accum_owned(x, gx)
+        else:
+            conv.backward(input_grads())
+
+    return _make(out, ((x,) if conv is None else conv.parents) + (state.gamma, state.beta),
+                 backward)
 
 
 # ---------------------------------------------------------------------------

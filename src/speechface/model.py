@@ -161,9 +161,14 @@ class Model:
 
         In training, a batch-normalized conv followed by a two-tap pool runs
         its batch norm, ReLU and pool as one :func:`~.autograd.bn_relu_pool`
-        node, yielded under the pool's name: the tape then keeps the conv's
-        output only. Inference yields every stage, which is what
-        :func:`forward_trace` and the non-finite diagnostics read.
+        node, yielded under the pool's name: the tape then keeps no
+        normalized or activated array. When the conv's input has one channel
+        (conv1), the conv joins that node too,
+        :func:`~.autograd.conv_bn_relu_pool`, which recomputes the conv's
+        output rather than keep it: three multiply-adds per output element
+        cost less than storing and reloading it. Inference
+        yields every stage, which is what :func:`forward_trace` and the
+        non-finite diagnostics read.
         """
         expect = (1, self.arch.input_bands, self.arch.input_columns)
         if x.ndim != 4 or x.shape[1:] != expect:
@@ -176,17 +181,18 @@ class Model:
                 continue
             try:
                 if isinstance(spec, ConvSpec):
-                    x = ag.conv2d(x, self.conv_w[spec.name], self.conv_b[spec.name],
-                                  spec.stride, spec.pad)
+                    conv = (self.conv_w[spec.name], self.conv_b[spec.name], spec.stride, spec.pad)
                     bn = self.conv_bn.get(spec.name)
-                    if (training and bn is not None and isinstance(nxt, PoolSpec)
+                    if not (training and bn is not None and isinstance(nxt, PoolSpec)
                             and nxt.window in ((2, 1), (1, 2)) and nxt.stride == nxt.window):
-                        x = ag.bn_relu_pool(x, bn, nxt.window)
-                        spec = fused = nxt
-                    else:
+                        x = ag.conv2d(x, *conv)
                         if bn is not None:
                             x = ag.batch_norm(x, bn, training)
                         x = ag.relu(x)
+                    else:
+                        x = (ag.conv_bn_relu_pool(x, *conv, bn, nxt.window) if x.shape[1] == 1
+                             else ag.bn_relu_pool(ag.conv2d(x, *conv), bn, nxt.window))
+                        spec = fused = nxt
                 else:
                     x = ag.max_pool2d(x, spec.window, spec.stride)
             except ShapeError as err:

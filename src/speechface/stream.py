@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from .audio import WINDOW_SAMPLES, check_fps, compute_spectrogram, frame_boundary, normalize
+from .audio import (WINDOW_SAMPLES, check_fps, check_samples, compute_spectrogram,
+                    frame_boundary, normalize)
 from .errors import ConfigError, DataError, ShapeError, SpeechFaceError
 from .model import Model, forward
 
@@ -57,10 +58,7 @@ class StreamingSession:
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ShapeError(f"chunk must be a 1-d sample array, got shape {samples.shape}")
-        bad = np.count_nonzero(~(np.abs(samples) <= 1.0))
-        if bad:
-            raise DataError(f"chunk rejected: {bad} of {len(samples)} samples "
-                            "are not finite values in [-1, 1]")
+        check_samples(samples, "chunk")
         # _append and forward replace these arrays rather than mutate them
         saved = (self._tail, self._heard, self.frames_emitted, self.state)
         emitted = []

@@ -49,6 +49,9 @@ class TrainConfig:
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "
                                   "batch norm needs two frames per batch")
+        if (not isinstance(self.learning_rate, (int, float, np.integer, np.floating))
+                or isinstance(self.learning_rate, bool)):
+            raise ConfigError(f"learning_rate must be a real number, got {self.learning_rate!r}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")

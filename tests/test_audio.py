@@ -157,6 +157,24 @@ class TestResample:
 # Frame windows
 # =============================================================================
 
+class TestAudioClip:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.5, -1.0000001])
+    def test_sample_outside_unit_range_rejected(self, value):
+        samples = np.random.default_rng(40).uniform(-1, 1, 5000)
+        samples[1234] = value
+        with pytest.raises(DataError, match=r"AudioClip rejected: 1 of 5000 samples are not "
+                                            r"finite values in \[-1, 1\]"):
+            AudioClip(samples, SAMPLE_RATE)
+
+    def test_all_nan_clip_rejected_before_any_spectrogram(self):
+        with pytest.raises(DataError, match="5000 of 5000 samples"):
+            clip_spectrograms(AudioClip(np.full(5000, np.nan)), 30.0)
+
+    def test_full_scale_samples_accepted(self):
+        clip = AudioClip(np.array([-1.0, 1.0, 0.0, -32768 / 32768]))
+        assert clip.samples.tolist() == [-1.0, 1.0, 0.0, -1.0]
+
+
 class TestFrameWindows:
     def test_boundary_arithmetic(self):
         assert frame_boundary(0, 30.0) == 1470

@@ -156,6 +156,16 @@ class TestTrainingWalk:
             model.trunk(x, training=True)
 
 
+    def test_conv1_stage_error_names_its_conv(self):
+        """conv1, over the one-channel input, runs as one conv_bn_relu_pool node."""
+        model = build_model("cnn_static", seed=0)
+        model.conv_bn["conv1"] = ag.BatchNormState("conv1.bn", 3)
+        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))
+        with pytest.raises(ShapeError, match="layer conv1: conv_bn_relu_pool: input has 64 "
+                                             "channels, state has 3"):
+            model.trunk(x, training=True)
+
+
 # =============================================================================
 # Initialization
 # =============================================================================

@@ -24,6 +24,7 @@ from speechface.autograd import (
     batch_norm,
     bn_relu_pool,
     conv2d,
+    conv_bn_relu_pool,
     dense,
     gru_step,
     lstm_step,
@@ -41,7 +42,7 @@ from speechface.autograd import (
 )
 from speechface.errors import ConfigError, ShapeError, StateError
 
-from _gradcheck import check_gradients, rel_error
+from _gradcheck import check_gradients, fd_gradient, rel_error
 
 
 # =============================================================================
@@ -535,12 +536,13 @@ class TestBnReluPool:
         with pytest.raises(ShapeError, match="bn_relu_pool"):
             bn_relu_pool(Tensor(np.zeros(shape)), BatchNormState("bn", 2), window)
 
-    def test_tape_holds_only_input_and_output(self):
+    def test_tape_holds_input_output_and_mask(self):
         """Forward of a conv1-sized stage under tracemalloc: the fused node
-        allocates its output and one block buffer at most (plus numpy's
-        ufunc buffers, under 128 KiB), and keeps only its output, while the
-        unfused chain keeps two more full-size arrays (the normalized and
-        the activated input)."""
+        allocates its output, its winner mask (one byte per output element)
+        and one block buffer at most (plus numpy's ufunc buffers, under
+        128 KiB), and keeps only the output and the mask, while the unfused
+        chain keeps two more full-size arrays (the normalized and the
+        activated input)."""
         x = np.random.default_rng(39).normal(size=(8, 64, 64, 32)).astype(np.float32)
         for fused in (True, False):
             state = BatchNormState("conv1.bn", 64)
@@ -554,11 +556,145 @@ class TestBnReluPool:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            kept = out.data.nbytes + out.data.size
             if fused:
-                assert peak <= out.data.nbytes + ag._BLOCK_BYTES + (128 << 10), peak
-                assert held <= out.data.nbytes + (64 << 10), held
+                assert peak <= kept + ag._BLOCK_BYTES + (128 << 10), peak
+                assert held <= kept + (64 << 10), held
             else:
                 assert held >= out.data.nbytes + 2 * x.nbytes, held
+
+
+def _conv_stage_run(fused, x, w, b, conv, gamma, beta, window, proj):
+    """Output, the x/w/b/gamma/beta gradients and the running stats of one
+    conv stage, as one node or as conv2d then bn_relu_pool."""
+    state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
+    state.gamma.data[:] = gamma
+    state.beta.data[:] = beta
+    tx, tw, tb = Tensor(x, requires_grad=True), Parameter("w", w), Parameter("b", b)
+    if fused:
+        out = conv_bn_relu_pool(tx, tw, tb, *conv, state, window)
+    else:
+        out = bn_relu_pool(conv2d(tx, tw, tb, *conv), state, window)
+    _proj_loss(out, proj).backward()
+    return [out.data, tx.grad, tw.grad, tb.grad, state.gamma.grad, state.beta.grad,
+            state.running_mean, state.running_var]
+
+
+class TestConvBnReluPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,c_out,kernel,stride,pad,window", [
+        ((6, 1, 16, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
+        ((5, 1, 18, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
+        ((5, 1, 8, 18), 8, (1, 3), (1, 2), (0, 1), (1, 2)),
+        ((7, 1, 128, 32), 16, (3, 1), (2, 1), (1, 0), (2, 1))])
+    def test_bitwise_equal_to_conv_then_bn_relu_pool(self, shape, c_out, kernel, stride, pad,
+                                                     window, dtype):
+        """Output, all five gradients and the running stats. Integer inputs
+        and weights give exact ties in the conv output, and some pairs have
+        both taps below zero after batch norm. The second and third shapes
+        pool 9 rows or columns, so a trailing one is dropped; the last is
+        conv1's geometry, whose batch runs as blocks of 2, 2, 2 and 1 samples
+        in float64 and of 4 and 3 in float32."""
+        rng = np.random.default_rng(43)
+        x = rng.integers(-3, 4, size=shape).astype(dtype)
+        w = rng.integers(-2, 3, size=(c_out, 1) + kernel).astype(dtype)
+        b = rng.integers(-2, 3, size=c_out).astype(dtype)
+        gamma = rng.normal(size=c_out).astype(dtype)
+        beta = rng.normal(size=c_out).astype(dtype)
+        conv = (stride, pad)
+        state = BatchNormState("bn", c_out, dtype=dtype)
+        state.gamma.data[:], state.beta.data[:] = gamma, beta
+        act = batch_norm(conv2d(Tensor(x), Tensor(w), Tensor(b), *conv), state, True).data
+        axis = 2 if window[0] == 2 else 3
+        taps = [np.moveaxis(act, axis, 0)[k:act.shape[axis] // 2 * 2:2] for k in (0, 1)]
+        assert (taps[0] == taps[1]).any() and ((taps[0] < 0) & (taps[1] < 0)).any()
+        assert act.shape[axis] % 2 == (shape in ((5, 1, 18, 8), (5, 1, 8, 18)))
+        proj = rng.normal(size=max_pool2d(Tensor(act), window).shape).astype(dtype)
+
+        got = _conv_stage_run(True, x, w, b, conv, gamma, beta, window, proj)
+        want = _conv_stage_run(False, x, w, b, conv, gamma, beta, window, proj)
+        for g, w_ in zip(got, want):
+            assert g.dtype == w_.dtype and g.shape == w_.shape
+            assert g.tobytes() == w_.tobytes()
+
+    def test_gradients(self):
+        """Float64 central differences for x, w, gamma and beta. Every
+        activation and every pair difference is over 1e-3 from the ReLU kink
+        and from a tie, while a probe moves an activation by about 1e-4. The
+        bias feeds a training-mode batch norm, so its gradient is zero and a
+        relative comparison would be all finite-difference noise: both are
+        checked to be zero within 1e-8 instead."""
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(3, 1, 16, 8))
+        w = rng.normal(size=(2, 1, 3, 1))
+        b = rng.normal(size=2)
+        gamma = np.array([1.3, -0.8])
+        beta = np.array([0.05, -0.11])
+        conv = ((2, 1), (1, 0))
+        state = BatchNormState("bn", 2, dtype=np.float64)
+        state.gamma.data[:], state.beta.data[:] = gamma, beta
+        act = batch_norm(conv2d(Tensor(x), Tensor(w), Tensor(b), *conv), state, True).data
+        assert np.abs(act).min() > 1e-3 and (act < 0).any()
+        assert np.abs(act[:, :, 0::2] - act[:, :, 1::2]).min() > 1e-3
+        proj = rng.normal(size=(3, 2, 4, 8))
+
+        def build(vals):  # x, w, gamma, beta and, if given, the bias
+            state = BatchNormState("bn", 2, dtype=np.float64)
+            state.gamma.data[:] = vals[2]
+            state.beta.data[:] = vals[3]
+            bias = vals[4] if len(vals) > 4 else b
+            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (vals[0], vals[1], bias))
+            out = conv_bn_relu_pool(tx, tw, tb, *conv, state, (2, 1))
+            return _proj_loss(out, proj), [tx, tw, state.gamma, state.beta, tb][:len(vals)]
+
+        assert check_gradients(build, [x, w, gamma, beta]) <= 1e-4
+        with_bias = [x, w, gamma, beta, b]
+        loss, leaves = build(with_bias)
+        loss.backward()
+        numeric = fd_gradient(lambda vals: float(build(vals)[0].data), with_bias, 4)
+        assert np.abs(leaves[4].grad).max() < 1e-8 and np.abs(numeric).max() < 1e-8
+
+    def test_errors_name_the_stage(self):
+        w, b = Tensor(np.ones((2, 1, 3, 1))), Tensor(np.zeros(2))
+        with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels but "
+                                             "weights expect 1"):
+            conv_bn_relu_pool(Tensor(np.zeros((2, 2, 16, 8))), w, b, (2, 1), (1, 0),
+                              BatchNormState("bn", 2), (2, 1))
+        with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels, "
+                                             "state has 3"):
+            conv_bn_relu_pool(Tensor(np.zeros((2, 1, 16, 8))), w, b, (2, 1), (1, 0),
+                              BatchNormState("bn", 3), (2, 1))
+        with pytest.raises(ConfigError, match="batch size >= 2"):
+            conv_bn_relu_pool(Tensor(np.zeros((1, 1, 16, 8))), w, b, (2, 1), (1, 0),
+                              BatchNormState("bn", 2), (2, 1))
+
+    def test_tape_holds_only_output_and_mask(self):
+        """Forward of a conv1-sized stage under tracemalloc: the node keeps
+        its pooled output and the winner mask, one byte per output element,
+        plus the conv's one-sample im2col buffer (24 KiB); its two block
+        buffers are gone when it returns. The two-node chain also keeps the
+        conv's output, twice the pooled output's size."""
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(8, 1, 128, 32)).astype(np.float32)
+        w = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
+        b = Parameter("conv1.b", rng.normal(size=64).astype(np.float32))
+        for fused in (True, False):
+            state = BatchNormState("conv1.bn", 64)
+            tracemalloc.start()
+            try:
+                if fused:
+                    out = conv_bn_relu_pool(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
+                else:
+                    out = bn_relu_pool(conv2d(Tensor(x), w, b, (2, 1), (1, 0)), state, (2, 1))
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            kept = out.data.nbytes + out.data.size
+            if fused:
+                assert held <= kept + (64 << 10), held
+                assert peak <= kept + 2 * ag._BLOCK_BYTES + (128 << 10), peak
+            else:
+                assert held >= kept + 2 * out.data.nbytes, held
 
 
 # =============================================================================

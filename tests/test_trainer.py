@@ -280,6 +280,15 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["0.1", [0.1], True])
+    def test_non_real_learning_rate_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(learning_rate=value)
+        assert str(err.value) == f"learning_rate must be a real number, got {value!r}"
+
+    def test_numpy_learning_rate_accepted(self):
+        assert TrainConfig(learning_rate=np.float32(1e-3)).learning_rate == np.float32(1e-3)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             TrainConfig(seed=-1)
