@@ -389,13 +389,16 @@ def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
 
 
 class _Conv:
-    """One convolution's geometry and its im2col, plus, for the blocked
-    layout, the forward of one block of samples and the backward over
-    blocks.
+    """One convolution's geometry and im2col, and its forward and backward
+    one block of samples at a time.
 
-    :func:`conv2d` runs the blocks over the batch once; the fused stage
-    :func:`conv_bn_relu_pool` reruns them to recompute the output instead of
-    keeping it. Errors name ``op``.
+    im2col is one strided copy per kernel tap, in one of two layouts. With
+    many output positions per sample, batched (B,K,P) matmuls have plenty of
+    work each and run a block of samples at a time. With few positions the
+    whole batch is one block, folded into one big GEMM, since the extra
+    transpose copies are tiny at that size. :func:`conv2d` runs the blocks
+    once; :func:`conv_bn_relu_pool` reruns them to recompute the output
+    instead of keeping it. Errors name ``op``.
     """
 
     def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str):
@@ -428,41 +431,47 @@ class _Conv:
                       _tap_span(t_in, t_out, j, s_t, p_t))
                      for i in range(k_f) for j in range(k_t)]
 
-        # im2col, one strided copy per kernel tap. Two layouts: with many
-        # output positions per sample, batched (B,K,P) matmuls have plenty of
-        # work each and run a block of samples at a time; with few positions
-        # the batch is folded into one big GEMM instead, since the extra
-        # transpose copies are tiny at that size. ``tap_view`` shows either
-        # layout's slots of one tap as (B, C_in, F_out, T_out).
+        # ``tap_view`` shows either layout's slots of one tap as
+        # (B, C_in, F_out, T_out). The block's im2col buffer is rebuilt from
+        # x in backward: x stays alive anyway, and a whole batch of columns
+        # is up to 1.5x its size.
         self.folded = n_pos < 64
         if self.folded:
             def tap_view(a, i, j):
                 return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+            self.blocks = [slice(0, nb)]
+            self.col = np.empty((k_all, nb * n_pos), dtype=self.dtype)
         else:
             def tap_view(a, i, j):
                 return a.reshape(-1, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
+            self.blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(self.dtype).itemsize)
+            self.col = np.empty((self.blocks[0].stop if self.blocks else 0, k_all, n_pos),
+                                dtype=self.dtype)
         self.tap_view = tap_view
-        # One block's im2col buffer, rebuilt from x in backward: x stays
-        # alive anyway, and a whole batch of columns is up to 1.5x its size.
-        self.blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(self.dtype).itemsize)
-        self.col = None if self.folded else np.empty(
-            (self.blocks[0].stop if self.blocks else 0, k_all, n_pos), dtype=self.dtype)
-
-    def im2col(self, col, xb):
-        for i, j, (f0, f1, fs), (t0, t1, ts) in self.taps:
-            _fill_box(self.tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
-        return col
+        self.filled = None  # the block whose columns the buffer holds
 
     def cols(self, blk):
-        """The block's im2col, (n, K, P), in the reused block buffer."""
-        xb = self.x.data[blk]
-        return self.im2col(self.col[:len(xb)], xb)
+        """The block's im2col in the reused buffer, (K, n*P) folded and
+        (n, K, P) otherwise; built only if the buffer holds another block."""
+        col = self.col if self.folded else self.col[:blk.stop - blk.start]
+        if blk != self.filled:
+            xb = self.x.data[blk]
+            for i, j, (f0, f1, fs), (t0, t1, ts) in self.taps:
+                _fill_box(self.tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
+            self.filled = blk
+        return col
 
     def output(self, blk, out):
         """The conv of the block's samples into ``out``, (n, C_out, P)."""
-        np.matmul(self.wmat, self.cols(blk), out=out)
-        if self.b is not None:
-            out += self.b.data[:, None]
+        if self.folded:
+            o2 = self.wmat @ self.cols(blk)  # (C_out, n*P)
+            if self.b is not None:
+                o2 += self.b.data[:, None]
+            out[...] = o2.reshape(out.shape[1], len(out), out.shape[2]).transpose(1, 0, 2)
+        else:
+            np.matmul(self.wmat, self.cols(blk), out=out)
+            if self.b is not None:
+                out += self.b.data[:, None]
         return out
 
     def backward(self, grads) -> None:
@@ -470,17 +479,24 @@ class _Conv:
         the output gradient (n, C_out, P) of the samples in blk, taken in
         block order."""
         xd = self.x.data
-        gw = np.zeros(self.wmat.shape, dtype=self.dtype)
-        gb = np.zeros(self.shape[1], dtype=self.dtype)
         gx = np.empty(xd.shape, dtype=xd.dtype) if self.x.requires_grad else None
-        gcol = np.empty_like(self.col) if gx is not None else None
-        for blk, gm in grads:
-            cb = self.cols(blk)
-            gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
-            gb += gm.sum(axis=(0, 2))
+        if self.folded:
+            (blk, gm), = grads
+            gmat = np.ascontiguousarray(gm.transpose(1, 0, 2)).reshape(len(self.wmat), -1)
+            gw, gb = gmat @ self.cols(blk).T, gmat.sum(axis=1)
             if gx is not None:
-                gcb = np.matmul(self.wmat.T, gm, out=gcol[:len(gm)])
-                _col2im(gx[blk], gcb, self.tap_view, self.taps, self.stride, self.pad)
+                _col2im(gx, self.wmat.T @ gmat, self.tap_view, self.taps, self.stride, self.pad)
+        else:
+            gw = np.zeros(self.wmat.shape, dtype=self.dtype)
+            gb = np.zeros(self.shape[1], dtype=self.dtype)
+            gcol = np.empty_like(self.col) if gx is not None else None
+            for blk, gm in grads:
+                cb = self.cols(blk)
+                gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
+                gb += gm.sum(axis=(0, 2))
+                if gx is not None:
+                    gcb = np.matmul(self.wmat.T, gm, out=gcol[:len(gm)])
+                    _col2im(gx[blk], gcb, self.tap_view, self.taps, self.stride, self.pad)
         _accum_owned(self.w, gw.reshape(self.w.data.shape))
         if self.b is not None:
             _accum_owned(self.b, gb)
@@ -500,34 +516,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     """
     cv = _Conv(x, w, b, stride, pad, "conv2d")
     nb, c_out, f_out, t_out = cv.shape
-    if cv.folded:
-        col = cv.im2col(np.empty((cv.wmat.shape[1], nb * f_out * t_out), dtype=cv.dtype), x.data)
-        out2 = cv.wmat @ col  # (C_out, B*P)
-        if b is not None:
-            out2 += b.data[:, None]
-        out = np.ascontiguousarray(
-            out2.reshape(c_out, nb, f_out, t_out).transpose(1, 0, 2, 3))
-    else:
-        out = np.empty((nb, c_out, f_out * t_out), dtype=cv.dtype)
-        for blk in cv.blocks:
-            cv.output(blk, out[blk])
-        out = out.reshape(cv.shape)
+    out = np.empty((nb, c_out, f_out * t_out), dtype=cv.dtype)
+    for blk in cv.blocks:
+        cv.output(blk, out[blk])
 
     def backward(g):
-        if cv.folded:
-            gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, -1)
-            _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
-            if b is not None:
-                _accum_owned(b, gmat.sum(axis=1))
-            if x.requires_grad:
-                gx = np.empty(x.data.shape, dtype=x.data.dtype)
-                _col2im(gx, cv.wmat.T @ gmat, cv.tap_view, cv.taps, stride, pad)
-                _accum_owned(x, gx)
-        else:
-            gmat = g.reshape(nb, c_out, f_out * t_out)
-            cv.backward((blk, gmat[blk]) for blk in cv.blocks)
+        gmat = g.reshape(nb, c_out, f_out * t_out)
+        cv.backward((blk, gmat[blk]) for blk in cv.blocks)
 
-    return _make(out, cv.parents, backward)
+    return _make(out.reshape(cv.shape), cv.parents, backward)
 
 
 def _col2im(gx, gcol, tap_view, taps, stride, pad) -> None:
@@ -728,7 +725,8 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     def backward(g):
         # the upstream gradient is overwritten with the input gradient
         g = np.ascontiguousarray(g)
-        sums = _channel_sums(zip(_split(g), _split(xd)), xd.shape[1])
+        blocks = _blocks(len(g), g[:1].nbytes)  # g may be wider than x
+        sums = _channel_sums(((g[blk], xd[blk]) for blk in blocks), xd.shape[1])
         a_ch, c_ch = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, training)
         if x.requires_grad:
             if training:
@@ -744,11 +742,27 @@ def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
     """``max_pool2d(relu(batch_norm(x, state, True)), window)`` as one node,
     for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
 
-    Gives the same output, running statistics and gradients, bit for bit, but
-    keeps only ``x``, the output and a bool mask of the winning taps on the
-    tape: the normalized and activated arrays never exist at full size.
+    Gives the same output, running statistics and gradients, bit for bit
+    when ``x`` and the state share a dtype, but keeps only ``x``, the output
+    and a bool mask of the winning taps on the tape: the normalized and
+    activated arrays never exist at full size.
     """
-    return _bn_relu_pool(x, None, state, window)
+    xd = x.data
+    blocks = _blocks(len(xd), xd[:1].nbytes)
+
+    def values():
+        for blk in blocks:
+            yield blk, xd[blk]
+
+    def sink(grads, dtype):
+        if x.requires_grad:
+            gx = np.empty(xd.shape, dtype=dtype)
+            for blk, gb in grads:
+                gx[blk] = gb
+            _accum_owned(x, gx)
+
+    return _bn_relu_pool("bn_relu_pool", x.shape, xd.dtype, blocks, values, sink,
+                         (x,), state, window)
 
 
 def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
@@ -760,34 +774,47 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     The tape holds ``x``, the pooled output and the winner mask. That pays
     where the conv is cheap against its output, as for a conv over a
     one-channel input. Output, running statistics and gradients are those of
-    the two-node chain, bit for bit, when conv2d runs that conv a block at a
-    time (64 or more output positions per sample) on the same blocks as
-    batch norm (C_in * kF * kT <= C_out).
+    the two-node chain, bit for bit, when conv2d's blocks of samples are
+    batch norm's: with 64 or more output positions per sample and
+    C_in * kF * kT <= C_out. Otherwise batch norm's float64 sums may round
+    differently.
     """
-    return _bn_relu_pool(x, _Conv(x, w, b, stride, pad, "conv_bn_relu_pool"), state, window)
+    conv = _Conv(x, w, b, stride, pad, "conv_bn_relu_pool")
+
+    def values():
+        buf = np.empty((conv.blocks[0].stop,) + conv.shape[1:], dtype=conv.dtype)
+        for blk in conv.blocks:
+            vb = buf[:blk.stop - blk.start]
+            conv.output(blk, _by_sample(vb))
+            yield blk, vb
+
+    def sink(grads, dtype):
+        conv.backward((blk, _by_sample(gb)) for blk, gb in grads)
+
+    return _bn_relu_pool("conv_bn_relu_pool", conv.shape, conv.dtype, conv.blocks, values,
+                         sink, conv.parents, state, window)
 
 
-def _bn_relu_pool(x: Tensor, conv, state: BatchNormState, window) -> Tensor:
-    """The body of both fused stages. The batch-norm input is ``x`` itself
-    when ``conv`` is None, and otherwise ``conv``'s output, recomputed block by
-    block each time it is read.
+def _bn_relu_pool(op: str, shape, dtype, blocks, values, sink, parents,
+                  state: BatchNormState, window) -> Tensor:
+    """The body of both fused stages. Batch norm's input, of ``shape`` and
+    ``dtype``, is read only through ``values()``, which yields it as
+    (blk, block of samples) for each of ``blocks`` in order.
+    ``sink(grads, dtype)`` takes its gradient as the same pairs, each block
+    valid until the next is drawn, and accumulates it. The node's inputs are
+    ``parents`` and the state's gamma and beta. Errors name ``op``.
 
     Forward: one pass takes the statistics; a second normalizes each block
     into a reused buffer, sends the larger of its two taps to the output,
     records where the second tap won, and applies ReLU to the pooled output,
     since max commutes with it. Backward: the upstream gradient is masked by
-    the ReLU of the output, then pass A routes it through the saved winners
-    (ties to the first tap, as in max_pool2d) and takes batch norm's
-    per-channel sums in the same loop, and pass B applies batch norm's input
-    gradient. With ``x`` as the input, the routed gradient is the full-size
-    input gradient and pass B rewrites it in place; with ``conv``, pass B
-    recomputes and routes each block again and hands it to the conv's
-    backward, so neither the conv's output nor its gradient is ever
-    allocated at full size.
+    the ReLU of the output, then pass A routes each block of it through the
+    saved winners (ties to the first tap, as in max_pool2d) into a reused
+    buffer and takes batch norm's per-channel sums in the same loop. Pass B
+    routes each block again, applies batch norm's input gradient to it and
+    hands it to the sink.
     """
-    op = "bn_relu_pool" if conv is None else "conv_bn_relu_pool"
     window = tuple(window)
-    shape = x.shape if conv is None else conv.shape
     if len(shape) != 4 or window not in ((2, 1), (1, 2)):
         raise ShapeError(f"{op}: expected (B,C,F,T) input and a (2,1) or (1,2) "
                          f"window, got {shape} and {window}")
@@ -799,29 +826,10 @@ def _bn_relu_pool(x: Tensor, conv, state: BatchNormState, window) -> Tensor:
     def tap(a, k):
         return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
 
-    if conv is None:
-        xd = x.data
-        src_dtype = xd.dtype
-        blocks = _blocks(len(xd), xd[:1].nbytes)
-
-        def values():
-            for blk in blocks:
-                yield blk, xd[blk]
-    else:
-        src_dtype = conv.dtype
-        blocks = conv.blocks
-
-        def values():
-            buf = np.empty((blocks[0].stop,) + shape[1:], dtype=src_dtype)
-            for blk in blocks:
-                vb = buf[:blk.stop - blk.start]
-                conv.output(blk, _by_sample(vb))
-                yield blk, vb
-
     n_red = int(np.prod(shape)) // shape[1]
-    fold = _bn_fold(shape, src_dtype, (v for _, v in values()), state, True, op)
+    fold = _bn_fold(shape, dtype, (v for _, v in values()), state, True, op)
     _, _, scale, shift = fold
-    dtype = np.result_type(src_dtype, scale, shift)
+    dtype = np.result_type(dtype, scale, shift)
     pooled = shape[:axis] + (n_out,) + shape[axis + 1:]
     out = np.empty(pooled, dtype=dtype)
     wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
@@ -835,10 +843,10 @@ def _bn_relu_pool(x: Tensor, conv, state: BatchNormState, window) -> Tensor:
 
     def backward(g):
         np.multiply(g, out > 0, out=g)
-        gx = np.empty(shape if conv is None else (blocks[0].stop,) + shape[1:], dtype=dtype)
+        buf = np.empty((blocks[0].stop,) + shape[1:], dtype=dtype)
 
         def routed(blk):
-            gb = gx[blk] if conv is None else gx[:blk.stop - blk.start]
+            gb = buf[:blk.stop - blk.start]
             np.multiply(g[blk], wins[blk], out=tap(gb, 1))
             np.multiply(g[blk], ~wins[blk], out=tap(gb, 0))
             if 2 * n_out < shape[axis]:
@@ -847,24 +855,16 @@ def _bn_relu_pool(x: Tensor, conv, state: BatchNormState, window) -> Tensor:
 
         sums = _channel_sums(((routed(blk), v) for blk, v in values()), shape[1])
         a_ch, c_ch = _bn_grad_terms(sums, n_red, state, fold, True)
-        if conv is None and not x.requires_grad:
-            return
 
         def input_grads():
             for blk, v in values():
-                gb = gx[blk] if conv is None else routed(blk)
+                gb = routed(blk)
                 _channel_affine(gb, [(gb, scale), (v, a_ch)], c_ch)
-                yield blk, _by_sample(gb)
+                yield blk, gb
 
-        if conv is None:
-            for _ in input_grads():
-                pass
-            _accum_owned(x, gx)
-        else:
-            conv.backward(input_grads())
+        sink(input_grads(), dtype)
 
-    return _make(out, ((x,) if conv is None else conv.parents) + (state.gamma, state.beta),
-                 backward)
+    return _make(out, parents + (state.gamma, state.beta), backward)
 
 
 # ---------------------------------------------------------------------------

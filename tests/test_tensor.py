@@ -447,6 +447,28 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             batch_norm(Tensor(np.zeros((2, 3, 4, 4))), state, training=True)
 
+    def test_float32_input_with_float64_state_spanning_blocks(self):
+        """The float64 output gradient is twice as wide as the float32
+        input, so each splits into its own blocks of samples (6 of one
+        sample against 3 of two here); backward must still pair every
+        gradient sample with its own input sample. Compared with the same
+        input cast to float64, which differs only by the float32 mean and
+        variance."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(loc=0.5, size=(6, 64, 32, 32)).astype(np.float32)
+        gamma = rng.normal(size=64)
+        beta = rng.normal(size=64)
+        proj = rng.normal(size=x.shape)
+        grads = []
+        for xv in (x, x.astype(np.float64)):
+            state = BatchNormState("bn", 64, dtype=np.float64)
+            state.gamma.data[:], state.beta.data[:] = gamma, beta
+            tx = Tensor(xv, requires_grad=True)
+            _proj_loss(batch_norm(tx, state, training=True), proj).backward()
+            grads.append([tx.grad, state.gamma.grad, state.beta.grad])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
 
 def _tied_pairs(rng, shape, window, dtype):
     """Input whose pooled pairs include exact ties and pairs below the mean."""
@@ -586,13 +608,16 @@ class TestConvBnReluPool:
         ((6, 1, 16, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
         ((5, 1, 18, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
         ((5, 1, 8, 18), 8, (1, 3), (1, 2), (0, 1), (1, 2)),
+        ((4, 1, 8, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
         ((7, 1, 128, 32), 16, (3, 1), (2, 1), (1, 0), (2, 1))])
     def test_bitwise_equal_to_conv_then_bn_relu_pool(self, shape, c_out, kernel, stride, pad,
                                                      window, dtype):
         """Output, all five gradients and the running stats. Integer inputs
         and weights give exact ties in the conv output, and some pairs have
         both taps below zero after batch norm. The second and third shapes
-        pool 9 rows or columns, so a trailing one is dropped; the last is
+        pool 9 rows or columns, so a trailing one is dropped. The fourth has
+        32 output positions per sample, under conv2d's 64, so its batch is
+        folded into one GEMM, as one block of samples. The last is
         conv1's geometry, whose batch runs as blocks of 2, 2, 2 and 1 samples
         in float64 and of 4 and 3 in float32."""
         rng = np.random.default_rng(43)
