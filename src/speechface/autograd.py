@@ -464,10 +464,13 @@ class _Conv:
     def output(self, blk, out):
         """The conv of the block's samples into ``out``, (n, C_out, P)."""
         if self.folded:
-            o2 = self.wmat @ self.cols(blk)  # (C_out, n*P)
+            # (C_out, n*P), which for one sample is already the layout of out
+            one = out[0] if len(out) == 1 else None
+            o2 = np.matmul(self.wmat, self.cols(blk), out=one)
             if self.b is not None:
                 o2 += self.b.data[:, None]
-            out[...] = o2.reshape(out.shape[1], len(out), out.shape[2]).transpose(1, 0, 2)
+            if one is None:
+                out[...] = o2.reshape(out.shape[1], len(out), out.shape[2]).transpose(1, 0, 2)
         else:
             np.matmul(self.wmat, self.cols(blk), out=out)
             if self.b is not None:
