@@ -432,9 +432,10 @@ class _Conv:
                      for i in range(k_f) for j in range(k_t)]
 
         # ``tap_view`` shows either layout's slots of one tap as
-        # (B, C_in, F_out, T_out). The block's im2col buffer is rebuilt from
-        # x in backward: x stays alive anyway, and a whole batch of columns
-        # is up to 1.5x its size.
+        # (B, C_in, F_out, T_out). The im2col buffer holds one block and is
+        # rebuilt from x whenever another block is asked for, in backward
+        # too: x stays alive anyway, and a whole batch of columns is up to
+        # 1.5x its size.
         self.folded = n_pos < 64
         if self.folded:
             def tap_view(a, i, j):
