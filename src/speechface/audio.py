@@ -175,11 +175,18 @@ def load_wav(path) -> AudioClip:
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
               fmt: str = "pcm16") -> None:
-    """Write a mono or (n, channels) waveform as 16-bit PCM or 32-bit float."""
+    """Write a mono or (n, channels) waveform as 16-bit PCM or 32-bit float.
+
+    Finite samples are clipped to [-1, 1]; a NaN or Inf sample raises
+    DataError before anything is written.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     channels = arr.shape[1]
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise DataError(f"wav not written: {bad} of {arr.size} samples are NaN or Inf")
     arr = np.clip(arr, -1.0, 1.0)
     if fmt == "pcm16":
         payload = np.round(arr * 32767.0).astype("<i2").tobytes()

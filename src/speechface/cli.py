@@ -61,17 +61,14 @@ def cmd_prepare(args) -> int:
 
     stats = audio.fit_normalization([s for _, _, specs, _, _, _ in clips for s in specs])
 
-    seq_ids, frame_idx, bands, targets, emotions, actors = [], [], [], [], [], []
-    for seq_id, _, specs, truth, emotion, actor in clips:
-        for t, (spec, frame) in enumerate(zip(specs, truth)):
-            seq_ids.append(seq_id)
-            frame_idx.append(t)
-            bands.append(audio.normalize(spec, stats).bands.astype(np.float32))
-            targets.append(frame.vector.astype(np.float32))
-            emotions.append(data.LABEL_ABSENT if emotion is None else emotion)
-            actors.append(data.LABEL_ABSENT if actor is None else actor)
-    dataset = data.Dataset(np.array(seq_ids), np.array(frame_idx), np.stack(bands),
-                           np.stack(targets), np.array(emotions), np.array(actors), stats)
+    columns = []  # per clip: seq ids, frame indices, bands, targets, emotions, actors
+    for seq_id, _, specs, truth, *labels in clips:
+        n = len(specs)
+        columns.append([np.full(n, seq_id), np.arange(n),
+                        np.stack([audio.normalize(s, stats).bands for s in specs]).astype(np.float32),
+                        np.stack([f.vector for f in truth]).astype(np.float32)]
+                       + [np.full(n, data.LABEL_ABSENT if v is None else v) for v in labels])
+    dataset = data.Dataset(*(np.concatenate(col) for col in zip(*columns)), stats)
     data.save_dataset(dataset, args.out)
     labeled = sum(1 for c in clips if c[4] is not None)
     print(f"prepared {len(dataset)} records from {len(clips)} clips "

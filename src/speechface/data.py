@@ -146,9 +146,18 @@ CSV_HEADER = "frame,r1,r2,r3," + ",".join(f"e{i:02d}" for i in range(1, NUM_EXPR
 
 
 def write_param_csv(path, frames) -> None:
-    """Write FaceFrames as CSV rows with 6-decimal values."""
+    """Write FaceFrames as CSV rows with 6-decimal values.
+
+    Frame indices must be strictly increasing, as :func:`read_param_csv`
+    requires; otherwise DataError names the position and nothing is written.
+    """
     lines = [CSV_HEADER]
-    for frame in frames:
+    prev = None
+    for pos, frame in enumerate(frames):
+        if prev is not None and frame.frame_index <= prev:
+            raise DataError(f"CSV not written: frame {pos} has index {frame.frame_index}, "
+                            f"not above frame {pos - 1}'s {prev}")
+        prev = frame.frame_index
         vals = ",".join(f"{v:.6f}" for v in frame.vector)
         lines.append(f"{frame.frame_index},{vals}")
     Path(path).write_text("\n".join(lines) + "\n")

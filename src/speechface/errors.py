@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all speechface modules."""
+"""Exception hierarchy shared by all speechface modules, and the seed check
+that every seeded entry point shares."""
+
+import numpy as np
 
 
 class SpeechFaceError(Exception):
@@ -34,3 +37,13 @@ class DataError(SpeechFaceError):
 
 class NumericError(SpeechFaceError):
     """Non-finite values were produced where finite values are required."""
+
+
+def check_seed(seed) -> int:
+    """Return ``seed`` if it is a non-negative integer; otherwise raise
+    ConfigError."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, check_seed
 
 NUM_EXPRESSIONS = 46
 NUM_ROTATION = 3
@@ -209,7 +209,7 @@ def make_toy_rig(seed: int = 0) -> BlendshapeRig:
             faces.append((b, d, c))
     faces = np.array(faces, dtype=np.int64)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     front = np.flatnonzero(base[:, 2] > 0.45 * radii[2])  # the "face" side
     centers = rng.choice(front, size=NUM_EXPRESSIONS, replace=True)
     normals = base / radii  # outward ellipsoid normal direction (unnormalized)
@@ -233,7 +233,13 @@ def make_toy_rig(seed: int = 0) -> BlendshapeRig:
 
 
 def save_rig(rig: BlendshapeRig, path) -> None:
-    """Write the binary rig file (magic SFRG), optionally with topology."""
+    """Write the binary rig file (magic SFRG), optionally with topology.
+
+    The rig is checked again as :class:`BlendshapeRig` checks it, since its
+    arrays may have changed since; a rig :func:`load_rig` would reject raises
+    before anything is written.
+    """
+    rig = BlendshapeRig(rig.shapes, rig.landmark_indices, rig.faces)
     lm = rig.landmark_indices
     out = bytearray()
     out += RIG_MAGIC

@@ -24,7 +24,7 @@ from . import autograd as ag
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats, Spectrogram
 from .autograd import BatchNormState, GRUParams, LSTMParams, Parameter, Tensor
 from .binfile import Reader
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_seed
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
@@ -304,7 +304,7 @@ def build_model(variant: str, seed: int = 0) -> Model:
     matrices are Glorot per gate block; biases start at zero except the LSTM
     forget gate, which starts at 1.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     return _assemble(variant, lambda shape, fan_in, fan_out:
                      _glorot(rng, shape, fan_in, fan_out, Model.dtype))
 
@@ -586,7 +586,11 @@ _VARIANT_IDS = {name: i for i, name in enumerate(VARIANTS)}
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Serialize variant tag, normalization stats and every named array."""
+    """Serialize variant tag, normalization stats and every named array.
+
+    An array holding a value that is not finite in float32 raises
+    NumericError naming it, before anything is written.
+    """
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<IB", CHECKPOINT_VERSION, _VARIANT_IDS[model.variant])
@@ -598,7 +602,11 @@ def save_checkpoint(model: Model, path) -> None:
         out += struct.pack("<H", len(encoded)) + encoded
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            values = arr.astype("<f4")
+        if not np.isfinite(values).all():
+            raise NumericError(f"checkpoint not written: field {name!r} has a non-finite value")
+        out += values.tobytes()
     Path(path).write_bytes(bytes(out))
 
 

@@ -53,48 +53,30 @@ class StreamingSession:
         any sample outside [-1, 1], NaN or Inf included, raises DataError up
         front. A chunk whose audio makes a frame fail raises naming that
         frame. Either way the buffered audio, the frame count and the
-        recurrent state stay as they were before the chunk.
+        recurrent state stay as they were before the chunk. They are assigned
+        once, after every frame of the chunk has run, so any other exception,
+        KeyboardInterrupt included, propagates and leaves them unchanged too.
         """
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ShapeError(f"chunk must be a 1-d sample array, got shape {samples.shape}")
         check_samples(samples, "chunk")
-        # _append and forward replace these arrays rather than mutate them
-        saved = (self._tail, self._heard, self.frames_emitted, self.state)
-        emitted = []
-        pos = 0
-        try:
-            while True:
-                boundary = frame_boundary(self.frames_emitted, self.fps)
-                take = min(len(samples) - pos, boundary - self._heard)
-                if take > 0:
-                    self._append(samples[pos:pos + take])
-                    pos += take
-                if self._heard == boundary:
-                    emitted.append(self._emit())
-                elif pos >= len(samples):
-                    return emitted
-        except Exception as err:
-            failed = self.frames_emitted
-            self._tail, self._heard, self.frames_emitted, self.state = saved
-            if not isinstance(err, SpeechFaceError):
-                raise
-            raise DataError(f"chunk rejected at frame {failed}: {err}") from None
-
-    def _append(self, chunk) -> None:
-        n = len(chunk)
-        if n >= WINDOW_SAMPLES:
-            self._tail = chunk[-WINDOW_SAMPLES:].copy()
-        else:
-            self._tail = np.concatenate([self._tail[n:], chunk])
-        self._heard += n
-
-    def _emit(self):
-        spec = compute_spectrogram(self._tail, frame_index=self.frames_emitted)
-        spec = normalize(spec, self.model.norm_stats)
-        frame, self.state = forward(self.model, spec, self.state)
-        self.frames_emitted += 1
-        return frame
+        # buf[i] is absolute sample first + i; the session changes only at the end
+        buf = np.concatenate([self._tail, samples])
+        first = self._heard - WINDOW_SAMPLES
+        state, t, emitted = self.state, self.frames_emitted, []
+        while (boundary := frame_boundary(t, self.fps)) <= first + len(buf):
+            window = buf[boundary - WINDOW_SAMPLES - first:boundary - first]
+            try:
+                spec = normalize(compute_spectrogram(window, frame_index=t), self.model.norm_stats)
+                frame, state = forward(self.model, spec, state)
+            except SpeechFaceError as err:
+                raise DataError(f"chunk rejected at frame {t}: {err}") from None
+            emitted.append(frame)
+            t += 1
+        self._tail, self._heard = buf[-WINDOW_SAMPLES:].copy(), self._heard + len(samples)
+        self.frames_emitted, self.state = t, state
+        return emitted
 
 
 def bench(model: Model, iters: int = 100) -> dict:

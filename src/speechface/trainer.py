@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_seed
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame, landmark_rmse, weights_mse
 from .model import VARIANTS, Model, _compile, _infer, build_model
 
@@ -36,15 +36,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        for name in ("epochs", "bptt_len", "minibatch_frames", "epoch_frames", "seed"):
+        for name in ("epochs", "bptt_len", "minibatch_frames", "epoch_frames"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         for name in ("epochs", "bptt_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("minibatch_frames", "epoch_frames"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "
@@ -277,46 +276,36 @@ def train(config: TrainConfig, dataset: Dataset, model: Model | None = None, on_
 # evaluation
 
 
-def _subset(frames, keep):
-    return [f for f, k in zip(frames, keep) if k]
-
-
 def metric_report(pred, truth, rig=None, emotions=None, actors=None,
                   metrics=("landmark_rmse", "weights_mse")) -> dict:
     """Grouped metric table over aligned frame lists.
 
     Groups with no labeled frames are omitted; emotion/actor arrays use 255
-    for "absent". Landmark RMSE needs a rig.
+    for "absent" and must hold one label per frame. Landmark RMSE needs a rig.
     """
     if len(pred) != len(truth):
         raise DataError(f"length mismatch: {len(pred)} predicted frames vs "
                         f"{len(truth)} ground-truth frames")
     if "landmark_rmse" in metrics and rig is None:
         raise ConfigError("landmark_rmse requested but no rig given")
-
-    def compute(metric, p, t):
-        if metric == "landmark_rmse":
-            return landmark_rmse(p, t, rig)
-        if metric == "weights_mse":
-            return weights_mse(p, t)
-        raise ConfigError(f"unknown metric {metric!r}")
-
+    table = {"landmark_rmse": lambda p, t: landmark_rmse(p, t, rig), "weights_mse": weights_mse}
+    groups = {}  # "by_emotion"/"by_actor" -> {group name: frame indices}
+    for key, labels, name_of in (("by_emotion", emotions, lambda c: EMOTION_NAMES.get(c, str(c))),
+                                 ("by_actor", actors, str)):
+        labels = np.full(len(pred), LABEL_ABSENT) if labels is None else np.asarray(labels)
+        if len(labels) != len(pred):
+            raise DataError(f"{key[3:]} labels: {len(labels)} given for {len(pred)} frames")
+        groups[key] = {name_of(int(c)): np.flatnonzero(labels == c)
+                       for c in np.unique(labels) if c != LABEL_ABSENT}
     report = {"frames": len(pred), "metrics": {}}
     for metric in metrics:
-        entry = {"mean": compute(metric, pred, truth), "by_emotion": {}, "by_actor": {}}
-        if emotions is not None:
-            emotions = np.asarray(emotions)
-            for code in sorted(int(c) for c in np.unique(emotions) if c != LABEL_ABSENT):
-                keep = emotions == code
-                entry["by_emotion"][EMOTION_NAMES.get(code, str(code))] = \
-                    compute(metric, _subset(pred, keep), _subset(truth, keep))
-        if actors is not None:
-            actors = np.asarray(actors)
-            for actor in sorted(int(a) for a in np.unique(actors) if a != LABEL_ABSENT):
-                keep = actors == actor
-                entry["by_actor"][str(actor)] = \
-                    compute(metric, _subset(pred, keep), _subset(truth, keep))
-        report["metrics"][metric] = entry
+        if metric not in table:
+            raise ConfigError(f"unknown metric {metric!r}")
+        fn = table[metric]
+        entry = report["metrics"][metric] = {"mean": fn(pred, truth)}
+        for key, cells in groups.items():
+            entry[key] = {name: fn([pred[i] for i in idx], [truth[i] for i in idx])
+                          for name, idx in cells.items()}
     return report
 
 

@@ -23,7 +23,7 @@ from speechface.data import (
     save_dataset,
     write_param_csv,
 )
-from speechface.errors import DataError, ParseError, SpeechFaceError
+from speechface.errors import DataError, NumericError, ParseError, SpeechFaceError
 from speechface.face import NUM_EXPRESSIONS, BlendshapeRig, FaceFrame, load_rig, save_rig
 from speechface.model import build_model, load_checkpoint, save_checkpoint
 
@@ -76,6 +76,21 @@ class TestWav:
         with pytest.raises(ParseError, match=f"byte {bad}"):
             load_wav(path)
 
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite_samples(self, tmp_path, fmt, value):
+        """NaN or Inf raises DataError and writes nothing, rather than a NaN
+        load_wav rejects or a silent 0.0 or +-0.99997; finite samples are
+        still clipped to [-1, 1]."""
+        samples = np.zeros((100, 2))
+        samples[[5, 60], 1] = value
+        path = tmp_path / "bad.wav"
+        with pytest.raises(DataError, match="2 of 200 samples are NaN or Inf"):
+            write_wav(path, samples, SAMPLE_RATE, fmt=fmt)
+        assert not path.exists()
+        write_wav(path, np.array([-3.0, 0.25, 2.0]), SAMPLE_RATE, fmt=fmt)
+        np.testing.assert_allclose(load_wav(path).samples, [-1.0, 0.25, 1.0], atol=1e-4)
+
 
 # =============================================================================
 # Checkpoint
@@ -94,12 +109,32 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field", ["dense2.w", "conv3.bn.running_var", "rnn.w_h"])
     def test_non_finite_field_named(self, tmp_path, field):
+        """A NaN written into a field's values on disk (save_checkpoint itself
+        refuses to write one) fails naming that field."""
         model = build_model("cnn_lstm")
-        dict(model.named_arrays())[field].flat[3] = np.nan
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        encoded = field.encode()
+        rank = dict(model.named_arrays())[field].ndim
+        values = blob.index(struct.pack("<H", len(encoded)) + encoded) + 2 + len(encoded) + 1 + 4 * rank
+        blob[values + 4 * 3:values + 4 * 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(ParseError, match=field):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("dense2.b", np.nan), ("conv3.bn.running_var", np.inf),
+                                             ("rnn.w_h", 1e39)])
+    def test_save_refuses_a_non_finite_field(self, tmp_path, field, value):
+        """A value that is not finite once stored as float32, 1e39 included,
+        raises NumericError naming its field, and no file is written."""
+        model = build_model("cnn_lstm")
+        model.cell.w_h.data = model.cell.w_h.data.astype(np.float64)  # can hold 1e39
+        dict(model.named_arrays())[field].flat[3] = value
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(NumericError, match=f"field '{re.escape(field)}' has a non-finite"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("which,value", [("mean", np.nan), ("std", np.inf), ("std", 0.0)])
     def test_bad_normalization_stats(self, tmp_path, which, value):
@@ -171,6 +206,17 @@ class TestRig:
         with pytest.raises(DataError, match="finite"):
             BlendshapeRig(shapes, [0, 2, 4])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_a_rig_changed_to_non_finite(self, tmp_path, value):
+        """A rig whose shapes became non-finite after construction raises
+        DataError and writes nothing, rather than a file load_rig rejects."""
+        rig = BlendshapeRig(np.zeros((NUM_EXPRESSIONS + 1, 6, 3)), [0, 2, 4])
+        rig.shapes[0, 0, 0] = value
+        path = tmp_path / "r.rig"
+        with pytest.raises(DataError, match="rig shapes must be finite"):
+            save_rig(rig, path)
+        assert not path.exists()
+
 
 # =============================================================================
 # CSV and .sfd
@@ -199,6 +245,17 @@ class TestDataFiles:
             path.write_bytes(end.join([CSV_HEADER, row + "\x0c", bad, ""]).encode())
             with pytest.raises(ParseError, match=": line 3: "):
                 read_param_csv(path)
+
+    @pytest.mark.parametrize("indices,pos", [([0, 0], 1), ([0, 1, 2, 5, 4], 4)])
+    def test_csv_write_refuses_non_increasing_frames(self, tmp_path, indices, pos):
+        """Frame indices read_param_csv would reject raise DataError naming
+        the position, and nothing is written."""
+        frames = [FaceFrame.from_vector(np.full(49, 0.5), i) for i in indices]
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match=f"frame {pos} has index {indices[pos]}, "
+                                            f"not above frame {pos - 1}'s {indices[pos - 1]}"):
+            write_param_csv(path, frames)
+        assert not path.exists()
 
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):

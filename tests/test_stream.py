@@ -190,6 +190,39 @@ class TestStreamingSession:
         for g, w in zip(fresh.push(c2), StreamingSession(model).push(c2)):
             np.testing.assert_array_equal(g.vector, w.vector)
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_other_exception_mid_chunk_propagates_and_leaves_session_untouched(
+            self, monkeypatch, error):
+        """An exception that is not a SpeechFaceError, raised from forward at
+        frame 5 after the chunk has emitted frame 4, reaches the caller
+        unwrapped; the session keeps its frame count and carries on exactly
+        as if the chunk had never been pushed."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        c1, c2 = samples[:7000], samples[7000:]
+        failing = set()
+
+        def forward(model, spec, state):
+            if spec.frame_index in failing:
+                raise error("interrupted")
+            return real_forward(model, spec, state)
+
+        real_forward = stream.forward
+        monkeypatch.setattr(stream, "forward", forward)
+        want = StreamingSession(model).push(samples)
+        session = StreamingSession(model)
+        got = session.push(c1)
+        failing.add(5)
+        with pytest.raises(error, match="^interrupted$"):
+            session.push(-samples[7000:10000])
+        assert session.frames_emitted == len(got) == 4
+        failing.clear()
+        got += session.push(c2)
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            assert g.vector.tobytes() == w.vector.tobytes()
+
     @pytest.mark.parametrize("variant", ["cnn_lstm", "cnn_gru"])
     def test_reset_starts_a_fresh_stream(self, variant):
         model = build_model(variant, seed=6)

@@ -293,6 +293,20 @@ class TestMakeBatches:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("seeded", [lambda s: build_model("cnn_gru", s), make_toy_rig,
+                                        lambda s: TrainConfig(seed=s)],
+                             ids=["build_model", "make_toy_rig", "TrainConfig"])
+    @pytest.mark.parametrize("seed,message", [(-1, "seed must be non-negative, got -1"),
+                                              (1.5, "seed must be an integer, got 1.5"),
+                                              (True, "seed must be an integer, got True"),
+                                              ("3", "seed must be an integer, got '3'")])
+    def test_every_seeded_entry_point_checks_its_seed(self, seeded, seed, message):
+        """A seed outside TrainConfig gets TrainConfig's ConfigError, not a
+        numpy ValueError or TypeError, and a bool is not taken for 0 or 1."""
+        with pytest.raises(ConfigError) as err:
+            seeded(seed)
+        assert str(err.value) == message
+
     def test_empty_dataset_rejected(self):
         rng = np.random.default_rng(8)
         ds = build_synth_dataset(rng, counts=(4,))
@@ -541,6 +555,23 @@ class TestMetricReport:
         frames = _frames_from(np.zeros((3, 49)))
         with pytest.raises(DataError, match="3.*2|2.*3"):
             metric_report(frames, frames[:2], metrics=("weights_mse",))
+
+    @pytest.mark.parametrize("group,labels,message", [
+        ("emotions", [3, 3], "emotion labels: 2 given for 4 frames"),
+        ("actors", [1, 1, 2, 2, 2], "actor labels: 5 given for 4 frames")])
+    def test_label_array_of_another_length_names_group_and_lengths(self, group, labels, message):
+        """Labels are not scored against the first frames only, nor does a
+        long array fail as an empty sequence."""
+        frames = _frames_from(np.zeros((4, 49)))
+        with pytest.raises(DataError) as err:
+            metric_report(frames, frames, metrics=("weights_mse",),
+                          **{group: np.array(labels, dtype=np.uint8)})
+        assert str(err.value) == message
+
+    def test_unknown_metric_rejected(self):
+        frames = _frames_from(np.zeros((2, 49)))
+        with pytest.raises(ConfigError, match="unknown metric 'mae'"):
+            metric_report(frames, frames, metrics=("weights_mse", "mae"))
 
 
 class TestEvaluate:
