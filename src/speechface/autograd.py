@@ -20,6 +20,7 @@ gradient checks use.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -335,7 +336,7 @@ def _blocks(nb: int, sample_bytes: int) -> list:
 
 def _by_sample(a: np.ndarray) -> np.ndarray:
     """(B, C, ...) as (B, C, rest); a view when ``a`` is C-contiguous."""
-    return a.reshape(a.shape[:2] + (int(np.prod(a.shape[2:])),))
+    return a.reshape(a.shape[:2] + (math.prod(a.shape[2:]),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -673,7 +674,7 @@ def _bn_fold(shape, dtype, blocks, state: BatchNormState, training: bool, op: st
     if training and shape[0] < 2:
         raise ConfigError(f"{op}: training mode requires batch size >= 2")
     if training:
-        n_red = int(np.prod(shape)) // shape[1]
+        n_red = math.prod(shape) // shape[1]
         sum_x, sum_xx = _channel_sums(((v, v) for v in blocks), shape[1])
         mu64 = sum_x / n_red
         mu = mu64.astype(dtype)
@@ -830,7 +831,7 @@ def _bn_relu_pool(op: str, shape, dtype, blocks, values, sink, parents,
     def tap(a, k):
         return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
 
-    n_red = int(np.prod(shape)) // shape[1]
+    n_red = math.prod(shape) // shape[1]
     fold = _bn_fold(shape, dtype, (v for _, v in values()), state, True, op)
     _, _, scale, shift = fold
     dtype = np.result_type(dtype, scale, shift)

@@ -129,9 +129,9 @@ def quaternion_to_matrix(q) -> np.ndarray:
 
 
 def _blend(shapes: np.ndarray, e: np.ndarray) -> np.ndarray:
-    base = shapes[0].astype(np.float64)
-    deltas = shapes[1:].astype(np.float64) - base  # (46, V, 3)
-    return base + np.tensordot(e, deltas, axes=(0, 0))
+    """B0 + sum_i (B_i - B0) e_i, summed in one pass as (1 - sum e) B0 + sum e_i B_i."""
+    weights = np.concatenate([[1.0 - e.sum()], e])
+    return (weights @ shapes.reshape(len(shapes), -1)).reshape(shapes.shape[1:])
 
 
 def compose_shape(rig: BlendshapeRig, frame: FaceFrame) -> np.ndarray:

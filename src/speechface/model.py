@@ -243,15 +243,17 @@ def _glorot(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-lim, lim, size=shape).astype(dtype)
 
 
-def _assemble(variant: str, weight) -> Model:
+def _assemble(variant: str, weight, dtype=Model.dtype) -> Model:
     """Allocate every parameter of ``variant``.
 
     Weight matrices come from ``weight(shape, fan_in, fan_out)``, called in a
-    fixed order, with recurrent matrices made one gate block at a time.
+    fixed order. A recurrent matrix stacks its gate blocks in one call, with
+    the fans of one (hidden, hidden) block.
     Biases start at zero except the LSTM forget gate, which starts at 1.
+    Biases and batch-norm state are ``dtype``.
     """
     model = Model(variant)
-    arch, dtype = model.arch, model.dtype
+    arch = model.arch
     hid = arch.hidden
 
     in_ch = 1
@@ -274,7 +276,7 @@ def _assemble(variant: str, weight) -> Model:
     model.dense1_b = Parameter("dense1.b", np.zeros(hid, dtype=dtype))
 
     def blocks(n):
-        return np.vstack([weight((hid, hid), hid, hid) for _ in range(n)])
+        return weight((n * hid, hid), hid, hid)
 
     if variant == "cnn_lstm":
         w_x, w_h = blocks(4), blocks(4)

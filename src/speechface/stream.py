@@ -12,10 +12,10 @@ import time
 
 import numpy as np
 
-from .audio import (WINDOW_SAMPLES, check_fps, check_samples, compute_spectrogram,
+from .audio import (WINDOW_SAMPLES, NormStats, check_fps, check_samples, compute_spectrogram,
                     frame_boundary, normalize)
 from .errors import ConfigError, DataError, ShapeError, SpeechFaceError
-from .model import Model, forward
+from .model import Model, _assemble, forward
 
 # bench times frames at BENCH_FPS on seeded noise, after BENCH_WARMUP untimed ones
 BENCH_FPS = 30.0
@@ -29,16 +29,24 @@ class StreamingSession:
     Audio must already be mono at 44100 Hz. The session keeps only the most
     recent window of samples plus the recurrent state, so memory use is
     constant regardless of stream length.
+
+    The first :meth:`push` copies the model's weights, batch-norm statistics
+    and normalization stats into a float64 model, once, and every frame of
+    the session runs on that copy, so no op upcasts a weight per frame.
+    ``session.model`` stays the caller's object, but a change to its weights
+    after the first push, in place or not, does not reach this session's
+    frames; a new session sees it. :meth:`reset` keeps the copy.
     """
 
     def __init__(self, model: Model, fps: float = 30.0):
         self.model = model
         self.fps = check_fps(fps)
+        self._model64 = None  # the float64 copy, made by the first push
         self.reset()
 
     def reset(self) -> None:
         """Start a new stream: zero the recurrent state, the buffered audio
-        and the frame count."""
+        and the frame count. The float64 copy of the model is kept."""
         self.state = self.model.initial_state()
         self.frames_emitted = 0
         self._tail = np.zeros(WINDOW_SAMPLES)  # last 4224 samples, zero-primed
@@ -64,19 +72,33 @@ class StreamingSession:
         # buf[i] is absolute sample first + i; the session changes only at the end
         buf = np.concatenate([self._tail, samples])
         first = self._heard - WINDOW_SAMPLES
+        model = self._model64 or _float64_copy(self.model)
         state, t, emitted = self.state, self.frames_emitted, []
         while (boundary := frame_boundary(t, self.fps)) <= first + len(buf):
             window = buf[boundary - WINDOW_SAMPLES - first:boundary - first]
             try:
-                spec = normalize(compute_spectrogram(window, frame_index=t), self.model.norm_stats)
-                frame, state = forward(self.model, spec, state)
+                spec = normalize(compute_spectrogram(window, frame_index=t), model.norm_stats)
+                frame, state = forward(model, spec, state)
             except SpeechFaceError as err:
                 raise DataError(f"chunk rejected at frame {t}: {err}") from None
             emitted.append(frame)
             t += 1
         self._tail, self._heard = buf[-WINDOW_SAMPLES:].copy(), self._heard + len(samples)
-        self.frames_emitted, self.state = t, state
+        self.frames_emitted, self.state, self._model64 = t, state, model
         return emitted
+
+
+def _float64_copy(model: Model) -> Model:
+    """A float64 model holding copies of ``model``'s arrays and norm stats.
+
+    Filled as :func:`~.model.load_checkpoint` fills a model. ``copy.copy``
+    would cache ``__slotnames__`` on the classes it copies, which changes them.
+    """
+    f64 = _assemble(model.variant, lambda shape, *fans: np.empty(shape), np.float64)
+    for (_, dst), (_, src) in zip(f64.named_arrays(), model.named_arrays()):
+        np.copyto(dst, src)
+    f64.norm_stats = NormStats(model.norm_stats.mean.copy(), model.norm_stats.std.copy())
+    return f64
 
 
 def bench(model: Model, iters: int = 100) -> dict:

@@ -138,6 +138,20 @@ class TestComposeShape:
         s_mix = compose_shape(rig, FaceFrame(r, alpha * e1 + (1 - alpha) * e2))
         np.testing.assert_allclose(s_mix, alpha * s1 + (1 - alpha) * s2, atol=1e-9)
 
+    def test_matches_the_delta_form_in_float64(self, rig):
+        """compose_shape is R (B0 + sum_k e_k (B_k - B0)) to 1e-9 mm, and
+        landmark_positions are its landmark rows to 1e-9 mm."""
+        rng = np.random.default_rng(6)
+        shapes = rig.shapes.astype(np.float64)
+        for _ in range(50):
+            frame = FaceFrame(rng.uniform(-0.6, 0.6, 3), rng.uniform(0, 1, 46))
+            rot = quaternion_to_matrix(quaternion_from_free_params(frame.r))
+            want = (shapes[0] + np.tensordot(frame.e, shapes[1:] - shapes[0], axes=1)) @ rot.T
+            got = compose_shape(rig, frame)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(landmark_positions(rig, frame),
+                                       got[rig.landmark_indices], rtol=0, atol=1e-9)
+
     def test_rotation_is_isometry(self, rig):
         """Pairwise vertex distances are invariant to r within 1e-6."""
         rng = np.random.default_rng(4)

@@ -238,6 +238,37 @@ class TestStreamingSession:
             assert g.frame_index == w.frame_index
             np.testing.assert_array_equal(g.vector, w.vector)
 
+    def test_session_keeps_the_weights_of_its_first_push(self):
+        """Weights changed in place after a session's first push do not reach
+        its later frames; a session started afterwards sees them."""
+        samples = tone(0.6, freq=440.0)
+        c1, c2 = samples[:7000], samples[7000:]
+        model, twin_model = build_model("cnn_gru", seed=7), build_model("cnn_gru", seed=7)
+        session, twin = StreamingSession(model), StreamingSession(twin_model)
+        session.push(c1)
+        twin.push(c1)
+        model.dense2_w.data *= 1.5
+        got, want = session.push(c2), twin.push(c2)
+        assert session.model is model
+        assert len(got) == len(want) == 14
+        for g, w in zip(got, want):
+            assert g.vector.tobytes() == w.vector.tobytes()
+        changed = StreamingSession(model).push(samples)
+        untouched = StreamingSession(twin_model).push(samples)
+        assert not np.array_equal(changed[-1].vector, untouched[-1].vector)
+
+    def test_reset_keeps_the_weights_of_the_first_push(self):
+        model = build_model("cnn_gru", seed=7)
+        session = StreamingSession(model)
+        first = session.push(tone(0.3))
+        model.dense2_w.data *= 1.5
+        session.reset()
+        assert session.model is model
+        again = session.push(tone(0.3))
+        assert len(first) == len(again) == 9
+        for a, b in zip(first, again):
+            assert a.vector.tobytes() == b.vector.tobytes()
+
     def test_silence_converges_to_fixed_point(self):
         """On constant input the recurrent state settles: deltas < 1e-3."""
         for variant in ("cnn_lstm", "cnn_gru"):
