@@ -95,6 +95,10 @@ class NormStats:
         if not np.all(self.std > 0):
             raise DataError("normalization std entries must be strictly positive")
 
+    def standardize(self, bands: np.ndarray) -> np.ndarray:
+        """(value - mean[band]) / std[band] for a (128, n) array of any n columns."""
+        return (bands - self.mean[:, None]) / self.std[:, None]
+
     @classmethod
     def identity(cls) -> "NormStats":
         return cls(np.zeros(NUM_BANDS), np.ones(NUM_BANDS))
@@ -275,11 +279,25 @@ def compute_spectrogram(window: np.ndarray, frame_index: int = 0) -> Spectrogram
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (WINDOW_SAMPLES,):
         raise ShapeError(f"window must have {WINDOW_SAMPLES} samples, got {window.shape}")
-    offsets = np.arange(NUM_COLUMNS) * HOP
-    frames = window[offsets[:, None] + np.arange(FFT_SIZE)]  # (32, 256)
+    return Spectrogram(power_columns(window), frame_index)
+
+
+def power_columns(samples: np.ndarray) -> np.ndarray:
+    """The power spectrogram columns of a run of samples: (128, n).
+
+    ``samples`` spans n whole columns, 256 + (n - 1) * 128 samples, so
+    column c here is column c0 + c of a window whose column c0 starts at the
+    run's first sample. :func:`compute_spectrogram` is the 32-column case.
+    """
+    hops, rest = divmod(len(samples) - FFT_SIZE, HOP)
+    if hops < 0 or rest:
+        raise ShapeError(f"{len(samples)} samples do not span whole {FFT_SIZE}-sample "
+                         f"columns at hop {HOP}")
+    offsets = np.arange(hops + 1) * HOP
+    frames = samples[offsets[:, None] + np.arange(FFT_SIZE)]  # (n, 256)
     spectrum = np.fft.rfft(frames * _HANN, axis=1)[:, :NUM_BANDS]
     power = (spectrum.real ** 2 + spectrum.imag ** 2)
-    return Spectrogram(power.T.copy(), frame_index)
+    return power.T.copy()
 
 
 def clip_spectrograms(clip: AudioClip, fps: float) -> list[Spectrogram]:
@@ -303,5 +321,4 @@ def fit_normalization(specs) -> NormStats:
 
 def normalize(spec: Spectrogram, stats: NormStats) -> Spectrogram:
     """Standardize each band: (value - mean[band]) / std[band]."""
-    return Spectrogram((spec.bands - stats.mean[:, None]) / stats.std[:, None],
-                       spec.frame_index)
+    return Spectrogram(stats.standardize(spec.bands), spec.frame_index)

@@ -89,6 +89,18 @@ class Architecture:
         return shapes
 
     @property
+    def column_stages(self) -> int:
+        """Length of the stack's leading run of stages that act along
+        frequency only, so each time column passes them independently of
+        the others: conv1 to conv5, the last one before pool5."""
+        for i, spec in enumerate(self.stack):
+            kernel, pad = (spec.kernel, spec.pad) if isinstance(spec, ConvSpec) \
+                else (spec.window, (0, 0))
+            if (kernel[1], spec.stride[1], pad[1]) != (1, 1, 0):
+                return i
+        return len(self.stack)
+
+    @property
     def flat_dim(self) -> int:
         c, f, t = self.stack_shapes()[-1][1]
         return c * f * t
@@ -155,9 +167,37 @@ class Model:
 
     # -- forward pieces ---------------------------------------------------------
 
-    def layers(self, x: Tensor, training: bool):
+    def layers(self, x: Tensor, training: bool, early: Tensor | None = None):
         """Walk the trunk, yielding (layer name, output) for the input, each
         conv/pool stage and the first dense layer: (B,1,F,T) -> (B,hidden).
+
+        ``early`` splits the walk by time columns, for inference: it holds
+        the output of the first :attr:`Architecture.column_stages` stages for
+        the frame's leading columns, and x then holds only the remaining
+        ones. Those run the same stages on their own, join ``early`` along
+        time, and the walk goes on from there. Each column passes those
+        stages independently of the others, so the split changes only the
+        GEMMs' shapes, and with them the rounding.
+        """
+        arch = self.arch
+        split = 0 if early is None else arch.column_stages
+        columns = arch.input_columns - (0 if early is None else early.shape[3])
+        expect = (1, arch.input_bands, columns)
+        if x.ndim != 4 or x.shape[1:] != expect:
+            raise ShapeError(f"input: expected (B,) + {expect}, got {x.shape}")
+        yield "input", x
+        if split:
+            for name, x in self.stages(x, training, stop=split):
+                yield name, x
+            x = Tensor(np.concatenate([early.data, x.data], axis=3))
+        for name, x in self.stages(x, training, start=split):
+            yield name, x
+        x = ag.reshape(x, (x.shape[0], arch.flat_dim))
+        yield "dense1", ag.tanh(ag.dense(x, self.dense1_w, self.dense1_b))
+
+    def stages(self, x: Tensor, training: bool, start: int = 0, stop: int | None = None):
+        """Run stages ``arch.stack[start:stop]`` on x, yielding (stage name,
+        output) for each.
 
         In training, a batch-normalized conv followed by a two-tap pool runs
         its batch norm, ReLU and pool as one :func:`~.autograd.bn_relu_pool`
@@ -170,11 +210,7 @@ class Model:
         yields every stage, which is what :func:`forward_trace` and the
         non-finite diagnostics read.
         """
-        expect = (1, self.arch.input_bands, self.arch.input_columns)
-        if x.ndim != 4 or x.shape[1:] != expect:
-            raise ShapeError(f"input: expected (B,) + {expect}, got {x.shape}")
-        yield "input", x
-        stack = self.arch.stack
+        stack = self.arch.stack[start:stop]
         fused = None
         for spec, nxt in zip(stack, stack[1:] + (None,)):
             if spec is fused:
@@ -198,12 +234,11 @@ class Model:
             except ShapeError as err:
                 raise ShapeError(f"layer {spec.name}: {err}") from None
             yield spec.name, x
-        x = ag.reshape(x, (x.shape[0], self.arch.flat_dim))
-        yield "dense1", ag.tanh(ag.dense(x, self.dense1_w, self.dense1_b))
 
-    def trunk(self, x: Tensor, training: bool) -> Tensor:
-        """Conv/pool stack plus the first dense layer: (B,1,F,T) -> (B,hidden)."""
-        for _, x in self.layers(x, training):
+    def trunk(self, x: Tensor, training: bool, early: Tensor | None = None) -> Tensor:
+        """Conv/pool stack plus the first dense layer: (B,1,F,T) -> (B,hidden);
+        ``early`` splits it by time columns as in :meth:`layers`."""
+        for _, x in self.layers(x, training, early):
             pass
         return x
 
@@ -531,17 +566,30 @@ def forward(model: Model, spec, state: tuple | None = None):
     statistics. One frame runs the model's own layers in float64 without
     recording gradients, so nothing is compiled per call.
     """
+    frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
+    return forward_split(model, _spec_bands(spec), state, frame_index)
+
+
+def forward_split(model: Model, bands, state: tuple | None, frame_index: int,
+                  early: Tensor | None = None):
+    """:func:`forward` on a normalized (F, T) band array, whose time columns
+    may come in two groups.
+
+    With ``early``, the output of the first :attr:`Architecture.column_stages`
+    stages for the frame's leading columns, ``bands`` holds only its
+    remaining columns (see :meth:`Model.layers`). Returns (FaceFrame with
+    index ``frame_index``, advanced state).
+    """
     if state is None:
         state = model.initial_state()
     if len(state) != _STATE_SIZE[model.variant]:
         raise ConfigError(f"{model.variant} state holds {_STATE_SIZE[model.variant]} "
                           f"arrays, got {len(state)}")
-    x = Tensor(np.asarray(_spec_bands(spec), dtype=np.float64)[None, None])
+    x = Tensor(np.asarray(bands, dtype=np.float64)[None, None])
     with ag.no_grad():
-        out, state = model.recur(model.trunk(x, training=False),
+        out, state = model.recur(model.trunk(x, training=False, early=early),
                                  tuple(Tensor(s, dtype=np.float64) for s in state))
         y_r, y_e = model.head_out(out)
-    frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
     return (FaceFrame.from_vector(np.concatenate([y_r.data[0], y_e.data[0]]), frame_index),
             tuple(s.data for s in state))
 

@@ -28,6 +28,7 @@ from speechface.audio import (
     frame_count,
     load_wav,
     normalize,
+    power_columns,
     resample_linear,
     write_wav,
 )
@@ -263,6 +264,17 @@ class TestSpectrogram:
     def test_wrong_length_raises(self):
         with pytest.raises(ShapeError):
             compute_spectrogram(np.zeros(WINDOW_SAMPLES - 1))
+
+    @pytest.mark.parametrize("start,stop", [(0, 28), (28, 32), (5, 6), (0, 32)])
+    def test_power_columns_are_the_windows_columns(self, start, stop):
+        window = np.random.default_rng(2).uniform(-1, 1, WINDOW_SAMPLES)
+        got = power_columns(window[start * HOP:(stop - 1) * HOP + FFT_SIZE])
+        np.testing.assert_array_equal(got, compute_spectrogram(window).bands[:, start:stop])
+
+    @pytest.mark.parametrize("length", [FFT_SIZE - 1, FFT_SIZE + 1, FFT_SIZE + HOP - 1])
+    def test_power_columns_of_a_partial_column_raises(self, length):
+        with pytest.raises(ShapeError, match=f"{length} samples do not span whole"):
+            power_columns(np.zeros(length))
 
     def test_matches_naive_dft_oracle(self):
         rng = np.random.default_rng(3)

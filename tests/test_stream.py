@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from speechface.audio import AudioClip, SAMPLE_RATE, clip_spectrograms, frame_boundary, normalize
-from speechface import stream
+from speechface import autograd as ag, stream
 from speechface.errors import ConfigError, DataError, ShapeError
-from speechface.model import build_model, forward_sequence
+from speechface.model import build_model, forward, forward_sequence
 from speechface.stream import StreamingSession, bench
 
 
@@ -151,22 +151,22 @@ class TestStreamingSession:
             assert g.vector.tobytes() == w.vector.tobytes()
 
     def test_chunk_that_fails_a_frame_is_not_consumed(self, monkeypatch):
-        """The chunk below emits frame 4, then fails frame 5 through a forward
-        that raises; afterwards the session carries on exactly as if the chunk
-        had never been pushed."""
+        """The chunk below emits frame 4, then fails frame 5 through a
+        boundary step that raises; afterwards the session carries on exactly
+        as if the chunk had never been pushed."""
         model = build_model("cnn_gru", seed=5)
         samples = tone(0.6, freq=440.0)
         c1, c2 = samples[:7000], samples[7000:]
         bad = -samples[7000:10000]
         failing = set()
 
-        def forward(model, spec, state):
-            if spec.frame_index in failing:
+        def forward_split(model, bands, state, frame_index, early):
+            if frame_index in failing:
                 raise DataError("face parameters must be finite")
-            return real_forward(model, spec, state)
+            return real_forward_split(model, bands, state, frame_index, early)
 
-        real_forward = stream.forward
-        monkeypatch.setattr(stream, "forward", forward)
+        real_forward_split = stream.forward_split
+        monkeypatch.setattr(stream, "forward_split", forward_split)
         clean = StreamingSession(model)
         want = clean.push(c1) + clean.push(c2)
         session = StreamingSession(model)
@@ -193,8 +193,8 @@ class TestStreamingSession:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_other_exception_mid_chunk_propagates_and_leaves_session_untouched(
             self, monkeypatch, error):
-        """An exception that is not a SpeechFaceError, raised from forward at
-        frame 5 after the chunk has emitted frame 4, reaches the caller
+        """An exception that is not a SpeechFaceError, raised from frame 5's
+        boundary step after the chunk has emitted frame 4, reaches the caller
         unwrapped; the session keeps its frame count and carries on exactly
         as if the chunk had never been pushed."""
         model = build_model("cnn_gru", seed=5)
@@ -202,13 +202,13 @@ class TestStreamingSession:
         c1, c2 = samples[:7000], samples[7000:]
         failing = set()
 
-        def forward(model, spec, state):
-            if spec.frame_index in failing:
+        def forward_split(model, bands, state, frame_index, early):
+            if frame_index in failing:
                 raise error("interrupted")
-            return real_forward(model, spec, state)
+            return real_forward_split(model, bands, state, frame_index, early)
 
-        real_forward = stream.forward
-        monkeypatch.setattr(stream, "forward", forward)
+        real_forward_split = stream.forward_split
+        monkeypatch.setattr(stream, "forward_split", forward_split)
         want = StreamingSession(model).push(samples)
         session = StreamingSession(model)
         got = session.push(c1)
@@ -278,6 +278,122 @@ class TestStreamingSession:
             vecs = np.array([f.vector for f in frames])
             deltas = np.abs(np.diff(vecs[30:], axis=0)).max(axis=1)
             assert np.all(deltas < 1e-3), f"{variant} max delta {deltas.max()}"
+
+
+class TestHeadStart:
+    """A frame's first 28 columns run ahead of its boundary when a push
+    that emits no frame has heard them."""
+
+    @staticmethod
+    def conv1_widths(monkeypatch):
+        """Spy on conv1: a list that collects the time width of each conv1 input."""
+        widths = []
+        real_conv2d = ag.conv2d
+
+        def conv2d(x, w, *args):
+            if w.name == "conv1.w":
+                widths.append(x.shape[3])
+            return real_conv2d(x, w, *args)
+
+        monkeypatch.setattr(ag, "conv2d", conv2d)
+        return widths
+
+    def test_emitting_push_runs_only_the_last_four_columns(self, monkeypatch):
+        model = build_model("cnn_gru", seed=3)
+        samples = tone(0.5, freq=220.0)
+        widths = self.conv1_widths(monkeypatch)
+        session = StreamingSession(model, fps=30.0)
+        pushes = []  # (frames emitted, conv1 widths) per 512-sample push
+        for k in range(0, len(samples) - 511, 512):
+            del widths[:]
+            pushes.append((len(session.push(samples[k:k + 512])), list(widths)))
+        emitting = [i for i, (n, _) in enumerate(pushes) if n]
+        assert len(emitting) == 14
+        for i in emitting:
+            assert pushes[i] == (1, [4])
+            assert pushes[i - 1] == (0, [28])
+        assert all(ws in ([], [28]) for n, ws in pushes if not n)
+
+    def test_whole_interval_pushes_run_both_groups_at_the_boundary(self, monkeypatch):
+        model = build_model("cnn_gru", seed=3)
+        samples = tone(0.3, freq=220.0)
+        widths = self.conv1_widths(monkeypatch)
+        session = StreamingSession(model, fps=30.0)
+        start = 0
+        for t in range(8):
+            stop = frame_boundary(t, 30.0)
+            del widths[:]
+            assert len(session.push(samples[start:stop])) == 1
+            assert widths == [28, 4]
+            start = stop
+
+    def test_head_start_that_fails_rejects_its_chunk(self, monkeypatch):
+        """Frame 2's head start runs in the push of samples 3584-4096, which
+        emits no frame; when it raises, that chunk is refused naming frame 2,
+        and the session carries on as if the chunk had never been pushed."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        failing = []
+
+        def head_start(model, buf, at):
+            if failing:
+                raise DataError("face parameters must be finite")
+            return real_head_start(model, buf, at)
+
+        real_head_start = stream._head_start
+        monkeypatch.setattr(stream, "_head_start", head_start)
+        session, twin = StreamingSession(model), StreamingSession(model)
+        got = session.push(samples[:3584])
+        want = twin.push(samples[:3584])
+        assert session.frames_emitted == len(got) == 2
+        failing.append(True)
+        with pytest.raises(DataError, match="^chunk rejected at frame 2: "):
+            session.push(-samples[3584:4096])
+        failing.clear()
+        assert session.frames_emitted == 2
+        for a, b in zip(session.state, twin.state):
+            assert a.tobytes() == b.tobytes()
+        for k in range(3584, len(samples), 512):
+            got += session.push(samples[k:k + 512])
+            want += twin.push(samples[k:k + 512])
+        assert len(got) == len(want) == 18
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            assert g.vector.tobytes() == w.vector.tobytes()
+
+    def test_reset_drops_the_head_start(self, monkeypatch):
+        """1000 samples complete frame 0's first 28 columns, not its boundary
+        at 1470; after reset the frames are those of a fresh session."""
+        model = build_model("cnn_gru", seed=6)
+        widths = self.conv1_widths(monkeypatch)
+        session = StreamingSession(model)
+        assert session.push(tone(0.1, freq=300.0)[:1000]) == []
+        assert widths == [28]
+        session.reset()
+        second = tone(0.5, freq=700.0)
+        got, want = [], []
+        fresh = StreamingSession(model)
+        for k in range(0, len(second), 512):
+            got += session.push(second[k:k + 512])
+            want += fresh.push(second[k:k + 512])
+        assert len(got) == len(want) == 15
+        for g, w in zip(got, want):
+            assert g.frame_index == w.frame_index
+            assert g.vector.tobytes() == w.vector.tobytes()
+
+    @pytest.mark.parametrize("variant", ["cnn_static", "cnn_lstm", "cnn_gru"])
+    def test_frames_stay_within_1e12_of_forward(self, variant):
+        model = build_model(variant, seed=8)
+        samples = tone(0.5, freq=523.0) + 0.1 * np.sin(np.arange(22050) / 7.0)
+        session = StreamingSession(model)
+        got = []
+        for k in range(0, len(samples), 512):
+            got += session.push(samples[k:k + 512])
+        clip = AudioClip(samples, SAMPLE_RATE)
+        state = None
+        for frame, spec in zip(got, clip_spectrograms(clip, 30.0)):
+            want, state = forward(model, normalize(spec, model.norm_stats), state)
+            assert np.abs(frame.vector - want.vector).max() <= 1e-12
 
 
 class TestBench:
