@@ -104,8 +104,16 @@ class NormStats:
         return cls(np.zeros(NUM_BANDS), np.ones(NUM_BANDS))
 
     def to_bytes(self) -> bytes:
-        """Mean then std, one little-endian float32 per band each."""
-        return self.mean.astype("<f4").tobytes() + self.std.astype("<f4").tobytes()
+        """Mean then std, one little-endian float32 per band each.
+
+        The float32 values are checked as :meth:`read` checks them, since the
+        arrays may have changed since construction: stats that reader would
+        reject raise DataError.
+        """
+        with np.errstate(over="ignore"):
+            mean, std = np.asarray(self.mean, "<f4"), np.asarray(self.std, "<f4")
+        NormStats(mean, std)
+        return mean.tobytes() + std.tobytes()
 
     @classmethod
     def read(cls, r: Reader) -> "NormStats":
@@ -182,11 +190,19 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     """Write a mono or (n, channels) waveform as 16-bit PCM or 32-bit float.
 
     Finite samples are clipped to [-1, 1]; a NaN or Inf sample raises
-    DataError before anything is written.
+    DataError before anything is written. So do a rate below
+    MIN_SAMPLE_RATE (ConfigError) and a shape other than (n,) or (n, 1|2)
+    (ShapeError), which :func:`load_wav` would reject.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] not in (1, 2):
+        raise ShapeError(f"wav not written: samples must be (n,) or (n, 1|2), "
+                         f"got shape {np.shape(samples)}")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise ConfigError(f"wav not written: sample rate {sample_rate} is below "
+                          f"{MIN_SAMPLE_RATE} Hz")
     channels = arr.shape[1]
     bad = arr.size - np.count_nonzero(np.isfinite(arr))
     if bad:

@@ -14,7 +14,7 @@ and 46 expression weights at 6 decimal places.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,13 @@ class Dataset:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the 12-byte header (magic, version, record count), the
     normalization mean then std (128 little-endian float32 each), then one
-    packed record per row."""
+    packed record per row.
+
+    The dataset is checked again as :class:`Dataset` checks it, since its
+    arrays may have changed since; a dataset :func:`load_dataset` would reject
+    raises before anything is written.
+    """
+    dataset = replace(dataset)
     records = np.empty(len(dataset), dtype=_RECORD)
     records["seq_id"] = dataset.seq_ids
     records["frame_index"] = dataset.frame_indices

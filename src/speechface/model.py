@@ -489,73 +489,30 @@ def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
     return np.tanh(h, out=h)
 
 
-def _recur(plan: _Plan, x: np.ndarray, state: tuple):
-    """Run the recurrent layer over the B frames of x, in order."""
+def _recur(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """Run the recurrent layer over the B frames of x, in order, from a zero state."""
     if not plan.cell:
-        return x, state
+        return x
     hid = plan.hidden
     w_x, w_h = plan.cell[:2]
     px = x @ w_x.T  # input projection of every frame in one GEMM
     px += plan.cell[-1]
     out = np.empty_like(x)
+    h = np.zeros((1, hid))
     if plan.variant == "cnn_lstm":
-        h, c = state
+        c = np.zeros((1, hid))
         for t in range(len(x)):
             pre = px[t:t + 1] + h @ w_h.T
             gate = ag._sigmoid(pre)  # i, f and o; the g block takes tanh instead
             c = gate[:, hid:2 * hid] * c + gate[:, :hid] * np.tanh(pre[:, 2 * hid:3 * hid])
             h = out[t:t + 1] = gate[:, 3 * hid:] * np.tanh(c)
-        return out, (h, c)
+        return out
     w_c = plan.cell[2]
-    (h,) = state
     for t in range(len(x)):
         zr = ag._sigmoid(px[t:t + 1, :2 * hid] + h @ w_h.T)
         cand = np.tanh(px[t:t + 1, 2 * hid:] + (zr[:, hid:] * h) @ w_c.T)
         h = out[t:t + 1] = h + zr[:, :hid] * (cand - h)
-    return out, (h,)
-
-
-def _infer(plan: _Plan, bands: np.ndarray, state: tuple | None):
-    """Run a plan over a sequence: bands (B,128,32) -> (params (B,49), state).
-
-    The trunk runs in chunks of TRUNK_CHUNK frames; when B exceeds the
-    chunk, the last chunk is zero-padded so that every GEMM sees the same row
-    count and a frame's result does not depend on where it sits. The
-    recurrence then advances one frame at a time, and dense2 and the heads
-    run one frame at a time after it, so their rows never depend on the
-    batch either.
-    """
-    bands = np.asarray(bands, dtype=np.float64)
-    if bands.ndim != 3 or bands.shape[1:] != plan.input_shape:
-        raise ShapeError(f"input: expected (B,) + {plan.input_shape}, got {bands.shape}")
-    want = _STATE_SIZE[plan.variant]
-    if state is None:
-        state = tuple(np.zeros((1, plan.hidden)) for _ in range(want))
-    if len(state) != want:
-        raise ConfigError(f"{plan.variant} state holds {want} arrays, got {len(state)}")
-    state = tuple(np.asarray(s, dtype=np.float64) for s in state)
-    if any(s.shape != (1, plan.hidden) for s in state):
-        raise ShapeError(f"state arrays must be (1, {plan.hidden}), "
-                         f"got {[s.shape for s in state]}")
-
-    n = len(bands)
-    feats = np.empty((n, plan.hidden))
-    for start in range(0, n, TRUNK_CHUNK):
-        chunk = bands[start:start + TRUNK_CHUNK]
-        rows = len(chunk)
-        if n > TRUNK_CHUNK and rows < TRUNK_CHUNK:
-            chunk = np.concatenate([chunk, np.zeros((TRUNK_CHUNK - rows,) + plan.input_shape)])
-        feats[start:start + rows] = _trunk(plan, chunk)[:rows]
-
-    out, state = _recur(plan, feats, state)
-    (w, b), r = plan.dense2, NUM_ROTATION
-    params = np.empty((n, len(plan.head_b)))
-    for t in range(n):
-        hidden = np.tanh(out[t:t + 1] @ w.T + b)
-        y = (hidden @ plan.head_w.T + plan.head_b)[0]
-        params[t, :r] = np.tanh(y[:r])
-        params[t, r:] = ag._sigmoid(y[r:])
-    return params, state
+    return out
 
 
 def forward(model: Model, spec, state: tuple | None = None):
@@ -598,16 +555,41 @@ def forward_sequence(model: Model, specs):
     """Run a spectrogram sequence through the network from a zero state.
 
     Compiles the model's current weights into a plan and runs every frame
-    through it. Gives the frames of folding :func:`forward` over the
-    sequence, to within about 1e-15. A one-frame sequence runs :func:`forward`
-    itself: compiling costs more than that frame.
+    through it. The trunk runs in chunks of TRUNK_CHUNK frames, the last one
+    zero-padded, so every GEMM sees the same row count and a frame's result
+    depends neither on where it sits nor on the sequence's length. The
+    recurrence then advances one frame at a time, and dense2 and the heads run
+    one frame at a time after it, so their rows never depend on the batch
+    either. Gives the frames of folding :func:`forward` over the sequence, to
+    within about 1e-15. A one-frame sequence runs :func:`forward` itself:
+    compiling costs more than that frame.
     """
     specs = list(specs)
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
     if len(specs) == 1:
         return [forward(model, specs[0])[0]]
-    params, _ = _infer(_compile(model), np.stack([_spec_bands(s) for s in specs]), None)
+    plan = _compile(model)
+    bands = np.stack([_spec_bands(s) for s in specs], dtype=np.float64)
+    if bands.ndim != 3 or bands.shape[1:] != plan.input_shape:
+        raise ShapeError(f"input: expected (B,) + {plan.input_shape}, got {bands.shape}")
+
+    feats = np.empty((len(bands), plan.hidden))
+    for start in range(0, len(bands), TRUNK_CHUNK):
+        chunk = bands[start:start + TRUNK_CHUNK]
+        rows = len(chunk)
+        if rows < TRUNK_CHUNK:
+            chunk = np.concatenate([chunk, np.zeros((TRUNK_CHUNK - rows,) + plan.input_shape)])
+        feats[start:start + rows] = _trunk(plan, chunk)[:rows]
+
+    out = _recur(plan, feats)
+    (w, b), r = plan.dense2, NUM_ROTATION
+    params = np.empty((len(bands), len(plan.head_b)))
+    for t in range(len(bands)):
+        hidden = np.tanh(out[t:t + 1] @ w.T + b)
+        y = (hidden @ plan.head_w.T + plan.head_b)[0]
+        params[t, :r] = np.tanh(y[:r])
+        params[t, r:] = ag._sigmoid(y[r:])
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
             for i, (p, s) in enumerate(zip(params, specs))]
 

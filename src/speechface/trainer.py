@@ -1,4 +1,4 @@
-"""Training: squared-error objective, Adam, sequence minibatching, evaluation.
+"""Training: squared-error objective, Adam, sequence minibatching, metric reports.
 
 The objective is the plain sum of squared output errors over every frame and
 all 49 components. Recurrent variants train with truncated backpropagation
@@ -20,7 +20,7 @@ from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, check_seed
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame, landmark_rmse, weights_mse
-from .model import VARIANTS, Model, _compile, _infer, build_model
+from .model import VARIANTS, Model, build_model
 
 
 @dataclass
@@ -307,22 +307,3 @@ def metric_report(pred, truth, rig=None, emotions=None, actors=None,
             entry[key] = {name: fn([pred[i] for i in idx], [truth[i] for i in idx])
                           for name, idx in cells.items()}
     return report
-
-
-def evaluate(model: Model, dataset: Dataset, rig=None,
-             metrics=("landmark_rmse", "weights_mse")) -> dict:
-    """Run inference over every sequence and report grouped metrics.
-
-    The model is compiled once, and each sequence runs through the plan from
-    a zero state, as :func:`forward_sequence` would run it.
-    """
-    if len(dataset) == 0:
-        raise DataError("cannot evaluate on an empty dataset")
-    plan = _compile(model)
-    pred, truth = [], []
-    for a, b in dataset.sequence_spans():
-        params, _ = _infer(plan, dataset.spectrograms[a:b], None)
-        pred += [FaceFrame.from_vector(p, i) for i, p in enumerate(params)]
-        truth += [FaceFrame.from_vector(dataset.targets[i], int(dataset.frame_indices[i]))
-                  for i in range(a, b)]
-    return metric_report(pred, truth, rig, dataset.emotions, dataset.actors, metrics)

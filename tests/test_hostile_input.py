@@ -14,7 +14,14 @@ import struct
 import numpy as np
 import pytest
 
-from speechface.audio import NUM_BANDS, NUM_COLUMNS, SAMPLE_RATE, load_wav, write_wav
+from speechface.audio import (
+    MIN_SAMPLE_RATE,
+    NUM_BANDS,
+    NUM_COLUMNS,
+    SAMPLE_RATE,
+    load_wav,
+    write_wav,
+)
 from speechface.data import (
     CSV_HEADER,
     Dataset,
@@ -23,7 +30,14 @@ from speechface.data import (
     save_dataset,
     write_param_csv,
 )
-from speechface.errors import DataError, NumericError, ParseError, SpeechFaceError
+from speechface.errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    ParseError,
+    ShapeError,
+    SpeechFaceError,
+)
 from speechface.face import NUM_EXPRESSIONS, BlendshapeRig, FaceFrame, load_rig, save_rig
 from speechface.model import build_model, load_checkpoint, save_checkpoint
 
@@ -90,6 +104,26 @@ class TestWav:
         assert not path.exists()
         write_wav(path, np.array([-3.0, 0.25, 2.0]), SAMPLE_RATE, fmt=fmt)
         np.testing.assert_allclose(load_wav(path).samples, [-1.0, 0.25, 1.0], atol=1e-4)
+
+    @pytest.mark.parametrize("rate", [0, 4000, MIN_SAMPLE_RATE - 1])
+    def test_write_refuses_a_rate_load_wav_rejects(self, tmp_path, rate):
+        """A rate below MIN_SAMPLE_RATE raises ConfigError and writes nothing;
+        MIN_SAMPLE_RATE itself writes a file load_wav reads."""
+        path = tmp_path / "slow.wav"
+        with pytest.raises(ConfigError, match=f"sample rate {rate} is below 8000 Hz"):
+            write_wav(path, np.zeros(100), rate)
+        assert not path.exists()
+        write_wav(path, np.zeros(100), MIN_SAMPLE_RATE)
+        assert load_wav(path).resampled
+
+    @pytest.mark.parametrize("shape", [(100, 3), (100, 0), (4, 100, 1), ()])
+    def test_write_refuses_a_shape_load_wav_rejects(self, tmp_path, shape):
+        """Only (n,) and (n, 1|2) arrays have a channel count load_wav
+        accepts; any other raises ShapeError and writes nothing."""
+        path = tmp_path / "wide.wav"
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            write_wav(path, np.zeros(shape), SAMPLE_RATE)
+        assert not path.exists()
 
 
 # =============================================================================
@@ -264,6 +298,40 @@ class TestDataFiles:
         with pytest.raises(DataError, match="record 1"):
             Dataset(ds.seq_ids, ds.frame_indices, ds.spectrograms, ds.targets,
                     ds.emotions, ds.actors)
+
+    @pytest.mark.parametrize("column,index,value,message", [
+        ("targets", (1, 5), 2.0, "targets out of range"),
+        ("spectrograms", (2, 7, 3), np.nan, "record 2: spectrogram is not finite"),
+        ("frame_indices", 2, 3, "sequence 0: frame indices are not consecutive")],
+        ids=["target_out_of_range", "nan_spectrogram", "frame_gap"])
+    def test_save_refuses_a_dataset_changed_after_construction(self, tmp_path, column, index,
+                                                               value, message):
+        """A dataset load_dataset would reject raises DataError and writes
+        nothing."""
+        ds = small_dataset()
+        getattr(ds, column)[index] = value
+        path = tmp_path / "d.sfd"
+        with pytest.raises(DataError, match=message):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("which,value,message", [
+        ("std", 0.0, "std entries must be strictly positive"),
+        ("std", 1e-50, "std entries must be strictly positive"),  # 0 in float32
+        ("mean", 1e39, "mean must be finite")],                    # inf in float32
+        ids=["zero_std", "underflowing_std", "overflowing_mean"])
+    @pytest.mark.parametrize("save", [save_dataset, save_checkpoint],
+                             ids=["save_dataset", "save_checkpoint"])
+    def test_save_refuses_norm_stats_the_reader_rejects(self, tmp_path, save, which, value,
+                                                        message):
+        """Stats changed after construction, or not representable in
+        float32, raise DataError and write nothing."""
+        owner = small_dataset() if save is save_dataset else build_model("cnn_static")
+        getattr(owner.norm_stats, which)[5] = value
+        path = tmp_path / "out.bin"
+        with pytest.raises(DataError, match=message):
+            save(owner, path)
+        assert not path.exists()
 
     def test_sfd_with_nan_target_is_parse_error(self, tmp_path):
         path = tmp_path / "d.sfd"

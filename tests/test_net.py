@@ -11,8 +11,6 @@ from speechface.model import (
     STANDARD_ARCH,
     TRUNK_CHUNK,
     VARIANTS,
-    _compile,
-    _infer,
     build_model,
     forward,
     forward_sequence,
@@ -308,17 +306,18 @@ def randomize_batch_norm(model, rng):
         b.data = rng.normal(0.0, 0.1, b.data.shape).astype(np.float32)
 
 
-def autograd_reference(model, bands, state):
-    """The float64 autograd path, one recurrent step and head per frame."""
+def autograd_reference(model, bands):
+    """The float64 autograd path from a zero state, one recurrent step and
+    head per frame."""
     with ag.no_grad():
         feats = model.trunk(ag.Tensor(bands[:, None], dtype=np.float64), training=False)
-        state = tuple(ag.Tensor(s) for s in state)
+        state = tuple(map(ag.Tensor, model.initial_state()))
         rows = []
         for i in range(len(bands)):
             out, state = model.recur(ag.Tensor(feats.data[i:i + 1]), state)
             y_r, y_e = model.head_out(out)
             rows.append(np.concatenate([y_r.data, y_e.data], axis=1))
-    return np.concatenate(rows), tuple(s.data for s in state)
+    return np.concatenate(rows)
 
 
 class TestInferencePlan:
@@ -327,15 +326,11 @@ class TestInferencePlan:
         rng = np.random.default_rng(9)
         model = build_model(variant, seed=5)
         randomize_batch_norm(model, rng)
-        bands = rng.normal(size=(LONG_CLIP, NUM_BANDS, NUM_COLUMNS))
-        state = tuple(rng.normal(0.0, 0.5, s.shape) for s in model.initial_state())
-        want, want_state = autograd_reference(model, bands, state)
-        got, got_state = _infer(_compile(model), bands, state)
+        specs = random_specs(rng, LONG_CLIP)
+        want = autograd_reference(model, np.stack([s.bands for s in specs]))
+        got = np.array([f.vector for f in forward_sequence(model, specs)])
         assert got.shape == want.shape == (LONG_CLIP, 49)
         assert np.max(np.abs(got - want)) <= 1e-12
-        assert len(got_state) == len(want_state)
-        for g, w in zip(got_state, want_state):
-            assert np.max(np.abs(g - w)) <= 1e-12
 
     def test_static_permutation_across_chunks_is_bitwise(self):
         rng = np.random.default_rng(10)
@@ -347,6 +342,18 @@ class TestInferencePlan:
         shuffled = [f.vector for f in forward_sequence(model, [specs[i] for i in perm])]
         for out_pos, src in enumerate(perm):
             np.testing.assert_array_equal(shuffled[out_pos], base[src])
+
+    def test_static_frames_do_not_depend_on_sequence_length(self):
+        """Every trunk chunk is padded to TRUNK_CHUNK rows, short sequences
+        included, so a prefix gives the first frames of the whole bitwise."""
+        rng = np.random.default_rng(13)
+        model = build_model("cnn_static", seed=4)
+        randomize_batch_norm(model, rng)
+        specs = random_specs(rng, LONG_CLIP)
+        base = [f.vector for f in forward_sequence(model, specs)]
+        for n in [*range(2, TRUNK_CHUNK + 2), 2 * TRUNK_CHUNK + 1]:
+            for got, want in zip(forward_sequence(model, specs[:n]), base[:n], strict=True):
+                np.testing.assert_array_equal(got.vector, want)
 
     def test_long_sequence_matches_per_frame_forward(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,4 @@
-"""Trainer tests: loss, Adam, batching, the training loop, and evaluation."""
+"""Trainer tests: loss, Adam, batching, the training loop, and metric reports."""
 
 import itertools
 import os
@@ -17,14 +17,13 @@ from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
 from speechface.errors import ConfigError, DataError, NumericError
 from speechface.face import FaceFrame, make_toy_rig
-from speechface.model import VARIANTS, build_model, forward_sequence, save_checkpoint
+from speechface.model import VARIANTS, build_model, save_checkpoint
 from speechface.trainer import (
     AdamState,
     TrainConfig,
     _batch_loss,
     _head_loss,
     adam_step,
-    evaluate,
     loss,
     loss_op,
     make_batches,
@@ -572,46 +571,3 @@ class TestMetricReport:
         frames = _frames_from(np.zeros((2, 49)))
         with pytest.raises(ConfigError, match="unknown metric 'mae'"):
             metric_report(frames, frames, metrics=("weights_mse", "mae"))
-
-
-class TestEvaluate:
-    def test_report_against_dataset(self):
-        rng = np.random.default_rng(17)
-        rig = make_toy_rig(seed=0)
-        ds = build_synth_dataset(rng, counts=(6, 5))
-        ds.emotions[:] = np.concatenate([np.full(6, 2), np.full(5, 8)]).astype(np.uint8)
-        ds.actors[:] = np.concatenate([np.full(6, 4), np.full(5, 9)]).astype(np.uint8)
-        model = build_model("cnn_static", seed=1)
-        report = evaluate(model, ds, rig=rig)
-        assert report["frames"] == 11
-        for metric in ("landmark_rmse", "weights_mse"):
-            block = report["metrics"][metric]
-            assert block["mean"] > 0.0
-            assert set(block["by_emotion"]) == {"calm", "surprised"}
-            assert set(block["by_actor"]) == {"4", "9"}
-
-    @pytest.mark.parametrize("variant", ["cnn_static", "cnn_lstm", "cnn_gru"])
-    def test_report_matches_per_sequence_forward_sequence(self, variant):
-        """One compiled plan over every sequence gives the report of running
-        forward_sequence per sequence, one-frame sequences included."""
-        rng = np.random.default_rng(18)
-        rig = make_toy_rig(seed=0)
-        ds = build_synth_dataset(rng, counts=(6, 1, 5))
-        ds.emotions[:] = np.repeat([2, 8, 2], (6, 1, 5)).astype(np.uint8)
-        ds.actors[:] = np.repeat([4, 9, 9], (6, 1, 5)).astype(np.uint8)
-        model = build_model(variant, seed=3)
-        pred, truth = [], []
-        for a, b in ds.sequence_spans():
-            pred += forward_sequence(model, list(ds.spectrograms[a:b]))
-            truth += [FaceFrame.from_vector(ds.targets[i], int(ds.frame_indices[i]))
-                      for i in range(a, b)]
-        want = metric_report(pred, truth, rig, ds.emotions, ds.actors)
-        got = evaluate(model, ds, rig=rig)
-        assert got["frames"] == want["frames"] == 12
-        for metric, block in want["metrics"].items():
-            assert got["metrics"][metric]["mean"] == pytest.approx(block["mean"], rel=0, abs=1e-12)
-            for group in ("by_emotion", "by_actor"):
-                assert got["metrics"][metric][group].keys() == block[group].keys()
-                for key, value in block[group].items():
-                    assert got["metrics"][metric][group][key] == pytest.approx(
-                        value, rel=0, abs=1e-12)
