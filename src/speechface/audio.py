@@ -192,7 +192,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     Finite samples are clipped to [-1, 1]; a NaN or Inf sample raises
     DataError before anything is written. So do a rate below
     MIN_SAMPLE_RATE (ConfigError) and a shape other than (n,) or (n, 1|2)
-    (ShapeError), which :func:`load_wav` would reject.
+    (ShapeError), which :func:`load_wav` would reject, and a rate whose byte
+    rate does not fit the header's 32 bits (ConfigError).
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
@@ -203,20 +204,25 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     if sample_rate < MIN_SAMPLE_RATE:
         raise ConfigError(f"wav not written: sample rate {sample_rate} is below "
                           f"{MIN_SAMPLE_RATE} Hz")
+    if fmt == "pcm16":
+        codec, bits = 1, 16
+    elif fmt == "float32":
+        codec, bits = 3, 32
+    else:
+        raise ConfigError(f"unsupported wav format {fmt!r}")
     channels = arr.shape[1]
+    block = channels * bits // 8
+    if sample_rate * block > 0xFFFFFFFF:
+        raise ConfigError(f"wav not written: sample rate {sample_rate} gives a byte rate "
+                          f"over 2**32 - 1 for {channels} channel(s) of {fmt}")
     bad = arr.size - np.count_nonzero(np.isfinite(arr))
     if bad:
         raise DataError(f"wav not written: {bad} of {arr.size} samples are NaN or Inf")
     arr = np.clip(arr, -1.0, 1.0)
-    if fmt == "pcm16":
+    if codec == 1:
         payload = np.round(arr * 32767.0).astype("<i2").tobytes()
-        codec, bits = 1, 16
-    elif fmt == "float32":
-        payload = arr.astype("<f4").tobytes()
-        codec, bits = 3, 32
     else:
-        raise ConfigError(f"unsupported wav format {fmt!r}")
-    block = channels * bits // 8
+        payload = arr.astype("<f4").tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, codec, channels, sample_rate,
                                     sample_rate * block, block, bits)

@@ -372,16 +372,19 @@ TRUNK_CHUNK = 8
 class _Plan:
     """A model compiled for inference: float64 weights in GEMM layout.
 
-    ``trunk`` holds one (axis, k, stride, pad, w, b) row per layer of the
-    stack; ``axis`` indexes the channels-last activation (B, T, F, C), and a
-    pool has ``w`` None. Conv weights keep their (C_out, C_in*k) order with
-    batch norm folded in. ``head_w``/``head_b`` stack the rotation head over
-    the expression head.
+    ``trunk`` holds one (k, stride, pad, w, b) row per layer of the stack,
+    each acting along L of a channels-last (N, L, C) activation; a pool has
+    ``w`` None. The first ``column_stages`` rows act along frequency, with N
+    frames x columns; frequency is 1 after them, and the rest act along
+    time, with N frames. Conv weights are (k, C_in, C_out) with batch norm
+    folded in. ``head_w``/``head_b`` stack the rotation head over the
+    expression head.
     """
 
     variant: str
     input_shape: tuple
     hidden: int
+    column_stages: int
     trunk: tuple
     dense1: tuple
     cell: tuple
@@ -399,26 +402,26 @@ def _compile(model: Model) -> _Plan:
     """Compile the model's current weights into an inference plan."""
     arch = model.arch
     trunk = []
-    for spec in arch.stack:
+    for n, spec in enumerate(arch.stack):
         conv = isinstance(spec, ConvSpec)
         kernel, pad = (spec.kernel, spec.pad) if conv else (spec.window, (0, 0))
-        # (k, s, p) per axis; every layer of the stack acts along one of them
-        freq, time = zip(kernel, spec.stride, pad)
-        axis, (k, s, p) = (2, freq) if time == (1, 1, 0) else (1, time)
+        a = 0 if n < arch.column_stages else 1  # frequency, then time
         w = b = None
         if conv:
-            w = _f64(model.conv_w[spec.name]).reshape(spec.out_channels, -1)
+            w = _f64(model.conv_w[spec.name]).reshape(spec.out_channels, -1, kernel[a])
             b = _f64(model.conv_b[spec.name])
             bn = model.conv_bn.get(spec.name)
             if bn is not None:
                 scale = _f64(bn.gamma) / np.sqrt(_f64(bn.running_var) + bn.epsilon)
-                w *= scale[:, None]
+                w *= scale[:, None, None]
                 b = (b - bn.running_mean) * scale + bn.beta.data
-        trunk.append((axis, k, s, p, w, b))
+            w = np.ascontiguousarray(w.transpose(2, 1, 0))
+        trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
     return _Plan(
         variant=model.variant,
         input_shape=(arch.input_bands, arch.input_columns),
         hidden=arch.hidden,
+        column_stages=arch.column_stages,
         trunk=tuple(trunk),
         dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
         cell=tuple(map(_f64, model.cell or ())),
@@ -428,29 +431,41 @@ def _compile(model: Model) -> _Plan:
     )
 
 
-def _along(axis: int, start, stop, step=1) -> tuple:
-    return (slice(None),) * axis + (slice(start, stop, step),)
+def _conv(x, k, s, p, w):
+    """Convolution along L of channels-last (N, L, C_in) x, without bias;
+    ``w`` is (k, C_in, C_out).
 
-
-def _conv(x, axis, k, s, p, w):
-    """Convolution of channels-last x along ``axis``, without bias.
-
-    One strided copy per kernel tap builds the (rows, C_in*k) im2col matrix
-    in the weights' (C_in, k) order; zero padding is written only into the
-    slots it covers. Then one GEMM.
+    One input channel builds a tap-major (N*m, k) im2col matrix, zero
+    padding written only into the slots it covers, for one GEMM. More
+    channels need L = m*s and read x in place as blocks of s positions, an
+    (N*m, s*C_in) view: tap i of output j sits in block j + d at offset
+    (i - p) % s, with d = (i - p) // s. The taps of one d are adjacent
+    columns of that view, so each d is one GEMM on a column slice that BLAS
+    reads without a copy, and its rows land d output rows away; a row whose
+    block lies in the padding gets nothing from that d.
     """
-    n_in = x.shape[axis]
-    n_out = (n_in + 2 * p - k) // s + 1
-    shape = x.shape[:axis] + (n_out,) + x.shape[axis + 1:]
-    col = np.empty(shape + (k,))
-    for i in range(k):
-        lo, hi, src = ag._tap_span(n_in, n_out, i, s, p)
-        tap = col[..., i]
-        tap[_along(axis, 0, lo)] = 0.0
-        tap[_along(axis, hi, None)] = 0.0
-        if hi > lo:
-            tap[_along(axis, lo, hi)] = x[(slice(None),) * axis + (src,)]
-    return (col.reshape(-1, w.shape[1]) @ w.T).reshape(shape[:-1] + (len(w),))
+    n, length, c = x.shape
+    m = (length + 2 * p - k) // s + 1
+    if c == 1:
+        col = np.empty((n, m, k))
+        for i in range(k):
+            lo, hi, src = ag._tap_span(length, m, i, s, p)
+            col[:, :lo, i] = 0.0
+            col[:, hi:, i] = 0.0
+            col[:, lo:hi, i] = x[:, src, 0]
+        return (col.reshape(n * m, k) @ w[:, 0]).reshape(n, m, -1)
+    blocks = x.reshape(n * m, s * c)
+    for d in sorted(range(-p // s, (k - 1 - p) // s + 1), key=abs):  # d = 0 first
+        i0, i1 = max(0, d * s + p), min(k, (d + 1) * s + p)
+        o = i0 - p - d * s
+        part = blocks[:, o * c:(o + i1 - i0) * c] @ w[i0:i1].reshape(-1, w.shape[2])
+        part = part.reshape(n, m, -1)
+        if d == 0:
+            out = part
+        else:
+            lo, hi = max(0, -d), m - max(0, d)
+            out[:, lo:hi] += part[:, lo + d:hi + d]
+    return out
 
 
 def _bias_relu(x, b):
@@ -458,11 +473,13 @@ def _bias_relu(x, b):
     return np.maximum(x, 0.0, out=x)
 
 
-def _pool(x, axis, k, s):
-    n_out = (x.shape[axis] - k) // s + 1
-    out = x[_along(axis, 0, s * (n_out - 1) + 1, s)]
+def _pool(x, k, s):
+    """Max pool along L of channels-last (N, L, C) x: the maximum of k
+    strided views."""
+    m = (x.shape[1] - k) // s + 1
+    out = x[:, :s * (m - 1) + 1:s]
     for i in range(1, k):
-        out = np.maximum(out, x[_along(axis, i, i + s * (n_out - 1) + 1, s)])
+        out = np.maximum(out, x[:, i:i + s * (m - 1) + 1:s])
     return out
 
 
@@ -473,18 +490,21 @@ def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
     pooling commutes with adding a per-channel constant and with ReLU, both
     monotone even when rounded, so this is exact and works on fewer values.
     """
-    x = bands.transpose(0, 2, 1)[..., None]  # channels-last (B, T, F, 1)
+    frames, f, t = bands.shape
+    x = bands.transpose(0, 2, 1).reshape(frames * t, f, 1)
     bias = None
-    for axis, k, s, p, w, b in plan.trunk:
+    for stage, (k, s, p, w, b) in enumerate(plan.trunk):
+        if stage == plan.column_stages:
+            x = x.reshape(frames, t, x.shape[2])  # frequency is 1: L is time
         if w is None:
-            x = _pool(x, axis, k, s)
+            x = _pool(x, k, s)
             continue
         if bias is not None:
             x = _bias_relu(x, bias)
-        x, bias = _conv(x, axis, k, s, p, w), b
+        x, bias = _conv(x, k, s, p, w), b
     x = _bias_relu(x, bias)
     w, b = plan.dense1
-    h = x.transpose(0, 3, 2, 1).reshape(len(x), -1) @ w.T  # flatten as (C, F, T)
+    h = x.transpose(0, 2, 1).reshape(frames, -1) @ w.T  # flatten as (C, F, T)
     h += b
     return np.tanh(h, out=h)
 
@@ -570,9 +590,12 @@ def forward_sequence(model: Model, specs):
     if len(specs) == 1:
         return [forward(model, specs[0])[0]]
     plan = _compile(model)
-    bands = np.stack([_spec_bands(s) for s in specs], dtype=np.float64)
-    if bands.ndim != 3 or bands.shape[1:] != plan.input_shape:
-        raise ShapeError(f"input: expected (B,) + {plan.input_shape}, got {bands.shape}")
+    bands = [_spec_bands(s) for s in specs]
+    for i, b in enumerate(bands):
+        if np.shape(b) != plan.input_shape:
+            raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, "
+                             f"expected {plan.input_shape}")
+    bands = np.stack(bands, dtype=np.float64)
 
     feats = np.empty((len(bands), plan.hidden))
     for start in range(0, len(bands), TRUNK_CHUNK):

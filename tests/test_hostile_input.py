@@ -116,6 +116,16 @@ class TestWav:
         write_wav(path, np.zeros(100), MIN_SAMPLE_RATE)
         assert load_wav(path).resampled
 
+    @pytest.mark.parametrize("fmt,channels,rate", [("pcm16", 1, 2**31),
+                                                   ("float32", 2, 2**29)])
+    def test_write_refuses_a_byte_rate_over_32_bits(self, tmp_path, fmt, channels, rate):
+        """The header stores rate x bytes per sample frame in 32 bits; a rate
+        that overflows it raises ConfigError and writes nothing."""
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ConfigError, match=f"sample rate {rate} gives a byte rate over"):
+            write_wav(path, np.zeros((100, channels)), rate, fmt=fmt)
+        assert not path.exists()
+
     @pytest.mark.parametrize("shape", [(100, 3), (100, 0), (4, 100, 1), ()])
     def test_write_refuses_a_shape_load_wav_rejects(self, tmp_path, shape):
         """Only (n,) and (n, 1|2) arrays have a channel count load_wav

@@ -11,6 +11,8 @@ from speechface.model import (
     STANDARD_ARCH,
     TRUNK_CHUNK,
     VARIANTS,
+    _conv,
+    _pool,
     build_model,
     forward,
     forward_sequence,
@@ -379,6 +381,49 @@ class TestInferencePlan:
             frame, state = forward(model, spec, state)
             assert np.max(np.abs(frame.vector - want)) <= 1e-12
             assert not np.allclose(want, stale)
+
+    def test_mixed_band_shapes_name_the_first_bad_frame(self):
+        rng = np.random.default_rng(14)
+        model = build_model("cnn_static", seed=0)
+        specs = [random_spec(rng), np.zeros((3, 3)), np.zeros((4, 4))]
+        with pytest.raises(ShapeError, match=r"frame 1 has shape \(3, 3\), expected \(128, 32\)"):
+            forward_sequence(model, specs)
+
+
+def conv_oracle(x, k, s, p, w):
+    """Explicit zero padding, then every output's window through einsum."""
+    xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
+    m = (x.shape[1] + 2 * p - k) // s + 1
+    windows = xp[:, np.arange(m)[:, None] * s + np.arange(k)]  # (N, m, k, C_in)
+    return np.einsum("njic,ico->njo", windows, w)
+
+
+class TestPlanKernels:
+    """The plan's conv and pool on channels-last (N, L, C) activations."""
+
+    @pytest.mark.parametrize("k,s,p,c_in,length", [
+        (3, 2, 1, 1, 128),   # conv1: tap-major im2col
+        (3, 2, 1, 64, 32),   # conv2: block view, taps split over two blocks
+        (3, 2, 1, 96, 8),    # conv3
+        (2, 2, 0, 160, 2),   # conv5: one block per output
+        (3, 2, 1, 256, 16),  # conv6
+        (4, 4, 0, 256, 4),   # conv8
+    ])
+    def test_conv_matches_padded_einsum(self, k, s, p, c_in, length):
+        rng = np.random.default_rng(k * 100 + c_in + length)
+        x = rng.normal(size=(6, length, c_in))
+        w = rng.normal(size=(k, c_in, 11))
+        got = _conv(x, k, s, p, w)
+        want = conv_oracle(x, k, s, p, w)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("length", [32, 33])
+    def test_pool_matches_reshape_max(self, length):
+        x = np.random.default_rng(length).normal(size=(5, length, 3))
+        m = length // 2
+        want = x[:, :2 * m].reshape(5, m, 2, 3).max(axis=2)
+        np.testing.assert_array_equal(_pool(x, 2, 2), want)
 
 
 # =============================================================================
