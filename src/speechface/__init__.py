@@ -46,7 +46,7 @@ from .model import (
     save_checkpoint,
 )
 from .stream import StreamingSession, bench
-from .trainer import AdamState, TrainConfig, adam_step, loss, make_batches, train
+from .trainer import AdamState, TrainConfig, adam_step, make_batches, train
 
 __version__ = "0.1.0"
 
@@ -63,5 +63,5 @@ __all__ = [
     "Model", "build_model", "forward", "forward_sequence",
     "load_checkpoint", "save_checkpoint",
     "StreamingSession", "bench",
-    "AdamState", "TrainConfig", "adam_step", "loss", "make_batches", "train",
+    "AdamState", "TrainConfig", "adam_step", "make_batches", "train",
 ]

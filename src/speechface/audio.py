@@ -58,10 +58,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class Spectrogram:

@@ -152,8 +152,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
     def __repr__(self):

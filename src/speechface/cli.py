@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
         config = TrainConfig(
             variant=variant, learning_rate=args.lr, minibatch_frames=args.minibatch,
             epoch_frames=args.epoch_frames, epochs=args.epochs,
-            bptt_len=32 if bptt is None else bptt, seed=args.seed)
+            bptt_len=TrainConfig.bptt_len if bptt is None else bptt, seed=args.seed)
     except ConfigError as err:
         # every field check reads "<field> must ..."
         name, _, reason = str(err).partition(" ")
@@ -241,13 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a prepared dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--variant", choices=sorted(_CLI_VARIANTS), default="cnn-lstm")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.0001)
-    p.add_argument("--minibatch", type=int, default=300)
-    p.add_argument("--epoch-frames", type=int, default=150000)
+    # defaults are TrainConfig's; --bptt stays None so cnn-static can warn when it is given
+    p.add_argument("--variant", choices=sorted(_CLI_VARIANTS),
+                   default=TrainConfig.variant.replace("_", "-"))
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--minibatch", type=int, default=TrainConfig.minibatch_frames)
+    p.add_argument("--epoch-frames", type=int, default=TrainConfig.epoch_frames)
     p.add_argument("--bptt", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

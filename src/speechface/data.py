@@ -154,18 +154,27 @@ CSV_HEADER = "frame,r1,r2,r3," + ",".join(f"e{i:02d}" for i in range(1, NUM_EXPR
 def write_param_csv(path, frames) -> None:
     """Write FaceFrames as CSV rows with 6-decimal values.
 
-    Frame indices must be strictly increasing, as :func:`read_param_csv`
-    requires; otherwise DataError names the position and nothing is written.
+    Frame indices must be strictly increasing, and every value within the
+    ranges :class:`FaceFrame` checks (a frame changed in place may have left
+    them), as :func:`read_param_csv` requires; otherwise DataError names the
+    position and nothing is written.
     """
-    lines = [CSV_HEADER]
+    lines, rows = [CSV_HEADER], []
     prev = None
     for pos, frame in enumerate(frames):
         if prev is not None and frame.frame_index <= prev:
             raise DataError(f"CSV not written: frame {pos} has index {frame.frame_index}, "
                             f"not above frame {pos - 1}'s {prev}")
         prev = frame.frame_index
-        vals = ",".join(f"{v:.6f}" for v in frame.vector)
-        lines.append(f"{frame.frame_index},{vals}")
+        rows.append(frame.vector)
+        lines.append(f"{frame.frame_index}," + ",".join(f"{v:.6f}" for v in rows[-1]))
+    table = np.array(rows).reshape(len(rows), _TARGET_DIM)
+    r, e = table[:, :NUM_ROTATION], table[:, NUM_ROTATION:]
+    # NaN fails every comparison, so the range tests also catch non-finite values
+    ok = (np.abs(r) <= 1.0).all(axis=1) & ((e >= 0.0) & (e <= 1.0)).all(axis=1)
+    if not ok.all():
+        raise DataError(f"CSV not written: frame {int(np.argmin(ok))} is out of range: "
+                        "rotation must lie in [-1, 1], weights in [0, 1], all finite")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

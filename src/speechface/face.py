@@ -63,8 +63,10 @@ class FaceFrame:
 class BlendshapeRig:
     """Neutral shape B0 plus 46 expression shapes and the inner-landmark list.
 
-    ``shapes`` is (47, V, 3) with B0 first; ``faces`` is an optional (M, 3)
-    triangle list shared by every composed mesh.
+    ``shapes`` is (47, V, 3) with B0 first, rounded to float32 as the rig
+    file stores it and held as float64, the precision faces are composed in;
+    ``faces`` is an optional (M, 3) triangle list shared by every composed
+    mesh.
     """
 
     shapes: np.ndarray
@@ -72,7 +74,7 @@ class BlendshapeRig:
     faces: np.ndarray | None = None
 
     def __post_init__(self):
-        self.shapes = np.asarray(self.shapes, dtype=np.float32)
+        self.shapes = np.asarray(self.shapes, dtype=np.float32).astype(np.float64)
         self.landmark_indices = np.asarray(self.landmark_indices, dtype=np.int64)
         if self.shapes.ndim != 3 or self.shapes.shape[0] != NUM_EXPRESSIONS + 1 \
                 or self.shapes.shape[2] != 3:
@@ -96,10 +98,6 @@ class BlendshapeRig:
     @property
     def vertex_count(self) -> int:
         return self.shapes.shape[1]
-
-    @property
-    def neutral(self) -> np.ndarray:
-        return self.shapes[0]
 
 
 def quaternion_from_free_params(r) -> np.ndarray:
@@ -225,7 +223,7 @@ def make_toy_rig(seed: int = 0) -> BlendshapeRig:
         shapes[k + 1] = base + bump[:, None] * normals
 
     landmarks = rng.choice(front, size=20, replace=False)
-    return BlendshapeRig(shapes.astype(np.float32), np.sort(landmarks), faces)
+    return BlendshapeRig(shapes, np.sort(landmarks), faces)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import autograd as ag
 from .audio import NUM_BANDS, NUM_COLUMNS, NormStats, Spectrogram
 from .autograd import BatchNormState, GRUParams, LSTMParams, Parameter, Tensor
 from .binfile import Reader
-from .errors import ConfigError, NumericError, ShapeError, check_seed
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_seed
 from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
@@ -596,6 +596,9 @@ def forward_sequence(model: Model, specs):
             raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, "
                              f"expected {plan.input_shape}")
     bands = np.stack(bands, dtype=np.float64)
+    finite = np.isfinite(bands).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(f"input: frame {int(np.argmin(finite))} has non-finite bands")
 
     feats = np.empty((len(bands), plan.hidden))
     for start in range(0, len(bands), TRUNK_CHUNK):

@@ -18,8 +18,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_seed
-from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame, landmark_rmse, weights_mse
+from .errors import ConfigError, DataError, NumericError, check_seed
+from .face import NUM_ROTATION, landmark_rmse, weights_mse
 from .model import VARIANTS, Model, build_model
 
 
@@ -64,19 +64,6 @@ def loss_op(pred: Tensor, target) -> Tensor:
     """Sum of squared differences as a differentiable graph node."""
     diff = ag.sub(pred, Tensor(np.asarray(target, dtype=pred.dtype)))
     return ag.sum_all(ag.mul(diff, diff))
-
-
-def loss(pred, target) -> float:
-    """Sum of squared differences over frames and all 49 components."""
-    empty = np.zeros((0, NUM_ROTATION + NUM_EXPRESSIONS))
-    pred = np.stack([p.vector if isinstance(p, FaceFrame) else np.asarray(p, float)
-                     for p in pred]) if len(pred) else empty
-    target = np.stack([t.vector if isinstance(t, FaceFrame) else np.asarray(t, float)
-                       for t in target]) if len(target) else empty
-    if pred.shape != target.shape:
-        raise ShapeError(f"length mismatch: {pred.shape} predictions vs "
-                         f"{target.shape} targets")
-    return float(loss_op(Tensor(pred), target).data)
 
 
 def _head_loss(y_r, y_e, target) -> Tensor:

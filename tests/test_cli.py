@@ -9,11 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from speechface import cli
 from speechface.audio import SAMPLE_RATE, write_wav
 from speechface.cli import build_parser, main
 from speechface.data import load_dataset, read_param_csv, write_param_csv
+from speechface.errors import StateError
 from speechface.face import FaceFrame, make_toy_rig, save_rig
 from speechface.model import load_checkpoint
+from speechface.trainer import TrainConfig
 
 from _objfile import read_obj_vertices
 
@@ -183,6 +186,22 @@ class TestTrain:
                    "--epoch-frames", "32", "--bptt", "16", "--out", str(out)])
         assert rc == 0
         assert "bptt" in capsys.readouterr().err.lower()
+
+    def test_defaults_are_train_config_defaults(self, workdir, tmp_path, capsys, monkeypatch):
+        """With no option given, train() gets TrainConfig() itself."""
+        seen = []
+
+        def fake_training(config, dataset):
+            seen.append(config)
+            raise StateError("stopped before training")
+
+        monkeypatch.setattr(cli, "run_training", fake_training)
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--dataset", str(workdir["dataset"]), "--out", str(out)]) == 1
+        assert seen == [TrainConfig()]
+        assert capsys.readouterr().out == (
+            "training cnn_lstm: lr=0.0001 minibatch=300 epochs=300 epoch_frames=150000 "
+            "bptt=32 seed=0 (69 records)\n")
 
     @pytest.mark.parametrize("flag,value", [("--minibatch", "1"), ("--epoch-frames", "1"),
                                             ("--epochs", "0"), ("--bptt", "0"), ("--lr", "0"),

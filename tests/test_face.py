@@ -242,6 +242,23 @@ class TestToyRig:
         assert len(set(int(i) for i in rig.landmark_indices)) == len(rig.landmark_indices)
         assert all(0 <= i < v for i in rig.landmark_indices)
 
+    def test_shapes_are_float32_values_held_in_float64(self):
+        shapes = np.random.default_rng(7).normal(size=(47, 5, 3))
+        rig = BlendshapeRig(shapes, [0, 2])
+        assert rig.shapes.dtype == np.float64
+        assert np.array_equal(rig.shapes, shapes.astype(np.float32))
+
+    def test_compose_matches_the_float32_rig_bitwise(self, rig):
+        """Holding the rig in float64 changes no composed vertex."""
+        rng = np.random.default_rng(8)
+        s32 = rig.shapes.astype(np.float32)
+        for _ in range(20):
+            frame = FaceFrame(rng.uniform(-0.6, 0.6, 3), rng.uniform(0, 1, 46))
+            rot = quaternion_to_matrix(quaternion_from_free_params(frame.r))
+            weights = np.concatenate([[1.0 - frame.e.sum()], frame.e])
+            want = (weights @ s32.reshape(47, -1)).reshape(s32.shape[1:]) @ rot.T
+            assert np.array_equal(compose_shape(rig, frame), want)
+
     def test_every_shape_moves_something(self, rig):
         """Each expression shape differs from neutral in at least one vertex."""
         for k in range(1, 47):
@@ -257,8 +274,12 @@ class TestRigIO:
         path = tmp_path / "face.rig"
         save_rig(rig, path)
         back = load_rig(path)
+        assert back.shapes.dtype == np.float64
         assert back.shapes.tobytes() == rig.shapes.tobytes()
         np.testing.assert_array_equal(back.landmark_indices, rig.landmark_indices)
+        again = tmp_path / "again.rig"
+        save_rig(back, again)
+        assert again.read_bytes() == path.read_bytes()
         if rig.faces is not None:
             np.testing.assert_array_equal(back.faces, rig.faces)
 

@@ -301,6 +301,19 @@ class TestDataFiles:
             write_param_csv(path, frames)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field,at,value", [("e", 0, 1.5), ("r", 2, np.nan),
+                                                ("e", 45, -np.inf), ("r", 0, -1.25)])
+    def test_csv_write_refuses_frames_changed_out_of_range(self, tmp_path, field, at, value):
+        """A frame changed in place after construction, so read_param_csv
+        would reject its row, raises DataError naming its position, and
+        nothing is written."""
+        frames = [FaceFrame.from_vector(np.full(49, 0.5), i) for i in range(4)]
+        getattr(frames[2], field)[at] = value
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match="CSV not written: frame 2 is out of range"):
+            write_param_csv(path, frames)
+        assert not path.exists()
+
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):
         ds = small_dataset()

@@ -5,7 +5,7 @@ import pytest
 
 from speechface import autograd as ag
 from speechface.audio import NUM_BANDS, NUM_COLUMNS, Spectrogram
-from speechface.errors import ParseError, ShapeError
+from speechface.errors import DataError, ParseError, ShapeError
 from speechface.model import (
     CHECKPOINT_MAGIC,
     STANDARD_ARCH,
@@ -387,6 +387,15 @@ class TestInferencePlan:
         model = build_model("cnn_static", seed=0)
         specs = [random_spec(rng), np.zeros((3, 3)), np.zeros((4, 4))]
         with pytest.raises(ShapeError, match=r"frame 1 has shape \(3, 3\), expected \(128, 32\)"):
+            forward_sequence(model, specs)
+
+    def test_non_finite_bands_name_the_first_bad_frame(self):
+        rng = np.random.default_rng(15)
+        model = build_model("cnn_static", seed=0)
+        specs = [random_spec(rng) for _ in range(5)]
+        specs[3].bands[7, 2] = np.nan
+        specs[4].bands[0, 0] = np.inf
+        with pytest.raises(DataError, match=r"frame 3 has non-finite bands"):
             forward_sequence(model, specs)
 
 

@@ -24,7 +24,6 @@ from speechface.trainer import (
     _batch_loss,
     _head_loss,
     adam_step,
-    loss,
     loss_op,
     make_batches,
     metric_report,
@@ -58,41 +57,27 @@ def tiny_config(**kw):
 # Loss
 # =============================================================================
 
+def _two_unit_offsets():
+    """Two frames each off by 0.1 in two components: 2*2*0.01 = 0.04."""
+    target = np.zeros((2, 49))
+    target[:, [3, 20]] = 0.1
+    return target
+
+
+_SAME = np.random.default_rng(0).uniform(-1, 1, (4, 49))
+_A, _B = np.random.default_rng(1).uniform(-1, 1, (2, 3, 49))
+
+
 class TestLoss:
-    def test_identical_sequences_score_zero(self):
-        rng = np.random.default_rng(0)
-        seq = [rng.uniform(-1, 1, 49) for _ in range(4)]
-        assert loss(seq, [s.copy() for s in seq]) == 0.0
-
-    def test_single_unit_difference(self):
-        a = [np.zeros(49)]
-        b = [np.zeros(49)]
-        b[0][10] = 1.0
-        assert loss(a, b) == pytest.approx(1.0, rel=1e-12)
-
-    def test_two_frames_two_components(self):
-        """Two frames each off by 0.1 in two components: 2*2*0.01 = 0.04."""
-        a = [np.zeros(49), np.zeros(49)]
-        b = [np.zeros(49), np.zeros(49)]
-        for f in range(2):
-            b[f][3] = 0.1
-            b[f][20] = 0.1
-        assert loss(a, b) == pytest.approx(0.04, rel=1e-9)
-
-    def test_accepts_face_frames(self):
-        fa = FaceFrame(np.zeros(3), np.full(46, 0.5))
-        fb = FaceFrame(np.zeros(3), np.full(46, 0.6))
-        assert loss([fa], [fb]) == pytest.approx(46 * 0.01, rel=1e-6)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises((DataError, Exception)):
-            loss([np.zeros(49)], [np.zeros(49), np.zeros(49)])
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(1)
-        a = [rng.uniform(-1, 1, 49) for _ in range(3)]
-        b = [rng.uniform(-1, 1, 49) for _ in range(3)]
-        assert loss(a, b) > 0.0
+    @pytest.mark.parametrize("pred, target, expected", [
+        (_SAME, _SAME.copy(), 0.0),
+        (np.zeros((1, 49)), np.eye(1, 49, 10), 1.0),
+        (np.zeros((2, 49)), _two_unit_offsets(), 0.04),
+        (_A, _B, float(np.square(_A - _B).sum())),
+    ], ids=["identical", "one-unit", "two-frames-two-components", "different"])
+    def test_closed_form_values(self, pred, target, expected):
+        value = float(loss_op(Tensor(pred), target).data)
+        assert value == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_gradient_is_two_times_residual(self):
         """d/dpred sum((pred-target)^2) = 2(pred-target), checked <= 1e-6."""
