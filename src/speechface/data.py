@@ -154,10 +154,10 @@ CSV_HEADER = "frame,r1,r2,r3," + ",".join(f"e{i:02d}" for i in range(1, NUM_EXPR
 def write_param_csv(path, frames) -> None:
     """Write FaceFrames as CSV rows with 6-decimal values.
 
-    Frame indices must be strictly increasing, and every value within the
-    ranges :class:`FaceFrame` checks (a frame changed in place may have left
-    them), as :func:`read_param_csv` requires; otherwise DataError names the
-    position and nothing is written.
+    Frame indices must be strictly increasing, and each frame's arrays of
+    the shapes and ranges :class:`FaceFrame` checks (a frame changed after
+    construction may have left them), as :func:`read_param_csv` requires;
+    otherwise DataError names the position and nothing is written.
     """
     lines, rows = [CSV_HEADER], []
     prev = None
@@ -166,6 +166,9 @@ def write_param_csv(path, frames) -> None:
             raise DataError(f"CSV not written: frame {pos} has index {frame.frame_index}, "
                             f"not above frame {pos - 1}'s {prev}")
         prev = frame.frame_index
+        if np.shape(frame.r) != (NUM_ROTATION,) or np.shape(frame.e) != (NUM_EXPRESSIONS,):
+            raise DataError(f"CSV not written: frame {pos} has r of shape {np.shape(frame.r)}"
+                            f" and e of {np.shape(frame.e)}, not (3,) and (46,)")
         rows.append(frame.vector)
         lines.append(f"{frame.frame_index}," + ",".join(f"{v:.6f}" for v in rows[-1]))
     table = np.array(rows).reshape(len(rows), _TARGET_DIM)

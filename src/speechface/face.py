@@ -63,10 +63,10 @@ class FaceFrame:
 class BlendshapeRig:
     """Neutral shape B0 plus 46 expression shapes and the inner-landmark list.
 
-    ``shapes`` is (47, V, 3) with B0 first, rounded to float32 as the rig
-    file stores it and held as float64, the precision faces are composed in;
-    ``faces`` is an optional (M, 3) triangle list shared by every composed
-    mesh.
+    ``shapes`` is (47, V, 3) with B0 first, rounded to float32 at
+    construction, as the rig file stores it, and held as float64 (values
+    written in later are rounded only by :func:`save_rig`); ``faces`` is an
+    optional (M, 3) triangle list shared by every composed mesh.
     """
 
     shapes: np.ndarray
@@ -260,7 +260,7 @@ def load_rig(path) -> BlendshapeRig:
     tables = r.pos
     landmarks = r.array("<u4", nlm, "landmark table").astype(np.int64)
     shapes = r.array("<f4", (NUM_EXPRESSIONS + 1) * nverts * 3, "shape data")
-    shapes = shapes.reshape(NUM_EXPRESSIONS + 1, nverts, 3).copy()
+    shapes = shapes.reshape(NUM_EXPRESSIONS + 1, nverts, 3)
     faces = None
     if r.left:
         (nfaces,) = r.unpack("<I", "face count")

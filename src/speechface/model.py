@@ -587,18 +587,18 @@ def forward_sequence(model: Model, specs):
     specs = list(specs)
     if not specs:
         raise ShapeError("forward_sequence needs a non-empty spectrogram list")
-    if len(specs) == 1:
-        return [forward(model, specs[0])[0]]
-    plan = _compile(model)
+    shape = (model.arch.input_bands, model.arch.input_columns)
     bands = [_spec_bands(s) for s in specs]
     for i, b in enumerate(bands):
-        if np.shape(b) != plan.input_shape:
-            raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, "
-                             f"expected {plan.input_shape}")
+        if np.shape(b) != shape:
+            raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, expected {shape}")
     bands = np.stack(bands, dtype=np.float64)
     finite = np.isfinite(bands).all(axis=(1, 2))
     if not finite.all():
         raise DataError(f"input: frame {int(np.argmin(finite))} has non-finite bands")
+    if len(specs) == 1:
+        return [forward(model, specs[0])[0]]
+    plan = _compile(model)
 
     feats = np.empty((len(bands), plan.hidden))
     for start in range(0, len(bands), TRUNK_CHUNK):

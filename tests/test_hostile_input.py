@@ -314,6 +314,18 @@ class TestDataFiles:
             write_param_csv(path, frames)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field,value", [("e", np.zeros(5)), ("r", np.zeros((1, 3))),
+                                             ("e", np.zeros((2, 23)))])
+    def test_csv_write_refuses_frames_with_replaced_arrays(self, tmp_path, field, value):
+        """A frame whose e or r was replaced by an array of another shape
+        raises DataError naming its position, and nothing is written."""
+        frames = [FaceFrame.from_vector(np.full(49, 0.5), i) for i in range(4)]
+        setattr(frames[2], field, value)
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match=r"CSV not written: frame 2 has r of shape"):
+            write_param_csv(path, frames)
+        assert not path.exists()
+
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):
         ds = small_dataset()

@@ -397,6 +397,9 @@ class TestInferencePlan:
         specs[4].bands[0, 0] = np.inf
         with pytest.raises(DataError, match=r"frame 3 has non-finite bands"):
             forward_sequence(model, specs)
+        # a one-frame list, which runs forward() itself, names its frame too
+        with pytest.raises(DataError, match=r"frame 0 has non-finite bands"):
+            forward_sequence(model, specs[3:4])
 
 
 def conv_oracle(x, k, s, p, w):

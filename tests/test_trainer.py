@@ -77,7 +77,7 @@ class TestLoss:
     ], ids=["identical", "one-unit", "two-frames-two-components", "different"])
     def test_closed_form_values(self, pred, target, expected):
         value = float(loss_op(Tensor(pred), target).data)
-        assert value == pytest.approx(expected, rel=1e-9, abs=0)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_gradient_is_two_times_residual(self):
         """d/dpred sum((pred-target)^2) = 2(pred-target), checked <= 1e-6."""
