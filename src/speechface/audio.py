@@ -48,7 +48,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
-    resampled: bool = False
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -134,7 +133,7 @@ def load_wav(path) -> AudioClip:
     Accepts 16-bit integer or 32-bit float PCM with 1 or 2 channels. Stereo is
     averaged to mono; integer samples are scaled by 1/32768; float samples
     must be finite and are clipped to [-1, 1]; other sample rates, from 8000 Hz
-    up, are linearly resampled to 44100 and flagged on the clip.
+    up, are linearly resampled to 44100.
     """
     r = Reader(path, b"RIFF")
     r.unpack("<I", "RIFF size")
@@ -174,11 +173,7 @@ def load_wav(path) -> AudioClip:
     if channels == 2:
         samples = samples[: (len(samples) // 2) * 2].reshape(-1, 2).mean(axis=1)
 
-    resampled = False
-    if rate != SAMPLE_RATE:
-        samples = resample_linear(samples, rate, SAMPLE_RATE)
-        resampled = True
-    return AudioClip(samples, SAMPLE_RATE, resampled)
+    return AudioClip(resample_linear(samples, rate, SAMPLE_RATE), SAMPLE_RATE)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,

@@ -51,9 +51,7 @@ def _consumed(g):
                      "record the forward pass again")
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    if dtype is not None:
-        return np.asarray(data, dtype=dtype)
+def _as_array(data) -> np.ndarray:
     if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
         return data
     if isinstance(data, np.floating):
@@ -67,8 +65,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._prev: tuple = ()

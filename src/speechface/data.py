@@ -49,7 +49,8 @@ _RECORD = np.dtype([
 
 @dataclass
 class Dataset:
-    """Column-wise record storage; rows sharing a sequence id are contiguous."""
+    """Column-wise record storage; rows sharing a sequence id are contiguous,
+    and an id that reappears after another sequence raises DataError."""
 
     seq_ids: np.ndarray        # (N,) uint32
     frame_indices: np.ndarray  # (N,) uint32
@@ -87,11 +88,16 @@ class Dataset:
         r, e = self.targets[:, :NUM_ROTATION], self.targets[:, NUM_ROTATION:]
         if self.targets.size and (np.abs(r).max() > 1.0 or e.min() < 0.0 or e.max() > 1.0):
             raise DataError("targets out of range: rotation in [-1,1], weights in [0,1]")
+        seen = set()
         for start, stop in self.sequence_spans():
+            sid = int(self.seq_ids[start])
+            if sid in seen:
+                raise DataError(f"record {start}: sequence {sid} reappears after another "
+                                "sequence; its records must be contiguous")
+            seen.add(sid)
             fi = self.frame_indices[start:stop].astype(np.int64)
             if np.any(np.diff(fi) != 1):
-                raise DataError(f"sequence {int(self.seq_ids[start])}: "
-                                "frame indices are not consecutive")
+                raise DataError(f"sequence {sid}: frame indices are not consecutive")
 
     def __len__(self) -> int:
         return len(self.seq_ids)

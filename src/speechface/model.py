@@ -354,17 +354,18 @@ def build_model(variant: str, seed: int = 0) -> Model:
 # on disk and in training. A sequence runs a plan compiled from the model:
 # every weight is upcast once, and batch norm (inference mode), an affine map
 # per channel, is folded into the weights and bias of the convolution before
-# it. One frame runs the model's own layers, which costs less than compiling.
+# it. :func:`forward` runs the model's own layers: for one frame, that costs
+# less than compiling.
 
 
 def _spec_bands(spec) -> np.ndarray:
     return spec.bands if isinstance(spec, Spectrogram) else np.asarray(spec)
 
 
-# Frames per trunk chunk: small enough that a chunk's intermediates (1 MB
-# per frame out of conv1) are reused from cache, large enough that the early
-# convs still run GEMMs of thousands of rows. Chosen by the sweep recorded in
-# CHANGES.md.
+# Frames per chunk of a plan's run: small enough that a chunk's trunk
+# intermediates (1 MB per frame out of conv1) are reused from cache, large
+# enough that the early convs still run GEMMs of thousands of rows. Chosen by
+# the sweep recorded in CHANGES.md.
 TRUNK_CHUNK = 8
 
 
@@ -382,7 +383,6 @@ class _Plan:
     """
 
     variant: str
-    input_shape: tuple
     hidden: int
     column_stages: int
     trunk: tuple
@@ -419,7 +419,6 @@ def _compile(model: Model) -> _Plan:
         trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
     return _Plan(
         variant=model.variant,
-        input_shape=(arch.input_bands, arch.input_columns),
         hidden=arch.hidden,
         column_stages=arch.column_stages,
         trunk=tuple(trunk),
@@ -509,13 +508,20 @@ def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
     return np.tanh(h, out=h)
 
 
+def _chunked(f, x: np.ndarray) -> np.ndarray:
+    """``f`` on x in blocks of TRUNK_CHUNK rows (len(x) is a multiple of it):
+    BLAS may round a GEMM differently at another row count, so every GEMM of
+    the plan that acts on frames runs on this many rows."""
+    return np.concatenate([f(x[i:i + TRUNK_CHUNK]) for i in range(0, len(x), TRUNK_CHUNK)])
+
+
 def _recur(plan: _Plan, x: np.ndarray) -> np.ndarray:
     """Run the recurrent layer over the B frames of x, in order, from a zero state."""
     if not plan.cell:
         return x
     hid = plan.hidden
     w_x, w_h = plan.cell[:2]
-    px = x @ w_x.T  # input projection of every frame in one GEMM
+    px = _chunked(lambda rows: rows @ w_x.T, x)  # input projection
     px += plan.cell[-1]
     out = np.empty_like(x)
     h = np.zeros((1, hid))
@@ -541,10 +547,18 @@ def forward(model: Model, spec, state: tuple | None = None):
     ``state`` is a tuple from :meth:`Model.initial_state` (default: zeros).
     Returns (FaceFrame, advanced state). Batch norm uses its running
     statistics. One frame runs the model's own layers in float64 without
-    recording gradients, so nothing is compiled per call.
+    recording gradients, so nothing is compiled per call. Non-finite bands,
+    or a non-finite value in the state array at index i, raise DataError
+    naming that input.
     """
+    bands = np.asarray(_spec_bands(spec), dtype=np.float64)
+    if not np.isfinite(bands).all():
+        raise DataError("input: bands are not finite")
+    for i, s in enumerate(state or ()):
+        if not np.isfinite(np.asarray(s, dtype=np.float64)).all():
+            raise DataError(f"input: state array {i} is not finite")
     frame_index = spec.frame_index if isinstance(spec, Spectrogram) else 0
-    return forward_split(model, _spec_bands(spec), state, frame_index)
+    return forward_split(model, bands, state, frame_index)
 
 
 def forward_split(model: Model, bands, state: tuple | None, frame_index: int,
@@ -565,7 +579,7 @@ def forward_split(model: Model, bands, state: tuple | None, frame_index: int,
     x = Tensor(np.asarray(bands, dtype=np.float64)[None, None])
     with ag.no_grad():
         out, state = model.recur(model.trunk(x, training=False, early=early),
-                                 tuple(Tensor(s, dtype=np.float64) for s in state))
+                                 tuple(Tensor(np.asarray(s, np.float64)) for s in state))
         y_r, y_e = model.head_out(out)
     return (FaceFrame.from_vector(np.concatenate([y_r.data[0], y_e.data[0]]), frame_index),
             tuple(s.data for s in state))
@@ -575,14 +589,13 @@ def forward_sequence(model: Model, specs):
     """Run a spectrogram sequence through the network from a zero state.
 
     Compiles the model's current weights into a plan and runs every frame
-    through it. The trunk runs in chunks of TRUNK_CHUNK frames, the last one
-    zero-padded, so every GEMM sees the same row count and a frame's result
-    depends neither on where it sits nor on the sequence's length. The
-    recurrence then advances one frame at a time, and dense2 and the heads run
-    one frame at a time after it, so their rows never depend on the batch
-    either. Gives the frames of folding :func:`forward` over the sequence, to
-    within about 1e-15. A one-frame sequence runs :func:`forward` itself:
-    compiling costs more than that frame.
+    through it. The frames are zero-padded to a multiple of TRUNK_CHUNK, and
+    the trunk, the recurrent layer's input projection, and dense2 with the
+    heads each run in chunks of TRUNK_CHUNK frames; the recurrence advances
+    one frame at a time. So every GEMM sees a fixed row count, and a frame's
+    result depends neither on where it sits nor on the sequence's length,
+    one frame included. Gives the frames of folding :func:`forward` over the
+    sequence, to within about 1e-15.
     """
     specs = list(specs)
     if not specs:
@@ -592,32 +605,19 @@ def forward_sequence(model: Model, specs):
     for i, b in enumerate(bands):
         if np.shape(b) != shape:
             raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, expected {shape}")
-    bands = np.stack(bands, dtype=np.float64)
-    finite = np.isfinite(bands).all(axis=(1, 2))
+    n = len(bands)
+    padded = np.zeros((-(-n // TRUNK_CHUNK) * TRUNK_CHUNK, *shape))
+    finite = np.isfinite(np.stack(bands, out=padded[:n])).all(axis=(1, 2))
     if not finite.all():
         raise DataError(f"input: frame {int(np.argmin(finite))} has non-finite bands")
-    if len(specs) == 1:
-        return [forward(model, specs[0])[0]]
     plan = _compile(model)
-
-    feats = np.empty((len(bands), plan.hidden))
-    for start in range(0, len(bands), TRUNK_CHUNK):
-        chunk = bands[start:start + TRUNK_CHUNK]
-        rows = len(chunk)
-        if rows < TRUNK_CHUNK:
-            chunk = np.concatenate([chunk, np.zeros((TRUNK_CHUNK - rows,) + plan.input_shape)])
-        feats[start:start + rows] = _trunk(plan, chunk)[:rows]
-
-    out = _recur(plan, feats)
     (w, b), r = plan.dense2, NUM_ROTATION
-    params = np.empty((len(bands), len(plan.head_b)))
-    for t in range(len(bands)):
-        hidden = np.tanh(out[t:t + 1] @ w.T + b)
-        y = (hidden @ plan.head_w.T + plan.head_b)[0]
-        params[t, :r] = np.tanh(y[:r])
-        params[t, r:] = ag._sigmoid(y[r:])
+    out = _recur(plan, _chunked(lambda x: _trunk(plan, x), padded))
+    y = _chunked(lambda x: np.tanh(x @ w.T + b) @ plan.head_w.T + plan.head_b, out)
+    y[:, :r] = np.tanh(y[:, :r])
+    y[:, r:] = ag._sigmoid(y[:, r:])
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
-            for i, (p, s) in enumerate(zip(params, specs))]
+            for i, (p, s) in enumerate(zip(y[:n], specs))]
 
 
 def forward_trace(model: Model) -> list:

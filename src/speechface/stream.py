@@ -143,6 +143,8 @@ def bench(model: Model, iters: int = 100) -> dict:
     Pushes random audio into a StreamingSession one frame interval at a
     time, so each timed push buffers the audio and emits exactly one frame.
     """
+    if not isinstance(iters, (int, np.integer)) or isinstance(iters, bool):
+        raise ConfigError(f"iters must be an integer, got {iters!r}")
     if iters < 1:
         raise ConfigError(f"iters must be positive, got {iters}")
     session = StreamingSession(model, BENCH_FPS)

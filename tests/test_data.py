@@ -67,6 +67,13 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(ds.seq_ids, bad, ds.spectrograms, ds.targets, ds.emotions, ds.actors)
 
+    def test_rejects_a_sequence_id_that_reappears(self):
+        ds = make_dataset(np.random.default_rng(14), counts=(2, 1, 2))
+        ids = ds.seq_ids.copy()
+        ids[3:] = 0  # sequence 0 again, after sequence 1
+        with pytest.raises(DataError, match="record 3: sequence 0 reappears after another"):
+            Dataset(ids, ds.frame_indices, ds.spectrograms, ds.targets, ds.emotions, ds.actors)
+
     def test_rejects_mismatched_lengths(self):
         rng = np.random.default_rng(3)
         ds = make_dataset(rng)
@@ -118,6 +125,22 @@ class TestDatasetIO:
         blob[4:8] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
         with pytest.raises(ParseError, match="version 1, .*re-run prepare.* at byte 4$"):
+            load_dataset(path)
+
+    def test_load_rejects_a_sequence_id_that_reappears(self, tmp_path):
+        """A file whose sequence 0 comes back after sequence 1 fails at the
+        byte where the records start."""
+        ds = make_dataset(np.random.default_rng(15), counts=(2, 1, 2))
+        path = tmp_path / "split.sfd"
+        save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        records = 12 + 8 * NUM_BANDS
+        record = 8 + 4 * NUM_BANDS * NUM_COLUMNS + 4 * 49 + 2
+        for i in (3, 4):
+            blob[records + i * record:records + i * record + 4] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"record 3: sequence 0 reappears after another "
+                                             f".*in the records starting at byte {records}$"):
             load_dataset(path)
 
     def test_byte_size_formula(self, tmp_path):

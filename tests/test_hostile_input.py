@@ -114,7 +114,7 @@ class TestWav:
             write_wav(path, np.zeros(100), rate)
         assert not path.exists()
         write_wav(path, np.zeros(100), MIN_SAMPLE_RATE)
-        assert load_wav(path).resampled
+        assert len(load_wav(path).samples) == 99 * SAMPLE_RATE // MIN_SAMPLE_RATE + 1
 
     @pytest.mark.parametrize("fmt,channels,rate", [("pcm16", 1, 2**31),
                                                    ("float32", 2, 2**29)])

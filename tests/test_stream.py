@@ -397,6 +397,11 @@ class TestHeadStart:
 
 
 class TestBench:
+    @pytest.mark.parametrize("iters", [2.5, True, "3", 0, -1])
+    def test_rejects_iters_that_are_not_a_positive_integer(self, iters):
+        with pytest.raises(ConfigError, match="iters must be"):
+            bench(build_model("cnn_static", seed=0), iters=iters)
+
     def test_report_fields_and_budget(self):
         model = build_model("cnn_static", seed=0)
         report = bench(model, iters=12)
