@@ -43,8 +43,9 @@ def check_samples(samples: np.ndarray, what: str) -> None:
 
 @dataclass
 class AudioClip:
-    """Mono waveform with samples in [-1, 1]; a clip holding any other
-    sample, NaN or Inf included, raises DataError."""
+    """Mono waveform at 44.1 kHz with samples in [-1, 1]; a clip holding any
+    other sample, NaN or Inf included, raises DataError, and any other rate
+    raises ConfigError (:func:`load_wav` resamples to 44.1 kHz)."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
@@ -54,8 +55,8 @@ class AudioClip:
         if self.samples.ndim != 1:
             raise ShapeError(f"AudioClip needs a 1-d sample array, got shape {self.samples.shape}")
         check_samples(self.samples, "AudioClip")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample rate must be positive, got {self.sample_rate}")
+        if self.sample_rate != SAMPLE_RATE:
+            raise ConfigError(f"AudioClip must be at {SAMPLE_RATE} Hz, got {self.sample_rate}")
 
 
 @dataclass
@@ -246,17 +247,17 @@ def check_fps(fps: float) -> float:
     return float(fps)
 
 
-def frame_boundary(t: int, fps: float, sample_rate: int = SAMPLE_RATE) -> int:
-    """Sample index just past video frame t: round((t+1) * rate / fps)."""
-    return int(round((t + 1) * sample_rate / fps))
+def frame_boundary(t: int, fps: float) -> int:
+    """Sample index just past video frame t: round((t+1) * 44100 / fps)."""
+    return int(round((t + 1) * SAMPLE_RATE / fps))
 
 
 def frame_count(clip: AudioClip, fps: float) -> int:
     """Number of whole video frames covered by the clip."""
     check_fps(fps)
     n = len(clip.samples)
-    count = max(0, int(n * fps / clip.sample_rate) + 2)
-    while count > 0 and frame_boundary(count - 1, fps, clip.sample_rate) > n:
+    count = max(0, int(n * fps / SAMPLE_RATE) + 2)
+    while count > 0 and frame_boundary(count - 1, fps) > n:
         count -= 1
     return count
 
@@ -270,8 +271,6 @@ def extract_frame_window(clip: AudioClip, t: int, fps: float) -> np.ndarray:
     if t < 0:
         raise RangeError(f"frame index must be non-negative, got {t}")
     check_fps(fps)
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ConfigError(f"clip must be at {SAMPLE_RATE} Hz, got {clip.sample_rate}")
     end = frame_boundary(t, fps)
     n = len(clip.samples)
     if end > n:

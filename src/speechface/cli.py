@@ -145,7 +145,7 @@ def _infer_realtime(mdl, clip, fps, n_frames):
     consumed = 0
     for t in range(n_frames):
         boundary = audio.frame_boundary(t, fps)
-        due = start + boundary / clip.sample_rate
+        due = start + boundary / audio.SAMPLE_RATE
         lag = due - time.perf_counter()
         if lag > 0:
             time.sleep(lag)

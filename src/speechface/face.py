@@ -24,17 +24,24 @@ RIG_MAGIC = b"SFRG"
 RIG_VERSION = 1
 
 
-@dataclass
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class FaceFrame:
-    """Per-frame face parameters: 3 rotation free parameters + 46 weights."""
+    """Per-frame face parameters: 3 rotation free parameters + 46 weights.
+    Frozen, with read-only copies of its arrays, so it stays as checked."""
 
     r: np.ndarray
     e: np.ndarray
     frame_index: int = 0
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.e = np.asarray(self.e, dtype=np.float64)
+        vars(self).update(r=_read_only(self.r, np.float64), e=_read_only(self.e, np.float64))
         if self.r.shape != (NUM_ROTATION,):
             raise ShapeError(f"rotation parameters must have shape (3,), got {self.r.shape}")
         if self.e.shape != (NUM_EXPRESSIONS,):
@@ -45,6 +52,9 @@ class FaceFrame:
             raise DataError("expression weights must lie in [0, 1]")
         if np.any(np.abs(self.r) > 1.0):
             raise DataError("rotation free parameters must lie in [-1, 1]")
+        index = self.frame_index
+        if not isinstance(index, (int, np.integer)) or isinstance(index, bool) or index < 0:
+            raise DataError(f"frame index must be a non-negative integer, got {index!r}")
 
     @property
     def vector(self) -> np.ndarray:
@@ -59,14 +69,14 @@ class FaceFrame:
         return cls(vec[:NUM_ROTATION], vec[NUM_ROTATION:], frame_index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlendshapeRig:
     """Neutral shape B0 plus 46 expression shapes and the inner-landmark list.
 
     ``shapes`` is (47, V, 3) with B0 first, rounded to float32 at
-    construction, as the rig file stores it, and held as float64 (values
-    written in later are rounded only by :func:`save_rig`); ``faces`` is an
-    optional (M, 3) triangle list shared by every composed mesh.
+    construction, as the rig file stores it, and held as float64; ``faces``
+    is an optional (M, 3) triangle list shared by every composed mesh.
+    Frozen, with read-only copies of its arrays, so it stays as checked.
     """
 
     shapes: np.ndarray
@@ -74,8 +84,10 @@ class BlendshapeRig:
     faces: np.ndarray | None = None
 
     def __post_init__(self):
-        self.shapes = np.asarray(self.shapes, dtype=np.float32).astype(np.float64)
-        self.landmark_indices = np.asarray(self.landmark_indices, dtype=np.int64)
+        faces = None if self.faces is None else _read_only(self.faces, np.int64)
+        vars(self).update(shapes=_read_only(np.asarray(self.shapes, np.float32), np.float64),
+                          landmark_indices=_read_only(self.landmark_indices, np.int64),
+                          faces=faces)
         if self.shapes.ndim != 3 or self.shapes.shape[0] != NUM_EXPRESSIONS + 1 \
                 or self.shapes.shape[2] != 3:
             raise ShapeError(f"rig shapes must be (47, V, 3), got {self.shapes.shape}")
@@ -89,7 +101,6 @@ class BlendshapeRig:
         if lm.min() < 0 or lm.max() >= self.vertex_count:
             raise DataError("landmark index out of vertex range")
         if self.faces is not None:
-            self.faces = np.asarray(self.faces, dtype=np.int64)
             if self.faces.ndim != 2 or self.faces.shape[1] != 3:
                 raise ShapeError(f"face list must be (M, 3), got {self.faces.shape}")
             if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= self.vertex_count):
@@ -231,13 +242,7 @@ def make_toy_rig(seed: int = 0) -> BlendshapeRig:
 
 
 def save_rig(rig: BlendshapeRig, path) -> None:
-    """Write the binary rig file (magic SFRG), optionally with topology.
-
-    The rig is checked again as :class:`BlendshapeRig` checks it, since its
-    arrays may have changed since; a rig :func:`load_rig` would reject raises
-    before anything is written.
-    """
-    rig = BlendshapeRig(rig.shapes, rig.landmark_indices, rig.faces)
+    """Write the binary rig file (magic SFRG), optionally with topology."""
     lm = rig.landmark_indices
     out = bytearray()
     out += RIG_MAGIC

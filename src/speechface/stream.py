@@ -149,13 +149,13 @@ def bench(model: Model, iters: int = 100) -> dict:
         raise ConfigError(f"iters must be positive, got {iters}")
     session = StreamingSession(model, BENCH_FPS)
     rng = np.random.default_rng(BENCH_SEED)
-    audio = rng.standard_normal(frame_boundary(BENCH_WARMUP + iters - 1, BENCH_FPS)) * 0.1
     times = []
     start = 0
     for i in range(BENCH_WARMUP + iters):
         stop = frame_boundary(i, BENCH_FPS)
+        chunk = rng.standard_normal(stop - start) * 0.1  # per push: memory stays flat in iters
         t0 = time.perf_counter()
-        session.push(audio[start:stop])
+        session.push(chunk)
         times.append(time.perf_counter() - t0)
         start = stop
     kept = np.array(times[BENCH_WARMUP:])

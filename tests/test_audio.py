@@ -170,6 +170,13 @@ class TestAudioClip:
         with pytest.raises(DataError, match="5000 of 5000 samples"):
             clip_spectrograms(AudioClip(np.full(5000, np.nan)), 30.0)
 
+    @pytest.mark.parametrize("rate", [22050, 48000, 0])
+    def test_rate_other_than_44100_rejected(self, rate):
+        """Only load_wav resamples, so a clip that frame_count would count
+        is one clip_spectrograms can analyse."""
+        with pytest.raises(ConfigError, match=f"AudioClip must be at 44100 Hz, got {rate}$"):
+            AudioClip(np.zeros(SAMPLE_RATE), rate)
+
     def test_full_scale_samples_accepted(self):
         clip = AudioClip(np.array([-1.0, 1.0, 0.0, -32768 / 32768]))
         assert clip.samples.tolist() == [-1.0, 1.0, 0.0, -1.0]

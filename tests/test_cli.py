@@ -12,7 +12,7 @@ import pytest
 from speechface import cli
 from speechface.audio import SAMPLE_RATE, write_wav
 from speechface.cli import build_parser, main
-from speechface.data import load_dataset, read_param_csv, write_param_csv
+from speechface.data import CSV_HEADER, load_dataset, read_param_csv, write_param_csv
 from speechface.errors import StateError
 from speechface.face import FaceFrame, make_toy_rig, save_rig
 from speechface.model import load_checkpoint
@@ -378,6 +378,16 @@ class TestExportObj:
         verts = read_obj_vertices(out_dir / "frame_000000.obj")
         rig = make_toy_rig(seed=0)
         assert np.max(np.abs(verts - rig.shapes[0])) <= 1e-4
+
+    def test_negative_frame_index_writes_no_obj(self, workdir, tmp_path, capsys):
+        csv = tmp_path / "anim.csv"
+        csv.write_text(CSV_HEADER + "\n-3," + ",".join(["0.0"] * 3 + ["0.5"] * 46) + "\n")
+        out_dir = tmp_path / "objs"
+        assert main(["export-obj", "--rig", str(workdir["rig"]), "--frames",
+                     str(csv), "--out-dir", str(out_dir)]) == 1
+        assert "line 2: frame index must be a non-negative integer, got -3" \
+            in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_reparse_error_bound(self, workdir, tmp_path):
         csv = tmp_path / "anim.csv"

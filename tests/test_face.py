@@ -4,6 +4,9 @@ Metric values are checked against closed-form hand computations; geometry
 against exact algebraic identities of the composition rule.
 """
 
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,52 @@ class TestFaceFrame:
             FaceFrame(np.array([0.0, bad, 0.0]), np.zeros(46))
         with pytest.raises(DataError, match="finite"):
             FaceFrame(np.zeros(3), np.r_[np.full(45, 0.5), bad])
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_index_must_be_a_non_negative_integer(self, index):
+        with pytest.raises(DataError, match=re.escape(
+                f"frame index must be a non-negative integer, got {index!r}")):
+            FaceFrame(np.zeros(3), np.zeros(46), index)
+
+    @pytest.mark.parametrize("field", ["r", "e"])
+    def test_arrays_are_read_only(self, field):
+        frame = FaceFrame.from_vector(np.full(49, 0.5), 3)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(frame, field)[0] = 0.25
+        assert frame.vector.tolist() == [0.5] * 49
+
+    @pytest.mark.parametrize("field", ["r", "e", "frame_index"])
+    def test_fields_cannot_be_reassigned(self, field):
+        frame = FaceFrame.from_vector(np.full(49, 0.5), 3)
+        with pytest.raises(FrozenInstanceError):
+            setattr(frame, field, getattr(frame, field))
+
+    def test_holds_a_copy_of_the_callers_arrays(self):
+        r, e = np.zeros(3), np.full(46, 0.5)
+        frame = FaceFrame(r, e)
+        r[0], e[0] = 0.75, 1.0  # the caller's arrays stay writable
+        assert frame.r[0] == 0.0 and frame.e[0] == 0.5
+
+
+class TestBlendshapeRig:
+    @staticmethod
+    def arrays():
+        return np.zeros((47, 6, 3)), np.array([0, 2, 4]), np.array([[0, 1, 2], [2, 3, 4]])
+
+    @pytest.mark.parametrize("field", ["shapes", "landmark_indices", "faces"])
+    def test_arrays_are_read_only(self, field):
+        rig = BlendshapeRig(*self.arrays())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rig, field)[0] = 1
+        with pytest.raises(FrozenInstanceError):
+            setattr(rig, field, getattr(rig, field))
+
+    def test_holds_a_copy_of_the_callers_arrays(self):
+        shapes, landmarks, faces = self.arrays()
+        rig = BlendshapeRig(shapes, landmarks, faces)
+        shapes[0, 0, 0], landmarks[0], faces[0, 0] = np.nan, 99, 99  # still writable
+        assert rig.shapes[0, 0, 0] == 0.0
+        assert rig.landmark_indices[0] == 0 and rig.faces[0, 0] == 0
 
 
 # =============================================================================

@@ -10,6 +10,7 @@ the byte or the line.
 
 import re
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -251,15 +252,18 @@ class TestRig:
             BlendshapeRig(shapes, [0, 2, 4])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_save_refuses_a_rig_changed_to_non_finite(self, tmp_path, value):
-        """A rig whose shapes became non-finite after construction raises
-        DataError and writes nothing, rather than a file load_rig rejects."""
-        rig = BlendshapeRig(np.zeros((NUM_EXPRESSIONS + 1, 6, 3)), [0, 2, 4])
-        rig.shapes[0, 0, 0] = value
+    def test_save_writes_the_rig_as_built(self, tmp_path, value):
+        """A non-finite value written into the caller's array, or into the
+        rig's, after construction never reaches the file: the rig holds
+        read-only copies of its arrays."""
+        shapes = np.zeros((NUM_EXPRESSIONS + 1, 6, 3))
+        rig = BlendshapeRig(shapes, [0, 2, 4])
+        shapes[0, 0, 0] = value
+        with pytest.raises(ValueError, match="read-only"):
+            rig.shapes[0, 0, 0] = value
         path = tmp_path / "r.rig"
-        with pytest.raises(DataError, match="rig shapes must be finite"):
-            save_rig(rig, path)
-        assert not path.exists()
+        save_rig(rig, path)
+        np.testing.assert_array_equal(load_rig(path).shapes, np.zeros_like(shapes))
 
 
 # =============================================================================
@@ -303,28 +307,28 @@ class TestDataFiles:
 
     @pytest.mark.parametrize("field,at,value", [("e", 0, 1.5), ("r", 2, np.nan),
                                                 ("e", 45, -np.inf), ("r", 0, -1.25)])
-    def test_csv_write_refuses_frames_changed_out_of_range(self, tmp_path, field, at, value):
-        """A frame changed in place after construction, so read_param_csv
-        would reject its row, raises DataError naming its position, and
-        nothing is written."""
-        frames = [FaceFrame.from_vector(np.full(49, 0.5), i) for i in range(4)]
-        getattr(frames[2], field)[at] = value
+    def test_csv_write_writes_frames_as_built(self, tmp_path, field, at, value):
+        """A value read_param_csv would reject, written into the caller's
+        vector or into a frame after construction, never reaches the file;
+        nor does an array of another shape put in a frame's place."""
+        vec = np.full(49, 0.5)
+        frames = [FaceFrame.from_vector(vec, i) for i in range(4)]
+        vec[at if field == "r" else 3 + at] = value
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(frames[2], field)[at] = value
+        with pytest.raises(FrozenInstanceError):
+            setattr(frames[2], field, np.zeros(5))
         path = tmp_path / "p.csv"
-        with pytest.raises(DataError, match="CSV not written: frame 2 is out of range"):
-            write_param_csv(path, frames)
-        assert not path.exists()
+        write_param_csv(path, frames)
+        assert [f.vector.tolist() for f in read_param_csv(path)] == [[0.5] * 49] * 4
 
-    @pytest.mark.parametrize("field,value", [("e", np.zeros(5)), ("r", np.zeros((1, 3))),
-                                             ("e", np.zeros((2, 23)))])
-    def test_csv_write_refuses_frames_with_replaced_arrays(self, tmp_path, field, value):
-        """A frame whose e or r was replaced by an array of another shape
-        raises DataError naming its position, and nothing is written."""
-        frames = [FaceFrame.from_vector(np.full(49, 0.5), i) for i in range(4)]
-        setattr(frames[2], field, value)
+    def test_csv_negative_index_names_the_line(self, tmp_path):
+        """FaceFrame rejects a negative index, so no CSV can carry one to
+        export-obj's file names."""
         path = tmp_path / "p.csv"
-        with pytest.raises(DataError, match=r"CSV not written: frame 2 has r of shape"):
-            write_param_csv(path, frames)
-        assert not path.exists()
+        path.write_text(CSV_HEADER + "\n-3," + ",".join(["0.0"] * 3 + ["0.5"] * 46))
+        with pytest.raises(ParseError, match=": line 2: frame index must be a non-negative"):
+            read_param_csv(path)
 
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):

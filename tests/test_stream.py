@@ -1,6 +1,7 @@
 """Streaming session tests: chunking invariance, causality, latency report."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,3 +411,29 @@ class TestBench:
         assert 0 < report["median_ms"] <= report["p95_ms"]
         assert report["budget_ms"] == pytest.approx(1000.0 / 30.0)
         assert report["fps"] == pytest.approx(1000.0 / report["median_ms"], rel=1e-6)
+
+    def test_pushes_the_seeded_noise_one_interval_at_a_time(self, monkeypatch):
+        """Each push gets one frame interval of the noise one seeded draw of
+        the whole run would give, bit for bit."""
+        chunks, push = [], StreamingSession.push
+        monkeypatch.setattr(StreamingSession, "push",
+                            lambda self, s: chunks.append(s.copy()) or push(self, s))
+        bench(build_model("cnn_static", seed=0), iters=4)
+        n = stream.BENCH_WARMUP + 4
+        assert [len(c) for c in chunks] == [1470] * n
+        want = np.random.default_rng(stream.BENCH_SEED).standard_normal(n * 1470) * 0.1
+        np.testing.assert_array_equal(np.concatenate(chunks), want)
+
+    def test_memory_does_not_grow_with_iters(self):
+        """The noise is drawn per interval, not for the whole run up front
+        (200 iterations of it would be 2.4 MB)."""
+        model = build_model("cnn_static", seed=0)
+        peaks = []
+        for iters in (5, 200):
+            tracemalloc.start()
+            try:
+                bench(model, iters=iters)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024, peaks
