@@ -84,10 +84,9 @@ class BlendshapeRig:
     faces: np.ndarray | None = None
 
     def __post_init__(self):
-        faces = None if self.faces is None else _read_only(self.faces, np.int64)
         vars(self).update(shapes=_read_only(np.asarray(self.shapes, np.float32), np.float64),
                           landmark_indices=_read_only(self.landmark_indices, np.int64),
-                          faces=faces)
+                          faces=None if self.faces is None else _read_only(self.faces, np.int64))
         if self.shapes.ndim != 3 or self.shapes.shape[0] != NUM_EXPRESSIONS + 1 \
                 or self.shapes.shape[2] != 3:
             raise ShapeError(f"rig shapes must be (47, V, 3), got {self.shapes.shape}")
