@@ -2,13 +2,14 @@
 
 Everything the network needs is built from the primitives in this module:
 convolution, max pooling, batch normalization (alone, or fused with ReLU and
-a two-tap pool for training, optionally with the convolution before it,
-whose output is then recomputed rather than stored), dense layers,
-elementwise activations and the LSTM/GRU cell steps. Each primitive records
-a backward closure on a tape; calling :meth:`Tensor.backward` on a scalar
-loss walks the tape in reverse topological order and accumulates exact
-gradients into every leaf tensor that requested them. Backward closures read their inputs' arrays
-when they run, so those arrays must not change in place between the forward
+a two-tap pool for training, optionally with a convolution before it, which
+then works from the convolution's im2col columns and never makes its output),
+dense layers, elementwise activations and the LSTM/GRU cell steps. Each
+primitive records a backward closure on a tape; calling
+:meth:`Tensor.backward` on a scalar loss walks the tape in reverse
+topological order and accumulates exact gradients into every leaf tensor
+that requested them. Backward closures read their inputs' arrays when they
+run, so those arrays must not change in place between the forward
 pass and the backward pass. The walk consumes the tape, releasing each node's
 saved arrays once its closure has run, so a recorded graph is differentiated
 once; a second backward through it raises :class:`StateError`.
@@ -321,9 +322,11 @@ def sigmoid(x: Tensor) -> Tensor:
 # bn_relu_pool, one node that keeps its input, its output and a bool mask of
 # the winning taps on the tape. conv1, over the one-channel spectrogram,
 # joins that node as conv_bn_relu_pool, which keeps the conv's input instead
-# of its output and recomputes the conv a block at a time. The layer walk of
-# inference runs batch norm, ReLU and max_pool2d as separate ops, so it
-# reports every stage; the batched plan folds batch norm into the convs.
+# of its output: with three columns per output, batch norm's statistics and
+# every gradient follow from the columns' Gram matrix and from sums at the
+# pooled size. The layer walk of inference runs batch norm, ReLU and
+# max_pool2d as separate ops, so it reports every stage; the batched plan
+# folds batch norm into the convs.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -395,12 +398,14 @@ class _Conv:
     many output positions per sample, batched (B,K,P) matmuls have plenty of
     work each and run a block of samples at a time. With few positions the
     whole batch is one block, folded into one big GEMM, since the extra
-    transpose copies are tiny at that size. :func:`conv2d` runs the blocks
-    once; :func:`conv_bn_relu_pool` reruns them to recompute the output
-    instead of keeping it. Errors name ``op``.
+    transpose copies are tiny at that size; ``fold=False`` keeps the
+    per-sample layout at any size. :func:`conv2d` runs the blocks once to
+    make the output; :func:`conv_bn_relu_pool` reads only their columns.
+    Errors name ``op``.
     """
 
-    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str):
+    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str,
+                 fold: bool = True):
         xd = x.data
         if xd.ndim != 4 or w.ndim != 4:
             raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
@@ -435,7 +440,7 @@ class _Conv:
         # rebuilt from x whenever another block is asked for, in backward
         # too: x stays alive anyway, and a whole batch of columns is up to
         # 1.5x its size.
-        self.folded = n_pos < 64
+        self.folded = fold and n_pos < 64
         if self.folded:
             def tap_view(a, i, j):
                 return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
@@ -656,14 +661,23 @@ def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
             ob += shift
 
 
-def _bn_fold(shape, dtype, blocks, state: BatchNormState, training: bool, op: str):
+def _moments(x: np.ndarray):
+    """Per-channel float64 mean and variance of ``x`` over every axis but 1,
+    summed one block of samples at a time."""
+    n_red = x.size // x.shape[1]
+    sum_x, sum_xx = _channel_sums(((v, v) for v in _split(x)), x.shape[1])
+    mu = sum_x / n_red
+    return mu, sum_xx / n_red - mu * mu
+
+
+def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: str):
     """Batch norm on an input of ``shape`` as (mu, inv, scale, shift) per
     channel, where out = x * scale + shift and inv = 1 / sqrt(var + eps).
 
-    Training mode takes the batch statistics from ``blocks``, the input's
-    blocks of samples in order, and folds them into the running mean/variance
-    with the state's momentum; inference mode reads the running statistics
-    and leaves ``blocks`` unread. Errors name ``op``.
+    Training mode takes the batch's float64 mean and variance per channel
+    from ``moments()`` and folds them into the running mean/variance with the
+    state's momentum; inference mode reads the running statistics and never
+    calls ``moments``. Errors name ``op``.
     """
     if len(shape) < 2:
         raise ShapeError(f"{op}: expected at least (B,C) input, got {shape}")
@@ -672,11 +686,9 @@ def _bn_fold(shape, dtype, blocks, state: BatchNormState, training: bool, op: st
     if training and shape[0] < 2:
         raise ConfigError(f"{op}: training mode requires batch size >= 2")
     if training:
-        n_red = math.prod(shape) // shape[1]
-        sum_x, sum_xx = _channel_sums(((v, v) for v in blocks), shape[1])
-        mu64 = sum_x / n_red
+        mu64, var64 = moments()
         mu = mu64.astype(dtype)
-        var = np.maximum(sum_xx / n_red - mu64 * mu64, 0.0).astype(dtype)
+        var = np.maximum(var64, 0.0).astype(dtype)
         m = state.momentum
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype, copy=False)
@@ -720,7 +732,7 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     running statistics converge exactly to the training-mode normalizer.
     """
     xd = x.data
-    fold = _bn_fold(xd.shape, xd.dtype, _split(xd), state, training, "batch_norm")
+    fold = _bn_fold(xd.shape, xd.dtype, lambda: _moments(xd), state, training, "batch_norm")
     _, _, scale, shift = fold
     out = np.empty(xd.shape, dtype=np.result_type(xd, scale, shift))
     _channel_affine(out, [(xd, scale)], shift)
@@ -741,82 +753,10 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     return _make(out, (x, state.gamma, state.beta), backward)
 
 
-def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
-    """``max_pool2d(relu(batch_norm(x, state, True)), window)`` as one node,
-    for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
-
-    Gives the same output, running statistics and gradients, bit for bit
-    when ``x`` and the state share a dtype, but keeps only ``x``, the output
-    and a bool mask of the winning taps on the tape: the normalized and
-    activated arrays never exist at full size.
-    """
-    xd = x.data
-    blocks = _blocks(len(xd), xd[:1].nbytes)
-
-    def values():
-        for blk in blocks:
-            yield blk, xd[blk]
-
-    def sink(grads, dtype):
-        if x.requires_grad:
-            gx = np.empty(xd.shape, dtype=dtype)
-            for blk, gb in grads:
-                gx[blk] = gb
-            _accum_owned(x, gx)
-
-    return _bn_relu_pool("bn_relu_pool", x.shape, xd.dtype, blocks, values, sink,
-                         (x,), state, window)
-
-
-def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
-                      state: BatchNormState, window) -> Tensor:
-    """``bn_relu_pool(conv2d(x, w, b, stride, pad), state, window)`` as one
-    node that never keeps the conv's output: each pass over it recomputes
-    the conv one block of samples at a time, from ``x``.
-
-    The tape holds ``x``, the pooled output and the winner mask. That pays
-    where the conv is cheap against its output, as for a conv over a
-    one-channel input. Output, running statistics and gradients are those of
-    the two-node chain, bit for bit, when conv2d's blocks of samples are
-    batch norm's: with 64 or more output positions per sample and
-    C_in * kF * kT <= C_out. Otherwise batch norm's float64 sums may round
-    differently.
-    """
-    conv = _Conv(x, w, b, stride, pad, "conv_bn_relu_pool")
-
-    def values():
-        buf = np.empty((conv.blocks[0].stop,) + conv.shape[1:], dtype=conv.dtype)
-        for blk in conv.blocks:
-            vb = buf[:blk.stop - blk.start]
-            conv.output(blk, _by_sample(vb))
-            yield blk, vb
-
-    def sink(grads, dtype):
-        conv.backward((blk, _by_sample(gb)) for blk, gb in grads)
-
-    return _bn_relu_pool("conv_bn_relu_pool", conv.shape, conv.dtype, conv.blocks, values,
-                         sink, conv.parents, state, window)
-
-
-def _bn_relu_pool(op: str, shape, dtype, blocks, values, sink, parents,
-                  state: BatchNormState, window) -> Tensor:
-    """The body of both fused stages. Batch norm's input, of ``shape`` and
-    ``dtype``, is read only through ``values()``, which yields it as
-    (blk, block of samples) for each of ``blocks`` in order.
-    ``sink(grads, dtype)`` takes its gradient as the same pairs, each block
-    valid until the next is drawn, and accumulates it. The node's inputs are
-    ``parents`` and the state's gamma and beta. Errors name ``op``.
-
-    Forward: one pass takes the statistics; a second normalizes each block
-    into a reused buffer, sends the larger of its two taps to the output,
-    records where the second tap won, and applies ReLU to the pooled output,
-    since max commutes with it. Backward: the upstream gradient is masked by
-    the ReLU of the output, then pass A routes each block of it through the
-    saved winners (ties to the first tap, as in max_pool2d) into a reused
-    buffer and takes batch norm's per-channel sums in the same loop. Pass B
-    routes each block again, applies batch norm's input gradient to it and
-    hands it to the sink.
-    """
+def _two_tap_pool(op: str, shape, window):
+    """The pooled axis and output shape of a two-tap pool over ``shape``,
+    and tap(a, k): the k-th tap of every pair of a along that axis. Errors
+    name ``op``."""
     window = tuple(window)
     if len(shape) != 4 or window not in ((2, 1), (1, 2)):
         raise ShapeError(f"{op}: expected (B,C,F,T) input and a (2,1) or (1,2) "
@@ -829,45 +769,170 @@ def _bn_relu_pool(op: str, shape, dtype, blocks, values, sink, parents,
     def tap(a, k):
         return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
 
-    n_red = math.prod(shape) // shape[1]
-    fold = _bn_fold(shape, dtype, (v for _, v in values()), state, True, op)
+    return axis, shape[:axis] + (n_out,) + shape[axis + 1:], tap
+
+
+def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
+    """``max_pool2d(relu(batch_norm(x, state, True)), window)`` as one node,
+    for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
+
+    Gives the same output, running statistics and gradients, bit for bit
+    when ``x`` and the state share a dtype, but keeps only ``x``, the output
+    and a bool mask of the winning taps on the tape: the normalized and
+    activated arrays never exist at full size.
+
+    Forward: one pass takes the statistics; a second normalizes each block
+    into a reused buffer, sends the larger of its two taps to the output,
+    records where the second tap won, and applies ReLU to the pooled output,
+    since max commutes with it. Backward: the upstream gradient is masked by
+    the ReLU of the output and routed through the saved winners (ties to the
+    first tap, as in max_pool2d) into the input gradient's array, taking
+    batch norm's per-channel sums in the same block loop; batch norm's input
+    gradient is then applied to that array in place.
+    """
+    xd = x.data
+    axis, pooled, tap = _two_tap_pool("bn_relu_pool", xd.shape, window)
+    fold = _bn_fold(xd.shape, xd.dtype, lambda: _moments(xd), state, True, "bn_relu_pool")
     _, _, scale, shift = fold
-    dtype = np.result_type(dtype, scale, shift)
-    pooled = shape[:axis] + (n_out,) + shape[axis + 1:]
+    dtype = np.result_type(xd.dtype, scale, shift)
     out = np.empty(pooled, dtype=dtype)
     wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
-    buf = np.empty((blocks[0].stop,) + shape[1:], dtype=dtype)
-    for blk, v in values():
+    blocks = _blocks(len(xd), xd[:1].nbytes)
+    buf = np.empty((blocks[0].stop,) + xd.shape[1:], dtype=dtype)
+    for blk in blocks:
         nb = buf[:blk.stop - blk.start]
-        _channel_affine(nb, [(v, scale)], shift)
+        _channel_affine(nb, [(xd[blk], scale)], shift)
         ob = np.maximum(tap(nb, 0), tap(nb, 1), out=out[blk])
         np.greater(tap(nb, 1), tap(nb, 0), out=wins[blk])
         np.maximum(ob, 0, out=ob)
 
     def backward(g):
         np.multiply(g, out > 0, out=g)
-        buf = np.empty((blocks[0].stop,) + shape[1:], dtype=dtype)
+        gx = np.empty(xd.shape, dtype=dtype)
+        gx[(slice(None),) * axis + (slice(2 * pooled[axis], None),)] = 0  # a dropped trailing row
 
-        def routed(blk):
-            gb = buf[:blk.stop - blk.start]
-            np.multiply(g[blk], wins[blk], out=tap(gb, 1))
-            np.multiply(g[blk], ~wins[blk], out=tap(gb, 0))
-            if 2 * n_out < shape[axis]:
-                gb[(slice(None),) * axis + (-1,)] = 0  # the dropped trailing row
-            return gb
+        def routed():
+            for blk in blocks:
+                np.multiply(g[blk], wins[blk], out=tap(gx[blk], 1))
+                np.multiply(g[blk], ~wins[blk], out=tap(gx[blk], 0))
+                yield gx[blk], xd[blk]
 
-        sums = _channel_sums(((routed(blk), v) for blk, v in values()), shape[1])
-        a_ch, c_ch = _bn_grad_terms(sums, n_red, state, fold, True)
+        sums = _channel_sums(routed(), xd.shape[1])
+        a_ch, c_ch = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, True)
+        if x.requires_grad:
+            _channel_affine(gx, [(gx, scale), (xd, a_ch)], c_ch)
+            _accum_owned(x, gx)
 
-        def input_grads():
-            for blk, v in values():
-                gb = routed(blk)
-                _channel_affine(gb, [(gb, scale), (v, a_ch)], c_ch)
-                yield blk, gb
+    return _make(out, (x, state.gamma, state.beta), backward)
 
-        sink(input_grads(), dtype)
 
-    return _make(out, parents + (state.gamma, state.beta), backward)
+def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
+                      state: BatchNormState, window) -> Tensor:
+    """``bn_relu_pool(conv2d(x, w, b, stride, pad), state, window)`` as one
+    node that never makes the conv's output or its gradient at full size.
+
+    The conv is linear in its im2col columns: y = Wa [col; 1], where Wa is
+    the (C, K) weight matrix with the bias as one more column and K = C_in *
+    kF * kT, three for conv1. So batch norm's mean and variance follow from
+    the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
+    float64 one block of samples at a time. Forward then computes each pool
+    tap's outputs directly, z = (Wa * scale) [col; 1] + shift over the
+    columns of the outputs that tap covers, one GEMM per block, and keeps
+    their ReLU'd maximum and where the second tap won. Backward routes the
+    pooled gradient through that mask onto the taps' columns, P = sum of
+    g [col; 1]', (C, K+1); batch norm's sums and the w and b gradients follow
+    from P and the Gram matrix exactly. x's gradient, which no model input
+    asks for, is built one block of columns at a time.
+
+    The tape holds ``x``, the pooled output and the winner mask. Output,
+    running statistics and gradients are the two-node chain's up to
+    rounding. Since z comes from the folded GEMM rather than from y, two
+    taps whose conv outputs tie may resolve either way.
+    """
+    op = "conv_bn_relu_pool"
+    conv = _Conv(x, w, b, stride, pad, op, fold=False)
+    _, pooled, tap = _two_tap_pool(op, conv.shape, window)
+    n_red = math.prod(conv.shape) // conv.shape[1]
+    k = conv.wmat.shape[1]
+    wa = np.zeros((conv.shape[1], k + 1))
+    wa[:, :k] = conv.wmat
+    if b is not None:
+        wa[:, k] = b.data
+    gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
+    ca = np.ones((conv.blocks[0].stop, k + 1, math.prod(conv.shape[2:])))
+    for blk in conv.blocks:
+        c = ca[:blk.stop - blk.start]
+        c[:, :k] = conv.cols(blk)
+        gram += (c @ c.transpose(0, 2, 1)).sum(axis=0)
+    mean = gram[k] / n_red
+    fold = _bn_fold(conv.shape, conv.dtype, lambda: (
+        wa @ mean, np.einsum("ck,kj,cj->c", wa, gram / n_red - np.outer(mean, mean), wa)),
+        state, True, op)
+    _, _, scale, shift = fold
+    dtype = np.result_type(conv.dtype, scale, shift)
+
+    def tap_cols(cv):
+        """Per block: blk, its im2col (n, K, P) and aug, (2, n, K+1, P/2):
+        aug[e] holds [col; 1] of the outputs that pool tap e covers."""
+        aug = np.ones((2, cv.blocks[0].stop, k + 1) + pooled[2:], dtype=cv.dtype)
+        for blk in cv.blocks:
+            n = blk.stop - blk.start
+            col = cv.cols(blk)
+            grid = col.reshape((n, k) + cv.shape[2:])
+            aug[0, :n, :k], aug[1, :n, :k] = tap(grid, 0), tap(grid, 1)
+            yield blk, col, aug[:, :n].reshape(2, n, k + 1, -1)
+
+    wz = wa * scale[:, None]
+    wz[:, k] += shift
+    wz = wz.astype(dtype)
+    out = np.empty(pooled, dtype=dtype)
+    wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
+    o3, w3 = _by_sample(out), _by_sample(wins)
+    z = np.empty((2, conv.blocks[0].stop) + o3.shape[1:], dtype=dtype)
+    for blk, _, aug in tap_cols(conv):
+        zb = np.matmul(wz, aug, out=z[:, :len(aug[0])])
+        ob = np.maximum(zb[0], zb[1], out=o3[blk])
+        np.greater(zb[1], zb[0], out=w3[blk])
+        np.maximum(ob, 0, out=ob)
+
+    def backward(g):
+        g3 = _by_sample(np.multiply(g, out > 0, out=g))
+        cv = _Conv(x, w, b, stride, pad, op, fold=False)
+        buf = np.empty((2, cv.blocks[0].stop) + g3.shape[1:], dtype=g.dtype)
+
+        def routed(blk):  # the block's gradient at each tap's outputs
+            r = buf[:, :blk.stop - blk.start]
+            np.multiply(g3[blk], w3[blk], out=r[1])
+            np.subtract(g3[blk], r[1], out=r[0])
+            return r
+
+        p = np.zeros_like(wa)
+        for blk, _, aug in tap_cols(cv):
+            p += (routed(blk) @ aug.transpose(0, 1, 3, 2)).sum(axis=(0, 1), dtype=np.float64)
+        a_ch, c_ch = _bn_grad_terms((p[:, k], (wa * p).sum(axis=1)), n_red, state, fold, True)
+        gwa = scale[:, None] * p + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k]
+        _accum_owned(w, gwa[:, :k].reshape(w.data.shape).astype(w.data.dtype))
+        if b is not None:
+            _accum_owned(b, gwa[:, k].astype(b.data.dtype))
+        if x.requires_grad:
+            # gcol = W' (scale * g_routed + A * y + C), with y = Wa [col; 1]
+            ws = (wa[:, :k] * scale[:, None]).T.astype(dtype)
+            m = wa[:, :k].T @ (a_ch[:, None] * wa)
+            m[:, k] += wa[:, :k].T @ c_ch
+            m = m.astype(dtype)
+            gx = np.empty(x.data.shape, dtype=x.data.dtype)
+            gcol = np.empty_like(cv.col)
+            for blk, col, _ in tap_cols(cv):
+                n = blk.stop - blk.start
+                gc = np.matmul(m[:, :k], col, out=gcol[:n])
+                gc += m[:, k:]
+                for e, r in enumerate(routed(blk)):
+                    t = tap(gc.reshape((n, k) + cv.shape[2:]), e)
+                    t += (ws @ r).reshape(t.shape)
+                _col2im(gx[blk], gc, cv.tap_view, cv.taps, cv.stride, cv.pad)
+            _accum_owned(x, gx)
+
+    return _make(out, conv.parents + (state.gamma, state.beta), backward)
 
 
 # ---------------------------------------------------------------------------

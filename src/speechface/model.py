@@ -204,11 +204,11 @@ class Model:
         node, yielded under the pool's name: the tape then keeps no
         normalized or activated array. When the conv's input has one channel
         (conv1), the conv joins that node too,
-        :func:`~.autograd.conv_bn_relu_pool`, which recomputes the conv's
-        output rather than keep it: three multiply-adds per output element
-        cost less than storing and reloading it. Inference
-        yields every stage, which is what :func:`forward_trace` and the
-        non-finite diagnostics read.
+        :func:`~.autograd.conv_bn_relu_pool`, which never makes the conv's
+        output: with three im2col columns per output element, batch norm's
+        statistics and every gradient follow from those columns and from
+        sums at the pooled size. Inference yields every stage, which is what
+        :func:`forward_trace` and the non-finite diagnostics read.
         """
         stack = self.arch.stack[start:stop]
         fused = None
