@@ -864,10 +864,10 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
         c = ca[:blk.stop - blk.start]
         c[:, :k] = conv.cols(blk)
         gram += (c @ c.transpose(0, 2, 1)).sum(axis=0)
-    mean = gram[k] / n_red
-    fold = _bn_fold(conv.shape, conv.dtype, lambda: (
-        wa @ mean, np.einsum("ck,kj,cj->c", wa, gram / n_red - np.outer(mean, mean), wa)),
-        state, True, op)
+    mean = gram[k] / n_red  # [column mean, 1]
+    cov = gram / n_red - np.outer(mean, mean)
+    fold = _bn_fold(conv.shape, conv.dtype,
+                    lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)), state, True, op)
     _, _, scale, shift = fold
     dtype = np.result_type(conv.dtype, scale, shift)
 
