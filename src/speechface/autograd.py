@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Everything the network needs is built from the primitives in this module:
-convolution, max pooling, batch normalization (alone, or fused with ReLU and
-a two-tap pool for training, optionally with a convolution before it, which
-then works from the convolution's im2col columns and never makes its output),
-dense layers, elementwise activations and the LSTM/GRU cell steps. Each
+convolution, max pooling, batch normalization, dense layers, elementwise
+activations and the LSTM/GRU cell steps, plus the trunk's training stages,
+each a conv with its batch norm, ReLU and pool as one node on channels-last
+arrays (:func:`conv_stage`, and :func:`conv_bn_relu_pool` for the
+one-channel conv1, which never makes its conv's output). Each
 primitive records a backward closure on a tape; calling
 :meth:`Tensor.backward` on a scalar loss walks the tape in reverse
 topological order and accumulates exact gradients into every leaf tensor
@@ -313,31 +314,30 @@ def sigmoid(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # dense / convolution / pooling / normalization
 #
-# The full-size trunk ops run over the batch in blocks of samples, about
-# 512 KiB of each operand: a block that one step reads from memory is still
-# in cache (2 MiB of L2 per core, with up to three operands in flight) for
-# the steps after it, so each full-size array is written once.
+# conv2d, max_pool2d and batch_norm act on (B, C, F, T) arrays, one op per
+# stage: the layer walk of inference runs them, so it reports every stage,
+# and so do the gradient checks. Training runs each conv of the trunk with
+# its batch norm, ReLU and pool as one node on channels-last (B, T, F, C)
+# arrays, the layout of the batched plan in model.py, whose conv kernels it
+# shares: conv_bn_relu_pool for conv1 over the one-channel spectrogram,
+# conv_stage for the others. A stage's Tensor holds the (B, C, F, T) view
+# a.transpose(0, 3, 2, 1) of its array a, so the walk keeps its shapes, and
+# the next stage reads a in place.
 #
-# In training every pool follows a batch-normalized conv and runs inside
-# bn_relu_pool, one node that keeps its input, its output and a bool mask of
-# the winning taps on the tape. conv1, over the one-channel spectrogram,
-# joins that node as conv_bn_relu_pool, which keeps the conv's input instead
-# of its output: with three columns per output, batch norm's statistics and
-# every gradient follow from the columns' Gram matrix and from sums at the
-# pooled size. The layer walk of inference runs batch norm, ReLU and
-# max_pool2d as separate ops, so it reports every stage; the batched plan
-# folds batch norm into the convs.
+# The stages run over the batch in blocks of samples. Their elementwise
+# passes (batch norm, ReLU, pool, and the per-channel sums, float32 column
+# sums of each block added up in float64) take blocks of about 512 KiB of
+# each operand: a block that one step reads from memory is still in cache
+# (2 MiB of L2 per core) for the steps after it, so each full-size array is
+# written once. Their GEMMs take blocks whose temporaries come to about
+# _GEMM_BLOCK_BYTES, chosen by the sweep recorded in CHANGES.md.
 _BLOCK_BYTES = 1 << 19
+_GEMM_BLOCK_BYTES = 1 << 21
 
 
-def _blocks(nb: int, sample_bytes: int) -> list:
-    step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
+def _blocks(nb: int, sample_bytes: int, budget: int = _BLOCK_BYTES) -> list:
+    step = max(1, budget // max(1, sample_bytes))
     return [slice(i, min(i + step, nb)) for i in range(0, nb, step)]
-
-
-def _by_sample(a: np.ndarray) -> np.ndarray:
-    """(B, C, ...) as (B, C, rest); a view when ``a`` is C-contiguous."""
-    return a.reshape(a.shape[:2] + (math.prod(a.shape[2:]),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -375,6 +375,95 @@ def _tap_span(n_in: int, n_out: int, i: int, s: int, p: int):
     return lo, hi, slice(s * lo + i - p, s * (hi - 1) + i - p + 1, s)
 
 
+def _tap_cols(col: np.ndarray, x: np.ndarray, s: int, p: int, k: int,
+              scatter: bool = False) -> None:
+    """Tap-major im2col of a one-channel convolution along the last axis of
+    x, (..., L), into col[..., :k], (..., m, >= k): slot i of output j holds
+    x[..., s*j + i - p], and 0 where that lies in the padding. With
+    ``scatter``, add each slot of col to the x it holds instead."""
+    m = col.shape[-2]
+    for i in range(k):
+        lo, hi, src = _tap_span(x.shape[-1], m, i, s, p)
+        if scatter:
+            x[..., src] += col[..., lo:hi, i]
+            continue
+        col[..., :lo, i] = 0.0
+        col[..., hi:, i] = 0.0
+        col[..., lo:hi, i] = x[..., src]
+
+
+def _tap_groups(k: int, s: int, p: int):
+    """A convolution along L = m*s (kernel k, stride s, pad p) as GEMMs on
+    the (N*m, s*C) view of its channels-last (N, L, C) input, which reads it
+    in place as blocks of s positions.
+
+    Tap i of output j sits in block j + d at offset (i - p) % s, with
+    d = (i - p) // s, so the taps of one d are adjacent columns of that
+    view. Yields (d, i0, i1, o) for each d, d = 0 first: taps [i0, i1), from
+    offset o.
+    """
+    for d in sorted(range(-p // s, (k - 1 - p) // s + 1), key=abs):
+        i0, i1 = max(0, d * s + p), min(k, (d + 1) * s + p)
+        yield d, i0, i1, i0 - p - d * s
+
+
+def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None) -> np.ndarray:
+    """Convolution along L of channels-last (N, L, C_in) x, L = m*s, without
+    bias, into ``out`` (N, m, C_out) or a new array; ``w`` is (k, C_in,
+    C_out). One GEMM per tap group (:func:`_tap_groups`) on a column slice
+    of the block view, which BLAS reads without a copy; group d's rows land
+    d output rows away, and a row whose block lies in the padding gets
+    nothing from that d."""
+    n, length, c = x.shape
+    m = length // s
+    blocks = x.reshape(n * m, s * c)
+    for d, i0, i1, o in _tap_groups(k, s, p):
+        a, wd = blocks[:, o * c:(o + i1 - i0) * c], w[i0:i1].reshape(-1, w.shape[2])
+        if d == 0:
+            out = np.matmul(a, wd, out=None if out is None else out.reshape(n * m, -1))
+            out = out.reshape(n, m, -1)
+        else:
+            lo, hi = max(0, -d), m - max(0, d)
+            out[:, lo:hi] += (a @ wd).reshape(n, m, -1)[:, lo + d:hi + d]
+    return out
+
+
+def _gemm_conv_grads(x, k: int, s: int, p: int, w, gy, gw, gx=None, init=True) -> None:
+    """Backward of :func:`_gemm_conv` over one block, from its output
+    gradient gy (N, m, C_out): add the weight gradient into gw, (k, C_in,
+    C_out), and the input gradient into gx, laid out as x, if given; with
+    ``init``, gx's old values are ignored.
+
+    Group d's output gradient, moved d rows to the blocks it read, gives its
+    weight gradient in one GEMM with the columns it read, and its input
+    gradient in one GEMM with its weights, written straight into those
+    columns of the block view: there is no col2im.
+    """
+    n, length, c = x.shape
+    m = gy.shape[1]
+    blocks = x.reshape(n * m, s * c)
+    gxb = None if gx is None else gx.reshape(n * m, s * c)
+    for d, i0, i1, o in _tap_groups(k, s, p):
+        cols = slice(o * c, (o + i1 - i0) * c)
+        g = gy
+        if d:
+            lo, hi = max(d, 0), m + min(d, 0)  # the blocks group d reads
+            g = np.empty_like(gy)
+            g[:, :lo] = 0
+            g[:, hi:] = 0
+            g[:, lo:hi] = gy[:, lo - d:hi - d]
+        g = g.reshape(n * m, -1)
+        gw[i0:i1] += (blocks[:, cols].T @ g).reshape(i1 - i0, c, -1)
+        if gxb is not None:
+            wd = w[i0:i1].reshape(-1, w.shape[2]).T
+            if d or not init:
+                gxb[:, cols] += g @ wd
+            else:  # d = 0 comes first
+                gxb[:, :cols.start] = 0
+                gxb[:, cols.stop:] = 0
+                np.matmul(g, wd, out=gxb[:, cols])
+
+
 def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
     """Write ``src`` into dst[..., f0:f1, t0:t1] and zero the rest of dst."""
     (f0, f1), (t0, t1) = f, t
@@ -398,14 +487,10 @@ class _Conv:
     many output positions per sample, batched (B,K,P) matmuls have plenty of
     work each and run a block of samples at a time. With few positions the
     whole batch is one block, folded into one big GEMM, since the extra
-    transpose copies are tiny at that size; ``fold=False`` keeps the
-    per-sample layout at any size. :func:`conv2d` runs the blocks once to
-    make the output; :func:`conv_bn_relu_pool` reads only their columns.
-    Errors name ``op``.
+    transpose copies are tiny at that size. Errors name ``op``.
     """
 
-    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str,
-                 fold: bool = True):
+    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str):
         xd = x.data
         if xd.ndim != 4 or w.ndim != 4:
             raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
@@ -440,7 +525,7 @@ class _Conv:
         # rebuilt from x whenever another block is asked for, in backward
         # too: x stays alive anyway, and a whole batch of columns is up to
         # 1.5x its size.
-        self.folded = fold and n_pos < 64
+        self.folded = n_pos < 64
         if self.folded:
             def tap_view(a, i, j):
                 return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
@@ -618,66 +703,17 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def _split(a: np.ndarray):
-    """``a`` as views of its blocks of samples."""
-    return (a[blk] for blk in _blocks(len(a), a[:1].nbytes))
-
-
-def _channel_sums(pairs, channels: int):
-    """Per-channel float64 sums of ``a`` and of ``a * b`` over every axis
-    but 1, from the (a, b) pairs of blocks of samples that make up both.
-
-    Each (sample, channel) row is reduced contiguously by BLAS in the
-    arrays' own precision, and the rows are summed over the batch in float64,
-    one block after another.
-    """
-    sum_a, sum_ab = np.zeros(channels), np.zeros(channels)
-    for a, b in pairs:
-        a3, b3 = _by_sample(a), _by_sample(b)
-        sum_a += (a3 @ np.ones(a3.shape[2], dtype=a3.dtype)).sum(axis=0, dtype=np.float64)
-        dots = a3[:, :, None, :] @ b3[:, :, :, None]
-        sum_ab += dots[:, :, 0, 0].sum(axis=0, dtype=np.float64)
-    return sum_a, sum_ab
-
-
-def _channel_affine(out: np.ndarray, terms, shift=None) -> None:
-    """out = sum of a * f over (a, f) in ``terms``, plus ``shift``, where f
-    and shift are per channel; ``out`` is C-contiguous and may be one of the
-    a. Runs block by block, so ``out`` is written once."""
-    o3 = _by_sample(out)
-    per_channel = (1, o3.shape[1], 1)
-    terms = [(_by_sample(a), np.asarray(f, out.dtype).reshape(per_channel)) for a, f in terms]
-    if shift is not None:
-        shift = np.asarray(shift, out.dtype).reshape(per_channel)
-    tmp = None
-    for blk in _blocks(len(o3), o3[:1].nbytes):
-        ob = o3[blk]
-        (a, f), rest = terms[0], terms[1:]
-        np.multiply(a[blk], f, out=ob)
-        for a, f in rest:
-            tmp = np.multiply(a[blk], f, out=None if tmp is None else tmp[:len(ob)])
-            ob += tmp
-        if shift is not None:
-            ob += shift
-
-
-def _moments(x: np.ndarray):
-    """Per-channel float64 mean and variance of ``x`` over every axis but 1,
-    summed one block of samples at a time."""
-    n_red = x.size // x.shape[1]
-    sum_x, sum_xx = _channel_sums(((v, v) for v in _split(x)), x.shape[1])
-    mu = sum_x / n_red
-    return mu, sum_xx / n_red - mu * mu
-
-
-def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: str):
+def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: str,
+             bias=None):
     """Batch norm on an input of ``shape`` as (mu, inv, scale, shift) per
     channel, where out = x * scale + shift and inv = 1 / sqrt(var + eps).
 
     Training mode takes the batch's float64 mean and variance per channel
     from ``moments()`` and folds them into the running mean/variance with the
     state's momentum; inference mode reads the running statistics and never
-    calls ``moments``. Errors name ``op``.
+    calls ``moments``. A ``bias`` per channel is one the input leaves out:
+    it joins only the batch mean that the running mean takes, since batch
+    norm would subtract it again. Errors name ``op``.
     """
     if len(shape) < 2:
         raise ShapeError(f"{op}: expected at least (B,C) input, got {shape}")
@@ -690,7 +726,8 @@ def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: s
         mu = mu64.astype(dtype)
         var = np.maximum(var64, 0.0).astype(dtype)
         m = state.momentum
-        state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
+        batch_mean = mu if bias is None else (mu64 + bias).astype(dtype)
+        state.running_mean = (m * state.running_mean + (1 - m) * batch_mean).astype(
             state.running_mean.dtype, copy=False)
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype, copy=False)
@@ -705,22 +742,21 @@ def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: s
 def _bn_grad_terms(sums, n_red: int, state: BatchNormState, fold, training: bool):
     """Accumulate gamma's and beta's gradients from the per-channel sums of
     the output gradient g and of g * x; in training, return (A, C) such that
-    the input gradient is g * scale + x * A + C.
+    the input gradient is (g + x * A + C) * scale.
 
     Per-channel sums suffice: with xhat = (x - mu) * inv the gradient is
     gx = scale * (g - mean(g) - xhat * mean(g * xhat)), rearranged so xhat
     is never materialized. In inference it is g * scale.
     """
-    mu, inv, scale, _ = fold
+    mu, inv, _, _ = fold
     sum_g, sum_gx = sums
     sum_gx = (sum_gx - mu * sum_g) * inv
     _accum_owned(state.gamma, sum_gx.astype(state.gamma.dtype))
     _accum_owned(state.beta, sum_g.astype(state.beta.dtype))
     if not training:
         return None, None
-    a_ch = -(scale * inv) * (sum_gx / n_red)
-    c_ch = (scale * inv * mu) * (sum_gx / n_red) - scale * (sum_g / n_red)
-    return a_ch, c_ch
+    a_ch = -inv * (sum_gx / n_red)
+    return a_ch, -mu * a_ch - sum_g / n_red
 
 
 def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -732,207 +768,372 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     running statistics converge exactly to the training-mode normalizer.
     """
     xd = x.data
-    fold = _bn_fold(xd.shape, xd.dtype, lambda: _moments(xd), state, training, "batch_norm")
-    _, _, scale, shift = fold
-    out = np.empty(xd.shape, dtype=np.result_type(xd, scale, shift))
-    _channel_affine(out, [(xd, scale)], shift)
+    axes = (0,) + tuple(range(2, xd.ndim))
+    fold = _bn_fold(xd.shape, xd.dtype, lambda: (xd.mean(axes, np.float64), xd.var(axes, np.float64)),
+                    state, training, "batch_norm")
+    per_channel = (-1,) + (1,) * (xd.ndim - 2)
+    scale, shift = (f.reshape(per_channel) for f in fold[2:])
 
-    def backward(g):
-        # the upstream gradient is overwritten with the input gradient
-        g = np.ascontiguousarray(g)
-        blocks = _blocks(len(g), g[:1].nbytes)  # g may be wider than x
-        sums = _channel_sums(((g[blk], xd[blk]) for blk in blocks), xd.shape[1])
-        a_ch, c_ch = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, training)
+    def backward(g):  # the upstream gradient becomes the input gradient
+        sums = (g.sum(axes, np.float64), (g * xd).sum(axes, np.float64))
+        terms = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, training)
         if x.requires_grad:
             if training:
-                _channel_affine(g, [(g, scale), (xd, a_ch)], c_ch)
-            else:
-                _channel_affine(g, [(g, scale)])
+                g += xd * terms[0].astype(g.dtype).reshape(per_channel)
+                g += terms[1].astype(g.dtype).reshape(per_channel)
+            g *= scale.astype(g.dtype)
             _accum_owned(x, g)
 
-    return _make(out, (x, state.gamma, state.beta), backward)
+    return _make(xd * scale + shift, (x, state.gamma, state.beta), backward)
 
 
-def _two_tap_pool(op: str, shape, window):
-    """The pooled axis and output shape of a two-tap pool over ``shape``,
-    and tap(a, k): the k-th tap of every pair of a along that axis. Errors
-    name ``op``."""
-    window = tuple(window)
-    if len(shape) != 4 or window not in ((2, 1), (1, 2)):
-        raise ShapeError(f"{op}: expected (B,C,F,T) input and a (2,1) or (1,2) "
-                         f"window, got {shape} and {window}")
-    axis = 2 if window[0] == 2 else 3
-    n_out = shape[axis] // 2
-    if n_out == 0:
-        raise ShapeError(f"{op}: window {window} larger than input {shape[2:]}")
-
-    def tap(a, k):
-        return a[(slice(None),) * axis + (slice(k, k + 2 * n_out, 2),)]
-
-    return axis, shape[:axis] + (n_out,) + shape[axis + 1:], tap
+def _cl(a: np.ndarray, dtype=None) -> np.ndarray:
+    """The channels-last (B, T, F, C) array whose (B, C, F, T) view is
+    ``a``: ``a`` itself, unless it is laid out otherwise or holds another
+    dtype."""
+    return np.ascontiguousarray(a.transpose(0, 3, 2, 1), dtype=dtype)
 
 
-def bn_relu_pool(x: Tensor, state: BatchNormState, window) -> Tensor:
-    """``max_pool2d(relu(batch_norm(x, state, True)), window)`` as one node,
-    for a two-tap window, (2, 1) or (1, 2), with stride equal to the window.
+def _conv_axis(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None, stride, pad, window):
+    """Check a training stage, whose conv kernel spans frequency or time
+    only and whose pool, if ``window`` is given, is a two-tap one with
+    stride equal to it. Returns (along_f, k, s, p, L, shape, axis): the
+    kernel's size, stride and pad and the input's length L along its axis,
+    the conv output's (B, C, F, T) shape, and the pooled axis of its
+    channels-last (B, T, F, C) array, None without a pool. Errors name
+    ``op``."""
+    if xd.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
+                         f"got {xd.shape} / {w.shape}")
+    nb, c_in, f_in, t_in = xd.shape
+    c_out, c_w, k_f, k_t = w.data.shape
+    if c_w != c_in:
+        raise ShapeError(f"{op}: input has {c_in} channels but weights expect {c_w}")
+    if b is not None and b.data.shape != (c_out,):
+        raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
+    (s_f, s_t), (p_f, p_t) = stride, pad
+    along_f = (k_t, s_t, p_t) == (1, 1, 0)
+    if not along_f and (k_f, s_f, p_f) != (1, 1, 0):
+        raise ShapeError(f"{op}: kernel ({k_f},{k_t}) with stride ({s_f},{s_t}) "
+                         "spans both frequency and time")
+    k, s, p, length = (k_f, s_f, p_f, f_in) if along_f else (k_t, s_t, p_t, t_in)
+    m = (length + 2 * p - k) // s + 1
+    if m < 1:
+        raise ShapeError(f"{op}: kernel {k} larger than padded input {length + 2 * p}")
+    shape = (nb, c_out, m, t_in) if along_f else (nb, c_out, f_in, m)
+    axis = None
+    if window is not None:
+        if tuple(window) not in ((2, 1), (1, 2)):
+            raise ShapeError(f"{op}: expected a (2,1) or (1,2) window, got {tuple(window)}")
+        axis = 2 if window[0] == 2 else 1
+        if shape[4 - axis] < 2:
+            raise ShapeError(f"{op}: window {tuple(window)} larger than input {shape[2:]}")
+    return along_f, k, s, p, length, shape, axis
 
-    Gives the same output, running statistics and gradients, bit for bit
-    when ``x`` and the state share a dtype, but keeps only ``x``, the output
-    and a bool mask of the winning taps on the tape: the normalized and
-    activated arrays never exist at full size.
 
-    Forward: one pass takes the statistics; a second normalizes each block
-    into a reused buffer, sends the larger of its two taps to the output,
-    records where the second tap won, and applies ReLU to the pooled output,
-    since max commutes with it. Backward: the upstream gradient is masked by
-    the ReLU of the output and routed through the saved winners (ties to the
-    first tap, as in max_pool2d) into the input gradient's array, taking
-    batch norm's per-channel sums in the same block loop; batch norm's input
-    gradient is then applied to that array in place.
-    """
-    xd = x.data
-    axis, pooled, tap = _two_tap_pool("bn_relu_pool", xd.shape, window)
-    fold = _bn_fold(xd.shape, xd.dtype, lambda: _moments(xd), state, True, "bn_relu_pool")
-    _, _, scale, shift = fold
-    dtype = np.result_type(xd.dtype, scale, shift)
-    out = np.empty(pooled, dtype=dtype)
-    wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
-    blocks = _blocks(len(xd), xd[:1].nbytes)
-    buf = np.empty((blocks[0].stop,) + xd.shape[1:], dtype=dtype)
-    for blk in blocks:
-        nb = buf[:blk.stop - blk.start]
-        _channel_affine(nb, [(xd[blk], scale)], shift)
-        ob = np.maximum(tap(nb, 0), tap(nb, 1), out=out[blk])
-        np.greater(tap(nb, 1), tap(nb, 0), out=wins[blk])
-        np.maximum(ob, 0, out=ob)
+def _pooled(shape, window) -> tuple:
+    """The channels-last (B, T, F, C) shape of a stage's output."""
+    f, t = shape[2:] if window is None else (shape[2] // window[0], shape[3] // window[1])
+    return shape[0], t, f, shape[1]
 
-    def backward(g):
-        np.multiply(g, out > 0, out=g)
-        gx = np.empty(xd.shape, dtype=dtype)
-        gx[(slice(None),) * axis + (slice(2 * pooled[axis], None),)] = 0  # a dropped trailing row
 
-        def routed():
-            for blk in blocks:
-                np.multiply(g[blk], wins[blk], out=tap(gx[blk], 1))
-                np.multiply(g[blk], ~wins[blk], out=tap(gx[blk], 0))
-                yield gx[blk], xd[blk]
+def _pool_relu(z0, z1, out, wins) -> None:
+    """out = ReLU of the larger of the pool's taps z0 and z1 (max commutes
+    with ReLU), and wins = where z1 is larger."""
+    np.maximum(z0, z1, out=out)
+    np.greater(z1, z0, out=wins)
+    np.maximum(out, 0, out=out)
 
-        sums = _channel_sums(routed(), xd.shape[1])
-        a_ch, c_ch = _bn_grad_terms(sums, xd.size // xd.shape[1], state, fold, True)
-        if x.requires_grad:
-            _channel_affine(gx, [(gx, scale), (xd, a_ch)], c_ch)
-            _accum_owned(x, gx)
 
-    return _make(out, (x, state.gamma, state.beta), backward)
+def _route(g, wins, r) -> list:
+    """The pooled gradient g at each tap, in the buffers of r: on the
+    second tap where it won, else on the first (ties go to the first, as in
+    max_pool2d)."""
+    second = np.multiply(g, wins, out=r[1])
+    return [np.subtract(g, second, out=r[0]), second]
+
+
+def _colsum(a: np.ndarray) -> np.ndarray:
+    """Per-column sums of a (rows, C) block, by BLAS in a's precision."""
+    return np.ones(len(a), a.dtype) @ a
 
 
 def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
                       state: BatchNormState, window) -> Tensor:
-    """``bn_relu_pool(conv2d(x, w, b, stride, pad), state, window)`` as one
+    """A conv over one input channel, training-mode batch norm, ReLU and a
+    two-tap pool, (2, 1) or (1, 2) with stride equal to the window, as one
     node that never makes the conv's output or its gradient at full size.
+    The kernel spans frequency or time only. The output is the (B, C, F, T)
+    view of a channels-last array, as :func:`conv_stage` takes it.
 
-    The conv is linear in its im2col columns: y = Wa [col; 1], where Wa is
-    the (C, K) weight matrix with the bias as one more column and K = C_in *
-    kF * kT, three for conv1. So batch norm's mean and variance follow from
-    the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
-    float64 one block of samples at a time. Forward then computes each pool
-    tap's outputs directly, z = (Wa * scale) [col; 1] + shift over the
-    columns of the outputs that tap covers, one GEMM per block, and keeps
-    their ReLU'd maximum and where the second tap won. Backward routes the
+    The conv is linear in its tap-major im2col columns, K = kF * kT of them
+    (three for conv1): y = W col. So batch norm's mean and variance follow
+    from the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
+    float64 one block of samples at a time. Forward then computes the
+    outputs each pool tap reads, z = Wz [col; 1] over that tap's columns,
+    one GEMM with the weights folded with batch norm, and keeps the ReLU'd
+    larger of each pair and where the second tap won. Backward routes the
     pooled gradient through that mask onto the taps' columns, P = sum of
-    g [col; 1]', (C, K+1); batch norm's sums and the w and b gradients follow
-    from P and the Gram matrix exactly. x's gradient, which no model input
-    asks for, is built one block of columns at a time.
+    g [col; 1]', (C, K+1); batch norm's sums and the w and b gradients
+    follow from P and the Gram matrix exactly. x's gradient, which no model
+    input asks for, is built one block of columns at a time. The bias never
+    enters z: batch norm would subtract it again, so it only joins the batch
+    mean that the running mean takes.
 
     The tape holds ``x``, the pooled output and the winner mask. Output,
-    running statistics and gradients are the two-node chain's up to
-    rounding. Since z comes from the folded GEMM rather than from y, two
-    taps whose conv outputs tie may resolve either way.
+    running statistics and gradients are those of conv2d, batch_norm, relu
+    and max_pool2d up to rounding; since z comes from the folded GEMM rather
+    than from y, two taps whose conv outputs tie may resolve either way.
     """
     op = "conv_bn_relu_pool"
-    conv = _Conv(x, w, b, stride, pad, op, fold=False)
-    _, pooled, tap = _two_tap_pool(op, conv.shape, window)
-    n_red = math.prod(conv.shape) // conv.shape[1]
-    k = conv.wmat.shape[1]
-    wa = np.zeros((conv.shape[1], k + 1))
-    wa[:, :k] = conv.wmat
-    if b is not None:
-        wa[:, k] = b.data
+    xd, wd = x.data, w.data
+    along_f, k, s, p, _, shape, axis = _conv_axis(op, xd, w, b, stride, pad, window)
+    if xd.shape[1] != 1:
+        raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
+    nb, c = shape[:2]
+    n_red = math.prod(shape) // c
+    dtype = np.result_type(xd, wd)
+    cl = (nb, shape[3], shape[2], c)  # the conv output, channels-last
+    out_cl = _pooled(shape, window)
+    blocks = _blocks(nb, math.prod(cl[1:]) * np.dtype(dtype).itemsize)
+    xv = xd[:, 0].transpose(0, 2, 1) if along_f else xd[:, 0]  # the conv's axis last
+
+    def cols(blk, dtype):  # [col; 1] of the block's outputs, (n, T, F, K+1)
+        col = np.ones((blk.stop - blk.start,) + cl[1:3] + (k + 1,), dtype)
+        _tap_cols(col if along_f else col.transpose(0, 2, 1, 3), xv[blk], s, p, k)
+        return col
+
+    def tap(a, e):  # what pool tap e reads of a block laid out as cols
+        return a[(slice(None),) * axis + (slice(e, e + 2 * out_cl[axis], 2),)]
+
+    wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
+    wa[:, :k] = wd.reshape(c, k)
     gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
-    ca = np.ones((conv.blocks[0].stop, k + 1, math.prod(conv.shape[2:])))
-    for blk in conv.blocks:
-        c = ca[:blk.stop - blk.start]
-        c[:, :k] = conv.cols(blk)
-        gram += (c @ c.transpose(0, 2, 1)).sum(axis=0)
+    for blk in blocks:
+        col = cols(blk, np.float64).reshape(-1, k + 1)
+        gram += col.T @ col
     mean = gram[k] / n_red  # [column mean, 1]
     cov = gram / n_red - np.outer(mean, mean)
-    fold = _bn_fold(conv.shape, conv.dtype,
-                    lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)), state, True, op)
+    fold = _bn_fold(shape, dtype, lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)),
+                    state, True, op, None if b is None else b.data)
     _, _, scale, shift = fold
-    dtype = np.result_type(conv.dtype, scale, shift)
-
-    def tap_cols(cv):
-        """Per block: blk, its im2col (n, K, P) and aug, (2, n, K+1, P/2):
-        aug[e] holds [col; 1] of the outputs that pool tap e covers."""
-        aug = np.ones((2, cv.blocks[0].stop, k + 1) + pooled[2:], dtype=cv.dtype)
-        for blk in cv.blocks:
-            n = blk.stop - blk.start
-            col = cv.cols(blk)
-            grid = col.reshape((n, k) + cv.shape[2:])
-            aug[0, :n, :k], aug[1, :n, :k] = tap(grid, 0), tap(grid, 1)
-            yield blk, col, aug[:, :n].reshape(2, n, k + 1, -1)
-
+    dtype = np.result_type(dtype, scale, shift)
     wz = wa * scale[:, None]
     wz[:, k] += shift
-    wz = wz.astype(dtype)
-    out = np.empty(pooled, dtype=dtype)
-    wins = np.empty(pooled, dtype=bool)  # where the second tap is larger
-    o3, w3 = _by_sample(out), _by_sample(wins)
-    z = np.empty((2, conv.blocks[0].stop) + o3.shape[1:], dtype=dtype)
-    for blk, _, aug in tap_cols(conv):
-        zb = np.matmul(wz, aug, out=z[:, :len(aug[0])])
-        ob = np.maximum(zb[0], zb[1], out=o3[blk])
-        np.greater(zb[1], zb[0], out=w3[blk])
-        np.maximum(ob, 0, out=ob)
+    wz = wz.T.astype(dtype)
+    out = np.empty(out_cl, dtype=dtype)
+    wins = np.empty(out_cl, dtype=bool)  # where the second tap is larger
+    for blk in blocks:
+        col = cols(blk, dtype)
+        _pool_relu(*(tap(col, e).reshape(-1, k + 1) @ wz for e in (0, 1)),
+                   out[blk].reshape(-1, c), wins[blk].reshape(-1, c))
 
     def backward(g):
-        g3 = _by_sample(np.multiply(g, out > 0, out=g))
-        cv = _Conv(x, w, b, stride, pad, op, fold=False)
-        buf = np.empty((2, cv.blocks[0].stop) + g3.shape[1:], dtype=g.dtype)
+        buf = np.empty((2, blocks[0].stop * math.prod(out_cl[1:3]), c), dtype=g.dtype)
 
-        def routed(blk):  # the block's gradient at each tap's outputs
-            r = buf[:, :blk.stop - blk.start]
-            np.multiply(g3[blk], w3[blk], out=r[1])
-            np.subtract(g3[blk], r[1], out=r[0])
-            return r
+        def routed(blk):  # the block's gradient at each tap's outputs, (rows, C)
+            gb = _cl(g[blk]).reshape(-1, c)
+            np.multiply(gb, out[blk].reshape(-1, c) > 0, out=gb)
+            return _route(gb, wins[blk].reshape(-1, c), buf[:, :len(gb)])
 
-        p = np.zeros_like(wa)
-        for blk, _, aug in tap_cols(cv):
-            p += (routed(blk) @ aug.transpose(0, 1, 3, 2)).sum(axis=(0, 1), dtype=np.float64)
-        a_ch, c_ch = _bn_grad_terms((p[:, k], (wa * p).sum(axis=1)), n_red, state, fold, True)
-        gwa = scale[:, None] * p + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k]
-        _accum_owned(w, gwa[:, :k].reshape(w.data.shape).astype(w.data.dtype))
+        pa = np.zeros_like(wa)
+        for blk in blocks:
+            col = cols(blk, g.dtype)
+            for e, r in enumerate(routed(blk)):
+                pa += r.T @ tap(col, e).reshape(-1, k + 1)
+        a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), n_red, state, fold, True)
+        gwa = scale[:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
+        _accum_owned(w, gwa[:, :k].reshape(wd.shape).astype(wd.dtype))
         if b is not None:
             _accum_owned(b, gwa[:, k].astype(b.data.dtype))
         if x.requires_grad:
-            # gcol = W' (scale * g_routed + A * y + C), with y = Wa [col; 1]
-            ws = (wa[:, :k] * scale[:, None]).T.astype(dtype)
-            m = wa[:, :k].T @ (a_ch[:, None] * wa)
-            m[:, k] += wa[:, :k].T @ c_ch
-            m = m.astype(dtype)
-            gx = np.empty(x.data.shape, dtype=x.data.dtype)
-            gcol = np.empty_like(cv.col)
-            for blk, col, _ in tap_cols(cv):
-                n = blk.stop - blk.start
-                gc = np.matmul(m[:, :k], col, out=gcol[:n])
-                gc += m[:, k:]
+            # gcol = ((g_routed + A * y + C) * scale) W, with y = W col
+            ws = (wa[:, :k] * scale[:, None]).astype(dtype)
+            m = wa[:, :k].T @ ((a_ch * scale)[:, None] * wa)
+            m[:, k] += wa[:, :k].T @ (c_ch * scale)
+            m = m.T.astype(dtype)
+            gx = np.zeros(xd.shape, dtype=xd.dtype)
+            gxv = gx[:, 0].transpose(0, 2, 1) if along_f else gx[:, 0]
+            for blk in blocks:
+                col = cols(blk, dtype)
+                gc = col[..., :k] @ m[:k] + m[k]
                 for e, r in enumerate(routed(blk)):
-                    t = tap(gc.reshape((n, k) + cv.shape[2:]), e)
-                    t += (ws @ r).reshape(t.shape)
-                _col2im(gx[blk], gc, cv.tap_view, cv.taps, cv.stride, cv.pad)
+                    t = tap(gc, e)
+                    t += (r @ ws).reshape(t.shape)
+                _tap_cols(gc if along_f else gc.transpose(0, 2, 1, 3), gxv[blk], s, p, k,
+                          scatter=True)
             _accum_owned(x, gx)
 
-    return _make(out, conv.parents + (state.gamma, state.beta), backward)
+    return _make(out.transpose(0, 3, 2, 1), (x, w) + ((b,) if b is not None else ())
+                 + (state.gamma, state.beta), backward)
+
+
+def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
+               state: BatchNormState | None = None, window=None) -> Tensor:
+    """A conv with ``state``'s training-mode batch norm, if given, then ReLU
+    and, with a ``window`` of (2, 1) or (1, 2), a two-tap pool with stride
+    equal to it, as one node on channels-last arrays: ``conv2d``,
+    ``batch_norm``, ``relu`` and ``max_pool2d`` up to rounding.
+
+    ``x`` is best the (B, C, F, T) view of a channels-last (B, T, F, C)
+    array, as the stages return it; any other layout is copied once. The
+    kernel spans frequency or, over one frequency row, time; along that
+    axis the stride must tile the input, L = m * stride for m outputs. The
+    pooled axis must have even length, and a pool across the conv's axis
+    needs m = 1. Each block of samples is then (rows, L, C), and the conv is
+    one GEMM per tap group on it in place (:func:`_gemm_conv`, the plan's
+    kernel); backward needs no col2im (:func:`_gemm_conv_grads`). With a
+    pool, each of its two taps reads the outputs of a conv of its own (see
+    :func:`_conv_axis`), so each tap's outputs are one contiguous array.
+
+    Forward makes y, the conv's output without its bias, one block at a
+    time, and takes batch norm's per-channel sums from each block while it
+    is in cache; a second pass normalizes, pools and applies ReLU. With
+    batch norm the bias never enters y: it would be subtracted again, so it
+    only joins the batch mean that the running mean takes. Backward masks
+    the gradient by the ReLU and routes it through the saved winners to
+    take batch norm's sums; then, block by block, it routes it again, turns
+    it into y's gradient divided by batch norm's scale, which joins the
+    weights instead, and runs that block's GEMMs. b's gradient is the
+    per-channel sum of y's gradient, which batch norm makes zero up to
+    rounding.
+
+    The tape holds the input, y (with batch norm), the output and the winner
+    mask; every other array is at most one block.
+    """
+    op = "conv_stage"
+    xd = x.data
+    along_f, k, s, p, length, shape, axis = _conv_axis(op, xd, w, b, stride, pad, window)
+    nb, c_out, c_in = shape[0], shape[1], xd.shape[1]
+    m = shape[2] if along_f else shape[3]
+    if not along_f and xd.shape[2] != 1:
+        raise ShapeError(f"{op}: a kernel along time needs one frequency row, got {xd.shape[2]}")
+    if p >= k or m * s != length:
+        raise ShapeError(f"{op}: {m} outputs of kernel {k}, stride {s} and pad {p} "
+                         f"do not tile input length {length}")
+    # per pool tap e, the conv that makes the outputs it reads, as (stride,
+    # pad, parity): along the conv's axis, stride 2s and pad p - e*s; across
+    # it, where the conv has one output, the input rows t = e mod 2
+    taps = [(s, p, None)]
+    if axis is not None:
+        if shape[4 - axis] % 2:
+            raise ShapeError(f"{op}: the pooled axis of {shape[2:]} has odd length")
+        if axis == (2 if along_f else 1):
+            taps = [(2 * s, p - e * s, None) for e in (0, 1)]
+        elif m == 1:
+            taps = [(s, p, e) for e in (0, 1)]
+        else:
+            raise ShapeError(f"{op}: a pool across the conv's axis needs one output "
+                             f"along it, got {m}")
+    dtype = np.result_type(xd, w.data)
+    x_cl = _cl(xd, dtype)
+    out_cl = _pooled(shape, window)
+    m_tap = out_cl[2] if along_f else out_cl[1]  # each tap's outputs along the conv's axis
+    n_red = math.prod(shape) // c_out
+    item = np.dtype(dtype).itemsize
+    y_bytes = math.prod(shape[1:]) * item  # per sample
+    blocks = _blocks(nb, y_bytes)
+    gemm = _blocks(nb, y_bytes + xd[0].size * item, _GEMM_BLOCK_BYTES)
+    y = np.empty((len(taps),) + out_cl, dtype=dtype)
+
+    def rows(a, blk, tap, width):  # the block's rows of a that ``tap`` reads, (R, width, C)
+        a = a[blk]
+        if tap[2] is None:
+            return a.reshape(-1, width, a.shape[-1])
+        return a.reshape(-1, 2, width, a.shape[-1])[:, tap[2]]
+
+    def weights():  # (k, C_in, C_out), the layout of the plan's convs
+        return np.ascontiguousarray(w.data.reshape(c_out, c_in, k).transpose(2, 1, 0), dtype)
+
+    def convolved():  # y, one block and tap at a time, as (rows, C_out)
+        wt = weights()
+        for blk in gemm:
+            for ye, tap in zip(y, taps):
+                yb = ye[blk].reshape(-1, m_tap, c_out)
+                yield _gemm_conv(rows(x_cl, blk, tap, length), k, *tap[:2], wt, yb).reshape(-1, c_out)
+
+    def moments():
+        sums = np.zeros((2, c_out))
+        for yb in convolved():
+            sums[0] += _colsum(yb)
+            sums[1] += _colsum(yb * yb)
+        mu = sums[0] / n_red
+        return mu, sums[1] / n_red - mu * mu
+
+    if state is None:
+        for _ in convolved():
+            pass
+        shift = None if b is None else b.data.astype(dtype)
+    else:
+        fold = _bn_fold(shape, dtype, moments, state, True, op, None if b is None else b.data)
+        scale, shift = (f.astype(dtype) for f in fold[2:])
+    out = y[0] if window is None and state is None else np.empty(out_cl, dtype=dtype)
+    wins = None if window is None else np.empty(out_cl, dtype=bool)
+    buf = np.empty((len(taps), blocks[0].stop) + out_cl[1:], dtype=dtype)
+    for blk in blocks:
+        zs = []
+        for ye, z in zip(y, buf):
+            z = ye[blk] if state is None else z[:blk.stop - blk.start] if window else out[blk]
+            if state is not None:
+                np.multiply(ye[blk], scale, out=z)
+            if shift is not None:
+                z += shift
+            zs.append(z)
+        if window is None:
+            np.maximum(zs[0], 0, out=zs[0])
+        else:
+            _pool_relu(*zs, out[blk], wins[blk])
+    if state is None:
+        y = None  # backward needs it only for batch norm
+
+    def backward(g):
+        g = _cl(g, dtype)
+        r = np.empty((2, max(blocks[0].stop, gemm[0].stop)) + out_cl[1:], dtype=dtype)
+
+        def routed(blk):  # the block's gradient at the outputs each tap reads
+            gb = g[blk]
+            return [gb] if window is None else _route(gb, wins[blk], r[:, :len(gb)])
+
+        sums = np.zeros((2, c_out))
+        for blk in blocks:
+            gb = g[blk]
+            np.multiply(gb, out[blk] > 0, out=gb)
+            if state is not None:
+                for ye, rb in zip(y, routed(blk)):
+                    sums[0] += _colsum(rb.reshape(-1, c_out))
+                    sums[1] += _colsum((rb * ye[blk]).reshape(-1, c_out))
+        wt = weights()
+        if state is not None:
+            a_ch, c_ch = (t.astype(dtype) for t in _bn_grad_terms(sums, n_red, state, fold, True))
+            wt *= fold[2].astype(dtype)
+        gw, gb_sum = np.zeros(wt.shape), np.zeros(c_out)
+        gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
+        for blk in gemm:
+            # along the conv's axis, the second tap's conv reads more of each
+            # block of input positions than the first, so it writes gx first
+            for e, gy in reversed(list(enumerate(routed(blk)))):
+                gy = gy.reshape(-1, c_out)
+                if state is not None:  # batch norm's input gradient over its scale, in place
+                    gy += y[e, blk].reshape(-1, c_out) * a_ch
+                    gy += c_ch
+                gb_sum += _colsum(gy)
+                tap = taps[e]
+                _gemm_conv_grads(rows(x_cl, blk, tap, length), k, *tap[:2], wt,
+                                 gy.reshape(-1, m_tap, c_out), gw,
+                                 None if gx is None else rows(gx, blk, tap, length),
+                                 init=e == len(taps) - 1 or tap[2] is not None)
+        if state is not None:
+            gw *= fold[2]
+            gb_sum *= fold[2]
+        _accum_owned(w, gw.transpose(2, 1, 0).reshape(w.data.shape).astype(w.data.dtype))
+        if b is not None:
+            _accum_owned(b, gb_sum.astype(b.data.dtype))
+        if gx is not None:
+            _accum_owned(x, gx.transpose(0, 3, 2, 1))
+
+    bn = () if state is None else (state.gamma, state.beta)
+    return _make(out.transpose(0, 3, 2, 1), (x, w) + ((b,) if b is not None else ()) + bn,
+                 backward)
 
 
 # ---------------------------------------------------------------------------

@@ -199,16 +199,18 @@ class Model:
         """Run stages ``arch.stack[start:stop]`` on x, yielding (stage name,
         output) for each.
 
-        In training, a batch-normalized conv followed by a two-tap pool runs
-        its batch norm, ReLU and pool as one :func:`~.autograd.bn_relu_pool`
-        node, yielded under the pool's name: the tape then keeps no
-        normalized or activated array. When the conv's input has one channel
-        (conv1), the conv joins that node too,
-        :func:`~.autograd.conv_bn_relu_pool`, which never makes the conv's
-        output: with three im2col columns per output element, batch norm's
-        statistics and every gradient follow from those columns and from
-        sums at the pooled size. Inference yields every stage, which is what
-        :func:`forward_trace` and the non-finite diagnostics read.
+        In training, each conv runs with its batch norm, its ReLU and a
+        two-tap pool that follows it as one node on channels-last arrays,
+        :func:`~.autograd.conv_stage`, and a pool it takes is yielded under
+        the pool's name: the tape then keeps no normalized or activated
+        array, and no im2col. conv1, over the one-channel spectrogram, runs
+        as :func:`~.autograd.conv_bn_relu_pool`, which never makes the
+        conv's output: with three im2col columns per output element, batch
+        norm's statistics and every gradient follow from those columns and
+        from sums at the pooled size. Each yields the (B, C, F, T) view of
+        its channels-last array, which the next stage reads in place.
+        Inference yields every stage, which is what :func:`forward_trace`
+        and the non-finite diagnostics read.
         """
         stack = self.arch.stack[start:stop]
         fused = None
@@ -219,16 +221,19 @@ class Model:
                 if isinstance(spec, ConvSpec):
                     conv = (self.conv_w[spec.name], self.conv_b[spec.name], spec.stride, spec.pad)
                     bn = self.conv_bn.get(spec.name)
-                    if not (training and bn is not None and isinstance(nxt, PoolSpec)
-                            and nxt.window in ((2, 1), (1, 2)) and nxt.stride == nxt.window):
+                    if not training:
                         x = ag.conv2d(x, *conv)
                         if bn is not None:
-                            x = ag.batch_norm(x, bn, training)
+                            x = ag.batch_norm(x, bn, False)
                         x = ag.relu(x)
                     else:
-                        x = (ag.conv_bn_relu_pool(x, *conv, bn, nxt.window) if x.shape[1] == 1
-                             else ag.bn_relu_pool(ag.conv2d(x, *conv), bn, nxt.window))
-                        spec = fused = nxt
+                        pool = (nxt.window if isinstance(nxt, PoolSpec) and nxt.stride == nxt.window
+                                and nxt.window in ((2, 1), (1, 2)) else None)
+                        x = (ag.conv_bn_relu_pool(x, *conv, bn, pool)
+                             if x.shape[1] == 1 and bn is not None and pool is not None
+                             else ag.conv_stage(x, *conv, bn, pool))
+                        if pool is not None:
+                            spec = fused = nxt
                 else:
                     x = ag.max_pool2d(x, spec.window, spec.stride)
             except ShapeError as err:
@@ -436,35 +441,16 @@ def _conv(x, k, s, p, w):
 
     One input channel builds a tap-major (N*m, k) im2col matrix, zero
     padding written only into the slots it covers, for one GEMM. More
-    channels need L = m*s and read x in place as blocks of s positions, an
-    (N*m, s*C_in) view: tap i of output j sits in block j + d at offset
-    (i - p) % s, with d = (i - p) // s. The taps of one d are adjacent
-    columns of that view, so each d is one GEMM on a column slice that BLAS
-    reads without a copy, and its rows land d output rows away; a row whose
-    block lies in the padding gets nothing from that d.
+    channels need L = m*s and run one GEMM per tap group on x in place,
+    :func:`~.autograd._gemm_conv`, the kernel training runs too.
     """
     n, length, c = x.shape
+    if c > 1:
+        return ag._gemm_conv(x, k, s, p, w)
     m = (length + 2 * p - k) // s + 1
-    if c == 1:
-        col = np.empty((n, m, k))
-        for i in range(k):
-            lo, hi, src = ag._tap_span(length, m, i, s, p)
-            col[:, :lo, i] = 0.0
-            col[:, hi:, i] = 0.0
-            col[:, lo:hi, i] = x[:, src, 0]
-        return (col.reshape(n * m, k) @ w[:, 0]).reshape(n, m, -1)
-    blocks = x.reshape(n * m, s * c)
-    for d in sorted(range(-p // s, (k - 1 - p) // s + 1), key=abs):  # d = 0 first
-        i0, i1 = max(0, d * s + p), min(k, (d + 1) * s + p)
-        o = i0 - p - d * s
-        part = blocks[:, o * c:(o + i1 - i0) * c] @ w[i0:i1].reshape(-1, w.shape[2])
-        part = part.reshape(n, m, -1)
-        if d == 0:
-            out = part
-        else:
-            lo, hi = max(0, -d), m - max(0, d)
-            out[:, lo:hi] += part[:, lo + d:hi + d]
-    return out
+    col = np.empty((n, m, k))
+    ag._tap_cols(col, x[:, :, 0], s, p, k)
+    return (col.reshape(n * m, k) @ w[:, 0]).reshape(n, m, -1)
 
 
 def _bias_relu(x, b):

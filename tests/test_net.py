@@ -174,11 +174,46 @@ class TestTrainingWalk:
             else:
                 assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
+    def test_cancelled_biases_move_only_the_running_mean(self):
+        """Batch norm subtracts the biases of conv1 to conv7 again, so the
+        training stages keep them out of what they normalize. One
+        training-mode pass each on a float64 copy of the model, with those
+        biases at 0 and at 30 N(0,1): the features and every gradient but
+        the biases' agree within 1e-12 of each array's largest value, and
+        each running mean moves by (1 - momentum) * b, within 1e-12 of its
+        largest value."""
+        x = np.random.default_rng(8).normal(size=(3, 1, NUM_BANDS, NUM_COLUMNS))
+        proj = np.random.default_rng(9).normal(size=(3, STANDARD_ARCH.hidden))
+        results = []
+        for bias_scale in (0.0, 30.0):
+            model = _float64_copy(build_model("cnn_static", seed=4))
+            rng = np.random.default_rng(10)
+            for name, bn in model.conv_bn.items():
+                model.conv_b[name].data[:] = bias_scale * rng.normal(size=bn.channels)
+                bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
+                bn.beta.data[:] = rng.normal(size=bn.channels)
+            feats = model.trunk(ag.Tensor(x), training=True)
+            ag.sum_all(ag.mul(feats, ag.Tensor(proj))).backward()
+            arrays = {"features": feats.data}
+            arrays.update((p.name, p.grad) for p in model.parameters() if p.grad is not None)
+            results.append((arrays, model))
+        (want, plain), (got, biased) = results
+        cancelled = {f"conv{i}.b" for i in range(1, 8)}
+        assert cancelled < got.keys() and got.keys() == want.keys()
+        for name, w in want.items():
+            if name not in cancelled:
+                assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+        momentum = ag.BatchNormState.momentum
+        for name, bn in biased.conv_bn.items():
+            moved = (1 - momentum) * biased.conv_b[name].data
+            drift = bn.running_mean - plain.conv_bn[name].running_mean - moved
+            assert np.abs(drift).max() <= 1e-12 * np.abs(bn.running_mean).max(), name
+
     def test_fused_stage_error_names_its_conv(self):
         model = build_model("cnn_static", seed=0)
         model.conv_bn["conv2"] = ag.BatchNormState("conv2.bn", 3)
         x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))
-        with pytest.raises(ShapeError, match="layer conv2: bn_relu_pool: input has 96 "
+        with pytest.raises(ShapeError, match="layer conv2: conv_stage: input has 96 "
                                              "channels, state has 3"):
             model.trunk(x, training=True)
 

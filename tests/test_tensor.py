@@ -22,9 +22,9 @@ from speechface.autograd import (
     Tensor,
     add,
     batch_norm,
-    bn_relu_pool,
     conv2d,
     conv_bn_relu_pool,
+    conv_stage,
     dense,
     gru_step,
     lstm_step,
@@ -43,6 +43,9 @@ from speechface.autograd import (
 from speechface.errors import ConfigError, ShapeError, StateError
 
 from _gradcheck import check_gradients, fd_gradient, rel_error
+
+# the largest block of samples a training stage's temporaries take
+_ROW_BLOCK = max(ag._BLOCK_BYTES, ag._GEMM_BLOCK_BYTES)
 
 
 # =============================================================================
@@ -470,125 +473,234 @@ class TestBatchNorm:
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
 
 
-def _tied_pairs(rng, shape, window, dtype):
-    """Input whose pooled pairs include exact ties and pairs below the mean."""
-    x = rng.normal(loc=0.3, scale=1.5, size=shape).astype(dtype)
-    axis = 2 if window[0] == 2 else 3
-    tap0, tap1 = (np.moveaxis(x, axis, 0)[k:shape[axis] // 2 * 2:2] for k in (0, 1))
-    tap1[...] = np.where(rng.random(tap1.shape) < 0.2, tap0, tap1)
-    return x
+def _chain(x, w, b, stride, pad, state, window):
+    """The unfused ops that conv_stage stands for."""
+    out = conv2d(x, w, b, stride, pad)
+    if state is not None:
+        out = batch_norm(out, state, training=True)
+    out = relu(out)
+    return out if window is None else max_pool2d(out, window)
 
 
-def _bn_relu_pool_run(fused, x, window, gamma, beta, proj):
-    """Output, input/gamma/beta gradients and running stats of one stage."""
-    state = BatchNormState("bn", x.shape[1], dtype=x.dtype)
-    state.gamma.data[:] = gamma
-    state.beta.data[:] = beta
-    tx = Tensor(x, requires_grad=True)
-    if fused:
-        out = bn_relu_pool(tx, state, window)
-    else:
-        out = max_pool2d(relu(batch_norm(tx, state, training=True)), window)
+def _stage_run(fused, x, w, b, conv, bn, window, proj):
+    """Output, the x/w/b/gamma/beta gradients and the running stats of one
+    stage, as one conv_stage node or as the unfused chain; ``bn`` holds
+    gamma and beta, or is None for a stage without batch norm."""
+    state = None
+    if bn is not None:
+        state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
+        state.gamma.data[:], state.beta.data[:] = bn
+    tx, tw, tb = Tensor(x, requires_grad=True), Parameter("w", w), Parameter("b", b)
+    out = (conv_stage if fused else _chain)(tx, tw, tb, *conv, state, window)
     _proj_loss(out, proj).backward()
-    return [out.data, tx.grad, state.gamma.grad, state.beta.grad,
-            state.running_mean, state.running_var]
+    got = [out.data, tx.grad, tw.grad, tb.grad]
+    if state is not None:
+        got += [state.gamma.grad, state.beta.grad, state.running_mean, state.running_var]
+    return got
 
 
-class TestBnReluPool:
+# the trunk's five stage geometries after conv1, as (kernel, stride, pad,
+# window, batch norm), with the input shape each is tested on
+STAGES = {
+    "conv2": ((3, 1), (2, 1), (1, 0), (2, 1), True),
+    "conv3": ((3, 1), (2, 1), (1, 0), None, True),
+    "conv5": ((2, 1), (2, 1), (0, 0), (1, 2), True),
+    "conv6": ((1, 3), (1, 2), (0, 1), None, True),
+    "conv8": ((1, 4), (1, 4), (0, 0), None, False),
+}
+STAGE_INPUTS = {"conv2": (6, 8, 32, 4), "conv3": (6, 8, 8, 4), "conv5": (6, 8, 2, 8),
+                "conv6": (6, 8, 1, 16), "conv8": (6, 8, 1, 4)}
+
+
+class TestConvStage:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape,window", [((6, 4, 8, 5), (2, 1)), ((6, 4, 5, 8), (1, 2)),
-                                              ((5, 3, 7, 4), (2, 1)), ((40, 8, 64, 16), (2, 1))])
-    def test_bitwise_equal_to_unfused_chain(self, shape, window, dtype):
-        """Output, every gradient and the running stats, with exact ties and
-        pairs whose taps are both negative; an odd trailing row is dropped.
-        The last shape spans several sample blocks."""
-        rng = np.random.default_rng(37)
-        x = _tied_pairs(rng, shape, window, dtype)
-        gamma = rng.normal(size=shape[1]).astype(dtype)
-        beta = rng.normal(size=shape[1]).astype(dtype)
-        proj = rng.normal(size=max_pool2d(Tensor(x), window).shape).astype(dtype)
-        # the cases this test is about occur in the normalized input
-        norm = batch_norm(Tensor(x), BatchNormState("bn", shape[1], dtype=dtype), True).data
-        axis = 2 if window[0] == 2 else 3
-        taps = [np.moveaxis(norm, axis, 0)[k:shape[axis] // 2 * 2:2] for k in (0, 1)]
-        assert (taps[0] == taps[1]).any() and ((taps[0] < 0) & (taps[1] < 0)).any()
+    @pytest.mark.parametrize("name,shape,c_out", [(n, s, 12) for n, s in STAGE_INPUTS.items()]
+                             + [("conv2", (20, 64, 32, 32), 96)])
+    def test_matches_unfused_chain(self, name, shape, c_out, dtype):
+        """Output, the x, w, gamma and beta gradients and the running stats,
+        against conv2d, batch_norm, relu and max_pool2d in float64: within
+        1e-12 of the largest value in float64 and within 1e-5 in float32.
+        Batch norm cancels the bias, so with batch norm b's gradient is zero
+        in exact arithmetic and is held under 1e-8 in float64 and, in
+        float32, under 1e-5 of the weight gradient's scale; conv8, without
+        batch norm, compares it like the rest. The input is the
+        (B, C, F, T) view of a channels-last array, as the stages pass it
+        on. The last case has conv2's channels, so its forward and backward
+        run over several blocks of samples."""
+        kernel, stride, pad, window, bn = STAGES[name]
+        rng = np.random.default_rng(48)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(c_out, shape[1]) + kernel) / np.sqrt(shape[1])
+        b = rng.normal(size=c_out)
+        norm = (rng.normal(size=c_out), rng.normal(size=c_out)) if bn else None
+        with no_grad():
+            proj = rng.normal(size=_chain(Tensor(x), Tensor(w), Tensor(b), stride, pad,
+                                          None, window).shape)
+        want = _stage_run(False, x, w, b, (stride, pad), norm, window, proj)
+        x_cl = np.ascontiguousarray(x.transpose(0, 3, 2, 1), dtype=dtype)
+        got = _stage_run(True, x_cl.transpose(0, 3, 2, 1), *(a.astype(dtype) for a in (w, b)),
+                         (stride, pad), norm and tuple(a.astype(dtype) for a in norm), window,
+                         proj.astype(dtype))
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        names = ("out", "x.grad", "w.grad", "b.grad", "gamma.grad", "beta.grad",
+                 "running_mean", "running_var")
+        for name_, g, w_ in zip(names, got, want):
+            assert g.dtype == dtype and g.shape == w_.shape
+            if name_ == "b.grad" and bn:
+                bound = 1e-8 if dtype == np.float64 else tol * np.abs(want[2]).max()
+                assert np.abs(g).max() < bound and np.abs(w_).max() < 1e-8
+            else:
+                assert _max_rel(g, w_) <= tol, name_
 
-        got = _bn_relu_pool_run(True, x, window, gamma, beta, proj)
-        want = _bn_relu_pool_run(False, x, window, gamma, beta, proj)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+    @pytest.mark.parametrize("name", list(STAGES))
+    def test_gradients(self, name):
+        """Float64 central differences for x, w and, with batch norm, gamma
+        and beta; without it, for the bias too. Every activation and every
+        pool pair's difference is over 1e-3 from the ReLU kink and from a
+        tie, while a probe moves an activation by about 1e-4. With batch
+        norm the bias's gradient is zero, so a relative comparison would be
+        all finite-difference noise: both are checked to be under 1e-8."""
+        kernel, stride, pad, window, bn = STAGES[name]
+        shape = STAGE_INPUTS[name][:1] + (2,) + STAGE_INPUTS[name][2:]
+        shape = (3, 2, min(shape[2], 8), min(shape[3], 8))
+        rng = np.random.default_rng(49)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(2, 2) + kernel)
+        b = rng.normal(size=2)
+        gamma, beta = np.array([1.3, -0.8]), np.array([0.05, -0.11])
+        conv = (stride, pad)
+        with no_grad():
+            act = conv2d(Tensor(x), Tensor(w), Tensor(b), *conv)
+            if bn:
+                state = BatchNormState("bn", 2, dtype=np.float64)
+                state.gamma.data[:], state.beta.data[:] = gamma, beta
+                act = batch_norm(act, state, True)
+        act = act.data
+        assert np.abs(act).min() > 1e-3 and (act < 0).any()
+        if window is not None:
+            axis = 2 if window[0] == 2 else 3
+            taps = [np.moveaxis(act, axis, 0)[k::2] for k in (0, 1)]
+            assert np.abs(taps[0] - taps[1]).min() > 1e-3
+        with no_grad():
+            proj = rng.normal(size=_chain(Tensor(x), Tensor(w), Tensor(b), *conv, None,
+                                          window).shape)
 
-    @pytest.mark.parametrize("window", [(2, 1), (1, 2)])
-    def test_gradients(self, window):
-        """Float64 central differences. The input is distinct and spaced,
-        so no pair is near a tie, and no activation is within 1e-4 of the
-        ReLU kink, while a probe moves an activation by under 1e-6."""
-        rng = np.random.default_rng(38)
-        shape = (4, 2, 6, 4)
-        x = (rng.permutation(np.prod(shape)) * 0.37).reshape(shape)
-        gamma = np.array([1.3, -0.8])
-        beta = np.array([0.05, -0.11])
-        proj = rng.normal(size=max_pool2d(Tensor(x), window).shape)
-        norm = batch_norm(Tensor(x), BatchNormState("bn", 2, dtype=np.float64), True).data
-        act = norm * gamma[:, None, None] + beta[:, None, None]
-        assert np.abs(act).min() > 1e-4 and (act < 0).any()
+        def build(vals):  # x, w, then gamma and beta or the bias
+            state = None
+            bias = b if bn and len(vals) < 5 else vals[-1]
+            if bn:
+                state = BatchNormState("bn", 2, dtype=np.float64)
+                state.gamma.data[:], state.beta.data[:] = vals[2:4]
+            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (vals[0], vals[1], bias))
+            out = conv_stage(tx, tw, tb, *conv, state, window)
+            leaves = [tx, tw] + ([state.gamma, state.beta] if bn else []) + [tb]
+            return _proj_loss(out, proj), leaves[:len(vals)]
 
-        def build(vals):
-            state = BatchNormState("bn", 2, dtype=np.float64)
-            state.gamma.data[:] = vals[1]
-            state.beta.data[:] = vals[2]
-            tx = Tensor(vals[0], requires_grad=True)
-            out = bn_relu_pool(tx, state, window)
-            return _proj_loss(out, proj), [tx, state.gamma, state.beta]
-
-        assert check_gradients(build, [x, gamma, beta]) <= 1e-4
+        if not bn:
+            assert check_gradients(build, [x, w, b]) <= 1e-4
+            return
+        assert check_gradients(build, [x, w, gamma, beta]) <= 1e-4
+        with_bias = [x, w, gamma, beta, b]
+        loss, leaves = build(with_bias)
+        loss.backward()
+        numeric = fd_gradient(lambda vals: float(build(vals)[0].data), with_bias, 4)
+        assert np.abs(leaves[4].grad).max() < 1e-8 and np.abs(numeric).max() < 1e-8
 
     def test_training_needs_batch_of_two(self):
+        w = Tensor(np.ones((2, 2, 3, 1)))
         with pytest.raises(ConfigError, match="batch size >= 2"):
-            bn_relu_pool(Tensor(np.zeros((1, 2, 4, 4))), BatchNormState("bn", 2), (2, 1))
+            conv_stage(Tensor(np.zeros((1, 2, 8, 4))), w, None, (2, 1), (1, 0),
+                       BatchNormState("bn", 2), (2, 1))
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeError, match="bn_relu_pool: input has 3 channels, state has 2"):
-            bn_relu_pool(Tensor(np.zeros((2, 3, 4, 4))), BatchNormState("bn", 2), (2, 1))
+        w = Tensor(np.ones((3, 2, 3, 1)))
+        with pytest.raises(ShapeError, match="conv_stage: input has 3 channels, state has 2"):
+            conv_stage(Tensor(np.zeros((2, 2, 8, 4))), w, None, (2, 1), (1, 0),
+                       BatchNormState("bn", 2), (2, 1))
+        with pytest.raises(ShapeError, match="conv_stage: input has 2 channels but weights "
+                                             "expect 3"):
+            conv_stage(Tensor(np.zeros((2, 2, 8, 4))), Tensor(np.ones((3, 3, 3, 1))), None,
+                       (2, 1), (1, 0))
 
-    @pytest.mark.parametrize("shape,window", [((2, 2, 4, 4), (2, 2)), ((2, 2, 1, 4), (2, 1)),
-                                              ((2, 2, 4), (2, 1))])
-    def test_bad_window_or_input_rejected(self, shape, window):
-        with pytest.raises(ShapeError, match="bn_relu_pool"):
-            bn_relu_pool(Tensor(np.zeros(shape)), BatchNormState("bn", 2), window)
+    @pytest.mark.parametrize("shape,kernel,stride,pad,window,says", [
+        ((2, 2, 8, 4), (3, 1), (2, 1), (1, 0), (2, 2), "a \\(2,1\\) or \\(1,2\\) window"),
+        ((2, 2, 2, 4), (3, 1), (2, 1), (1, 0), (2, 1), "larger than input"),
+        ((2, 2, 4), (3, 1), (2, 1), (1, 0), (2, 1), "expected \\(B,C,F,T\\) input"),
+        ((2, 2, 10, 4), (3, 1), (2, 1), (1, 0), (2, 1), "odd length"),
+        ((2, 2, 8, 4), (3, 3), (2, 1), (1, 0), None, "spans both frequency and time"),
+        ((2, 2, 8, 4), (1, 3), (1, 2), (0, 1), None, "one frequency row"),
+        ((2, 2, 9, 4), (3, 1), (2, 1), (1, 0), None, "do not tile input length 9"),
+        ((2, 2, 4, 4), (3, 1), (2, 1), (1, 0), (1, 2), "needs one output along it"),
+    ])
+    def test_bad_geometry_rejected(self, shape, kernel, stride, pad, window, says):
+        w = Tensor(np.ones((2, 2) + kernel))
+        with pytest.raises(ShapeError, match=f"conv_stage: .*{says}"):
+            conv_stage(Tensor(np.zeros(shape)), w, None, stride, pad, None, window)
 
-    def test_tape_holds_input_output_and_mask(self):
-        """Forward of a conv1-sized stage under tracemalloc: the fused node
-        allocates its output, its winner mask (one byte per output element)
-        and one block buffer at most (plus numpy's ufunc buffers, under
-        128 KiB), and keeps only the output and the mask, while the unfused
-        chain keeps two more full-size arrays (the normalized and the
-        activated input)."""
-        x = np.random.default_rng(39).normal(size=(8, 64, 64, 32)).astype(np.float32)
+    def test_tape_holds_conv_output_output_and_mask(self):
+        """Forward of a conv2-sized stage (conv1's pooled output of 16
+        frames in) under tracemalloc: beyond the conv's output, which batch
+        norm's backward reads, the node keeps its pooled output and the
+        winner mask, one byte per output element, and allocates at most one
+        block of samples beyond them; the unfused chain keeps the normalized
+        and the activated conv output as well."""
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(16, 32, 32, 64)).astype(np.float32).transpose(0, 3, 2, 1)
+        w = Parameter("conv2.w", (rng.normal(size=(96, 64, 3, 1)) / 8).astype(np.float32))
+        b = Parameter("conv2.b", rng.normal(size=96).astype(np.float32))
+        conv_out = 16 * 96 * 16 * 32 * 4
         for fused in (True, False):
-            state = BatchNormState("conv1.bn", 64)
+            state = BatchNormState("conv2.bn", 96)
             tx = Tensor(x, requires_grad=True)
             tracemalloc.start()
             try:
-                if fused:
-                    out = bn_relu_pool(tx, state, (2, 1))
-                else:
-                    out = max_pool2d(relu(batch_norm(tx, state, training=True)), (2, 1))
+                out = (conv_stage if fused else _chain)(tx, w, b, (2, 1), (1, 0), state, (2, 1))
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            kept = out.data.nbytes + out.data.size
+            kept = conv_out + out.data.nbytes + out.data.size
             if fused:
-                assert peak <= kept + ag._BLOCK_BYTES + (128 << 10), peak
                 assert held <= kept + (64 << 10), held
+                assert peak <= kept + _ROW_BLOCK + (128 << 10), peak
             else:
-                assert held >= out.data.nbytes + 2 * x.nbytes, held
+                assert held >= kept + 2 * conv_out, held
+
+    def test_memory_stays_within_one_block(self):
+        """conv2's stage at the 288 frames of a training step, float32,
+        under tracemalloc. Forward allocates what it returns and keeps (the
+        pooled output, the winner mask and the conv's output) and at most
+        one block beyond them; backward() allocates x's gradient and at most
+        one block beyond it, so neither makes the conv output's gradient at
+        full size."""
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(288, 32, 32, 64)).astype(np.float32).transpose(0, 3, 2, 1)
+        w = Parameter("conv2.w", (rng.normal(size=(96, 64, 3, 1)) / 8).astype(np.float32))
+        b = Parameter("conv2.b", np.zeros(96, dtype=np.float32))
+        state = BatchNormState("conv2.bn", 96)
+        tx = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv_stage(tx, w, b, (2, 1), (1, 0), state, (2, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        conv_out = 288 * 96 * 16 * 32 * 4
+        assert peak <= conv_out + out.data.nbytes + out.data.size + _ROW_BLOCK + (128 << 10), peak
+        g = np.ones_like(out.data)  # channels-last, as the next stage passes it on
+        backward = out._backward
+        tracemalloc.start()
+        try:
+            backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tx.grad.shape == x.shape and w.grad is not None
+        assert peak <= x.nbytes + _ROW_BLOCK + (128 << 10), peak
 
 
-def _conv_stage_run(fused, x, w, b, conv, gamma, beta, window, proj):
+def _conv1_stage_run(fused, x, w, b, conv, gamma, beta, window, proj):
     """Output, the x/w/b/gamma/beta gradients and the running stats of one
-    conv stage, as one node or as conv2d then bn_relu_pool."""
+    conv stage, as one conv_bn_relu_pool node or as the unfused chain."""
     state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
     state.gamma.data[:] = gamma
     state.beta.data[:] = beta
@@ -596,7 +708,7 @@ def _conv_stage_run(fused, x, w, b, conv, gamma, beta, window, proj):
     if fused:
         out = conv_bn_relu_pool(tx, tw, tb, *conv, state, window)
     else:
-        out = bn_relu_pool(conv2d(tx, tw, tb, *conv), state, window)
+        out = _chain(tx, tw, tb, *conv, state, window)
     _proj_loss(out, proj).backward()
     return [out.data, tx.grad, tw.grad, tb.grad, state.gamma.grad, state.beta.grad,
             state.running_mean, state.running_var]
@@ -615,10 +727,9 @@ class TestConvBnReluPool:
         ((5, 1, 8, 18), 8, (1, 3), (1, 2), (0, 1), (1, 2)),
         ((4, 1, 8, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
         ((7, 1, 128, 32), 16, (3, 1), (2, 1), (1, 0), (2, 1))])
-    def test_matches_conv_then_bn_relu_pool(self, shape, c_out, kernel, stride, pad,
-                                            window, dtype):
+    def test_matches_unfused_chain(self, shape, c_out, kernel, stride, pad, window, dtype):
         """Output, the x, w, gamma and beta gradients and the running stats,
-        against the two-node chain in float64: within 1e-12 of the largest
+        against conv2d, batch_norm, relu and max_pool2d in float64: within 1e-12 of the largest
         value in float64, and within 1e-5 in float32 (the chain's own float32
         error is of the same order as the node's, under 1e-6). The bias
         gradient is zero in exact arithmetic, since batch norm cancels the
@@ -649,8 +760,8 @@ class TestConvBnReluPool:
         assert act.shape[axis] % 2 == (shape in ((5, 1, 18, 8), (5, 1, 8, 18)))
         proj = rng.normal(size=max_pool2d(Tensor(act), window).shape)
 
-        want = _conv_stage_run(False, x, w, b, conv, gamma, beta, window, proj)
-        got = _conv_stage_run(True, *(a.astype(dtype) for a in (x, w, b)), conv,
+        want = _conv1_stage_run(False, x, w, b, conv, gamma, beta, window, proj)
+        got = _conv1_stage_run(True, *(a.astype(dtype) for a in (x, w, b)), conv,
                               gamma.astype(dtype), beta.astype(dtype), window,
                               proj.astype(dtype))
         tol = 1e-12 if dtype == np.float64 else 1e-5
@@ -719,7 +830,7 @@ class TestConvBnReluPool:
         gamma, beta = rng.normal(size=8), rng.normal(size=8)
         proj = rng.normal(size=(5, 8, 4, 8))
         args = (x, w, b, ((2, 1), (1, 0)), gamma, beta, (2, 1), proj)
-        got, want = _conv_stage_run(True, *args), _conv_stage_run(False, *args)
+        got, want = _conv1_stage_run(True, *args), _conv1_stage_run(False, *args)
         assert _max_rel(got[6], want[6]) <= 1e-10
         assert _max_rel(got[7] - 0.9, want[7] - 0.9) <= 1e-10
 
@@ -776,7 +887,7 @@ class TestConvBnReluPool:
                 if fused:
                     out = conv_bn_relu_pool(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
                 else:
-                    out = bn_relu_pool(conv2d(Tensor(x), w, b, (2, 1), (1, 0)), state, (2, 1))
+                    out = _chain(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
