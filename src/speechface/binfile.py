@@ -45,15 +45,24 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, count: int, what: str) -> np.ndarray:
-        """A read-only view of the next count items; float items must be finite."""
+        """A read-only view of the next count items; float items, and the
+        float fields of structured items, must be finite. A failure names
+        the byte of the first value that is not, and for structured items
+        its record and field."""
         dtype = np.dtype(dtype)
         start = self.pos
         values = np.frombuffer(self.take(count * dtype.itemsize, what), dtype)
-        if dtype.kind == "f":
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = start + dtype.itemsize * int(np.argmin(finite))
-                self.fail(f"{what} has a non-finite value", bad)
+        bad = []
+        for name in dtype.names or (None,):
+            column, offset = (values, 0) if name is None else (values[name], dtype.fields[name][1])
+            finite = np.isfinite(column).ravel() if column.dtype.kind == "f" else True
+            if not np.all(finite):
+                k, i = divmod(int(np.argmin(finite)), finite.size // count)
+                at = start + k * dtype.itemsize + offset + column.dtype.itemsize * i
+                bad.append((at, f"record {k} has a non-finite {name} value" if name else None))
+        if bad:
+            at, detail = min(bad)
+            self.fail(f"{what}: {detail}" if detail else f"{what} has a non-finite value", at)
         return values
 
     def end(self) -> None:

@@ -378,7 +378,7 @@ class TestDataFiles:
         blob = bytearray(path.read_bytes())
         blob[SFD_TARGET0:SFD_TARGET0 + 4] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(ParseError, match="record 0"):
+        with pytest.raises(ParseError, match=f"record 0.* at byte {SFD_TARGET0}$"):
             load_dataset(path)
 
     @pytest.mark.parametrize("which,value,named", [
