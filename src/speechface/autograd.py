@@ -794,7 +794,7 @@ def _cl(a: np.ndarray, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 3, 2, 1), dtype=dtype)
 
 
-def _conv_axis(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None, stride, pad, window):
+def _stage_geometry(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None, stride, pad, window):
     """Check a training stage, whose conv kernel spans frequency or time
     only and whose pool, if ``window`` is given, is a two-tap one with
     stride equal to it. Returns (along_f, k, s, p, L, shape, axis): the
@@ -887,7 +887,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     """
     op = "conv_bn_relu_pool"
     xd, wd = x.data, w.data
-    along_f, k, s, p, _, shape, axis = _conv_axis(op, xd, w, b, stride, pad, window)
+    along_f, k, s, p, _, shape, axis = _stage_geometry(op, xd, w, b, stride, pad, window)
     if xd.shape[1] != 1:
         raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
     nb, c = shape[:2]
@@ -983,8 +983,8 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     needs m = 1. Each block of samples is then (rows, L, C), and the conv is
     one GEMM per tap group on it in place (:func:`_gemm_conv`, the plan's
     kernel); backward needs no col2im (:func:`_gemm_conv_grads`). With a
-    pool, each of its two taps reads the outputs of a conv of its own (see
-    :func:`_conv_axis`), so each tap's outputs are one contiguous array.
+    pool, each of its two taps reads the outputs of a conv of its own, so
+    each tap's outputs are one contiguous array.
 
     Forward makes y, the conv's output without its bias, one block at a
     time, and takes batch norm's per-channel sums from each block while it
@@ -1003,7 +1003,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     """
     op = "conv_stage"
     xd = x.data
-    along_f, k, s, p, length, shape, axis = _conv_axis(op, xd, w, b, stride, pad, window)
+    along_f, k, s, p, length, shape, axis = _stage_geometry(op, xd, w, b, stride, pad, window)
     nb, c_out, c_in = shape[0], shape[1], xd.shape[1]
     m = shape[2] if along_f else shape[3]
     if not along_f and xd.shape[2] != 1:
@@ -1069,16 +1069,19 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
         scale, shift = (f.astype(dtype) for f in fold[2:])
     out = y[0] if window is None and state is None else np.empty(out_cl, dtype=dtype)
     wins = None if window is None else np.empty(out_cl, dtype=bool)
-    buf = np.empty((len(taps), blocks[0].stop) + out_cl[1:], dtype=dtype)
+    if state is not None and window is not None:
+        buf = np.empty((2, blocks[0].stop) + out_cl[1:], dtype=dtype)
     for blk in blocks:
-        zs = []
-        for ye, z in zip(y, buf):
-            z = ye[blk] if state is None else z[:blk.stop - blk.start] if window else out[blk]
-            if state is not None:
-                np.multiply(ye[blk], scale, out=z)
+        if state is None:  # y + b, in place
+            zs = [ye[blk] for ye in y]
             if shift is not None:
+                for z in zs:
+                    z += shift
+        else:  # batch norm, into the output or, before a pool, a buffer per tap
+            zs = [out[blk]] if window is None else list(buf[:, :blk.stop - blk.start])
+            for ye, z in zip(y, zs):
+                np.multiply(ye[blk], scale, out=z)
                 z += shift
-            zs.append(z)
         if window is None:
             np.maximum(zs[0], 0, out=zs[0])
         else:
@@ -1088,7 +1091,8 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
 
     def backward(g):
         g = _cl(g, dtype)
-        r = np.empty((2, max(blocks[0].stop, gemm[0].stop)) + out_cl[1:], dtype=dtype)
+        if window is not None:
+            r = np.empty((2, max(blocks[0].stop, gemm[0].stop)) + out_cl[1:], dtype=dtype)
 
         def routed(blk):  # the block's gradient at the outputs each tap reads
             gb = g[blk]
