@@ -479,6 +479,21 @@ def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
         dst[..., f0:f1, t0:t1] = src
 
 
+def _check_conv(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None):
+    """The shapes of a conv's (B, C_in, F, T) input and (C_out, C_in, kF,
+    kT) weights, checked against each other and the bias. Errors name
+    ``op``."""
+    if xd.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
+                         f"got {xd.shape} / {w.shape}")
+    c_out, c_w = w.data.shape[:2]
+    if c_w != xd.shape[1]:
+        raise ShapeError(f"{op}: input has {xd.shape[1]} channels but weights expect {c_w}")
+    if b is not None and b.data.shape != (c_out,):
+        raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
+    return xd.shape, w.data.shape
+
+
 class _Conv:
     """One convolution's geometry and im2col, and its forward and backward
     one block of samples at a time.
@@ -487,24 +502,16 @@ class _Conv:
     many output positions per sample, batched (B,K,P) matmuls have plenty of
     work each and run a block of samples at a time. With few positions the
     whole batch is one block, folded into one big GEMM, since the extra
-    transpose copies are tiny at that size. Errors name ``op``.
+    transpose copies are tiny at that size.
     """
 
-    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad, op: str):
+    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad):
         xd = x.data
-        if xd.ndim != 4 or w.ndim != 4:
-            raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
-                             f"got {x.shape} / {w.shape}")
-        nb, c_in, f_in, t_in = xd.shape
-        c_out, c_w, k_f, k_t = w.data.shape
-        if c_w != c_in:
-            raise ShapeError(f"{op}: input has {c_in} channels but weights expect {c_w}")
+        (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd, w, b)
         (s_f, s_t), (p_f, p_t) = stride, pad
         if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
-            raise ShapeError(f"{op}: kernel ({k_f},{k_t}) larger than padded input "
+            raise ShapeError(f"conv2d: kernel ({k_f},{k_t}) larger than padded input "
                              f"({f_in + 2 * p_f},{t_in + 2 * p_t})")
-        if b is not None and b.data.shape != (c_out,):
-            raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
 
         self.x, self.w, self.b, self.stride, self.pad = x, w, b, stride, pad
         self.parents = (x, w) + ((b,) if b is not None else ())
@@ -607,7 +614,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     the im2col slots it covers, and the input gradient is assembled from the
     spans of input that the kernel taps cover.
     """
-    cv = _Conv(x, w, b, stride, pad, "conv2d")
+    cv = _Conv(x, w, b, stride, pad)
     nb, c_out, f_out, t_out = cv.shape
     out = np.empty((nb, c_out, f_out * t_out), dtype=cv.dtype)
     for blk in cv.blocks:
@@ -802,15 +809,7 @@ def _stage_geometry(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None, stride
     the conv output's (B, C, F, T) shape, and the pooled axis of its
     channels-last (B, T, F, C) array, None without a pool. Errors name
     ``op``."""
-    if xd.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
-                         f"got {xd.shape} / {w.shape}")
-    nb, c_in, f_in, t_in = xd.shape
-    c_out, c_w, k_f, k_t = w.data.shape
-    if c_w != c_in:
-        raise ShapeError(f"{op}: input has {c_in} channels but weights expect {c_w}")
-    if b is not None and b.data.shape != (c_out,):
-        raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
+    (nb, _, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv(op, xd, w, b)
     (s_f, s_t), (p_f, p_t) = stride, pad
     along_f = (k_t, s_t, p_t) == (1, 1, 0)
     if not along_f and (k_f, s_f, p_f) != (1, 1, 0):

@@ -499,17 +499,19 @@ def _stage_run(fused, x, w, b, conv, bn, window, proj):
     return got
 
 
-# the trunk's five stage geometries after conv1, as (kernel, stride, pad,
-# window, batch norm), with the input shape each is tested on
+# the trunk's five stage geometries after conv1, and conv2's without batch
+# norm, as (kernel, stride, pad, window, batch norm), with the input shape
+# each is tested on
 STAGES = {
     "conv2": ((3, 1), (2, 1), (1, 0), (2, 1), True),
     "conv3": ((3, 1), (2, 1), (1, 0), None, True),
     "conv5": ((2, 1), (2, 1), (0, 0), (1, 2), True),
     "conv6": ((1, 3), (1, 2), (0, 1), None, True),
     "conv8": ((1, 4), (1, 4), (0, 0), None, False),
+    "conv2_no_bn": ((3, 1), (2, 1), (1, 0), (2, 1), False),
 }
 STAGE_INPUTS = {"conv2": (6, 8, 32, 4), "conv3": (6, 8, 8, 4), "conv5": (6, 8, 2, 8),
-                "conv6": (6, 8, 1, 16), "conv8": (6, 8, 1, 4)}
+                "conv6": (6, 8, 1, 16), "conv8": (6, 8, 1, 4), "conv2_no_bn": (6, 8, 32, 4)}
 
 
 class TestConvStage:
@@ -522,8 +524,8 @@ class TestConvStage:
         1e-12 of the largest value in float64 and within 1e-5 in float32.
         Batch norm cancels the bias, so with batch norm b's gradient is zero
         in exact arithmetic and is held under 1e-8 in float64 and, in
-        float32, under 1e-5 of the weight gradient's scale; conv8, without
-        batch norm, compares it like the rest. The input is the
+        float32, under 1e-5 of the weight gradient's scale; without batch
+        norm it is compared like the rest. The input is the
         (B, C, F, T) view of a channels-last array, as the stages pass it
         on. The last case has conv2's channels, so its forward and backward
         run over several blocks of samples."""
