@@ -791,7 +791,9 @@ def batch_norm(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
             g *= scale.astype(g.dtype)
             _accum_owned(x, g)
 
-    return _make(xd * scale + shift, (x, state.gamma, state.beta), backward)
+    out = xd * scale
+    out += shift
+    return _make(out, (x, state.gamma, state.beta), backward)
 
 
 def _cl(a: np.ndarray, dtype=None) -> np.ndarray:
