@@ -45,25 +45,33 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype, count: int, what: str) -> np.ndarray:
-        """A read-only view of the next count items; float items, and the
-        float fields of structured items, must be finite. A failure names
-        the byte of the first value that is not, and for structured items
-        its record and field."""
+        """A read-only view of the next count items; float items must be finite."""
         dtype = np.dtype(dtype)
         start = self.pos
         values = np.frombuffer(self.take(count * dtype.itemsize, what), dtype)
-        bad = []
-        for name in dtype.names or (None,):
-            column, offset = (values, 0) if name is None else (values[name], dtype.fields[name][1])
-            finite = np.isfinite(column).ravel() if column.dtype.kind == "f" else True
-            if not np.all(finite):
-                k, i = divmod(int(np.argmin(finite)), finite.size // count)
-                at = start + k * dtype.itemsize + offset + column.dtype.itemsize * i
-                bad.append((at, f"record {k} has a non-finite {name} value" if name else None))
-        if bad:
-            at, detail = min(bad)
-            self.fail(f"{what}: {detail}" if detail else f"{what} has a non-finite value", at)
+        if dtype.kind == "f":
+            self.check_finite(values, start, what)
         return values
+
+    def check_finite(self, values: np.ndarray, start: int, what: str) -> None:
+        """Fail unless every float of ``values``, items read from byte
+        ``start``, is finite, naming the byte of the first that is not, and
+        for structured items its record and field."""
+        bad = []
+        for name in values.dtype.names or (None,):
+            column = values if name is None else values[name]
+            if column.dtype.kind != "f":
+                continue
+            finite = np.isfinite(column)
+            if not finite.all():
+                k, i = divmod(int(np.argmin(finite)), finite.size // len(values))
+                offset = 0 if name is None else values.dtype.fields[name][1]
+                bad.append((start + k * values.dtype.itemsize + offset
+                            + column.dtype.itemsize * i, k, name))
+        if bad:
+            at, k, name = min(bad)
+            self.fail(f"{what} has a non-finite value" if name is None else
+                      f"{what}: record {k} has a non-finite {name} value", at)
 
     def end(self) -> None:
         if self.left:

@@ -148,6 +148,7 @@ def load_dataset(path) -> Dataset:
     try:
         return Dataset(*columns, stats)
     except DataError as err:
+        r.check_finite(records, start, f"{count} records")  # names the value's own byte
         r.fail(f"{err}, in the records starting", start)
 
 
