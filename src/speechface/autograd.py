@@ -710,17 +710,14 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: str,
-             bias=None):
+def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: str):
     """Batch norm on an input of ``shape`` as (mu, inv, scale, shift) per
     channel, where out = x * scale + shift and inv = 1 / sqrt(var + eps).
 
     Training mode takes the batch's float64 mean and variance per channel
     from ``moments()`` and folds them into the running mean/variance with the
     state's momentum; inference mode reads the running statistics and never
-    calls ``moments``. A ``bias`` per channel is one the input leaves out:
-    it joins only the batch mean that the running mean takes, since batch
-    norm would subtract it again. Errors name ``op``.
+    calls ``moments``. Errors name ``op``.
     """
     if len(shape) < 2:
         raise ShapeError(f"{op}: expected at least (B,C) input, got {shape}")
@@ -729,12 +726,10 @@ def _bn_fold(shape, dtype, moments, state: BatchNormState, training: bool, op: s
     if training and shape[0] < 2:
         raise ConfigError(f"{op}: training mode requires batch size >= 2")
     if training:
-        mu64, var64 = moments()
-        mu = mu64.astype(dtype)
-        var = np.maximum(var64, 0.0).astype(dtype)
+        mu, var = moments()
+        mu, var = mu.astype(dtype), np.maximum(var, 0.0).astype(dtype)
         m = state.momentum
-        batch_mean = mu if bias is None else (mu64 + bias).astype(dtype)
-        state.running_mean = (m * state.running_mean + (1 - m) * batch_mean).astype(
+        state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(
             state.running_mean.dtype, copy=False)
         state.running_var = (m * state.running_var + (1 - m) * var).astype(
             state.running_var.dtype, copy=False)
@@ -859,8 +854,8 @@ def _colsum(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), a.dtype) @ a
 
 
-def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
-                      state: BatchNormState, window) -> Tensor:
+def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
+                      window) -> Tensor:
     """A conv over one input channel, training-mode batch norm, ReLU and a
     two-tap pool, (2, 1) or (1, 2) with stride equal to the window, as one
     node that never makes the conv's output or its gradient at full size.
@@ -875,11 +870,9 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     one GEMM with the weights folded with batch norm, and keeps the ReLU'd
     larger of each pair and where the second tap won. Backward routes the
     pooled gradient through that mask onto the taps' columns, P = sum of
-    g [col; 1]', (C, K+1); batch norm's sums and the w and b gradients
-    follow from P and the Gram matrix exactly. x's gradient, which no model
-    input asks for, is built one block of columns at a time. The bias never
-    enters z: batch norm would subtract it again, so it only joins the batch
-    mean that the running mean takes.
+    g [col; 1]', (C, K+1); batch norm's sums and the w gradient follow from
+    P and the Gram matrix exactly. x's gradient, which no model input asks
+    for, is built one block of columns at a time.
 
     The tape holds ``x``, the pooled output and the winner mask. Output,
     running statistics and gradients are those of conv2d, batch_norm, relu
@@ -888,7 +881,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     """
     op = "conv_bn_relu_pool"
     xd, wd = x.data, w.data
-    along_f, k, s, p, _, shape, axis = _stage_geometry(op, xd, w, b, stride, pad, window)
+    along_f, k, s, p, _, shape, axis = _stage_geometry(op, xd, w, None, stride, pad, window)
     if xd.shape[1] != 1:
         raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
     nb, c = shape[:2]
@@ -916,7 +909,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     mean = gram[k] / n_red  # [column mean, 1]
     cov = gram / n_red - np.outer(mean, mean)
     fold = _bn_fold(shape, dtype, lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)),
-                    state, True, op, None if b is None else b.data)
+                    state, True, op)
     _, _, scale, shift = fold
     dtype = np.result_type(dtype, scale, shift)
     wz = wa * scale[:, None]
@@ -943,10 +936,8 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
             for e, r in enumerate(routed(blk)):
                 pa += r.T @ tap(col, e).reshape(-1, k + 1)
         a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), n_red, state, fold, True)
-        gwa = scale[:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
-        _accum_owned(w, gwa[:, :k].reshape(wd.shape).astype(wd.dtype))
-        if b is not None:
-            _accum_owned(b, gwa[:, k].astype(b.data.dtype))
+        gw = scale[:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
+        _accum_owned(w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
         if x.requires_grad:
             # gcol = ((g_routed + A * y + C) * scale) W, with y = W col
             ws = (wa[:, :k] * scale[:, None]).astype(dtype)
@@ -965,8 +956,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
                           scatter=True)
             _accum_owned(x, gx)
 
-    return _make(out.transpose(0, 3, 2, 1), (x, w) + ((b,) if b is not None else ())
-                 + (state.gamma, state.beta), backward)
+    return _make(out.transpose(0, 3, 2, 1), (x, w, state.gamma, state.beta), backward)
 
 
 def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
@@ -987,17 +977,16 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     pool, each of its two taps reads the outputs of a conv of its own, so
     each tap's outputs are one contiguous array.
 
-    Forward makes y, the conv's output without its bias, one block at a
-    time, and takes batch norm's per-channel sums from each block while it
-    is in cache; a second pass normalizes, pools and applies ReLU. With
-    batch norm the bias never enters y: it would be subtracted again, so it
-    only joins the batch mean that the running mean takes. Backward masks
-    the gradient by the ReLU and routes it through the saved winners to
-    take batch norm's sums; then, block by block, it routes it again, turns
-    it into y's gradient divided by batch norm's scale, which joins the
-    weights instead, and runs that block's GEMMs. b's gradient is the
-    per-channel sum of y's gradient, which batch norm makes zero up to
-    rounding.
+    A conv that batch norm follows takes no bias ``b``, since batch norm
+    would subtract it again; without batch norm, ``b`` is added before the
+    ReLU. Forward makes y, the conv's output without its bias, one block at
+    a time, and takes batch norm's per-channel sums from each block while it
+    is in cache; a second pass normalizes (or adds b), pools and applies
+    ReLU. Backward masks the gradient by the ReLU and routes it through the
+    saved winners to take batch norm's sums; then, block by block, it routes
+    it again, turns it into y's gradient divided by batch norm's scale,
+    which joins the weights instead, and runs that block's GEMMs. b's
+    gradient is the per-channel sum of y's gradient.
 
     The tape holds the input, y (with batch norm), the output and the winner
     mask; every other array is at most one block.
@@ -1005,6 +994,8 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
     op = "conv_stage"
     xd = x.data
     along_f, k, s, p, length, shape, axis = _stage_geometry(op, xd, w, b, stride, pad, window)
+    if state is not None and b is not None:
+        raise ConfigError(f"{op}: a conv that batch norm follows takes no bias")
     nb, c_out, c_in = shape[0], shape[1], xd.shape[1]
     m = shape[2] if along_f else shape[3]
     if not along_f and xd.shape[2] != 1:
@@ -1066,7 +1057,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
             pass
         shift = None if b is None else b.data.astype(dtype)
     else:
-        fold = _bn_fold(shape, dtype, moments, state, True, op, None if b is None else b.data)
+        fold = _bn_fold(shape, dtype, moments, state, True, op)
         scale, shift = (f.astype(dtype) for f in fold[2:])
     out = y[0] if window is None and state is None else np.empty(out_cl, dtype=dtype)
     wins = None if window is None else np.empty(out_cl, dtype=bool)
@@ -1111,7 +1102,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
         if state is not None:
             a_ch, c_ch = (t.astype(dtype) for t in _bn_grad_terms(sums, n_red, state, fold, True))
             wt *= fold[2].astype(dtype)
-        gw, gb_sum = np.zeros(wt.shape), np.zeros(c_out)
+        gw, gb_sum = np.zeros(wt.shape), None if b is None else np.zeros(c_out)
         gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
         for blk in gemm:
             # along the conv's axis, the second tap's conv reads more of each
@@ -1121,7 +1112,8 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
                 if state is not None:  # batch norm's input gradient over its scale, in place
                     gy += y[e, blk].reshape(-1, c_out) * a_ch
                     gy += c_ch
-                gb_sum += _colsum(gy)
+                if gb_sum is not None:
+                    gb_sum += _colsum(gy)
                 tap = taps[e]
                 _gemm_conv_grads(rows(x_cl, blk, tap, length), k, *tap[:2], wt,
                                  gy.reshape(-1, m_tap, c_out), gw,
@@ -1129,16 +1121,14 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
                                  init=e == len(taps) - 1 or tap[2] is not None)
         if state is not None:
             gw *= fold[2]
-            gb_sum *= fold[2]
         _accum_owned(w, gw.transpose(2, 1, 0).reshape(w.data.shape).astype(w.data.dtype))
         if b is not None:
             _accum_owned(b, gb_sum.astype(b.data.dtype))
         if gx is not None:
             _accum_owned(x, gx.transpose(0, 3, 2, 1))
 
-    bn = () if state is None else (state.gamma, state.beta)
-    return _make(out.transpose(0, 3, 2, 1), (x, w) + ((b,) if b is not None else ()) + bn,
-                 backward)
+    extra = (state.gamma, state.beta) if state is not None else () if b is None else (b,)
+    return _make(out.transpose(0, 3, 2, 1), (x, w) + extra, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .face import NUM_EXPRESSIONS, NUM_ROTATION, FaceFrame
 VARIANTS = ("cnn_static", "cnn_lstm", "cnn_gru")
 
 CHECKPOINT_MAGIC = b"SFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,9 @@ class Model:
     def parameters(self) -> list:
         """All trainable parameters in a stable order."""
         params = []
-        for spec in self.arch.stack:
-            if not isinstance(spec, ConvSpec):
-                continue
-            params += [self.conv_w[spec.name], self.conv_b[spec.name]]
-            bn = self.conv_bn.get(spec.name)
-            if bn is not None:
-                params += [bn.gamma, bn.beta]
+        for name, w in self.conv_w.items():  # in stack order, as _assemble fills it
+            bn = self.conv_bn.get(name)
+            params += [w] + ([self.conv_b[name]] if bn is None else [bn.gamma, bn.beta])
         params += [self.dense1_w, self.dense1_b]
         if self.cell is not None:
             params += list(self.cell)
@@ -154,11 +150,9 @@ class Model:
     def named_arrays(self):
         """Parameters plus batch-norm running statistics, for persistence."""
         entries = [(p.name, p.data) for p in self.parameters()]
-        for spec in self.arch.stack:
-            bn = self.conv_bn.get(spec.name) if isinstance(spec, ConvSpec) else None
-            if bn is not None:
-                entries.append((f"{spec.name}.bn.running_mean", bn.running_mean))
-                entries.append((f"{spec.name}.bn.running_var", bn.running_var))
+        for name, bn in self.conv_bn.items():
+            entries += [(f"{name}.bn.running_mean", bn.running_mean),
+                        (f"{name}.bn.running_var", bn.running_var)]
         return entries
 
     def zero_grad(self) -> None:
@@ -219,19 +213,19 @@ class Model:
                 continue
             try:
                 if isinstance(spec, ConvSpec):
-                    conv = (self.conv_w[spec.name], self.conv_b[spec.name], spec.stride, spec.pad)
+                    w, b = self.conv_w[spec.name], self.conv_b.get(spec.name)
                     bn = self.conv_bn.get(spec.name)
                     if not training:
-                        x = ag.conv2d(x, *conv)
+                        x = ag.conv2d(x, w, b, spec.stride, spec.pad)
                         if bn is not None:
                             x = ag.batch_norm(x, bn, False)
                         x = ag.relu(x)
                     else:
                         pool = (nxt.window if isinstance(nxt, PoolSpec) and nxt.stride == nxt.window
                                 and nxt.window in ((2, 1), (1, 2)) else None)
-                        x = (ag.conv_bn_relu_pool(x, *conv, bn, pool)
+                        x = (ag.conv_bn_relu_pool(x, w, spec.stride, spec.pad, bn, pool)
                              if x.shape[1] == 1 and bn is not None and pool is not None
-                             else ag.conv_stage(x, *conv, bn, pool))
+                             else ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool))
                         if pool is not None:
                             spec = fused = nxt
                 else:
@@ -289,7 +283,8 @@ def _assemble(variant: str, weight, dtype=Model.dtype) -> Model:
     Weight matrices come from ``weight(shape, fan_in, fan_out)``, called in a
     fixed order. A recurrent matrix stacks its gate blocks in one call, with
     the fans of one (hidden, hidden) block.
-    Biases start at zero except the LSTM forget gate, which starts at 1.
+    Biases start at zero except the LSTM forget gate, which starts at 1; a
+    conv that batch norm follows has none, as batch norm would subtract it.
     Biases and batch-norm state are ``dtype``.
     """
     model = Model(variant)
@@ -304,11 +299,12 @@ def _assemble(variant: str, weight, dtype=Model.dtype) -> Model:
         shape = (spec.out_channels, in_ch, kf, kt)
         model.conv_w[spec.name] = Parameter(
             f"{spec.name}.w", weight(shape, in_ch * kf * kt, spec.out_channels * kf * kt))
-        model.conv_b[spec.name] = Parameter(
-            f"{spec.name}.b", np.zeros(spec.out_channels, dtype=dtype))
         if spec.batch_norm:
             model.conv_bn[spec.name] = BatchNormState(
                 f"{spec.name}.bn", spec.out_channels, dtype=dtype)
+        else:
+            model.conv_b[spec.name] = Parameter(
+                f"{spec.name}.b", np.zeros(spec.out_channels, dtype=dtype))
         in_ch = spec.out_channels
 
     flat = arch.flat_dim
@@ -414,12 +410,12 @@ def _compile(model: Model) -> _Plan:
         w = b = None
         if conv:
             w = _f64(model.conv_w[spec.name]).reshape(spec.out_channels, -1, kernel[a])
-            b = _f64(model.conv_b[spec.name])
             bn = model.conv_bn.get(spec.name)
+            b = _f64(model.conv_b[spec.name] if bn is None else bn.beta)
             if bn is not None:
                 scale = _f64(bn.gamma) / np.sqrt(_f64(bn.running_var) + bn.epsilon)
                 w *= scale[:, None, None]
-                b = (b - bn.running_mean) * scale + bn.beta.data
+                b -= _f64(bn.running_mean) * scale
             w = np.ascontiguousarray(w.transpose(2, 1, 0))
         trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
     return _Plan(
@@ -655,10 +651,15 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`."""
+    """Rebuild a model from a checkpoint written by :func:`save_checkpoint`.
+
+    A version 1 file also loads: each bias b of a conv that batch norm
+    follows is folded into its running mean as running_mean - b in float32,
+    since batch norm subtracted that mean right after adding b.
+    """
     r = Reader(path, CHECKPOINT_MAGIC)
     version, variant_id = r.unpack("<IB", "checkpoint header")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         r.fail(f"unsupported checkpoint version {version}", 4)
     if variant_id >= len(VARIANTS):
         r.fail(f"unknown variant id {variant_id}", 8)
@@ -686,6 +687,8 @@ def load_checkpoint(path) -> Model:
     model = _assemble(VARIANTS[variant_id], lambda shape, *fans: np.empty(shape, Model.dtype))
     model.norm_stats = norm_stats
     expected = dict(model.named_arrays())
+    folded = {f"{name}.b": bn for name, bn in model.conv_bn.items()} if version == 1 else {}
+    expected.update((name, np.empty(bn.channels, Model.dtype)) for name, bn in folded.items())
     for name, (at, dims, values) in loaded.items():
         if name not in expected:
             r.fail(f"unexpected field {name!r}", at)
@@ -695,4 +698,9 @@ def load_checkpoint(path) -> Model:
     missing = sorted(set(expected) - set(loaded))
     if missing:
         r.fail(f"parameter table lacks {missing}", table)
+    for name, bn in folded.items():
+        with np.errstate(over="ignore"):
+            bn.running_mean -= expected[name]
+        if not np.isfinite(bn.running_mean).all():
+            r.fail(f"field {name!r} folded into the running mean is not finite", loaded[name][0])
     return model

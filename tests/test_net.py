@@ -1,5 +1,7 @@
 """Network tests: architecture conformance, variants, streaming, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from speechface.audio import NUM_BANDS, NUM_COLUMNS, Spectrogram
 from speechface.errors import DataError, ParseError, ShapeError
 from speechface.model import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     STANDARD_ARCH,
     TRUNK_CHUNK,
     VARIANTS,
@@ -52,17 +55,18 @@ EXPECTED_TRACE = [
 ]
 
 # Parameter totals, derived by hand from the stack dims:
-#   conv weights+biases:   256 + 18528 + 36992 + 61600 + 82176
-#                        + 196864 + 196864 + 262400            = 855680
+#   conv weights:          192 + 18432 + 36864 + 61440 + 81920
+#                        + 196608 + 196608 + 262144            = 854208
+#   conv8 bias (the only conv without batch norm)              =    256
 #   batch norm (conv1-7):  2*(64+96+128+160+256+256+256)       =   2432
 #   dense1, dense2:        2 * (256*256 + 256)                 = 131584
 #   heads:                 (3*256 + 3) + (46*256 + 46)         =  12593
-#   common total                                               = 1002289
+#   common total                                               = 1001073
 #   LSTM: 4*(256*256) * 2 + 4*256 = 525312; GRU: 6*(256*256) + 3*256 = 393984
 EXPECTED_PARAMS = {
-    "cnn_static": 1_002_289,
-    "cnn_gru": 1_396_273,
-    "cnn_lstm": 1_527_601,
+    "cnn_static": 1_001_073,
+    "cnn_gru": 1_395_057,
+    "cnn_lstm": 1_526_385,
 }
 
 
@@ -95,6 +99,17 @@ class TestArchitecture:
         for name in ("conv1", "conv2", "conv3", "conv4", "conv5", "conv6", "conv7"):
             assert name in model.conv_bn
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_the_conv_without_batch_norm_has_a_bias(self, variant):
+        """Batch norm would subtract a bias of conv1 to conv7 again, so
+        those convs have none: conv8's is the only conv bias among the
+        parameters and the arrays a checkpoint stores."""
+        model = build_model(variant, seed=0)
+        conv_biases = {f"conv{i}.b" for i in range(1, 9)}
+        assert {p.name for p in model.parameters()} & conv_biases == {"conv8.b"}
+        assert {name for name, _ in model.named_arrays()} & conv_biases == {"conv8.b"}
+        assert set(model.conv_b) == {"conv8"}
+
     def test_flat_dim(self):
         assert STANDARD_ARCH.flat_dim == 256
 
@@ -107,7 +122,7 @@ def unfused_trunk(model, x):
     """Model.layers' training walk with every stage as its own op."""
     for spec in model.arch.stack:
         if spec.name in model.conv_w:
-            x = ag.conv2d(x, model.conv_w[spec.name], model.conv_b[spec.name],
+            x = ag.conv2d(x, model.conv_w[spec.name], model.conv_b.get(spec.name),
                           spec.stride, spec.pad)
             if spec.name in model.conv_bn:
                 x = ag.batch_norm(x, model.conv_bn[spec.name], training=True)
@@ -134,27 +149,21 @@ class TestTrainingWalk:
     def test_fused_trunk_matches_the_unfused_walk(self):
         """Features, every trunk gradient and the running stats after one
         training-mode pass each, on a float64 copy of the model with random
-        conv biases and batch-norm parameters: within 1e-12 of each array's
+        batch-norm parameters and conv8 bias: within 1e-12 of each array's
         largest value. conv1's stage takes its outputs from a GEMM folded
         with batch norm rather than from the conv's output, so the walks
-        agree up to rounding. The biases are drawn at a tenth of the scale
-        of the rest: the unfused walk's own rounding grows with a bias's
-        size over the spread of its conv's output, which batch norm then
-        divides by. Batch norm cancels the biases of conv1 to conv7: their
-        gradients are zero in exact arithmetic and rounding noise in both
-        walks, so they are held under 1e-8 instead."""
+        agree up to rounding."""
         x = np.random.default_rng(5).normal(size=(3, 1, NUM_BANDS, NUM_COLUMNS))
         proj = np.random.default_rng(6).normal(size=(3, STANDARD_ARCH.hidden))
         results = []
         for fused in (True, False):
             model = _float64_copy(build_model("cnn_static", seed=4))
             rng = np.random.default_rng(7)
-            for name, b in model.conv_b.items():
+            for b in model.conv_b.values():
                 b.data[:] = 0.1 * rng.normal(size=b.data.shape)
-                if name in model.conv_bn:
-                    bn = model.conv_bn[name]
-                    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
-                    bn.beta.data[:] = rng.normal(size=bn.channels)
+            for bn in model.conv_bn.values():
+                bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
+                bn.beta.data[:] = rng.normal(size=bn.channels)
             tx = ag.Tensor(x)
             feats = model.trunk(tx, training=True) if fused else unfused_trunk(model, tx)
             ag.sum_all(ag.mul(feats, ag.Tensor(proj))).backward()
@@ -165,49 +174,10 @@ class TestTrainingWalk:
             results.append(arrays)
         got, want = results
         assert got.keys() == want.keys()
-        cancelled = {f"conv{i}.b" for i in range(1, 8)}
-        assert cancelled < got.keys()
+        assert "conv8.b" in got
         for name, w in want.items():
             assert got[name].dtype == np.float64
-            if name in cancelled:
-                assert np.abs(got[name]).max() < 1e-8 and np.abs(w).max() < 1e-8, name
-            else:
-                assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
-
-    def test_cancelled_biases_move_only_the_running_mean(self):
-        """Batch norm subtracts the biases of conv1 to conv7 again, so the
-        training stages keep them out of what they normalize. One
-        training-mode pass each on a float64 copy of the model, with those
-        biases at 0 and at 30 N(0,1): the features and every gradient but
-        the biases' agree within 1e-12 of each array's largest value, and
-        each running mean moves by (1 - momentum) * b, within 1e-12 of its
-        largest value."""
-        x = np.random.default_rng(8).normal(size=(3, 1, NUM_BANDS, NUM_COLUMNS))
-        proj = np.random.default_rng(9).normal(size=(3, STANDARD_ARCH.hidden))
-        results = []
-        for bias_scale in (0.0, 30.0):
-            model = _float64_copy(build_model("cnn_static", seed=4))
-            rng = np.random.default_rng(10)
-            for name, bn in model.conv_bn.items():
-                model.conv_b[name].data[:] = bias_scale * rng.normal(size=bn.channels)
-                bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
-                bn.beta.data[:] = rng.normal(size=bn.channels)
-            feats = model.trunk(ag.Tensor(x), training=True)
-            ag.sum_all(ag.mul(feats, ag.Tensor(proj))).backward()
-            arrays = {"features": feats.data}
-            arrays.update((p.name, p.grad) for p in model.parameters() if p.grad is not None)
-            results.append((arrays, model))
-        (want, plain), (got, biased) = results
-        cancelled = {f"conv{i}.b" for i in range(1, 8)}
-        assert cancelled < got.keys() and got.keys() == want.keys()
-        for name, w in want.items():
-            if name not in cancelled:
-                assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
-        momentum = ag.BatchNormState.momentum
-        for name, bn in biased.conv_bn.items():
-            moved = (1 - momentum) * biased.conv_b[name].data
-            drift = bn.running_mean - plain.conv_bn[name].running_mean - moved
-            assert np.abs(drift).max() <= 1e-12 * np.abs(bn.running_mean).max(), name
+            assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
     def test_fused_stage_error_names_its_conv(self):
         model = build_model("cnn_static", seed=0)
@@ -599,3 +569,105 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_names_byte_4(self, tmp_path, version):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("cnn_static", seed=0), path)
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", blob, 4) == (CHECKPOINT_VERSION,)
+        struct.pack_into("<I", blob, 4, version)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"unsupported checkpoint version {version} "
+                                             "at byte 4$"):
+            load_checkpoint(path)
+
+
+def biased_checkpoint(model, biases, version=1):
+    """``model``'s checkpoint bytes, in the field layout of version 1, where
+    each conv's bias followed its weights: ``biases`` maps a conv name to the
+    bias written for it. Returns (bytes, the byte where each entry starts)."""
+    entries = []
+    for name, arr in model.named_arrays():
+        entries.append((name, arr))
+        if name.endswith(".w") and name[:-2] in biases:
+            entries.append((f"{name[:-2]}.b", biases[name[:-2]]))
+    blob = bytearray(CHECKPOINT_MAGIC + struct.pack("<IB", version, VARIANTS.index(model.variant)))
+    blob += model.norm_stats.to_bytes() + struct.pack("<I", len(entries))
+    starts = {}
+    for name, arr in entries:
+        starts[name] = len(blob)
+        blob += struct.pack("<H", len(name)) + name.encode()
+        blob += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        blob += np.asarray(arr, "<f4").tobytes()
+    return bytes(blob), starts
+
+
+class TestVersion1Checkpoint:
+    """Version 1 gave conv1 to conv7 a bias b each, which inference added to
+    the conv's output before batch norm subtracted the running mean."""
+
+    def model_and_biases(self, variant, seed=21):
+        rng = np.random.default_rng(seed)
+        model = build_model(variant, seed=seed)
+        randomize_batch_norm(model, rng)
+        biases = {name: (0.1 * rng.normal(size=bn.channels)).astype(np.float32)
+                  for name, bn in model.conv_bn.items()}
+        return model, biases
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bias_folds_into_the_running_mean(self, tmp_path, variant):
+        """The loaded model has no conv1.b to conv7.b, and each running mean
+        is the file's less its conv's bias, in float32. Its frames on a
+        short clip match the version 1 arithmetic, conv2d with the file's
+        bias and then batch norm with the file's running mean in float64,
+        within 5e-8. Rounding the folded mean to float32 is that
+        difference: 7e-9 here, at most 1.9e-8 over ten seeds per variant,
+        and under 2e-15 with the mean folded in float64."""
+        model, biases = self.model_and_biases(variant)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(biased_checkpoint(model, biases)[0])
+        loaded = load_checkpoint(path)
+        names = {name for name, _ in loaded.named_arrays()}
+        assert not names & {f"conv{i}.b" for i in range(1, 8)} and "conv8.b" in names
+        for name, bn in loaded.conv_bn.items():
+            want = model.conv_bn[name].running_mean - biases[name]
+            assert bn.running_mean.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(bn.running_mean, want)
+
+        v1 = _float64_copy(model)  # the file's running means, and its biases added back
+        for name in v1.conv_bn:
+            v1.conv_b[name] = ag.Parameter(f"{name}.b", biases[name].astype(np.float64))
+        specs = random_specs(np.random.default_rng(22), LONG_CLIP)
+        want = autograd_reference(v1, np.stack([s.bands for s in specs]))
+        got = np.array([f.vector for f in forward_sequence(loaded, specs)])
+        assert np.max(np.abs(got - want)) <= 5e-8
+
+    def test_bias_with_wrong_dims_names_its_field(self, tmp_path):
+        model, biases = self.model_and_biases("cnn_static")
+        biases["conv3"] = biases["conv3"][:-1]
+        blob, starts = biased_checkpoint(model, biases)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=rf"field 'conv3.b' has dims \(127,\), expected "
+                                             rf"\(128,\) at byte {starts['conv3.b']}$"):
+            load_checkpoint(path)
+
+    def test_version_2_refuses_a_normalized_conv_bias(self, tmp_path):
+        model, biases = self.model_and_biases("cnn_static")
+        blob, starts = biased_checkpoint(model, {"conv5": biases["conv5"]},
+                                         version=CHECKPOINT_VERSION)
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=f"unexpected field 'conv5.b' "
+                                             f"at byte {starts['conv5.b']}$"):
+            load_checkpoint(path)
+
+    def test_written_checkpoint_is_version_2(self, tmp_path):
+        """The writer writes version 2 only: the bytes biased_checkpoint
+        packs with version 2 and no bias."""
+        model, _ = self.model_and_biases("cnn_gru")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert CHECKPOINT_VERSION == 2
+        assert path.read_bytes() == biased_checkpoint(model, {}, version=2)[0]

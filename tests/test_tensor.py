@@ -42,7 +42,7 @@ from speechface.autograd import (
 )
 from speechface.errors import ConfigError, ShapeError, StateError
 
-from _gradcheck import check_gradients, fd_gradient, rel_error
+from _gradcheck import check_gradients, rel_error
 
 # the largest block of samples a training stage's temporaries take
 _ROW_BLOCK = max(ag._BLOCK_BYTES, ag._GEMM_BLOCK_BYTES)
@@ -483,19 +483,25 @@ def _chain(x, w, b, stride, pad, state, window):
 
 
 def _stage_run(fused, x, w, b, conv, bn, window, proj):
-    """Output, the x/w/b/gamma/beta gradients and the running stats of one
-    stage, as one conv_stage node or as the unfused chain; ``bn`` holds
-    gamma and beta, or is None for a stage without batch norm."""
-    state = None
+    """Output, the x/w gradients, and the b gradient or the gamma/beta
+    gradients and the running stats of one stage, by name, as one
+    conv_stage node or as the unfused chain; ``bn`` holds gamma and beta,
+    or is None for a stage without batch norm, which takes the bias b."""
+    state = tb = None
     if bn is not None:
         state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
         state.gamma.data[:], state.beta.data[:] = bn
-    tx, tw, tb = Tensor(x, requires_grad=True), Parameter("w", w), Parameter("b", b)
+    else:
+        tb = Parameter("b", b)
+    tx, tw = Tensor(x, requires_grad=True), Parameter("w", w)
     out = (conv_stage if fused else _chain)(tx, tw, tb, *conv, state, window)
     _proj_loss(out, proj).backward()
-    got = [out.data, tx.grad, tw.grad, tb.grad]
-    if state is not None:
-        got += [state.gamma.grad, state.beta.grad, state.running_mean, state.running_var]
+    got = {"out": out.data, "x.grad": tx.grad, "w.grad": tw.grad}
+    if state is None:
+        got["b.grad"] = tb.grad
+    else:
+        got.update({"gamma.grad": state.gamma.grad, "beta.grad": state.beta.grad,
+                    "running_mean": state.running_mean, "running_var": state.running_var})
     return got
 
 
@@ -519,16 +525,13 @@ class TestConvStage:
     @pytest.mark.parametrize("name,shape,c_out", [(n, s, 12) for n, s in STAGE_INPUTS.items()]
                              + [("conv2", (20, 64, 32, 32), 96)])
     def test_matches_unfused_chain(self, name, shape, c_out, dtype):
-        """Output, the x, w, gamma and beta gradients and the running stats,
+        """Output, the x and w gradients, and the gamma and beta gradients
+        and the running stats or, without batch norm, the bias gradient,
         against conv2d, batch_norm, relu and max_pool2d in float64: within
         1e-12 of the largest value in float64 and within 1e-5 in float32.
-        Batch norm cancels the bias, so with batch norm b's gradient is zero
-        in exact arithmetic and is held under 1e-8 in float64 and, in
-        float32, under 1e-5 of the weight gradient's scale; without batch
-        norm it is compared like the rest. The input is the
-        (B, C, F, T) view of a channels-last array, as the stages pass it
-        on. The last case has conv2's channels, so its forward and backward
-        run over several blocks of samples."""
+        The input is the (B, C, F, T) view of a channels-last array, as the
+        stages pass it on. The last case has conv2's channels, so its
+        forward and backward run over several blocks of samples."""
         kernel, stride, pad, window, bn = STAGES[name]
         rng = np.random.default_rng(48)
         x = rng.normal(size=shape)
@@ -536,7 +539,7 @@ class TestConvStage:
         b = rng.normal(size=c_out)
         norm = (rng.normal(size=c_out), rng.normal(size=c_out)) if bn else None
         with no_grad():
-            proj = rng.normal(size=_chain(Tensor(x), Tensor(w), Tensor(b), stride, pad,
+            proj = rng.normal(size=_chain(Tensor(x), Tensor(w), None, stride, pad,
                                           None, window).shape)
         want = _stage_run(False, x, w, b, (stride, pad), norm, window, proj)
         x_cl = np.ascontiguousarray(x.transpose(0, 3, 2, 1), dtype=dtype)
@@ -544,24 +547,17 @@ class TestConvStage:
                          (stride, pad), norm and tuple(a.astype(dtype) for a in norm), window,
                          proj.astype(dtype))
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        names = ("out", "x.grad", "w.grad", "b.grad", "gamma.grad", "beta.grad",
-                 "running_mean", "running_var")
-        for name_, g, w_ in zip(names, got, want):
-            assert g.dtype == dtype and g.shape == w_.shape
-            if name_ == "b.grad" and bn:
-                bound = 1e-8 if dtype == np.float64 else tol * np.abs(want[2]).max()
-                assert np.abs(g).max() < bound and np.abs(w_).max() < 1e-8
-            else:
-                assert _max_rel(g, w_) <= tol, name_
+        assert got.keys() == want.keys()
+        for name_, w_ in want.items():
+            assert got[name_].dtype == dtype and got[name_].shape == w_.shape
+            assert _max_rel(got[name_], w_) <= tol, name_
 
     @pytest.mark.parametrize("name", list(STAGES))
     def test_gradients(self, name):
         """Float64 central differences for x, w and, with batch norm, gamma
-        and beta; without it, for the bias too. Every activation and every
+        and beta; without it, for the bias. Every activation and every
         pool pair's difference is over 1e-3 from the ReLU kink and from a
-        tie, while a probe moves an activation by about 1e-4. With batch
-        norm the bias's gradient is zero, so a relative comparison would be
-        all finite-difference noise: both are checked to be under 1e-8."""
+        tie, while a probe moves an activation by about 1e-4."""
         kernel, stride, pad, window, bn = STAGES[name]
         shape = STAGE_INPUTS[name][:1] + (2,) + STAGE_INPUTS[name][2:]
         shape = (3, 2, min(shape[2], 8), min(shape[3], 8))
@@ -572,7 +568,7 @@ class TestConvStage:
         gamma, beta = np.array([1.3, -0.8]), np.array([0.05, -0.11])
         conv = (stride, pad)
         with no_grad():
-            act = conv2d(Tensor(x), Tensor(w), Tensor(b), *conv)
+            act = conv2d(Tensor(x), Tensor(w), None if bn else Tensor(b), *conv)
             if bn:
                 state = BatchNormState("bn", 2, dtype=np.float64)
                 state.gamma.data[:], state.beta.data[:] = gamma, beta
@@ -588,30 +584,31 @@ class TestConvStage:
                                           window).shape)
 
         def build(vals):  # x, w, then gamma and beta or the bias
-            state = None
-            bias = b if bn and len(vals) < 5 else vals[-1]
+            state = tb = None
+            tx, tw = (Tensor(v, requires_grad=True) for v in vals[:2])
             if bn:
                 state = BatchNormState("bn", 2, dtype=np.float64)
                 state.gamma.data[:], state.beta.data[:] = vals[2:4]
-            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (vals[0], vals[1], bias))
+            else:
+                tb = Tensor(vals[2], requires_grad=True)
             out = conv_stage(tx, tw, tb, *conv, state, window)
-            leaves = [tx, tw] + ([state.gamma, state.beta] if bn else []) + [tb]
-            return _proj_loss(out, proj), leaves[:len(vals)]
+            return _proj_loss(out, proj), [tx, tw] + ([state.gamma, state.beta] if bn else [tb])
 
-        if not bn:
-            assert check_gradients(build, [x, w, b]) <= 1e-4
-            return
-        assert check_gradients(build, [x, w, gamma, beta]) <= 1e-4
-        with_bias = [x, w, gamma, beta, b]
-        loss, leaves = build(with_bias)
-        loss.backward()
-        numeric = fd_gradient(lambda vals: float(build(vals)[0].data), with_bias, 4)
-        assert np.abs(leaves[4].grad).max() < 1e-8 and np.abs(numeric).max() < 1e-8
+        assert check_gradients(build, [x, w] + ([gamma, beta] if bn else [b])) <= 1e-4
 
     def test_training_needs_batch_of_two(self):
         w = Tensor(np.ones((2, 2, 3, 1)))
         with pytest.raises(ConfigError, match="batch size >= 2"):
             conv_stage(Tensor(np.zeros((1, 2, 8, 4))), w, None, (2, 1), (1, 0),
+                       BatchNormState("bn", 2), (2, 1))
+
+    def test_bias_beside_batch_norm_is_refused(self):
+        """Batch norm would subtract a bias of its conv again, so a stage
+        given both refuses them."""
+        w, b = Tensor(np.ones((2, 2, 3, 1))), Tensor(np.zeros(2))
+        with pytest.raises(ConfigError, match="conv_stage: a conv that batch norm follows "
+                                              "takes no bias"):
+            conv_stage(Tensor(np.zeros((2, 2, 8, 4))), w, b, (2, 1), (1, 0),
                        BatchNormState("bn", 2), (2, 1))
 
     def test_channel_mismatch(self):
@@ -649,14 +646,14 @@ class TestConvStage:
         rng = np.random.default_rng(50)
         x = rng.normal(size=(16, 32, 32, 64)).astype(np.float32).transpose(0, 3, 2, 1)
         w = Parameter("conv2.w", (rng.normal(size=(96, 64, 3, 1)) / 8).astype(np.float32))
-        b = Parameter("conv2.b", rng.normal(size=96).astype(np.float32))
         conv_out = 16 * 96 * 16 * 32 * 4
         for fused in (True, False):
             state = BatchNormState("conv2.bn", 96)
             tx = Tensor(x, requires_grad=True)
             tracemalloc.start()
             try:
-                out = (conv_stage if fused else _chain)(tx, w, b, (2, 1), (1, 0), state, (2, 1))
+                out = (conv_stage if fused else _chain)(tx, w, None, (2, 1), (1, 0), state,
+                                                        (2, 1))
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -677,12 +674,11 @@ class TestConvStage:
         rng = np.random.default_rng(51)
         x = rng.normal(size=(288, 32, 32, 64)).astype(np.float32).transpose(0, 3, 2, 1)
         w = Parameter("conv2.w", (rng.normal(size=(96, 64, 3, 1)) / 8).astype(np.float32))
-        b = Parameter("conv2.b", np.zeros(96, dtype=np.float32))
         state = BatchNormState("conv2.bn", 96)
         tx = Tensor(x, requires_grad=True)
         tracemalloc.start()
         try:
-            out = conv_stage(tx, w, b, (2, 1), (1, 0), state, (2, 1))
+            out = conv_stage(tx, w, None, (2, 1), (1, 0), state, (2, 1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -700,19 +696,19 @@ class TestConvStage:
         assert peak <= x.nbytes + _ROW_BLOCK + (128 << 10), peak
 
 
-def _conv1_stage_run(fused, x, w, b, conv, gamma, beta, window, proj):
-    """Output, the x/w/b/gamma/beta gradients and the running stats of one
+def _conv1_stage_run(fused, x, w, conv, gamma, beta, window, proj):
+    """Output, the x/w/gamma/beta gradients and the running stats of one
     conv stage, as one conv_bn_relu_pool node or as the unfused chain."""
     state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
     state.gamma.data[:] = gamma
     state.beta.data[:] = beta
-    tx, tw, tb = Tensor(x, requires_grad=True), Parameter("w", w), Parameter("b", b)
+    tx, tw = Tensor(x, requires_grad=True), Parameter("w", w)
     if fused:
-        out = conv_bn_relu_pool(tx, tw, tb, *conv, state, window)
+        out = conv_bn_relu_pool(tx, tw, *conv, state, window)
     else:
-        out = _chain(tx, tw, tb, *conv, state, window)
+        out = _chain(tx, tw, None, *conv, state, window)
     _proj_loss(out, proj).backward()
-    return [out.data, tx.grad, tw.grad, tb.grad, state.gamma.grad, state.beta.grad,
+    return [out.data, tx.grad, tw.grad, state.gamma.grad, state.beta.grad,
             state.running_mean, state.running_var]
 
 
@@ -733,10 +729,7 @@ class TestConvBnReluPool:
         """Output, the x, w, gamma and beta gradients and the running stats,
         against conv2d, batch_norm, relu and max_pool2d in float64: within 1e-12 of the largest
         value in float64, and within 1e-5 in float32 (the chain's own float32
-        error is of the same order as the node's, under 1e-6). The bias
-        gradient is zero in exact arithmetic, since batch norm cancels the
-        bias, so it is held under 1e-8 in float64 and, in float32, under 1e-5
-        of the weight gradient's scale.
+        error is of the same order as the node's, under 1e-6).
 
         Inputs are real-valued, so no two taps tie: the node computes each
         tap from its own folded GEMM, so a tie in the conv output may
@@ -749,33 +742,28 @@ class TestConvBnReluPool:
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape)
         w = rng.normal(size=(c_out, 1) + kernel)
-        b = rng.normal(size=c_out)
         gamma = rng.normal(size=c_out)
         beta = rng.normal(size=c_out)
         conv = (stride, pad)
         state = BatchNormState("bn", c_out, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
-        act = batch_norm(conv2d(Tensor(x), Tensor(w), Tensor(b), *conv), state, True).data
+        act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
         axis = 2 if window[0] == 2 else 3
         taps = [np.moveaxis(act, axis, 0)[k:act.shape[axis] // 2 * 2:2] for k in (0, 1)]
         assert ((taps[0] < 0) & (taps[1] < 0)).any()
         assert act.shape[axis] % 2 == (shape in ((5, 1, 18, 8), (5, 1, 8, 18)))
         proj = rng.normal(size=max_pool2d(Tensor(act), window).shape)
 
-        want = _conv1_stage_run(False, x, w, b, conv, gamma, beta, window, proj)
-        got = _conv1_stage_run(True, *(a.astype(dtype) for a in (x, w, b)), conv,
+        want = _conv1_stage_run(False, x, w, conv, gamma, beta, window, proj)
+        got = _conv1_stage_run(True, *(a.astype(dtype) for a in (x, w)), conv,
                               gamma.astype(dtype), beta.astype(dtype), window,
                               proj.astype(dtype))
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        names = ("out", "x.grad", "w.grad", "b.grad", "gamma.grad", "beta.grad",
+        names = ("out", "x.grad", "w.grad", "gamma.grad", "beta.grad",
                  "running_mean", "running_var")
         for name, g, w_ in zip(names, got, want):
             assert g.dtype == dtype and g.shape == w_.shape
-            if name == "b.grad":
-                bound = 1e-8 if dtype == np.float64 else tol * np.abs(want[2]).max()
-                assert np.abs(g).max() < bound and np.abs(w_).max() < 1e-8
-            else:
-                assert _max_rel(g, w_) <= tol, name
+            assert _max_rel(g, w_) <= tol, name
 
     @pytest.mark.parametrize("shape,kernel,stride,pad,window", [
         ((3, 1, 16, 8), (3, 1), (2, 1), (1, 0), (2, 1)),
@@ -784,41 +772,31 @@ class TestConvBnReluPool:
         """Float64 central differences for x, w, gamma and beta, pooling
         along frequency and along time. Every activation and every pair
         difference is over 1e-3 from the ReLU kink and from a tie, while a
-        probe moves an activation by about 1e-4. The bias feeds a
-        training-mode batch norm, so its gradient is zero and a relative
-        comparison would be all finite-difference noise: both are checked to
-        be zero within 1e-8 instead."""
+        probe moves an activation by about 1e-4."""
         rng = np.random.default_rng(44)
         x = rng.normal(size=shape)
         w = rng.normal(size=(2, 1) + kernel)
-        b = rng.normal(size=2)
         gamma = np.array([1.3, -0.8])
         beta = np.array([0.05, -0.11])
         conv = (stride, pad)
         state = BatchNormState("bn", 2, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
-        act = batch_norm(conv2d(Tensor(x), Tensor(w), Tensor(b), *conv), state, True).data
+        act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
         axis = 2 if window[0] == 2 else 3
         taps = [np.moveaxis(act, axis, 0)[k::2] for k in (0, 1)]
         assert np.abs(act).min() > 1e-3 and (act < 0).any()
         assert np.abs(taps[0] - taps[1]).min() > 1e-3
         proj = rng.normal(size=max_pool2d(Tensor(act), window).shape)
 
-        def build(vals):  # x, w, gamma, beta and, if given, the bias
+        def build(vals):  # x, w, gamma and beta
             state = BatchNormState("bn", 2, dtype=np.float64)
             state.gamma.data[:] = vals[2]
             state.beta.data[:] = vals[3]
-            bias = vals[4] if len(vals) > 4 else b
-            tx, tw, tb = (Tensor(v, requires_grad=True) for v in (vals[0], vals[1], bias))
-            out = conv_bn_relu_pool(tx, tw, tb, *conv, state, window)
-            return _proj_loss(out, proj), [tx, tw, state.gamma, state.beta, tb][:len(vals)]
+            tx, tw = (Tensor(v, requires_grad=True) for v in vals[:2])
+            out = conv_bn_relu_pool(tx, tw, *conv, state, window)
+            return _proj_loss(out, proj), [tx, tw, state.gamma, state.beta]
 
         assert check_gradients(build, [x, w, gamma, beta]) <= 1e-4
-        with_bias = [x, w, gamma, beta, b]
-        loss, leaves = build(with_bias)
-        loss.backward()
-        numeric = fd_gradient(lambda vals: float(build(vals)[0].data), with_bias, 4)
-        assert np.abs(leaves[4].grad).max() < 1e-8 and np.abs(numeric).max() < 1e-8
 
     def test_offset_input_keeps_the_variance(self):
         """An input offset by 50, a mean far above its spread: the batch
@@ -828,13 +806,12 @@ class TestConvBnReluPool:
         rng = np.random.default_rng(46)
         x = rng.normal(size=(5, 1, 16, 8)) + 50.0
         w = rng.normal(size=(8, 1, 3, 1))
-        b = rng.normal(size=8)
         gamma, beta = rng.normal(size=8), rng.normal(size=8)
         proj = rng.normal(size=(5, 8, 4, 8))
-        args = (x, w, b, ((2, 1), (1, 0)), gamma, beta, (2, 1), proj)
+        args = (x, w, ((2, 1), (1, 0)), gamma, beta, (2, 1), proj)
         got, want = _conv1_stage_run(True, *args), _conv1_stage_run(False, *args)
-        assert _max_rel(got[6], want[6]) <= 1e-10
-        assert _max_rel(got[7] - 0.9, want[7] - 0.9) <= 1e-10
+        assert _max_rel(got[5], want[5]) <= 1e-10
+        assert _max_rel(got[6] - 0.9, want[6] - 0.9) <= 1e-10
 
     def test_backward_stays_at_pooled_size(self):
         """backward() of a conv1-sized stage under tracemalloc: past the
@@ -842,13 +819,12 @@ class TestConvBnReluPool:
         of the output, one byte per element, it allocates at most one block
         of samples (plus numpy's ufunc buffers and the columns, under
         128 KiB): neither the conv's output nor its gradient is made at full
-        size, and the w and b gradients come from pooled-size sums."""
+        size, and the w gradient comes from pooled-size sums."""
         rng = np.random.default_rng(47)
         x = rng.normal(size=(8, 1, 128, 32)).astype(np.float32)
         w = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
-        b = Parameter("conv1.b", rng.normal(size=64).astype(np.float32))
         state = BatchNormState("conv1.bn", 64)
-        out = conv_bn_relu_pool(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
+        out = conv_bn_relu_pool(Tensor(x), w, (2, 1), (1, 0), state, (2, 1))
         loss = sum_all(out)
         tracemalloc.start()
         try:
@@ -860,17 +836,17 @@ class TestConvBnReluPool:
         assert peak <= out.data.nbytes + out.data.size + ag._BLOCK_BYTES + (128 << 10), peak
 
     def test_errors_name_the_stage(self):
-        w, b = Tensor(np.ones((2, 1, 3, 1))), Tensor(np.zeros(2))
+        w = Tensor(np.ones((2, 1, 3, 1)))
         with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels but "
                                              "weights expect 1"):
-            conv_bn_relu_pool(Tensor(np.zeros((2, 2, 16, 8))), w, b, (2, 1), (1, 0),
+            conv_bn_relu_pool(Tensor(np.zeros((2, 2, 16, 8))), w, (2, 1), (1, 0),
                               BatchNormState("bn", 2), (2, 1))
         with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels, "
                                              "state has 3"):
-            conv_bn_relu_pool(Tensor(np.zeros((2, 1, 16, 8))), w, b, (2, 1), (1, 0),
+            conv_bn_relu_pool(Tensor(np.zeros((2, 1, 16, 8))), w, (2, 1), (1, 0),
                               BatchNormState("bn", 3), (2, 1))
         with pytest.raises(ConfigError, match="batch size >= 2"):
-            conv_bn_relu_pool(Tensor(np.zeros((1, 1, 16, 8))), w, b, (2, 1), (1, 0),
+            conv_bn_relu_pool(Tensor(np.zeros((1, 1, 16, 8))), w, (2, 1), (1, 0),
                               BatchNormState("bn", 2), (2, 1))
 
     def test_tape_holds_only_output_and_mask(self):
@@ -881,15 +857,14 @@ class TestConvBnReluPool:
         rng = np.random.default_rng(45)
         x = rng.normal(size=(8, 1, 128, 32)).astype(np.float32)
         w = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
-        b = Parameter("conv1.b", rng.normal(size=64).astype(np.float32))
         for fused in (True, False):
             state = BatchNormState("conv1.bn", 64)
             tracemalloc.start()
             try:
                 if fused:
-                    out = conv_bn_relu_pool(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
+                    out = conv_bn_relu_pool(Tensor(x), w, (2, 1), (1, 0), state, (2, 1))
                 else:
-                    out = _chain(Tensor(x), w, b, (2, 1), (1, 0), state, (2, 1))
+                    out = _chain(Tensor(x), w, None, (2, 1), (1, 0), state, (2, 1))
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
