@@ -41,20 +41,32 @@ def check_samples(samples: np.ndarray, what: str) -> None:
                         "are not finite values in [-1, 1]")
 
 
+def sample_array(samples, what: str, verb: str) -> np.ndarray:
+    """``samples`` as a float64 array checked by :func:`check_samples`.
+    Raise ShapeError, "``what`` ``verb`` a 1-d sample array", unless it is
+    1-d, and DataError if it holds complex or non-numeric values."""
+    a = np.asarray(samples)
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{what} rejected: samples must be real numbers, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
+    if a.ndim != 1:
+        raise ShapeError(f"{what} {verb} a 1-d sample array, got shape {a.shape}")
+    check_samples(a, what)
+    return a
+
+
 @dataclass
 class AudioClip:
     """Mono waveform at 44.1 kHz with samples in [-1, 1]; a clip holding any
-    other sample, NaN or Inf included, raises DataError, and any other rate
-    raises ConfigError (:func:`load_wav` resamples to 44.1 kHz)."""
+    other sample, NaN, Inf, complex and non-numeric values included, raises
+    DataError, and any other rate raises ConfigError (:func:`load_wav`
+    resamples to 44.1 kHz)."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1:
-            raise ShapeError(f"AudioClip needs a 1-d sample array, got shape {self.samples.shape}")
-        check_samples(self.samples, "AudioClip")
+        self.samples = sample_array(self.samples, "AudioClip", "needs")
         if self.sample_rate != SAMPLE_RATE:
             raise ConfigError(f"AudioClip must be at {SAMPLE_RATE} Hz, got {self.sample_rate}")
 

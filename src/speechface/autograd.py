@@ -494,137 +494,60 @@ def _check_conv(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None):
     return xd.shape, w.data.shape
 
 
-class _Conv:
-    """One convolution's geometry and im2col, and its forward and backward
-    one block of samples at a time.
-
-    im2col is one strided copy per kernel tap, in one of two layouts. With
-    many output positions per sample, batched (B,K,P) matmuls have plenty of
-    work each and run a block of samples at a time. With few positions the
-    whole batch is one block, folded into one big GEMM, since the extra
-    transpose copies are tiny at that size.
-    """
-
-    def __init__(self, x: Tensor, w: Tensor, b: Tensor | None, stride, pad):
-        xd = x.data
-        (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd, w, b)
-        (s_f, s_t), (p_f, p_t) = stride, pad
-        if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
-            raise ShapeError(f"conv2d: kernel ({k_f},{k_t}) larger than padded input "
-                             f"({f_in + 2 * p_f},{t_in + 2 * p_t})")
-
-        self.x, self.w, self.b, self.stride, self.pad = x, w, b, stride, pad
-        self.parents = (x, w) + ((b,) if b is not None else ())
-        f_out = (f_in + 2 * p_f - k_f) // s_f + 1
-        t_out = (t_in + 2 * p_t - k_t) // s_t + 1
-        self.shape = (nb, c_out, f_out, t_out)
-        self.wmat = w.data.reshape(c_out, -1)
-        self.dtype = np.result_type(xd.dtype, w.data.dtype)
-        n_pos = f_out * t_out
-        k_all = c_in * k_f * k_t
-        # per kernel tap (i, j): its output box and the input it reads there
-        self.taps = [(i, j, _tap_span(f_in, f_out, i, s_f, p_f),
-                      _tap_span(t_in, t_out, j, s_t, p_t))
-                     for i in range(k_f) for j in range(k_t)]
-
-        # ``tap_view`` shows either layout's slots of one tap as
-        # (B, C_in, F_out, T_out). The im2col buffer holds one block and is
-        # rebuilt from x whenever another block is asked for, in backward
-        # too: x stays alive anyway, and a whole batch of columns is up to
-        # 1.5x its size.
-        self.folded = n_pos < 64
-        if self.folded:
-            def tap_view(a, i, j):
-                return a.reshape(c_in, k_f, k_t, -1, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
-            self.blocks = [slice(0, nb)]
-            self.col = np.empty((k_all, nb * n_pos), dtype=self.dtype)
-        else:
-            def tap_view(a, i, j):
-                return a.reshape(-1, c_in, k_f, k_t, f_out, t_out)[:, :, i, j]
-            self.blocks = _blocks(nb, max(k_all, c_out) * n_pos * np.dtype(self.dtype).itemsize)
-            self.col = np.empty((self.blocks[0].stop if self.blocks else 0, k_all, n_pos),
-                                dtype=self.dtype)
-        self.tap_view = tap_view
-        self.filled = None  # the block whose columns the buffer holds
-
-    def cols(self, blk):
-        """The block's im2col in the reused buffer, (K, n*P) folded and
-        (n, K, P) otherwise; built only if the buffer holds another block."""
-        col = self.col if self.folded else self.col[:blk.stop - blk.start]
-        if blk != self.filled:
-            xb = self.x.data[blk]
-            for i, j, (f0, f1, fs), (t0, t1, ts) in self.taps:
-                _fill_box(self.tap_view(col, i, j), (f0, f1), (t0, t1), xb[:, :, fs, ts])
-            self.filled = blk
-        return col
-
-    def output(self, blk, out):
-        """The conv of the block's samples into ``out``, (n, C_out, P)."""
-        if self.folded:
-            # (C_out, n*P), which for one sample is already the layout of out
-            one = out[0] if len(out) == 1 else None
-            o2 = np.matmul(self.wmat, self.cols(blk), out=one)
-            if self.b is not None:
-                o2 += self.b.data[:, None]
-            if one is None:
-                out[...] = o2.reshape(out.shape[1], len(out), out.shape[2]).transpose(1, 0, 2)
-        else:
-            np.matmul(self.wmat, self.cols(blk), out=out)
-            if self.b is not None:
-                out += self.b.data[:, None]
-        return out
-
-    def backward(self, grads) -> None:
-        """Accumulate the w, b and x gradients from (blk, gm) pairs, gm being
-        the output gradient (n, C_out, P) of the samples in blk, taken in
-        block order."""
-        xd = self.x.data
-        gx = np.empty(xd.shape, dtype=xd.dtype) if self.x.requires_grad else None
-        if self.folded:
-            (blk, gm), = grads
-            gmat = np.ascontiguousarray(gm.transpose(1, 0, 2)).reshape(len(self.wmat), -1)
-            gw, gb = gmat @ self.cols(blk).T, gmat.sum(axis=1)
-            if gx is not None:
-                _col2im(gx, self.wmat.T @ gmat, self.tap_view, self.taps, self.stride, self.pad)
-        else:
-            gw = np.zeros(self.wmat.shape, dtype=self.dtype)
-            gb = np.zeros(self.shape[1], dtype=self.dtype)
-            gcol = np.empty_like(self.col) if gx is not None else None
-            for blk, gm in grads:
-                cb = self.cols(blk)
-                gw += np.matmul(gm, cb.transpose(0, 2, 1)).sum(axis=0)
-                gb += gm.sum(axis=(0, 2))
-                if gx is not None:
-                    gcb = np.matmul(self.wmat.T, gm, out=gcol[:len(gm)])
-                    _col2im(gx[blk], gcb, self.tap_view, self.taps, self.stride, self.pad)
-        _accum_owned(self.w, gw.reshape(self.w.data.shape))
-        if self.b is not None:
-            _accum_owned(self.b, gb)
-        if gx is not None:
-            _accum_owned(self.x, gx)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), pad=(0, 0)) -> Tensor:
     """2-d cross-correlation over (freq, time) with symmetric zero padding.
 
     ``x`` is (B, C_in, F, T) and ``w`` is (C_out, C_in, kF, kT). Output
     spatial dims follow the usual floor((size + 2*pad - kernel) / stride) + 1
-    rule. The padded input is never built: padding is written as zeros into
-    the im2col slots it covers, and the input gradient is assembled from the
-    spans of input that the kernel taps cover.
+    rule. The whole batch is one tap-major im2col, (C_in*kF*kT, B*F_out*T_out),
+    filled by one strided copy per kernel tap, and one GEMM. The padded input
+    is never built: padding is written as zeros into the im2col slots it
+    covers, and the input gradient is assembled from the spans of input that
+    the kernel taps cover.
     """
-    cv = _Conv(x, w, b, stride, pad)
-    nb, c_out, f_out, t_out = cv.shape
-    out = np.empty((nb, c_out, f_out * t_out), dtype=cv.dtype)
-    for blk in cv.blocks:
-        cv.output(blk, out[blk])
+    xd = x.data
+    (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd, w, b)
+    (s_f, s_t), (p_f, p_t) = stride, pad
+    if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
+        raise ShapeError(f"conv2d: kernel ({k_f},{k_t}) larger than padded input "
+                         f"({f_in + 2 * p_f},{t_in + 2 * p_t})")
+    f_out = (f_in + 2 * p_f - k_f) // s_f + 1
+    t_out = (t_in + 2 * p_t - k_t) // s_t + 1
+    n_pos = f_out * t_out
+    wmat = w.data.reshape(c_out, -1)
+    # per kernel tap (i, j): its output box and the input it reads there
+    taps = [(i, j, _tap_span(f_in, f_out, i, s_f, p_f), _tap_span(t_in, t_out, j, s_t, p_t))
+            for i in range(k_f) for j in range(k_t)]
+
+    def tap_view(a, i, j):  # tap (i, j)'s slots of the im2col, (B, C_in, F_out, T_out)
+        return a.reshape(c_in, k_f, k_t, nb, f_out, t_out)[:, i, j].transpose(1, 0, 2, 3)
+
+    dtype = np.result_type(xd.dtype, w.data.dtype)
+    col = np.empty((c_in * k_f * k_t, nb * n_pos), dtype=dtype)
+    for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
+        _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xd[:, :, fs, ts])
+    # (C_out, B*P), which for one sample is already the layout of the output
+    out = np.empty((nb, c_out, n_pos), dtype=dtype)
+    o2 = np.matmul(wmat, col, out=out[0] if nb == 1 else None)
+    if b is not None:
+        o2 += b.data[:, None]
+    if nb != 1:
+        out[...] = o2.reshape(c_out, nb, n_pos).transpose(1, 0, 2)
 
     def backward(g):
-        gmat = g.reshape(nb, c_out, f_out * t_out)
-        cv.backward((blk, gmat[blk]) for blk in cv.blocks)
+        gmat = np.ascontiguousarray(g.reshape(nb, c_out, n_pos).transpose(1, 0, 2))
+        gmat = gmat.reshape(c_out, -1)
+        _accum_owned(w, (gmat @ col.T).reshape(w.data.shape))
+        if b is not None:
+            _accum_owned(b, gmat.sum(axis=1))
+        if x.requires_grad:
+            gx = np.empty(xd.shape, dtype=xd.dtype)
+            _col2im(gx, wmat.T @ gmat, tap_view, taps, stride, pad)
+            _accum_owned(x, gx)
 
-    return _make(out.reshape(cv.shape), cv.parents, backward)
+    return _make(out.reshape(nb, c_out, f_out, t_out), (x, w) + ((b,) if b is not None else ()),
+                 backward)
 
 
 def _col2im(gx, gcol, tap_view, taps, stride, pad) -> None:

@@ -198,6 +198,10 @@ def read_param_csv(path) -> list:
         if len(parts) != 1 + _TARGET_DIM:
             raise ParseError(f"{path}: line {lineno}: expected {1 + _TARGET_DIM} "
                              f"columns, found {len(parts)}")
+        # int() and float() also take Python's spellings: 1_0, and non-ASCII digits
+        if "_" in line or not line.isascii():
+            raise ParseError(f"{path}: line {lineno}: numbers must be plain ASCII "
+                             f"decimals, without '_'")
         try:
             index = int(parts[0])
             vec = np.array([float(p) for p in parts[1:]])

@@ -13,9 +13,9 @@ import time
 import numpy as np
 
 from . import autograd as ag
-from .audio import (FFT_SIZE, HOP, WINDOW_SAMPLES, NormStats, check_fps, check_samples,
-                    frame_boundary, power_columns)
-from .errors import ConfigError, DataError, ShapeError, SpeechFaceError
+from .audio import (FFT_SIZE, HOP, WINDOW_SAMPLES, NormStats, check_fps, frame_boundary,
+                    power_columns, sample_array)
+from .errors import ConfigError, DataError, SpeechFaceError
 from .model import Model, _assemble, forward_split
 
 # A frame's first HEAD_START_COLUMNS spectrogram columns end HEAD_START_LEAD
@@ -78,18 +78,16 @@ class StreamingSession:
         A chunk is consumed whole or not at all. As in :class:`AudioClip`, it
         must be a 1-d sample array, and its samples must lie in [-1, 1]. A
         chunk of any other shape raises ShapeError up front, and one holding
-        any sample outside [-1, 1], NaN or Inf included, raises DataError up
-        front. A chunk whose audio makes a frame fail raises naming that
-        frame, or the next frame's head start if that fails. Either way the
-        buffered audio, the frame count, the recurrent state and the head
-        start stay as they were before the chunk. They are assigned once,
-        after the chunk's frames and head start have run, so any other exception,
-        KeyboardInterrupt included, propagates and leaves them unchanged too.
+        any sample outside [-1, 1], NaN or Inf included, or a complex or
+        non-numeric value, raises DataError up front. A chunk whose audio
+        makes a frame fail raises naming that frame, or the next frame's
+        head start if that fails. Either way the buffered audio, the frame
+        count, the recurrent state and the head start stay as they were
+        before the chunk. They are assigned once, after the chunk's frames
+        and head start have run, so any other exception, KeyboardInterrupt
+        included, propagates and leaves them unchanged too.
         """
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ShapeError(f"chunk must be a 1-d sample array, got shape {samples.shape}")
-        check_samples(samples, "chunk")
+        samples = sample_array(samples, "chunk", "must be")
         # buf[i] is absolute sample first + i; the session changes only at the end
         buf = np.concatenate([self._tail, samples])
         first = self._heard - WINDOW_SAMPLES

@@ -5,6 +5,7 @@ arithmetic against hand-computed sample indices for the end-aligned,
 no-lookahead convention.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -180,6 +181,26 @@ class TestAudioClip:
     def test_full_scale_samples_accepted(self):
         clip = AudioClip(np.array([-1.0, 1.0, 0.0, -32768 / 32768]))
         assert clip.samples.tolist() == [-1.0, 1.0, 0.0, -1.0]
+
+    @pytest.mark.parametrize("samples", [np.array([0.1 + 0.9j, 0.2]), ["0.1", "a"], [0.1, None]],
+                             ids=["complex", "string", "object"])
+    def test_complex_or_non_numeric_samples_rejected(self, samples):
+        """DataError names the dtype, rather than a clip that drops the
+        imaginary parts or a bare ValueError."""
+        with pytest.raises(DataError, match="AudioClip rejected: samples must be real numbers"):
+            AudioClip(samples)
+
+    @pytest.mark.parametrize("samples", [np.array([0, 1, -1], dtype=np.int16), [False, True]],
+                             ids=["int16", "bool"])
+    def test_integer_and_bool_samples_become_float64(self, samples):
+        clip = AudioClip(samples)
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tolist() == [float(v) for v in samples]
+
+    def test_samples_that_are_not_1d_rejected(self):
+        with pytest.raises(ShapeError, match=re.escape("AudioClip needs a 1-d sample array, "
+                                                       "got shape (2, 3)")):
+            AudioClip(np.zeros((2, 3)))
 
 
 class TestFrameWindows:

@@ -330,6 +330,31 @@ class TestDataFiles:
         with pytest.raises(ParseError, match=": line 2: frame index must be a non-negative"):
             read_param_csv(path)
 
+    @pytest.mark.parametrize("column,cell", [(0, "1_0"), (4, "0_5e-1"), (0, "٣"),
+                                             (4, "٠.٥"), (4, "0.5 ")])
+    def test_csv_rejects_python_only_number_spellings(self, tmp_path, column, cell):
+        """int() and float() read 1_0 as 10, 0_5e-1 as 0.05, Arabic-Indic
+        digits as their values and strip Unicode spaces; a field holding '_'
+        or any non-ASCII character raises ParseError naming its line."""
+        vals = ["0.0"] * 3 + ["0.5"] * 46
+        bad = ["1"] + vals
+        bad[column] = cell
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join([CSV_HEADER, "0," + ",".join(vals), ",".join(bad)]),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=": line 3: numbers must be plain ASCII"):
+            read_param_csv(path)
+
+    def test_csv_ascii_number_spellings_still_parse(self, tmp_path):
+        """Spaces, signs, exponents and bare points around plain ASCII
+        digits read as before."""
+        path = tmp_path / "p.csv"
+        vals = [" 2 ", "+0.25", "-0.", "1E-1", ".5", "5e-1 "] + ["0.5"] * 44
+        path.write_text(CSV_HEADER + "\n" + ",".join(vals) + "\n")
+        frame, = read_param_csv(path)
+        assert frame.frame_index == 2
+        assert frame.vector[:5].tolist() == [0.25, 0.0, 0.1, 0.5, 0.5]
+
     @pytest.mark.parametrize("column", ["targets", "spectrograms"])
     def test_dataset_rejects_non_finite(self, column):
         ds = small_dataset()

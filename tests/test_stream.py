@@ -151,6 +151,27 @@ class TestStreamingSession:
             assert g.frame_index == w.frame_index
             assert g.vector.tobytes() == w.vector.tobytes()
 
+    @pytest.mark.parametrize("chunk", [np.array([0.1 + 0.9j, 0.2]), ["a"], [0.1, None]],
+                             ids=["complex", "string", "object"])
+    def test_complex_or_non_numeric_chunk_rejected(self, chunk):
+        """DataError names the chunk's dtype, rather than frames that drop the
+        imaginary parts or a bare ValueError, and the session carries on as if
+        the chunk had never been pushed. A chunk that is not 1-d keeps its
+        ShapeError text."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        session = StreamingSession(model)
+        assert session.push(samples[:1000]) == []
+        with pytest.raises(DataError, match="chunk rejected: samples must be real numbers"):
+            session.push(chunk)
+        with pytest.raises(ShapeError, match=re.escape("chunk must be a 1-d sample array, "
+                                                       "got shape (2, 1)")):
+            session.push(np.zeros((2, 1)))
+        got = session.push(samples[1000:])
+        want = StreamingSession(model).push(samples)
+        assert len(got) == len(want) == 18
+        assert [g.vector.tobytes() for g in got] == [w.vector.tobytes() for w in want]
+
     def test_chunk_that_fails_a_frame_is_not_consumed(self, monkeypatch):
         """The chunk below emits frame 4, then fails frame 5 through a
         boundary step that raises; afterwards the session carries on exactly

@@ -302,7 +302,7 @@ class TestConv2d:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_on_wide_output(self):
-        """A wide output exercises the batched (per-sample) gemm layout."""
+        """A wide output: 320 positions per sample, two samples."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 3, 20, 16))
         w = rng.normal(size=(4, 3, 3, 3))
@@ -735,10 +735,9 @@ class TestConvBnReluPool:
         tap from its own folded GEMM, so a tie in the conv output may
         resolve either way. Some pairs have both taps below zero after batch
         norm. The second and third shapes pool 9 rows or columns, so a
-        trailing one is dropped. The fourth has 32 output positions per
-        sample, under conv2d's 64, so the chain's conv folds its batch into
-        one GEMM. The last is conv1's geometry, which runs as several blocks
-        of samples."""
+        trailing one is dropped. The fourth has a narrow output, 32
+        positions per sample. The last is conv1's geometry, which the node
+        runs as several blocks of samples."""
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape)
         w = rng.normal(size=(c_out, 1) + kernel)
@@ -961,7 +960,7 @@ class TestGradients:
         check_gradients(build, [x, w, b])
 
     def test_conv2d_narrow_output(self):
-        """Few output positions per sample (the folded gemm layout)."""
+        """Few output positions per sample (6), strided and padded."""
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 3, 5, 4))
         w = rng.normal(size=(4, 3, 2, 3))
@@ -975,7 +974,7 @@ class TestGradients:
         check_gradients(build, [x, w, b])
 
     def test_conv2d_wide_output(self):
-        """Many output positions per sample (the batched gemm layout)."""
+        """Many output positions per sample (90), padded."""
         rng = np.random.default_rng(24)
         x = rng.normal(size=(2, 2, 10, 9))
         w = rng.normal(size=(3, 2, 3, 3))
@@ -988,13 +987,15 @@ class TestGradients:
 
         check_gradients(build, [x, w, b])
 
+    @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("t_in", [7, 190])
-    def test_conv2d_padding_and_stride_on_both_axes(self, t_in):
-        """Tap 0 along freq reads only padding (one output row), the time
-        stride exceeds the kernel so some input columns feed no output, and
-        both im2col layouts (7 and 190 columns) are covered."""
+    def test_conv2d_padding_and_stride_on_both_axes(self, t_in, batch):
+        """Tap 0 along freq reads only padding (one output row), and the time
+        stride exceeds the kernel so some input columns feed no output; with
+        a narrow and a wide output (3 and 64 positions per sample), and with
+        one sample, whose GEMM writes the output in place, and two."""
         rng = np.random.default_rng(32)
-        x = rng.normal(size=(2, 2, 2, t_in))
+        x = rng.normal(size=(batch, 2, 2, t_in))
         w = rng.normal(size=(3, 2, 3, 2))
         b = rng.normal(size=3)
         out_shape = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 3), pad=(1, 1)).shape
@@ -1170,8 +1171,8 @@ class TestGradients:
 class TestEmptyBatch:
     @pytest.mark.parametrize("f_in", [2, 16])
     def test_trunk_ops_pass_an_empty_batch(self, f_in):
-        """conv (folded and batched layouts), batch norm, relu and pool
-        forward and backward on zero samples."""
+        """conv (narrow and wide output), batch norm, relu and pool forward
+        and backward on zero samples."""
         x = Tensor(np.zeros((0, 2, f_in, 8)), requires_grad=True)
         w = Tensor(np.ones((3, 2, 3, 1)), requires_grad=True)
         bn = BatchNormState("bn", 3, dtype=np.float64)
