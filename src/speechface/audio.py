@@ -44,8 +44,12 @@ def check_samples(samples: np.ndarray, what: str) -> None:
 def sample_array(samples, what: str, verb: str) -> np.ndarray:
     """``samples`` as a float64 array checked by :func:`check_samples`.
     Raise ShapeError, "``what`` ``verb`` a 1-d sample array", unless it is
-    1-d, and DataError if it holds complex or non-numeric values."""
-    a = np.asarray(samples)
+    1-d (a ragged sequence included), and DataError if it holds complex or
+    non-numeric values."""
+    try:
+        a = np.asarray(samples)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what} {verb} a 1-d sample array, got a ragged sequence") from None
     if a.dtype.kind not in "biuf":
         raise DataError(f"{what} rejected: samples must be real numbers, got dtype {a.dtype}")
     a = a.astype(np.float64, copy=False)

@@ -501,10 +501,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     ``x`` is (B, C_in, F, T) and ``w`` is (C_out, C_in, kF, kT). Output
     spatial dims follow the usual floor((size + 2*pad - kernel) / stride) + 1
     rule. The whole batch is one tap-major im2col, (C_in*kF*kT, B*F_out*T_out),
-    filled by one strided copy per kernel tap, and one GEMM. The padded input
-    is never built: padding is written as zeros into the im2col slots it
-    covers, and the input gradient is assembled from the spans of input that
-    the kernel taps cover.
+    filled by one strided copy per kernel tap, and one batched GEMM, which
+    reads each sample's columns in place and writes its (C_out, F_out*T_out)
+    block of the output. The padded input is never built: padding is
+    written as zeros into the im2col slots it covers, and the input gradient
+    is assembled from the spans of input that the kernel taps cover.
     """
     xd = x.data
     (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd, w, b)
@@ -527,13 +528,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     col = np.empty((c_in * k_f * k_t, nb * n_pos), dtype=dtype)
     for i, j, (f0, f1, fs), (t0, t1, ts) in taps:
         _fill_box(tap_view(col, i, j), (f0, f1), (t0, t1), xd[:, :, fs, ts])
-    # (C_out, B*P), which for one sample is already the layout of the output
-    out = np.empty((nb, c_out, n_pos), dtype=dtype)
-    o2 = np.matmul(wmat, col, out=out[0] if nb == 1 else None)
+    out = wmat @ col.reshape(len(col), nb, n_pos).transpose(1, 0, 2)  # (B, C_out, P)
     if b is not None:
-        o2 += b.data[:, None]
-    if nb != 1:
-        out[...] = o2.reshape(c_out, nb, n_pos).transpose(1, 0, 2)
+        out += b.data[:, None]
 
     def backward(g):
         gmat = np.ascontiguousarray(g.reshape(nb, c_out, n_pos).transpose(1, 0, 2))

@@ -364,7 +364,7 @@ def _spec_bands(spec) -> np.ndarray:
 
 
 # Frames per chunk of a plan's run: small enough that a chunk's trunk
-# intermediates (1 MB per frame out of conv1) are reused from cache, large
+# intermediates (512 KB per frame out of pool1) are reused from cache, large
 # enough that the early convs still run GEMMs of thousands of rows. Chosen by
 # the sweep recorded in CHANGES.md.
 TRUNK_CHUNK = 8
@@ -374,10 +374,15 @@ TRUNK_CHUNK = 8
 class _Plan:
     """A model compiled for inference: float64 weights in GEMM layout.
 
-    ``trunk`` holds one (k, stride, pad, w, b) row per layer of the stack,
-    each acting along L of a channels-last (N, L, C) activation; a pool has
-    ``w`` None. The first ``column_stages`` rows act along frequency, with N
-    frames x columns; frequency is 1 after them, and the rest act along
+    ``front`` is conv1 fused with pool1 (:func:`_front`), one (k, stride,
+    pad, w) row along frequency: tap i of pooled output j reads input
+    stride*j + i - pad. w, (k + 1, window, C), holds conv1's kernel under
+    each pool tap e, shifted down by e times conv1's stride, and conv1's
+    bias in its last row; both have batch norm folded in. ``trunk`` holds
+    one (k, stride, pad, w, b) row per later layer of the stack, each
+    acting along L of a channels-last (N, L, C) activation; a pool has
+    ``w`` None. The first ``column_stages`` rows act along frequency, with
+    N frames x columns; frequency is 1 after them, and the rest act along
     time, with N frames. Conv weights are (k, C_in, C_out) with batch norm
     folded in. ``head_w``/``head_b`` stack the rotation head over the
     expression head.
@@ -386,6 +391,7 @@ class _Plan:
     variant: str
     hidden: int
     column_stages: int
+    front: tuple
     trunk: tuple
     dense1: tuple
     cell: tuple
@@ -418,11 +424,18 @@ def _compile(model: Model) -> _Plan:
                 b -= _f64(bn.running_mean) * scale
             w = np.ascontiguousarray(w.transpose(2, 1, 0))
         trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
+    (k, s, p, w, b), (window, stride, *_) = trunk[:2]  # conv1 and pool1
+    taps = k + s * (window - 1)
+    front = np.zeros((taps + 1, window, len(b)))
+    for e in range(window):
+        front[e * s:e * s + k, e] = w[:, 0]
+    front[taps] = b
     return _Plan(
         variant=model.variant,
         hidden=arch.hidden,
-        column_stages=arch.column_stages,
-        trunk=tuple(trunk),
+        column_stages=arch.column_stages - 2,
+        front=(taps, s * stride, p, front),
+        trunk=tuple(trunk[2:]),
         dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
         cell=tuple(map(_f64, model.cell or ())),
         dense2=(_f64(model.dense2_w), _f64(model.dense2_b)),
@@ -431,22 +444,28 @@ def _compile(model: Model) -> _Plan:
     )
 
 
-def _conv(x, k, s, p, w):
-    """Convolution along L of channels-last (N, L, C_in) x, without bias;
-    ``w`` is (k, C_in, C_out).
-
-    One input channel builds a tap-major (N*m, k) im2col matrix, zero
-    padding written only into the slots it covers, for one GEMM. More
-    channels need L = m*s and run one GEMM per tap group on x in place,
-    :func:`~.autograd._gemm_conv`, the kernel training runs too.
-    """
-    n, length, c = x.shape
-    if c > 1:
-        return ag._gemm_conv(x, k, s, p, w)
-    m = (length + 2 * p - k) // s + 1
-    col = np.empty((n, m, k))
-    ag._tap_cols(col, x[:, :, 0], s, p, k)
-    return (col.reshape(n * m, k) @ w[:, 0]).reshape(n, m, -1)
+def _front(plan: _Plan, x: np.ndarray) -> np.ndarray:
+    """conv1, pool1 and the ReLU on (..., L) one-channel x -> channels-last
+    (N, m, C), N the product of x's leading dimensions, without making
+    conv1's output: each block of rows of a tap-major im2col with a ones
+    column, times ``plan.front``, gives every pool tap's conv output with
+    its bias side by side, and their maximum goes straight into the result.
+    Max commutes with adding a per-channel constant, so only the GEMM's
+    rounding differs from conv, pool, then bias."""
+    k, s, p, w = plan.front
+    window, c = w.shape[1:]
+    m = (x.shape[-1] + 2 * p - k) // s + 1
+    col = np.empty((*x.shape[:-1], m, k + 1))
+    ag._tap_cols(col, x, s, p, k)
+    col[..., k] = 1.0
+    col = col.reshape(-1, k + 1)
+    w = w.reshape(k + 1, -1)
+    out = np.empty((len(col), c))
+    for blk in ag._blocks(len(col), w.shape[1] * w.itemsize):
+        taps, pooled = (col[blk] @ w).reshape(-1, window, c), out[blk]
+        np.maximum(taps[:, 0], taps[:, 1], out=pooled)  # pool1's two taps
+        np.maximum(pooled, 0.0, out=pooled)
+    return out.reshape(-1, m, c)
 
 
 def _bias_relu(x, b):
@@ -467,12 +486,15 @@ def _pool(x, k, s):
 def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
     """Conv/pool stack and dense1 on (B, F, T) bands -> (B, hidden).
 
-    A conv's bias and ReLU wait until after the pools that follow it: max
-    pooling commutes with adding a per-channel constant and with ReLU, both
-    monotone even when rounded, so this is exact and works on fewer values.
+    conv1 and pool1 run as :func:`_front`, which reads the bands in place.
+    Every later conv runs one GEMM per tap group on its input in place
+    (:func:`~.autograd._gemm_conv`, the kernel training runs too). Its bias
+    and ReLU wait until after the pools that follow it: max pooling
+    commutes with adding a per-channel constant and with ReLU, both monotone
+    even when rounded, so this is exact and works on fewer values.
     """
-    frames, f, t = bands.shape
-    x = bands.transpose(0, 2, 1).reshape(frames * t, f, 1)
+    frames, _, t = bands.shape
+    x = _front(plan, bands.transpose(0, 2, 1))
     bias = None
     for stage, (k, s, p, w, b) in enumerate(plan.trunk):
         if stage == plan.column_stages:
@@ -482,7 +504,7 @@ def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
             continue
         if bias is not None:
             x = _bias_relu(x, bias)
-        x, bias = _conv(x, k, s, p, w), b
+        x, bias = ag._gemm_conv(x, k, s, p, w), b
     x = _bias_relu(x, bias)
     w, b = plan.dense1
     h = x.transpose(0, 2, 1).reshape(frames, -1) @ w.T  # flatten as (C, F, T)
@@ -490,11 +512,15 @@ def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
     return np.tanh(h, out=h)
 
 
-def _chunked(f, x: np.ndarray) -> np.ndarray:
-    """``f`` on x in blocks of TRUNK_CHUNK rows (len(x) is a multiple of it):
-    BLAS may round a GEMM differently at another row count, so every GEMM of
-    the plan that acts on frames runs on this many rows."""
-    return np.concatenate([f(x[i:i + TRUNK_CHUNK]) for i in range(0, len(x), TRUNK_CHUNK)])
+def _chunked(f, x, width: int) -> np.ndarray:
+    """``f`` on each block of TRUNK_CHUNK rows of x, gathered into one array
+    of ``width`` columns; each call gives TRUNK_CHUNK rows, the last one
+    too: BLAS may round a GEMM differently at another row count, so every
+    GEMM of the plan that acts on frames runs on this many rows."""
+    out = np.empty((-(-len(x) // TRUNK_CHUNK) * TRUNK_CHUNK, width))
+    for i in range(0, len(x), TRUNK_CHUNK):
+        out[i:i + TRUNK_CHUNK] = f(x[i:i + TRUNK_CHUNK])
+    return out
 
 
 def _recur(plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -503,7 +529,7 @@ def _recur(plan: _Plan, x: np.ndarray) -> np.ndarray:
         return x
     hid = plan.hidden
     w_x, w_h = plan.cell[:2]
-    px = _chunked(lambda rows: rows @ w_x.T, x)  # input projection
+    px = _chunked(lambda rows: rows @ w_x.T, x, len(w_x))  # input projection
     px += plan.cell[-1]
     out = np.empty_like(x)
     h = np.zeros((1, hid))
@@ -570,14 +596,15 @@ def forward_split(model: Model, bands, state: tuple | None, frame_index: int,
 def forward_sequence(model: Model, specs):
     """Run a spectrogram sequence through the network from a zero state.
 
-    Compiles the model's current weights into a plan and runs every frame
-    through it. The frames are zero-padded to a multiple of TRUNK_CHUNK, and
-    the trunk, the recurrent layer's input projection, and dense2 with the
-    heads each run in chunks of TRUNK_CHUNK frames; the recurrence advances
-    one frame at a time. So every GEMM sees a fixed row count, and a frame's
-    result depends neither on where it sits nor on the sequence's length,
-    one frame included. Gives the frames of folding :func:`forward` over the
-    sequence, to within about 1e-15.
+    Checks every frame, then compiles the model's current weights into a
+    plan and runs the frames through it. The trunk takes TRUNK_CHUNK frames
+    at a time, stacked into one reused buffer whose tail is zero-filled past
+    the last frame; the recurrent layer's input projection, and dense2 with
+    the heads, also run in chunks of TRUNK_CHUNK frames, and the recurrence
+    advances one frame at a time. So every GEMM sees a fixed row count, and
+    a frame's result depends neither on where it sits nor on the sequence's
+    length, one frame included. Gives the frames of folding :func:`forward`
+    over the sequence, to within about 1e-15.
     """
     specs = list(specs)
     if not specs:
@@ -587,19 +614,24 @@ def forward_sequence(model: Model, specs):
     for i, b in enumerate(bands):
         if np.shape(b) != shape:
             raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, expected {shape}")
-    n = len(bands)
-    padded = np.zeros((-(-n // TRUNK_CHUNK) * TRUNK_CHUNK, *shape))
-    finite = np.isfinite(np.stack(bands, out=padded[:n])).all(axis=(1, 2))
-    if not finite.all():
-        raise DataError(f"input: frame {int(np.argmin(finite))} has non-finite bands")
+        if not np.isfinite(b).all():
+            raise DataError(f"input: frame {i} has non-finite bands")
     plan = _compile(model)
+    chunk = np.empty((TRUNK_CHUNK, *shape))
+
+    def trunk(part):
+        np.stack(part, out=chunk[:len(part)])
+        chunk[len(part):] = 0.0
+        return _trunk(plan, chunk)
+
     (w, b), r = plan.dense2, NUM_ROTATION
-    out = _recur(plan, _chunked(lambda x: _trunk(plan, x), padded))
-    y = _chunked(lambda x: np.tanh(x @ w.T + b) @ plan.head_w.T + plan.head_b, out)
+    out = _recur(plan, _chunked(trunk, bands, plan.hidden))
+    y = _chunked(lambda x: np.tanh(x @ w.T + b) @ plan.head_w.T + plan.head_b, out,
+                 len(plan.head_w))
     y[:, :r] = np.tanh(y[:, :r])
     y[:, r:] = ag._sigmoid(y[:, r:])
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)
-            for i, (p, s) in enumerate(zip(y[:n], specs))]
+            for i, (p, s) in enumerate(zip(y, specs))]
 
 
 def forward_trace(model: Model) -> list:

@@ -202,6 +202,13 @@ class TestAudioClip:
                                                        "got shape (2, 3)")):
             AudioClip(np.zeros((2, 3)))
 
+    def test_ragged_samples_rejected(self):
+        """A ragged sequence gets the 1-d ShapeError, not numpy's bare
+        ValueError about an inhomogeneous shape."""
+        with pytest.raises(ShapeError, match=re.escape("AudioClip needs a 1-d sample array, "
+                                                       "got a ragged sequence")):
+            AudioClip([[0.1], [0.2, 0.3]])
+
 
 class TestFrameWindows:
     def test_boundary_arithmetic(self):

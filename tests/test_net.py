@@ -1,6 +1,7 @@
 """Network tests: architecture conformance, variants, streaming, checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from speechface.model import (
     STANDARD_ARCH,
     TRUNK_CHUNK,
     VARIANTS,
-    _conv,
+    _compile,
+    _front,
     _pool,
     build_model,
     forward,
@@ -23,6 +25,7 @@ from speechface.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from speechface import model as model_module
 from speechface.stream import _float64_copy
 
 
@@ -450,6 +453,61 @@ class TestInferencePlan:
         with pytest.raises(DataError, match=r"frame 0 has non-finite bands"):
             forward_sequence(model, specs[3:4])
 
+    def test_non_finite_frame_in_a_later_chunk_is_named_before_compiling(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        model = build_model("cnn_lstm", seed=0)
+        specs = random_specs(rng, 2 * TRUNK_CHUNK)
+        specs[TRUNK_CHUNK + 3].bands[100, 31] = -np.inf
+
+        def compile_(model):
+            raise AssertionError("compiled before every frame was checked")
+
+        monkeypatch.setattr(model_module, "_compile", compile_)
+        with pytest.raises(DataError, match=rf"frame {TRUNK_CHUNK + 3} has non-finite bands"):
+            forward_sequence(model, specs)
+
+    def test_matches_autograd_path_when_relu_zeroes_half_of_pool1(self):
+        """conv1's folded bias is set to minus the median of each channel's
+        pooled conv output, so the ReLU that the plan applies after the max
+        of pool1's taps zeroes about half of pool1's outputs."""
+        rng = np.random.default_rng(17)
+        model = build_model("cnn_lstm", seed=7)
+        randomize_batch_norm(model, rng)
+        specs = random_specs(rng, LONG_CLIP)
+        bands = np.stack([s.bands for s in specs])
+        model.conv_w["conv1"].data *= 32.0
+        bn = model.conv_bn["conv1"]
+        bn.beta.data[:] = 0.0
+        pooled = _pool(conv1_oracle(model, bands), 2, 2)
+        bn.beta.data -= np.median(pooled, axis=(0, 1)).astype(np.float32)
+        with ag.no_grad():
+            pool1 = dict(model.layers(ag.Tensor(bands[:, None]), training=False))["pool1"]
+        assert 0.4 <= np.mean(pool1.data == 0.0) <= 0.6
+        bias = _compile(model).front[3][-1, 0]  # conv1's folded bias
+        assert np.all(bias < -0.5) and np.mean(bias) < -2.0
+        want = autograd_reference(model, bands)
+        got = np.array([f.vector for f in forward_sequence(model, specs)])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_memory_grows_by_at_most_12_kib_per_frame(self):
+        """Under tracemalloc, 640 frames peak at most 12 KiB per extra frame
+        above 64 frames: the trunk features, the recurrent layer's input
+        projection and its output, about 2 + 8 + 2 KiB per frame of
+        cnn_lstm. The frames' spectrograms are one trunk chunk at a time,
+        and conv1's output at full resolution is never made."""
+        rng = np.random.default_rng(18)
+        model = build_model("cnn_lstm", seed=0)
+        specs = random_specs(rng, 640)
+        peaks = []
+        for n in (64, 640):
+            tracemalloc.start()
+            try:
+                forward_sequence(model, specs[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= (640 - 64) * (12 << 10), peaks
+
 
 def conv_oracle(x, k, s, p, w):
     """Explicit zero padding, then every output's window through einsum."""
@@ -459,11 +517,22 @@ def conv_oracle(x, k, s, p, w):
     return np.einsum("njic,ico->njo", windows, w)
 
 
+def conv1_oracle(model, bands):
+    """conv1 with its batch norm in inference mode, in float64, on (B, F, T)
+    bands -> channels-last (B*T, F_out, C), through the padded einsum."""
+    bn = model.conv_bn["conv1"]
+    gamma, beta, mean, var = (np.asarray(a, np.float64) for a in
+                              (bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var))
+    scale = gamma / np.sqrt(var + bn.epsilon)
+    w = np.asarray(model.conv_w["conv1"].data[:, 0, :, 0].T, np.float64)[:, None]  # (3, 1, 64)
+    x = bands.transpose(0, 2, 1).reshape(-1, bands.shape[1], 1)
+    return conv_oracle(x, 3, 2, 1, w) * scale + (beta - mean * scale)
+
+
 class TestPlanKernels:
     """The plan's conv and pool on channels-last (N, L, C) activations."""
 
     @pytest.mark.parametrize("k,s,p,c_in,length", [
-        (3, 2, 1, 1, 128),   # conv1: tap-major im2col
         (3, 2, 1, 64, 32),   # conv2: block view, taps split over two blocks
         (3, 2, 1, 96, 8),    # conv3
         (2, 2, 0, 160, 2),   # conv5: one block per output
@@ -474,10 +543,25 @@ class TestPlanKernels:
         rng = np.random.default_rng(k * 100 + c_in + length)
         x = rng.normal(size=(6, length, c_in))
         w = rng.normal(size=(k, c_in, 11))
-        got = _conv(x, k, s, p, w)
+        got = ag._gemm_conv(x, k, s, p, w)
         want = conv_oracle(x, k, s, p, w)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("frames", [1, TRUNK_CHUNK])
+    def test_front_matches_conv_pool_bias_relu(self, frames):
+        """conv1 and pool1 as one GEMM per block, against conv1 through the
+        padded einsum, pool1, its folded bias and the ReLU; the input is laid
+        out as the trunk passes it, a transposed view of the bands."""
+        rng = np.random.default_rng(19 + frames)
+        model = build_model("cnn_static", seed=1)
+        randomize_batch_norm(model, rng)
+        bands = rng.normal(size=(frames, NUM_BANDS, NUM_COLUMNS))
+        want = np.maximum(_pool(conv1_oracle(model, bands), 2, 2), 0.0)
+        got = _front(_compile(model), bands.transpose(0, 2, 1))
+        assert got.shape == want.shape == (frames * NUM_COLUMNS, NUM_BANDS // 4, 64)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert 0.0 < np.mean(got == 0.0) < 1.0
 
     @pytest.mark.parametrize("length", [32, 33])
     def test_pool_matches_reshape_max(self, length):

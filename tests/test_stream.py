@@ -172,6 +172,22 @@ class TestStreamingSession:
         assert len(got) == len(want) == 18
         assert [g.vector.tobytes() for g in got] == [w.vector.tobytes() for w in want]
 
+    def test_ragged_chunk_rejected(self):
+        """A ragged chunk gets the 1-d ShapeError, not numpy's bare
+        ValueError, and the session carries on as if it had never been
+        pushed."""
+        model = build_model("cnn_gru", seed=5)
+        samples = tone(0.6, freq=440.0)
+        session = StreamingSession(model)
+        assert session.push(samples[:1000]) == []
+        with pytest.raises(ShapeError, match=re.escape("chunk must be a 1-d sample array, "
+                                                       "got a ragged sequence")):
+            session.push([[0.1], [0.2, 0.3]])
+        got = session.push(samples[1000:])
+        want = StreamingSession(model).push(samples)
+        assert len(got) == len(want) == 18
+        assert [g.vector.tobytes() for g in got] == [w.vector.tobytes() for w in want]
+
     def test_chunk_that_fails_a_frame_is_not_consumed(self, monkeypatch):
         """The chunk below emits frame 4, then fails frame 5 through a
         boundary step that raises; afterwards the session carries on exactly
