@@ -183,10 +183,11 @@ def load_wav(path) -> AudioClip:
 
     r.pos, size = data
     samples = r.array(dtype, size // (bits // 8), "data chunk").astype(np.float64)
+    del r, body  # the file's bytes: only the float64 samples are needed from here on
     if codec == 1:
         samples /= 32768.0
     else:
-        samples = np.clip(samples, -1.0, 1.0)
+        np.clip(samples, -1.0, 1.0, out=samples)
     if channels == 2:
         samples = samples[: (len(samples) // 2) * 2].reshape(-1, 2).mean(axis=1)
 

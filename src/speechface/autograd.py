@@ -407,13 +407,15 @@ def _tap_groups(k: int, s: int, p: int):
         yield d, i0, i1, i0 - p - d * s
 
 
-def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None) -> np.ndarray:
+def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None,
+               samples=None) -> np.ndarray:
     """Convolution along L of channels-last (N, L, C_in) x, L = m*s, without
     bias, into ``out`` (N, m, C_out) or a new array; ``w`` is (k, C_in,
     C_out). One GEMM per tap group (:func:`_tap_groups`) on a column slice
     of the block view, which BLAS reads without a copy; group d's rows land
     d output rows away, and a row whose block lies in the padding gets
-    nothing from that d."""
+    nothing from that d. Such a group's product is a temporary, made for
+    each slice of x's samples in ``samples``, by default for all at once."""
     n, length, c = x.shape
     m = length // s
     blocks = x.reshape(n * m, s * c)
@@ -422,9 +424,11 @@ def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None) -
         if d == 0:
             out = np.matmul(a, wd, out=None if out is None else out.reshape(n * m, -1))
             out = out.reshape(n, m, -1)
-        else:
-            lo, hi = max(0, -d), m - max(0, d)
-            out[:, lo:hi] += (a @ wd).reshape(n, m, -1)[:, lo + d:hi + d]
+            continue
+        lo, hi = max(0, -d), m - max(0, d)
+        for blk in samples or (slice(0, n),):
+            rows = a[blk.start * m:blk.stop * m]
+            out[blk, lo:hi] += (rows @ wd).reshape(-1, m, wd.shape[1])[:, lo + d:hi + d]
     return out
 
 

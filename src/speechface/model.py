@@ -352,11 +352,13 @@ def build_model(variant: str, seed: int = 0) -> Model:
 #
 # Inference runs in 64-bit, so batched and one-frame-at-a-time passes agree
 # far below the float32 noise floor while the trained parameters stay 32-bit
-# on disk and in training. A sequence runs a plan compiled from the model:
-# every weight is upcast once, and batch norm (inference mode), an affine map
-# per channel, is folded into the weights and bias of the convolution before
-# it. :func:`forward` runs the model's own layers: for one frame, that costs
-# less than compiling.
+# on disk and in training. A sequence runs phase by phase (the trunk, the
+# recurrent layer, then dense2 and the heads), each on weights compiled from
+# the model for it alone: every weight is upcast once, and batch norm
+# (inference mode), an affine map per channel, is folded into the weights and
+# bias of the convolution before it.
+# :func:`forward` runs the model's own layers: for one frame, that costs less
+# than compiling.
 
 
 def _spec_bands(spec) -> np.ndarray:
@@ -372,7 +374,8 @@ TRUNK_CHUNK = 8
 
 @dataclass(frozen=True)
 class _Plan:
-    """A model compiled for inference: float64 weights in GEMM layout.
+    """A model's trunk compiled for inference, the first phase of
+    :func:`forward_sequence`: float64 weights in GEMM layout.
 
     ``front`` is conv1 fused with pool1 (:func:`_front`), one (k, stride,
     pad, w) row along frequency: tap i of pooled output j reads input
@@ -384,20 +387,14 @@ class _Plan:
     ``w`` None. The first ``column_stages`` rows act along frequency, with
     N frames x columns; frequency is 1 after them, and the rest act along
     time, with N frames. Conv weights are (k, C_in, C_out) with batch norm
-    folded in. ``head_w``/``head_b`` stack the rotation head over the
-    expression head.
+    folded in. ``dense1`` is (w, b). The recurrent layer, dense2 and the
+    heads are compiled apart, once the trunk has run and its plan is gone.
     """
 
-    variant: str
-    hidden: int
     column_stages: int
     front: tuple
     trunk: tuple
     dense1: tuple
-    cell: tuple
-    dense2: tuple
-    head_w: np.ndarray
-    head_b: np.ndarray
 
 
 def _f64(p) -> np.ndarray:
@@ -406,7 +403,7 @@ def _f64(p) -> np.ndarray:
 
 
 def _compile(model: Model) -> _Plan:
-    """Compile the model's current weights into an inference plan."""
+    """Compile the model's current trunk weights into an inference plan."""
     arch = model.arch
     trunk = []
     for n, spec in enumerate(arch.stack):
@@ -415,14 +412,14 @@ def _compile(model: Model) -> _Plan:
         a = 0 if n < arch.column_stages else 1  # frequency, then time
         w = b = None
         if conv:
-            w = _f64(model.conv_w[spec.name]).reshape(spec.out_channels, -1, kernel[a])
+            w = model.conv_w[spec.name].data.reshape(spec.out_channels, -1, kernel[a])
+            w = np.ascontiguousarray(w.transpose(2, 1, 0), dtype=np.float64)
             bn = model.conv_bn.get(spec.name)
             b = _f64(model.conv_b[spec.name] if bn is None else bn.beta)
             if bn is not None:
                 scale = _f64(bn.gamma) / np.sqrt(_f64(bn.running_var) + bn.epsilon)
-                w *= scale[:, None, None]
+                w *= scale
                 b -= _f64(bn.running_mean) * scale
-            w = np.ascontiguousarray(w.transpose(2, 1, 0))
         trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
     (k, s, p, w, b), (window, stride, *_) = trunk[:2]  # conv1 and pool1
     taps = k + s * (window - 1)
@@ -431,39 +428,51 @@ def _compile(model: Model) -> _Plan:
         front[e * s:e * s + k, e] = w[:, 0]
     front[taps] = b
     return _Plan(
-        variant=model.variant,
-        hidden=arch.hidden,
         column_stages=arch.column_stages - 2,
         front=(taps, s * stride, p, front),
         trunk=tuple(trunk[2:]),
         dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
-        cell=tuple(map(_f64, model.cell or ())),
-        dense2=(_f64(model.dense2_w), _f64(model.dense2_b)),
-        head_w=np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w)]),
-        head_b=np.concatenate([_f64(model.head_r_b), _f64(model.head_e_b)]),
     )
 
 
-def _front(plan: _Plan, x: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Float64 buffers by key, for the trunk's chunks of one call: a request
+    gets a view of its key's buffer, which is allocated, or grown, only when
+    the request does not fit. Every chunk asks for the same shapes, so after
+    the first one no chunk allocates an activation."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, key, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _front(plan: _Plan, x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """conv1, pool1 and the ReLU on (..., L) one-channel x -> channels-last
     (N, m, C), N the product of x's leading dimensions, without making
     conv1's output: each block of rows of a tap-major im2col with a ones
     column, times ``plan.front``, gives every pool tap's conv output with
     its bias side by side, and their maximum goes straight into the result.
     Max commutes with adding a per-channel constant, so only the GEMM's
-    rounding differs from conv, pool, then bias."""
+    rounding differs from conv, pool, then bias. The im2col and the result
+    are workspace ``ws``'s "col" and 0 buffers."""
     k, s, p, w = plan.front
     window, c = w.shape[1:]
     m = (x.shape[-1] + 2 * p - k) // s + 1
-    col = np.empty((*x.shape[:-1], m, k + 1))
+    col = ws("col", (*x.shape[:-1], m, k + 1))
     ag._tap_cols(col, x, s, p, k)
     col[..., k] = 1.0
     col = col.reshape(-1, k + 1)
     w = w.reshape(k + 1, -1)
-    out = np.empty((len(col), c))
+    out = ws(0, (len(col), c))
     for blk in ag._blocks(len(col), w.shape[1] * w.itemsize):
-        taps, pooled = (col[blk] @ w).reshape(-1, window, c), out[blk]
-        np.maximum(taps[:, 0], taps[:, 1], out=pooled)  # pool1's two taps
+        pooled = out[blk]  # pool1's two taps; their product is gone after this line
+        np.maximum(*(col[blk] @ w).reshape(-1, window, c).swapaxes(0, 1), out=pooled)
         np.maximum(pooled, 0.0, out=pooled)
     return out.reshape(-1, m, c)
 
@@ -473,38 +482,49 @@ def _bias_relu(x, b):
     return np.maximum(x, 0.0, out=x)
 
 
-def _pool(x, k, s):
-    """Max pool along L of channels-last (N, L, C) x: the maximum of k
-    strided views."""
+def _pool(x, k, s, out=None):
+    """Max pool along L of channels-last (N, L, C) x, into ``out`` or a new
+    array: the maximum of k strided views."""
     m = (x.shape[1] - k) // s + 1
-    out = x[:, :s * (m - 1) + 1:s]
-    for i in range(1, k):
-        out = np.maximum(out, x[:, i:i + s * (m - 1) + 1:s])
+    taps = [x[:, i:i + s * (m - 1) + 1:s] for i in range(k)]
+    out = np.maximum(taps[0], taps[-1], out=out)
+    for tap in taps[1:-1]:
+        np.maximum(out, tap, out=out)
     return out
 
 
-def _trunk(plan: _Plan, bands: np.ndarray) -> np.ndarray:
-    """Conv/pool stack and dense1 on (B, F, T) bands -> (B, hidden).
+def _trunk(plan: _Plan, bands: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Conv/pool stack and dense1 on (B, F, T) bands -> (B, hidden), with
+    every activation in workspace ``ws``.
 
-    conv1 and pool1 run as :func:`_front`, which reads the bands in place.
-    Every later conv runs one GEMM per tap group on its input in place
-    (:func:`~.autograd._gemm_conv`, the kernel training runs too). Its bias
-    and ReLU wait until after the pools that follow it: max pooling
-    commutes with adding a per-channel constant and with ReLU, both monotone
-    even when rounded, so this is exact and works on fewer values.
+    conv1 and pool1 run as :func:`_front`, which reads the bands in place
+    and writes buffer 0 of ``ws``. Each later stage writes into buffer 1 if
+    its input is in buffer 0, and into buffer 0 otherwise, so two arenas,
+    each as large as its largest activation, hold them all. Every later conv
+    runs one GEMM per tap group on its input in place
+    (:func:`~.autograd._gemm_conv`, the kernel training runs too); a tap
+    group that reads a neighbouring block makes its product in blocks of
+    samples of about 512 KiB. Its bias and ReLU wait until after the pools
+    that follow it: max pooling commutes with adding a per-channel constant
+    and with ReLU, both monotone even when rounded, so this is exact and
+    works on fewer values.
     """
     frames, _, t = bands.shape
-    x = _front(plan, bands.transpose(0, 2, 1))
+    x, side = _front(plan, bands.transpose(0, 2, 1), ws), 0
     bias = None
     for stage, (k, s, p, w, b) in enumerate(plan.trunk):
         if stage == plan.column_stages:
             x = x.reshape(frames, t, x.shape[2])  # frequency is 1: L is time
+        n, length, c = x.shape
+        side = 1 - side
         if w is None:
-            x = _pool(x, k, s)
+            x = _pool(x, k, s, ws(side, (n, (length - k) // s + 1, c)))
             continue
         if bias is not None:
             x = _bias_relu(x, bias)
-        x, bias = ag._gemm_conv(x, k, s, p, w), b
+        shape = (n, length // s, w.shape[2])
+        samples = ag._blocks(n, math.prod(shape[1:]) * w.itemsize)
+        x, bias = ag._gemm_conv(x, k, s, p, w, ws(side, shape), samples), b
     x = _bias_relu(x, bias)
     w, b = plan.dense1
     h = x.transpose(0, 2, 1).reshape(frames, -1) @ w.T  # flatten as (C, F, T)
@@ -523,28 +543,45 @@ def _chunked(f, x, width: int) -> np.ndarray:
     return out
 
 
-def _recur(plan: _Plan, x: np.ndarray) -> np.ndarray:
-    """Run the recurrent layer over the B frames of x, in order, from a zero state."""
-    if not plan.cell:
+def _features(model: Model, bands: list) -> np.ndarray:
+    """The trunk phase of :func:`forward_sequence`: dense1's output for the
+    (F, T) band arrays in ``bands``, TRUNK_CHUNK frames at a time, each
+    chunk stacked into one buffer whose tail is zero-filled past the last
+    frame. Its plan and workspace are released when it returns."""
+    plan, ws = _compile(model), _Workspace()
+    chunk = ws("chunk", (TRUNK_CHUNK, *np.shape(bands[0])))
+
+    def trunk(part):
+        np.stack(part, out=chunk[:len(part)])
+        chunk[len(part):] = 0.0
+        return _trunk(plan, chunk, ws)
+
+    return _chunked(trunk, bands, model.arch.hidden)
+
+
+def _recur(model: Model, x: np.ndarray, n: int) -> np.ndarray:
+    """Run the model's recurrent layer, compiled to float64 here, over the
+    first n rows of x, in order, from a zero state; the output's later rows,
+    x's padding, are zero."""
+    if model.cell is None:
         return x
-    hid = plan.hidden
-    w_x, w_h = plan.cell[:2]
+    w_x, w_h, *w_c, b = map(_f64, model.cell)  # w_c: the GRU's candidate weights
+    hid = w_h.shape[1]
     px = _chunked(lambda rows: rows @ w_x.T, x, len(w_x))  # input projection
-    px += plan.cell[-1]
-    out = np.empty_like(x)
+    px += b
+    out = np.zeros_like(x)
     h = np.zeros((1, hid))
-    if plan.variant == "cnn_lstm":
+    if model.variant == "cnn_lstm":
         c = np.zeros((1, hid))
-        for t in range(len(x)):
+        for t in range(n):
             pre = px[t:t + 1] + h @ w_h.T
             gate = ag._sigmoid(pre)  # i, f and o; the g block takes tanh instead
             c = gate[:, hid:2 * hid] * c + gate[:, :hid] * np.tanh(pre[:, 2 * hid:3 * hid])
             h = out[t:t + 1] = gate[:, 3 * hid:] * np.tanh(c)
         return out
-    w_c = plan.cell[2]
-    for t in range(len(x)):
+    for t in range(n):
         zr = ag._sigmoid(px[t:t + 1, :2 * hid] + h @ w_h.T)
-        cand = np.tanh(px[t:t + 1, 2 * hid:] + (zr[:, hid:] * h) @ w_c.T)
+        cand = np.tanh(px[t:t + 1, 2 * hid:] + (zr[:, hid:] * h) @ w_c[0].T)
         h = out[t:t + 1] = h + zr[:, :hid] * (cand - h)
     return out
 
@@ -596,15 +633,18 @@ def forward_split(model: Model, bands, state: tuple | None, frame_index: int,
 def forward_sequence(model: Model, specs):
     """Run a spectrogram sequence through the network from a zero state.
 
-    Checks every frame, then compiles the model's current weights into a
-    plan and runs the frames through it. The trunk takes TRUNK_CHUNK frames
-    at a time, stacked into one reused buffer whose tail is zero-filled past
-    the last frame; the recurrent layer's input projection, and dense2 with
-    the heads, also run in chunks of TRUNK_CHUNK frames, and the recurrence
-    advances one frame at a time. So every GEMM sees a fixed row count, and
-    a frame's result depends neither on where it sits nor on the sequence's
-    length, one frame included. Gives the frames of folding :func:`forward`
-    over the sequence, to within about 1e-15.
+    Checks every frame, then runs it phase by phase, each phase on float64
+    weights that it compiles from the model's current ones for itself
+    alone, and releases when it is done. First the trunk (:func:`_features`)
+    takes TRUNK_CHUNK frames at a time, each stage's output in one of two
+    buffers allocated once per call; then the recurrent layer
+    (:func:`_recur`); then dense2 and the heads. The recurrent layer's input
+    projection, and dense2 with the heads, also run in chunks of TRUNK_CHUNK
+    frames, and the recurrence advances one frame at a time over the clip's
+    frames only. So every GEMM sees a fixed row count, and a frame's result
+    depends neither on where it sits nor on the sequence's length, one frame
+    included. Gives the frames of folding :func:`forward` over the sequence,
+    to within about 1e-15.
     """
     specs = list(specs)
     if not specs:
@@ -616,18 +656,11 @@ def forward_sequence(model: Model, specs):
             raise ShapeError(f"input: frame {i} has shape {np.shape(b)}, expected {shape}")
         if not np.isfinite(b).all():
             raise DataError(f"input: frame {i} has non-finite bands")
-    plan = _compile(model)
-    chunk = np.empty((TRUNK_CHUNK, *shape))
-
-    def trunk(part):
-        np.stack(part, out=chunk[:len(part)])
-        chunk[len(part):] = 0.0
-        return _trunk(plan, chunk)
-
-    (w, b), r = plan.dense2, NUM_ROTATION
-    out = _recur(plan, _chunked(trunk, bands, plan.hidden))
-    y = _chunked(lambda x: np.tanh(x @ w.T + b) @ plan.head_w.T + plan.head_b, out,
-                 len(plan.head_w))
+    out = _recur(model, _features(model, bands), len(bands))
+    w, b, r = _f64(model.dense2_w), _f64(model.dense2_b), NUM_ROTATION
+    head_w = np.concatenate([_f64(model.head_r_w), _f64(model.head_e_w)])
+    head_b = np.concatenate([_f64(model.head_r_b), _f64(model.head_e_b)])
+    y = _chunked(lambda x: np.tanh(x @ w.T + b) @ head_w.T + head_b, out, len(head_w))
     y[:, :r] = np.tanh(y[:, :r])
     y[:, r:] = ag._sigmoid(y[:, r:])
     return [FaceFrame.from_vector(p, s.frame_index if isinstance(s, Spectrogram) else i)

@@ -7,6 +7,7 @@ no-lookahead convention.
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestLoadWav:
         x = np.linspace(-0.9, 0.9, 100)
         write_wav(path, x, SAMPLE_RATE, fmt="float32")
         np.testing.assert_allclose(load_wav(path).samples, x, atol=1e-7)
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_memory_holds_the_file_and_one_float64_copy(self, tmp_path, fmt):
+        """Under tracemalloc, a 10 s clip peaks at 13 bytes per sample or
+        less: the file's bytes and one float64 copy of its samples, which is
+        scaled or clipped in place (12 bytes per sample for float32). The
+        file's bytes are released before the clip checks the samples."""
+        n = 10 * SAMPLE_RATE
+        path = tmp_path / "long.wav"
+        write_wav(path, 1.5 * np.sin(np.arange(n) * 0.01), SAMPLE_RATE, fmt=fmt)
+        tracemalloc.start()
+        try:
+            clip = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clip.samples) == n and np.abs(clip.samples).max() <= 1.0
+        assert peak <= 13 * n, peak / n
 
     def test_22050_resamples_to_double_length(self, tmp_path):
         """Linear interpolation from 22050 Hz gives length 2L-1."""

@@ -15,6 +15,7 @@ from speechface.model import (
     STANDARD_ARCH,
     TRUNK_CHUNK,
     VARIANTS,
+    _Workspace,
     _compile,
     _front,
     _pool,
@@ -508,6 +509,50 @@ class TestInferencePlan:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= (640 - 64) * (12 << 10), peaks
 
+    def test_memory_holds_one_phase_and_one_chunk(self):
+        """Under tracemalloc, 64 frames peak at most at the trunk's float64
+        weights, two arenas and 2 MiB: the recurrent layer, dense2 and the
+        heads are compiled only after the trunk's weights are released, and
+        every trunk stage of a chunk writes into one of two buffers, each as
+        large as the largest activation it takes (pool1's output, and
+        conv2's), allocated once per call."""
+        rng = np.random.default_rng(20)
+        model = build_model("cnn_lstm", seed=0)
+        specs = random_specs(rng, 64)
+        plan = _compile(model)
+        weights = plan.front[3].nbytes + sum(a.nbytes for a in plan.dense1) + sum(
+            w.nbytes + b.nbytes for *_, w, b in plan.trunk if w is not None)
+        del plan
+        sizes = [8 * TRUNK_CHUNK * np.prod(dims)
+                 for _, dims in STANDARD_ARCH.stack_shapes()[2:]]  # pool1 onwards
+        arenas = max(sizes[0::2]) + max(sizes[1::2])
+        tracemalloc.start()
+        try:
+            forward_sequence(model, specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights + arenas + (2 << 20), (peak, weights, arenas)
+
+    def test_recurrence_steps_only_the_clips_frames(self, monkeypatch):
+        """A 9-frame clip fills two chunks; the GRU steps its 9 frames, each
+        with one call of the gates' sigmoid, and the expression head takes
+        one more."""
+        rng = np.random.default_rng(21)
+        model = build_model("cnn_gru", seed=1)
+        specs = random_specs(rng, 9)
+        calls = []
+        sigmoid = ag._sigmoid
+
+        def counted(x):
+            calls.append(x.shape)
+            return sigmoid(x)
+
+        monkeypatch.setattr(ag, "_sigmoid", counted)
+        frames = forward_sequence(model, specs)
+        assert len(calls) == 10, calls
+        assert all(np.isfinite(f.vector).all() for f in frames)
+
 
 def conv_oracle(x, k, s, p, w):
     """Explicit zero padding, then every output's window through einsum."""
@@ -548,6 +593,21 @@ class TestPlanKernels:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("k,s,p,c_in,length", [
+        (3, 2, 1, 64, 32),   # conv2: tap 0 lies one block back
+        (4, 2, 1, 8, 12),    # one group a block back, one a block ahead
+    ])
+    def test_conv_in_sample_blocks_writes_into_out(self, k, s, p, c_in, length):
+        """The groups that read a neighbouring block, made one slice of
+        samples at a time, the last one short, into a given output."""
+        rng = np.random.default_rng(k * 10 + c_in)
+        x = rng.normal(size=(7, length, c_in))
+        w = rng.normal(size=(k, c_in, 5))
+        out = np.full((7, length // s, 5), np.nan)
+        got = ag._gemm_conv(x, k, s, p, w, out, [slice(0, 3), slice(3, 6), slice(6, 7)])
+        assert np.shares_memory(got, out)
+        assert np.max(np.abs(out - conv_oracle(x, k, s, p, w))) <= 1e-12
+
     @pytest.mark.parametrize("frames", [1, TRUNK_CHUNK])
     def test_front_matches_conv_pool_bias_relu(self, frames):
         """conv1 and pool1 as one GEMM per block, against conv1 through the
@@ -558,7 +618,7 @@ class TestPlanKernels:
         randomize_batch_norm(model, rng)
         bands = rng.normal(size=(frames, NUM_BANDS, NUM_COLUMNS))
         want = np.maximum(_pool(conv1_oracle(model, bands), 2, 2), 0.0)
-        got = _front(_compile(model), bands.transpose(0, 2, 1))
+        got = _front(_compile(model), bands.transpose(0, 2, 1), _Workspace())
         assert got.shape == want.shape == (frames * NUM_COLUMNS, NUM_BANDS // 4, 64)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert 0.0 < np.mean(got == 0.0) < 1.0
@@ -569,6 +629,9 @@ class TestPlanKernels:
         m = length // 2
         want = x[:, :2 * m].reshape(5, m, 2, 3).max(axis=2)
         np.testing.assert_array_equal(_pool(x, 2, 2), want)
+        out = np.empty_like(want)
+        assert _pool(x, 2, 2, out) is out
+        np.testing.assert_array_equal(out, want)
 
 
 # =============================================================================
