@@ -257,8 +257,11 @@ def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.nda
 
 
 def check_fps(fps: float) -> float:
-    """``fps`` as a float, once it is known to be finite, positive and at most
-    SAMPLE_RATE, so that frame boundaries lie at least one sample apart."""
+    """``fps`` as a float, once it is known to be a real number (not a bool),
+    finite, positive and at most SAMPLE_RATE, so that frame boundaries lie
+    at least one sample apart."""
+    if not isinstance(fps, (int, float, np.integer, np.floating)) or isinstance(fps, bool):
+        raise ConfigError(f"fps must be a real number, got {fps!r}")
     if not 0 < fps <= SAMPLE_RATE:  # also false for NaN
         raise ConfigError(f"fps must be in (0, {SAMPLE_RATE}], got {fps}")
     return float(fps)

@@ -757,12 +757,26 @@ def _pooled(shape, window) -> tuple:
     return shape[0], t, f, shape[1]
 
 
-def _pool_relu(z0, z1, out, wins) -> None:
+def _pool_relu(z0, z1, out, wins=None) -> None:
     """out = ReLU of the larger of the pool's taps z0 and z1 (max commutes
-    with ReLU), and wins = where z1 is larger."""
+    with ReLU), and, if given, wins = where z1 is larger."""
     np.maximum(z0, z1, out=out)
-    np.greater(z1, z0, out=wins)
+    if wins is not None:
+        np.greater(z1, z0, out=wins)
     np.maximum(out, 0, out=out)
+
+
+def _pool_tap(a: np.ndarray, axis: int, e: int) -> np.ndarray:
+    """What tap e of a two-tap pool with stride 2 along ``axis`` reads of a."""
+    return a[(slice(None),) * axis + (slice(e, e + a.shape[axis] // 2 * 2, 2),)]
+
+
+def _conv_pool_relu(col, axis: int, wz, out, wins=None) -> None:
+    """A one-channel conv, a two-tap pool with stride 2 along ``axis`` and
+    :func:`_pool_relu`, from col, the conv's [col; 1] im2col (..., K+1), and
+    wz, its (K+1, C) weights over its bias row: one GEMM per pool tap."""
+    z = (_pool_tap(col, axis, e).reshape(-1, len(wz)) @ wz for e in (0, 1))
+    _pool_relu(*(a.reshape(out.shape) for a in z), out, wins)
 
 
 def _route(g, wins, r) -> list:
@@ -789,14 +803,14 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
     The conv is linear in its tap-major im2col columns, K = kF * kT of them
     (three for conv1): y = W col. So batch norm's mean and variance follow
     from the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
-    float64 one block of samples at a time. Forward then computes the
-    outputs each pool tap reads, z = Wz [col; 1] over that tap's columns,
-    one GEMM with the weights folded with batch norm, and keeps the ReLU'd
-    larger of each pair and where the second tap won. Backward routes the
-    pooled gradient through that mask onto the taps' columns, P = sum of
-    g [col; 1]', (C, K+1); batch norm's sums and the w gradient follow from
-    P and the Gram matrix exactly. x's gradient, which no model input asks
-    for, is built one block of columns at a time.
+    float64 one block of samples at a time. Forward then runs the plan's
+    conv1 kernel, :func:`_conv_pool_relu`: z = Wz [col; 1] over each pool
+    tap's columns, with the weights folded with batch norm, keeping the
+    ReLU'd larger of each pair and where the second tap won. Backward
+    routes the pooled gradient through that mask onto the taps' columns,
+    P = sum of g [col; 1]', (C, K+1); batch norm's sums and the w gradient
+    follow from P and the Gram matrix exactly. x's gradient, which no model
+    input asks for, is built one block of columns at a time.
 
     The tape holds ``x``, the pooled output and the winner mask. Output,
     running statistics and gradients are those of conv2d, batch_norm, relu
@@ -821,9 +835,6 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
         _tap_cols(col if along_f else col.transpose(0, 2, 1, 3), xv[blk], s, p, k)
         return col
 
-    def tap(a, e):  # what pool tap e reads of a block laid out as cols
-        return a[(slice(None),) * axis + (slice(e, e + 2 * out_cl[axis], 2),)]
-
     wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
     wa[:, :k] = wd.reshape(c, k)
     gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
@@ -842,9 +853,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
     out = np.empty(out_cl, dtype=dtype)
     wins = np.empty(out_cl, dtype=bool)  # where the second tap is larger
     for blk in blocks:
-        col = cols(blk, dtype)
-        _pool_relu(*(tap(col, e).reshape(-1, k + 1) @ wz for e in (0, 1)),
-                   out[blk].reshape(-1, c), wins[blk].reshape(-1, c))
+        _conv_pool_relu(cols(blk, dtype), axis, wz, out[blk], wins[blk])
 
     def backward(g):
         buf = np.empty((2, blocks[0].stop * math.prod(out_cl[1:3]), c), dtype=g.dtype)
@@ -858,7 +867,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
         for blk in blocks:
             col = cols(blk, g.dtype)
             for e, r in enumerate(routed(blk)):
-                pa += r.T @ tap(col, e).reshape(-1, k + 1)
+                pa += r.T @ _pool_tap(col, axis, e).reshape(-1, k + 1)
         a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), n_red, state, fold, True)
         gw = scale[:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
         _accum_owned(w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
@@ -874,7 +883,7 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
                 col = cols(blk, dtype)
                 gc = col[..., :k] @ m[:k] + m[k]
                 for e, r in enumerate(routed(blk)):
-                    t = tap(gc, e)
+                    t = _pool_tap(gc, axis, e)
                     t += (r @ ws).reshape(t.shape)
                 _tap_cols(gc if along_f else gc.transpose(0, 2, 1, 3), gxv[blk], s, p, k,
                           scatter=True)

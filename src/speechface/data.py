@@ -47,6 +47,22 @@ _RECORD = np.dtype([
 ])
 
 
+def _whole_numbers(name: str, values, dtype) -> np.ndarray:
+    """``values`` as the unsigned integer ``dtype``, once it holds each of
+    them exactly; otherwise DataError names the column and its first record
+    that it would not hold."""
+    a = np.asarray(values)
+    if a.dtype != dtype and a.size:
+        if a.dtype.kind not in "iuf":
+            raise DataError(f"{name} must be whole numbers, got dtype {a.dtype}")
+        top = np.iinfo(dtype).max
+        bad = np.flatnonzero(~((a >= 0) & (a <= top) & (a == np.floor(a))))  # NaN too
+        if len(bad):
+            raise DataError(f"{name}: record {bad[0]} holds {a.flat[bad[0]]}, "
+                            f"not a whole number in [0, {top}]")
+    return np.asarray(a, dtype=dtype)
+
+
 @dataclass
 class Dataset:
     """Column-wise record storage; rows sharing a sequence id are contiguous,
@@ -63,12 +79,11 @@ class Dataset:
 
     def __post_init__(self):
         n = len(self.seq_ids)
-        self.seq_ids = np.asarray(self.seq_ids, dtype=np.uint32)
-        self.frame_indices = np.asarray(self.frame_indices, dtype=np.uint32)
+        for name, dtype in (("seq_ids", np.uint32), ("frame_indices", np.uint32),
+                            ("emotions", np.uint8), ("actors", np.uint8)):
+            setattr(self, name, _whole_numbers(name, getattr(self, name), dtype))
         self.spectrograms = np.asarray(self.spectrograms, dtype=np.float32)
         self.targets = np.asarray(self.targets, dtype=np.float32)
-        self.emotions = np.asarray(self.emotions, dtype=np.uint8)
-        self.actors = np.asarray(self.actors, dtype=np.uint8)
         for name, arr in (("frame_indices", self.frame_indices),
                           ("emotions", self.emotions), ("actors", self.actors)):
             if arr.shape != (n,):

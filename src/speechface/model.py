@@ -378,10 +378,9 @@ class _Plan:
     :func:`forward_sequence`: float64 weights in GEMM layout.
 
     ``front`` is conv1 fused with pool1 (:func:`_front`), one (k, stride,
-    pad, w) row along frequency: tap i of pooled output j reads input
-    stride*j + i - pad. w, (k + 1, window, C), holds conv1's kernel under
-    each pool tap e, shifted down by e times conv1's stride, and conv1's
-    bias in its last row; both have batch norm folded in. ``trunk`` holds
+    pad, wz) row along frequency: wz, (k + 1, C), is conv1's kernel over
+    its bias, both with batch norm folded in, the layout training's conv1
+    stage gives :func:`~.autograd._conv_pool_relu`. ``trunk`` holds
     one (k, stride, pad, w, b) row per later layer of the stack, each
     acting along L of a channels-last (N, L, C) activation; a pool has
     ``w`` None. The first ``column_stages`` rows act along frequency, with
@@ -421,15 +420,10 @@ def _compile(model: Model) -> _Plan:
                 w *= scale
                 b -= _f64(bn.running_mean) * scale
         trunk.append((kernel[a], spec.stride[a], pad[a], w, b))
-    (k, s, p, w, b), (window, stride, *_) = trunk[:2]  # conv1 and pool1
-    taps = k + s * (window - 1)
-    front = np.zeros((taps + 1, window, len(b)))
-    for e in range(window):
-        front[e * s:e * s + k, e] = w[:, 0]
-    front[taps] = b
+    k, s, p, w, b = trunk[0]  # conv1; pool1 is the front's two-tap pool
     return _Plan(
         column_stages=arch.column_stages - 2,
-        front=(taps, s * stride, p, front),
+        front=(k, s, p, np.vstack([w[:, 0], b])),
         trunk=tuple(trunk[2:]),
         dense1=(_f64(model.dense1_w), _f64(model.dense1_b)),
     )
@@ -454,27 +448,23 @@ class _Workspace:
 
 def _front(plan: _Plan, x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """conv1, pool1 and the ReLU on (..., L) one-channel x -> channels-last
-    (N, m, C), N the product of x's leading dimensions, without making
-    conv1's output: each block of rows of a tap-major im2col with a ones
-    column, times ``plan.front``, gives every pool tap's conv output with
-    its bias side by side, and their maximum goes straight into the result.
-    Max commutes with adding a per-channel constant, so only the GEMM's
-    rounding differs from conv, pool, then bias. The im2col and the result
-    are workspace ``ws``'s "col" and 0 buffers."""
-    k, s, p, w = plan.front
-    window, c = w.shape[1:]
+    (N, m // 2, C), N the product of x's leading dimensions and m conv1's
+    outputs, without making conv1's output: training's conv1 kernel
+    (:func:`~.autograd._conv_pool_relu`) on conv1's tap-major im2col with a
+    ones column, one block of rows at a time. Max commutes with adding a
+    per-channel constant, so only the GEMM's rounding differs from conv,
+    pool, then bias. The im2col and the result are workspace ``ws``'s "col"
+    and 0 buffers."""
+    k, s, p, wz = plan.front
     m = (x.shape[-1] + 2 * p - k) // s + 1
     col = ws("col", (*x.shape[:-1], m, k + 1))
     ag._tap_cols(col, x, s, p, k)
     col[..., k] = 1.0
-    col = col.reshape(-1, k + 1)
-    w = w.reshape(k + 1, -1)
-    out = ws(0, (len(col), c))
-    for blk in ag._blocks(len(col), w.shape[1] * w.itemsize):
-        pooled = out[blk]  # pool1's two taps; their product is gone after this line
-        np.maximum(*(col[blk] @ w).reshape(-1, window, c).swapaxes(0, 1), out=pooled)
-        np.maximum(pooled, 0.0, out=pooled)
-    return out.reshape(-1, m, c)
+    col = col.reshape(-1, m, k + 1)
+    out = ws(0, (len(col), m // 2, wz.shape[1]))
+    for blk in ag._blocks(len(col), 2 * out[0].nbytes):
+        ag._conv_pool_relu(col[blk], 1, wz, out[blk])
+    return out
 
 
 def _bias_relu(x, b):

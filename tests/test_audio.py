@@ -35,6 +35,8 @@ from speechface.audio import (
     write_wav,
 )
 from speechface.errors import ConfigError, DataError, ParseError, RangeError, ShapeError
+from speechface.model import build_model
+from speechface.stream import StreamingSession
 
 
 # =============================================================================
@@ -253,6 +255,19 @@ class TestFrameWindows:
             frame_count(clip, fps)
         with pytest.raises(ConfigError, match="fps must be in"):
             extract_frame_window(clip, 0, fps)
+
+    @pytest.mark.parametrize("fps", [True, "30", None, 30 + 0j])
+    def test_fps_that_is_not_a_real_number_is_config_error(self, fps):
+        """A bool is not taken as 1 fps, and a string, None or a complex
+        number gets the same ConfigError, not a TypeError, at every entry
+        point that takes fps."""
+        clip = AudioClip(np.zeros(SAMPLE_RATE), SAMPLE_RATE)
+        model = build_model("cnn_static", seed=0)
+        message = re.escape(f"fps must be a real number, got {fps!r}")
+        for call in (lambda: frame_count(clip, fps), lambda: extract_frame_window(clip, 0, fps),
+                     lambda: StreamingSession(model, fps=fps)):
+            with pytest.raises(ConfigError, match=message):
+                call()
 
     def test_fps_at_the_sample_rate_gives_one_frame_per_sample(self):
         clip = AudioClip(np.arange(SAMPLE_RATE) / SAMPLE_RATE, SAMPLE_RATE)

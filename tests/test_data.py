@@ -1,6 +1,8 @@
 """Dataset file format, parameter CSV, and corpus naming tests."""
 
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +82,36 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(ds.seq_ids[:-1], ds.frame_indices[:-1], ds.spectrograms,
                     ds.targets, ds.emotions, ds.actors)
+
+    @pytest.mark.parametrize("column,values,message", [
+        ("emotions", np.array([300, 300]),
+         "emotions: record 0 holds 300, not a whole number in [0, 255]"),
+        ("actors", [3.7, 1], "actors: record 0 holds 3.7, not a whole number in [0, 255]"),
+        ("actors", np.array([1.0, np.nan]),
+         "actors: record 1 holds nan, not a whole number in [0, 255]"),
+        ("seq_ids", np.array([-1, -1]),
+         "seq_ids: record 0 holds -1, not a whole number in [0, 4294967295]"),
+        ("seq_ids", [-1, -1], "seq_ids: record 0 holds -1, not a whole number in [0, 4294967295]"),
+        ("frame_indices", np.array([2**32 - 1, 2**32]),
+         "frame_indices: record 1 holds 4294967296, not a whole number in [0, 4294967295]"),
+        ("emotions", ["1", "2"], "emotions must be whole numbers, got dtype <U1"),
+    ], ids=["above-255", "fraction", "nan", "negative", "negative-list", "2**32", "strings"])
+    def test_rejects_an_integer_column_its_dtype_cannot_hold(self, column, values, message):
+        """Out of range, fractional or not a number: never wrapped or truncated
+        into the column's unsigned dtype."""
+        ds = make_dataset(np.random.default_rng(15), counts=(2,))
+        with pytest.raises(DataError, match=re.escape(message)):
+            replace(ds, **{column: values})
+
+    def test_keeps_whole_numbers_of_any_real_dtype(self):
+        ds = make_dataset(np.random.default_rng(16), counts=(2,))
+        got = replace(ds, seq_ids=[7.0, 7.0], frame_indices=np.array([2**32 - 2, 2**32 - 1]),
+                      emotions=np.array([255, 0], np.int64), actors=[24, 1])
+        assert got.seq_ids.dtype == got.frame_indices.dtype == np.uint32
+        assert got.emotions.dtype == got.actors.dtype == np.uint8
+        assert got.seq_ids.tolist() == [7, 7]
+        assert got.frame_indices.tolist() == [2**32 - 2, 2**32 - 1]
+        assert got.emotions.tolist() == [255, 0] and got.actors.tolist() == [24, 1]
 
 
 # =============================================================================

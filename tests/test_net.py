@@ -608,18 +608,22 @@ class TestPlanKernels:
         assert np.shares_memory(got, out)
         assert np.max(np.abs(out - conv_oracle(x, k, s, p, w))) <= 1e-12
 
-    @pytest.mark.parametrize("frames", [1, TRUNK_CHUNK])
-    def test_front_matches_conv_pool_bias_relu(self, frames):
-        """conv1 and pool1 as one GEMM per block, against conv1 through the
-        padded einsum, pool1, its folded bias and the ReLU; the input is laid
-        out as the trunk passes it, a transposed view of the bands."""
+    @pytest.mark.parametrize("frames,columns", [
+        (1, NUM_COLUMNS), (TRUNK_CHUNK, NUM_COLUMNS),
+        (3, 7),  # 21 rows: the last block of rows is short
+    ], ids=["1", "8", "3x7"])
+    def test_front_matches_conv_pool_bias_relu(self, frames, columns):
+        """conv1 and pool1 as one GEMM per pool tap and block, against conv1
+        through the padded einsum, pool1, its folded bias and the ReLU; the
+        input is laid out as the trunk passes it, a transposed view of the
+        bands."""
         rng = np.random.default_rng(19 + frames)
         model = build_model("cnn_static", seed=1)
         randomize_batch_norm(model, rng)
-        bands = rng.normal(size=(frames, NUM_BANDS, NUM_COLUMNS))
+        bands = rng.normal(size=(frames, NUM_BANDS, columns))
         want = np.maximum(_pool(conv1_oracle(model, bands), 2, 2), 0.0)
         got = _front(_compile(model), bands.transpose(0, 2, 1), _Workspace())
-        assert got.shape == want.shape == (frames * NUM_COLUMNS, NUM_BANDS // 4, 64)
+        assert got.shape == want.shape == (frames * columns, NUM_BANDS // 4, 64)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert 0.0 < np.mean(got == 0.0) < 1.0
 
