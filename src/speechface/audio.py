@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .errors import ConfigError, DataError, RangeError, ShapeError
+from .errors import ConfigError, DataError, RangeError, ShapeError, check_real
 
 SAMPLE_RATE = 44100
 FFT_SIZE = 256
@@ -260,8 +260,7 @@ def check_fps(fps: float) -> float:
     """``fps`` as a float, once it is known to be a real number (not a bool),
     finite, positive and at most SAMPLE_RATE, so that frame boundaries lie
     at least one sample apart."""
-    if not isinstance(fps, (int, float, np.integer, np.floating)) or isinstance(fps, bool):
-        raise ConfigError(f"fps must be a real number, got {fps!r}")
+    check_real("fps", fps)
     if not 0 < fps <= SAMPLE_RATE:  # also false for NaN
         raise ConfigError(f"fps must be in (0, {SAMPLE_RATE}], got {fps}")
     return float(fps)

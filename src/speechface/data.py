@@ -55,6 +55,8 @@ def _whole_numbers(name: str, values, dtype) -> np.ndarray:
     if a.dtype != dtype and a.size:
         if a.dtype.kind not in "iuf":
             raise DataError(f"{name} must be whole numbers, got dtype {a.dtype}")
+        if a.dtype.kind == "f":
+            a = a.astype(np.float64)  # float32 would round uint32's top up to 2**32
         top = np.iinfo(dtype).max
         bad = np.flatnonzero(~((a >= 0) & (a <= top) & (a == np.floor(a))))  # NaN too
         if len(bad):

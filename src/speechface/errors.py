@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all speechface modules, and the seed check
-that every seeded entry point shares."""
+"""Exception hierarchy shared by all speechface modules, and the seed and
+real-number checks that configuration entry points share."""
 
 import numpy as np
 
@@ -47,3 +47,11 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return seed
+
+
+def check_real(name: str, value):
+    """Return ``value`` if it is a real number and not a bool; otherwise raise
+    ConfigError."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
-from .errors import ConfigError, DataError, NumericError, check_seed
+from .errors import ConfigError, DataError, NumericError, check_real, check_seed
 from .face import NUM_ROTATION, landmark_rmse, weights_mse
 from .model import VARIANTS, Model, build_model
 
@@ -48,9 +48,7 @@ class TrainConfig:
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}: "
                                   "batch norm needs two frames per batch")
-        if (not isinstance(self.learning_rate, (int, float, np.integer, np.floating))
-                or isinstance(self.learning_rate, bool)):
-            raise ConfigError(f"learning_rate must be a real number, got {self.learning_rate!r}")
+        check_real("learning_rate", self.learning_rate)
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")

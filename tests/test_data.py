@@ -94,8 +94,11 @@ class TestDataset:
         ("seq_ids", [-1, -1], "seq_ids: record 0 holds -1, not a whole number in [0, 4294967295]"),
         ("frame_indices", np.array([2**32 - 1, 2**32]),
          "frame_indices: record 1 holds 4294967296, not a whole number in [0, 4294967295]"),
+        ("frame_indices", np.array([0, 2**32], np.float32),
+         "frame_indices: record 1 holds 4294967296.0, not a whole number in [0, 4294967295]"),
         ("emotions", ["1", "2"], "emotions must be whole numbers, got dtype <U1"),
-    ], ids=["above-255", "fraction", "nan", "negative", "negative-list", "2**32", "strings"])
+    ], ids=["above-255", "fraction", "nan", "negative", "negative-list", "2**32", "2**32-float32",
+            "strings"])
     def test_rejects_an_integer_column_its_dtype_cannot_hold(self, column, values, message):
         """Out of range, fractional or not a number: never wrapped or truncated
         into the column's unsigned dtype."""

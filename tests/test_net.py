@@ -484,7 +484,7 @@ class TestInferencePlan:
         with ag.no_grad():
             pool1 = dict(model.layers(ag.Tensor(bands[:, None]), training=False))["pool1"]
         assert 0.4 <= np.mean(pool1.data == 0.0) <= 0.6
-        bias = _compile(model).front[3][-1, 0]  # conv1's folded bias
+        bias = _compile(model).front[3][-1]  # conv1's folded bias, one per channel
         assert np.all(bias < -0.5) and np.mean(bias) < -2.0
         want = autograd_reference(model, bands)
         got = np.array([f.vector for f in forward_sequence(model, specs)])
