@@ -5,7 +5,8 @@ convolution, max pooling, batch normalization, dense layers, elementwise
 activations and the LSTM/GRU cell steps, plus the trunk's training stages,
 each a conv with its batch norm, ReLU and pool as one node on channels-last
 arrays (:func:`conv_stage`, and :func:`conv_bn_relu_pool` for the
-one-channel conv1, which never makes its conv's output). Each
+one-channel conv1, which never makes its conv's output and which
+:func:`conv_stage` can run in front of its own conv). Each
 primitive records a backward closure on a tape; calling
 :meth:`Tensor.backward` on a scalar loss walks the tape in reverse
 topological order and accumulates exact gradients into every leaf tensor
@@ -322,7 +323,9 @@ def sigmoid(x: Tensor) -> Tensor:
 # shares: conv_bn_relu_pool for conv1 over the one-channel spectrogram,
 # conv_stage for the others. A stage's Tensor holds the (B, C, F, T) view
 # a.transpose(0, 3, 2, 1) of its array a, so the walk keeps its shapes, and
-# the next stage reads a in place.
+# the next stage reads a in place. conv_stage also takes conv1's stage as a
+# ConvBnReluPool and runs it one block of samples at a time, so that
+# stage's output is never made whole.
 #
 # The stages run over the batch in blocks of samples. Their elementwise
 # passes (batch norm, ReLU, pool, and the per-channel sums, float32 column
@@ -483,19 +486,19 @@ def _fill_box(dst: np.ndarray, f: tuple, t: tuple, src) -> None:
         dst[..., f0:f1, t0:t1] = src
 
 
-def _check_conv(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None):
-    """The shapes of a conv's (B, C_in, F, T) input and (C_out, C_in, kF,
-    kT) weights, checked against each other and the bias. Errors name
-    ``op``."""
-    if xd.ndim != 4 or w.ndim != 4:
+def _check_conv(op: str, shape: tuple, w: Tensor, b: Tensor | None):
+    """The shapes of a conv's (B, C_in, F, T) input, of ``shape``, and its
+    (C_out, C_in, kF, kT) weights, checked against each other and the bias.
+    Errors name ``op``."""
+    if len(shape) != 4 or w.ndim != 4:
         raise ShapeError(f"{op}: expected (B,C,F,T) input and 4-d weights, "
-                         f"got {xd.shape} / {w.shape}")
+                         f"got {shape} / {w.shape}")
     c_out, c_w = w.data.shape[:2]
-    if c_w != xd.shape[1]:
-        raise ShapeError(f"{op}: input has {xd.shape[1]} channels but weights expect {c_w}")
+    if c_w != shape[1]:
+        raise ShapeError(f"{op}: input has {shape[1]} channels but weights expect {c_w}")
     if b is not None and b.data.shape != (c_out,):
         raise ShapeError(f"{op}: bias shape {b.data.shape} does not match {c_out} channels")
-    return xd.shape, w.data.shape
+    return shape, w.data.shape
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -512,7 +515,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     is assembled from the spans of input that the kernel taps cover.
     """
     xd = x.data
-    (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd, w, b)
+    (nb, c_in, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv("conv2d", xd.shape, w, b)
     (s_f, s_t), (p_f, p_t) = stride, pad
     if f_in + 2 * p_f < k_f or t_in + 2 * p_t < k_t:
         raise ShapeError(f"conv2d: kernel ({k_f},{k_t}) larger than padded input "
@@ -722,15 +725,15 @@ def _cl(a: np.ndarray, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(0, 3, 2, 1), dtype=dtype)
 
 
-def _stage_geometry(op: str, xd: np.ndarray, w: Tensor, b: Tensor | None, stride, pad, window):
-    """Check a training stage, whose conv kernel spans frequency or time
-    only and whose pool, if ``window`` is given, is a two-tap one with
-    stride equal to it. Returns (along_f, k, s, p, L, shape, axis): the
-    kernel's size, stride and pad and the input's length L along its axis,
-    the conv output's (B, C, F, T) shape, and the pooled axis of its
-    channels-last (B, T, F, C) array, None without a pool. Errors name
-    ``op``."""
-    (nb, _, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv(op, xd, w, b)
+def _stage_geometry(op: str, x_shape: tuple, w: Tensor, b: Tensor | None, stride, pad, window):
+    """Check a training stage on a (B, C, F, T) input of ``x_shape``, whose
+    conv kernel spans frequency or time only and whose pool, if ``window``
+    is given, is a two-tap one with stride equal to it. Returns (along_f, k,
+    s, p, L, shape, axis): the kernel's size, stride and pad and the input's
+    length L along its axis, the conv output's (B, C, F, T) shape, and the
+    pooled axis of its channels-last (B, T, F, C) array, None without a
+    pool. Errors name ``op``."""
+    (nb, _, f_in, t_in), (c_out, _, k_f, k_t) = _check_conv(op, x_shape, w, b)
     (s_f, s_t), (p_f, p_t) = stride, pad
     along_f = (k_t, s_t, p_t) == (1, 1, 0)
     if not along_f and (k_f, s_f, p_f) != (1, 1, 0):
@@ -792,6 +795,119 @@ def _colsum(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), a.dtype) @ a
 
 
+class ConvBnReluPool:
+    """:func:`conv_bn_relu_pool`'s stage before its output exists: its
+    checks, batch norm's statistics of the batch (which update the running
+    ones here), the conv's weights folded with them, and the steps that
+    make its output, and take its gradients, for any block of samples.
+
+    :func:`conv_stage` takes one as its input and makes that input one of
+    its own blocks of samples at a time, in forward and again in backward,
+    so the output, its winner mask and its gradient never exist at full
+    size. ``shape`` and ``dtype`` are those of the output's (B, C, F, T)
+    view."""
+
+    def __init__(self, x: Tensor, w: Tensor, stride, pad, state: BatchNormState, window):
+        op = "conv_bn_relu_pool"
+        xd, wd = x.data, w.data
+        along_f, k, s, p, _, shape, self.axis = _stage_geometry(op, xd.shape, w, None, stride,
+                                                                pad, window)
+        if xd.shape[1] != 1:
+            raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
+        nb, c = shape[:2]
+        self.x, self.w, self.state = x, w, state
+        self.along_f, self.k, self.s, self.p = along_f, k, s, p
+        self.n_red = math.prod(shape) // c
+        self.out_cl = _pooled(shape, window)
+        self.shape = tuple(self.out_cl[i] for i in (0, 3, 2, 1))
+        dtype = np.result_type(xd, wd)
+        self.cl = (nb, shape[3], shape[2], c)  # the conv output, channels-last
+        self.blocks = _blocks(nb, math.prod(self.cl[1:]) * np.dtype(dtype).itemsize)
+        self.xv = self._last(xd)
+
+        self.wa = wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
+        wa[:, :k] = wd.reshape(c, k)
+        self.gram = gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
+        for blk in self.blocks:
+            col = self.cols(blk, np.float64).reshape(-1, k + 1)
+            gram += col.T @ col
+        mean = gram[k] / self.n_red  # [column mean, 1]
+        cov = gram / self.n_red - np.outer(mean, mean)
+        self.fold = _bn_fold(shape, dtype,
+                             lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)),
+                             state, True, op)
+        _, _, scale, shift = self.fold
+        self.dtype = np.result_type(dtype, scale, shift)
+        wz = wa * scale[:, None]
+        wz[:, k] += shift
+        self.wz = wz.T.astype(self.dtype)
+
+    def _last(self, a: np.ndarray) -> np.ndarray:
+        """The (B, F, T) view of an array laid out as x with the conv's axis last."""
+        return a[:, 0].transpose(0, 2, 1) if self.along_f else a[:, 0]
+
+    def _taps(self, col: np.ndarray) -> np.ndarray:
+        """The (n, T, F, K+1) array col with the conv's axis at axis 2, as
+        :func:`_tap_cols` takes it."""
+        return col if self.along_f else col.transpose(0, 2, 1, 3)
+
+    def cols(self, blk, dtype) -> np.ndarray:
+        """[col; 1] of the conv outputs of samples blk, (n, T, F, K+1)."""
+        col = np.ones((blk.stop - blk.start,) + self.cl[1:3] + (self.k + 1,), dtype)
+        _tap_cols(self._taps(col), self.xv[blk], self.s, self.p, self.k)
+        return col
+
+    def _within(self, blk):
+        """The stage's own blocks of samples blk, each with where it lies in blk."""
+        step = self.blocks[0].stop
+        for i in range(blk.start, blk.stop, step):
+            j = min(i + step, blk.stop)
+            yield slice(i, j), slice(i - blk.start, j - blk.start)
+
+    def run(self, blk, out, wins=None) -> None:
+        """The channels-last output of samples blk into out, and where each
+        pool's second tap won into wins, if given, one of the stage's own
+        blocks at a time: :func:`_conv_pool_relu` on that block's [col; 1]."""
+        for sub, r in self._within(blk):
+            _conv_pool_relu(self.cols(sub, self.dtype), self.axis, self.wz, out[r],
+                            None if wins is None else wins[r])
+
+    def buffer(self, dtype) -> np.ndarray:
+        """Room for :meth:`routed`'s two taps of one of the stage's blocks."""
+        return np.empty((2, self.blocks[0].stop * math.prod(self.out_cl[1:3]), self.cl[3]),
+                        dtype)
+
+    def routed(self, g, out, wins, buf) -> list:
+        """The gradient g of one of the stage's blocks of output, out,
+        channels-last, masked by the ReLU in place and routed through the
+        winner mask wins onto each pool tap's conv outputs, as (rows, C)
+        arrays in the buffers of buf."""
+        c = g.shape[-1]
+        gb = g.reshape(-1, c)
+        np.multiply(gb, out.reshape(-1, c) > 0, out=gb)
+        return _route(gb, wins.reshape(-1, c), buf[:, :len(gb)])
+
+    def add_p(self, pa, blk, g, out, wins, buf) -> None:
+        """Add P = sum of g [col; 1]', (C, K+1), of samples blk into pa, from
+        their channels-last output out, its winner mask wins and its
+        gradient g, which is masked in place."""
+        for sub, r in self._within(blk):
+            col = self.cols(sub, g.dtype)
+            for e, gr in enumerate(self.routed(g[r], out[r], wins[r], buf)):
+                pa += gr.T @ _pool_tap(col, self.axis, e).reshape(-1, self.k + 1)
+
+    def grads(self, pa):
+        """From the batch's P: accumulate gamma's, beta's and w's gradients,
+        and return batch norm's (A, C) terms, as :func:`_bn_grad_terms`."""
+        k, wa, gram = self.k, self.wa, self.gram
+        a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), self.n_red, self.state,
+                                    self.fold, True)
+        gw = self.fold[2][:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
+        wd = self.w.data
+        _accum_owned(self.w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
+        return a_ch, c_ch
+
+
 def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
                       window) -> Tensor:
     """A conv over one input channel, training-mode batch norm, ReLU and a
@@ -810,89 +926,47 @@ def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
     routes the pooled gradient through that mask onto the taps' columns,
     P = sum of g [col; 1]', (C, K+1); batch norm's sums and the w gradient
     follow from P and the Gram matrix exactly. x's gradient, which no model
-    input asks for, is built one block of columns at a time.
+    input asks for, is built one block of columns at a time. Each step is a
+    method of :class:`ConvBnReluPool`, which :func:`conv_stage` also runs.
 
     The tape holds ``x``, the pooled output and the winner mask. Output,
     running statistics and gradients are those of conv2d, batch_norm, relu
     and max_pool2d up to rounding; since z comes from the folded GEMM rather
     than from y, two taps whose conv outputs tie may resolve either way.
     """
-    op = "conv_bn_relu_pool"
-    xd, wd = x.data, w.data
-    along_f, k, s, p, _, shape, axis = _stage_geometry(op, xd, w, None, stride, pad, window)
-    if xd.shape[1] != 1:
-        raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
-    nb, c = shape[:2]
-    n_red = math.prod(shape) // c
-    dtype = np.result_type(xd, wd)
-    cl = (nb, shape[3], shape[2], c)  # the conv output, channels-last
-    out_cl = _pooled(shape, window)
-    blocks = _blocks(nb, math.prod(cl[1:]) * np.dtype(dtype).itemsize)
-    xv = xd[:, 0].transpose(0, 2, 1) if along_f else xd[:, 0]  # the conv's axis last
-
-    def cols(blk, dtype):  # [col; 1] of the block's outputs, (n, T, F, K+1)
-        col = np.ones((blk.stop - blk.start,) + cl[1:3] + (k + 1,), dtype)
-        _tap_cols(col if along_f else col.transpose(0, 2, 1, 3), xv[blk], s, p, k)
-        return col
-
-    wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
-    wa[:, :k] = wd.reshape(c, k)
-    gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
-    for blk in blocks:
-        col = cols(blk, np.float64).reshape(-1, k + 1)
-        gram += col.T @ col
-    mean = gram[k] / n_red  # [column mean, 1]
-    cov = gram / n_red - np.outer(mean, mean)
-    fold = _bn_fold(shape, dtype, lambda: (wa @ mean, np.einsum("ck,kj,cj->c", wa, cov, wa)),
-                    state, True, op)
-    _, _, scale, shift = fold
-    dtype = np.result_type(dtype, scale, shift)
-    wz = wa * scale[:, None]
-    wz[:, k] += shift
-    wz = wz.T.astype(dtype)
-    out = np.empty(out_cl, dtype=dtype)
-    wins = np.empty(out_cl, dtype=bool)  # where the second tap is larger
-    for blk in blocks:
-        _conv_pool_relu(cols(blk, dtype), axis, wz, out[blk], wins[blk])
+    st = ConvBnReluPool(x, w, stride, pad, state, window)
+    out = np.empty(st.out_cl, dtype=st.dtype)
+    wins = np.empty(st.out_cl, dtype=bool)  # where the second tap is larger
+    st.run(slice(0, len(out)), out, wins)
 
     def backward(g):
-        buf = np.empty((2, blocks[0].stop * math.prod(out_cl[1:3]), c), dtype=g.dtype)
-
-        def routed(blk):  # the block's gradient at each tap's outputs, (rows, C)
-            gb = _cl(g[blk]).reshape(-1, c)
-            np.multiply(gb, out[blk].reshape(-1, c) > 0, out=gb)
-            return _route(gb, wins[blk].reshape(-1, c), buf[:, :len(gb)])
-
-        pa = np.zeros_like(wa)
-        for blk in blocks:
-            col = cols(blk, g.dtype)
-            for e, r in enumerate(routed(blk)):
-                pa += r.T @ _pool_tap(col, axis, e).reshape(-1, k + 1)
-        a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), n_red, state, fold, True)
-        gw = scale[:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
-        _accum_owned(w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
+        buf = st.buffer(g.dtype)
+        pa = np.zeros_like(st.wa)
+        for blk in st.blocks:
+            st.add_p(pa, blk, _cl(g[blk]), out[blk], wins[blk], buf)
+        a_ch, c_ch = st.grads(pa)
         if x.requires_grad:
             # gcol = ((g_routed + A * y + C) * scale) W, with y = W col
+            k, wa, scale, dtype = st.k, st.wa, st.fold[2], st.dtype
             ws = (wa[:, :k] * scale[:, None]).astype(dtype)
             m = wa[:, :k].T @ ((a_ch * scale)[:, None] * wa)
             m[:, k] += wa[:, :k].T @ (c_ch * scale)
             m = m.T.astype(dtype)
-            gx = np.zeros(xd.shape, dtype=xd.dtype)
-            gxv = gx[:, 0].transpose(0, 2, 1) if along_f else gx[:, 0]
-            for blk in blocks:
-                col = cols(blk, dtype)
+            gx = np.zeros(x.shape, dtype=x.dtype)
+            gxv = st._last(gx)
+            for blk in st.blocks:
+                col = st.cols(blk, dtype)
                 gc = col[..., :k] @ m[:k] + m[k]
-                for e, r in enumerate(routed(blk)):
-                    t = _pool_tap(gc, axis, e)
+                for e, r in enumerate(st.routed(_cl(g[blk]), out[blk], wins[blk], buf)):
+                    t = _pool_tap(gc, st.axis, e)
                     t += (r @ ws).reshape(t.shape)
-                _tap_cols(gc if along_f else gc.transpose(0, 2, 1, 3), gxv[blk], s, p, k,
-                          scatter=True)
+                _tap_cols(st._taps(gc), gxv[blk], st.s, st.p, k, scatter=True)
             _accum_owned(x, gx)
 
     return _make(out.transpose(0, 3, 2, 1), (x, w, state.gamma, state.beta), backward)
 
 
-def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
+def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, pad,
                state: BatchNormState | None = None, window=None) -> Tensor:
     """A conv with ``state``'s training-mode batch norm, if given, then ReLU
     and, with a ``window`` of (2, 1) or (1, 2), a two-tap pool with stride
@@ -923,16 +997,27 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
 
     The tape holds the input, y (with batch norm), the output and the winner
     mask; every other array is at most one block.
+
+    ``x`` may instead be a :class:`ConvBnReluPool`, whose output is this
+    conv's input: the node then runs both stages. Forward makes each GEMM
+    block's input with :meth:`ConvBnReluPool.run`; backward makes it again,
+    with its winner mask, takes its gradient into a buffer of one block and
+    adds that block's P at once, then finishes the front's gradients from
+    P. The tape then holds the front's one-channel input and small arrays
+    in place of its output. The front's input takes no gradient.
     """
     op = "conv_stage"
-    xd = x.data
-    along_f, k, s, p, length, shape, axis = _stage_geometry(op, xd, w, b, stride, pad, window)
+    front = x if isinstance(x, ConvBnReluPool) else None
+    if front is not None and front.x.requires_grad:
+        raise ConfigError(f"{op}: the input of a conv_bn_relu_pool in front of it takes "
+                          "no gradient")
+    along_f, k, s, p, length, shape, axis = _stage_geometry(op, x.shape, w, b, stride, pad, window)
     if state is not None and b is not None:
         raise ConfigError(f"{op}: a conv that batch norm follows takes no bias")
-    nb, c_out, c_in = shape[0], shape[1], xd.shape[1]
+    nb, c_out, c_in = shape[0], shape[1], x.shape[1]
     m = shape[2] if along_f else shape[3]
-    if not along_f and xd.shape[2] != 1:
-        raise ShapeError(f"{op}: a kernel along time needs one frequency row, got {xd.shape[2]}")
+    if not along_f and x.shape[2] != 1:
+        raise ShapeError(f"{op}: a kernel along time needs one frequency row, got {x.shape[2]}")
     if p >= k or m * s != length:
         raise ShapeError(f"{op}: {m} outputs of kernel {k}, stride {s} and pad {p} "
                          f"do not tile input length {length}")
@@ -950,19 +1035,19 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
         else:
             raise ShapeError(f"{op}: a pool across the conv's axis needs one output "
                              f"along it, got {m}")
-    dtype = np.result_type(xd, w.data)
-    x_cl = _cl(xd, dtype)
+    dtype = np.result_type(x.dtype, w.data)
+    x_cl = None if front is not None else _cl(x.data, dtype)
     out_cl = _pooled(shape, window)
     m_tap = out_cl[2] if along_f else out_cl[1]  # each tap's outputs along the conv's axis
     n_red = math.prod(shape) // c_out
     item = np.dtype(dtype).itemsize
     y_bytes = math.prod(shape[1:]) * item  # per sample
     blocks = _blocks(nb, y_bytes)
-    gemm = _blocks(nb, y_bytes + xd[0].size * item, _GEMM_BLOCK_BYTES)
+    gemm = _blocks(nb, y_bytes + math.prod(x.shape[1:]) * item, _GEMM_BLOCK_BYTES)
+    x_block = (gemm[0].stop,) + x.shape[:0:-1]  # room for one GEMM block of x, channels-last
     y = np.empty((len(taps),) + out_cl, dtype=dtype)
 
-    def rows(a, blk, tap, width):  # the block's rows of a that ``tap`` reads, (R, width, C)
-        a = a[blk]
+    def rows(a, tap, width):  # the rows of a block a that ``tap`` reads, (R, width, C)
         if tap[2] is None:
             return a.reshape(-1, width, a.shape[-1])
         return a.reshape(-1, 2, width, a.shape[-1])[:, tap[2]]
@@ -972,10 +1057,16 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
 
     def convolved():  # y, one block and tap at a time, as (rows, C_out)
         wt = weights()
+        buf = None if front is None else np.empty(x_block, dtype=dtype)
         for blk in gemm:
+            if front is None:
+                xb = x_cl[blk]
+            else:
+                xb = buf[:blk.stop - blk.start]
+                front.run(blk, xb)
             for ye, tap in zip(y, taps):
                 yb = ye[blk].reshape(-1, m_tap, c_out)
-                yield _gemm_conv(rows(x_cl, blk, tap, length), k, *tap[:2], wt, yb).reshape(-1, c_out)
+                yield _gemm_conv(rows(xb, tap, length), k, *tap[:2], wt, yb).reshape(-1, c_out)
 
     def moments():
         sums = np.zeros((2, c_out))
@@ -1036,8 +1127,18 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
             a_ch, c_ch = (t.astype(dtype) for t in _bn_grad_terms(sums, n_red, state, fold, True))
             wt *= fold[2].astype(dtype)
         gw, gb_sum = np.zeros(wt.shape), None if b is None else np.zeros(c_out)
-        gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
+        if front is None:
+            gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
+        else:  # one GEMM block of the front's output, its winner mask and its gradient
+            xbuf, wbuf, gx = (np.empty(x_block, dtype=t) for t in (dtype, bool, dtype))
+            pa, fbuf = np.zeros_like(front.wa), front.buffer(dtype)
         for blk in gemm:
+            if front is None:
+                xb, gxb = x_cl[blk], None if gx is None else gx[blk]
+            else:
+                n = blk.stop - blk.start
+                xb, wb, gxb = xbuf[:n], wbuf[:n], gx[:n]
+                front.run(blk, xb, wb)
             # along the conv's axis, the second tap's conv reads more of each
             # block of input positions than the first, so it writes gx first
             for e, gy in reversed(list(enumerate(routed(blk)))):
@@ -1048,20 +1149,25 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor | None, stride, pad,
                 if gb_sum is not None:
                     gb_sum += _colsum(gy)
                 tap = taps[e]
-                _gemm_conv_grads(rows(x_cl, blk, tap, length), k, *tap[:2], wt,
+                _gemm_conv_grads(rows(xb, tap, length), k, *tap[:2], wt,
                                  gy.reshape(-1, m_tap, c_out), gw,
-                                 None if gx is None else rows(gx, blk, tap, length),
+                                 None if gxb is None else rows(gxb, tap, length),
                                  init=e == len(taps) - 1 or tap[2] is not None)
+            if front is not None:
+                front.add_p(pa, blk, gxb, xb, wb, fbuf)
         if state is not None:
             gw *= fold[2]
         _accum_owned(w, gw.transpose(2, 1, 0).reshape(w.data.shape).astype(w.data.dtype))
         if b is not None:
             _accum_owned(b, gb_sum.astype(b.data.dtype))
-        if gx is not None:
+        if front is not None:
+            front.grads(pa)
+        elif gx is not None:
             _accum_owned(x, gx.transpose(0, 3, 2, 1))
 
+    ins = (x,) if front is None else (front.x, front.w, front.state.gamma, front.state.beta)
     extra = (state.gamma, state.beta) if state is not None else () if b is None else (b,)
-    return _make(out.transpose(0, 3, 2, 1), (x, w) + extra, backward)
+    return _make(out.transpose(0, 3, 2, 1), ins + (w,) + extra, backward)
 
 
 # ---------------------------------------------------------------------------

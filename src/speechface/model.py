@@ -201,14 +201,17 @@ class Model:
         as :func:`~.autograd.conv_bn_relu_pool`, which never makes the
         conv's output: with three im2col columns per output element, batch
         norm's statistics and every gradient follow from those columns and
-        from sums at the pooled size. Each yields the (B, C, F, T) view of
-        its channels-last array, which the next stage reads in place.
-        Inference yields every stage, which is what :func:`forward_trace`
-        and the non-finite diagnostics read.
+        from sums at the pooled size. When a conv follows its pool, as conv2
+        follows pool1, that conv's node runs it too, one block of samples at
+        a time (:class:`~.autograd.ConvBnReluPool`), so its pooled output is
+        never made whole and is not yielded. Each node yields the (B, C, F,
+        T) view of its channels-last array, which the next stage reads in
+        place. Inference yields every stage, which is what
+        :func:`forward_trace` and the non-finite diagnostics read.
         """
         stack = self.arch.stack[start:stop]
         fused = None
-        for spec, nxt in zip(stack, stack[1:] + (None,)):
+        for i, spec in enumerate(stack):
             if spec is fused:
                 continue
             try:
@@ -221,11 +224,16 @@ class Model:
                             x = ag.batch_norm(x, bn, False)
                         x = ag.relu(x)
                     else:
+                        nxt, after = (stack[i + 1:i + 3] + (None, None))[:2]
                         pool = (nxt.window if isinstance(nxt, PoolSpec) and nxt.stride == nxt.window
                                 and nxt.window in ((2, 1), (1, 2)) else None)
-                        x = (ag.conv_bn_relu_pool(x, w, spec.stride, spec.pad, bn, pool)
-                             if x.shape[1] == 1 and bn is not None and pool is not None
-                             else ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool))
+                        if x.shape[1] != 1 or bn is None or pool is None:
+                            x = ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool)
+                        elif isinstance(after, ConvSpec):  # that conv's node runs this stage
+                            x, fused = ag.ConvBnReluPool(x, w, spec.stride, spec.pad, bn, pool), nxt
+                            continue
+                        else:
+                            x = ag.conv_bn_relu_pool(x, w, spec.stride, spec.pad, bn, pool)
                         if pool is not None:
                             spec = fused = nxt
                 else:

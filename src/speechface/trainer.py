@@ -194,21 +194,39 @@ def _batch_loss(model: Model, dataset: Dataset, batch) -> Tensor:
     return total
 
 
+# Frames per pass of the non-finite diagnostic's inference walk, which holds
+# every layer's output for the frames of its pass, about 1 MiB per frame.
+_DIAGNOSTIC_FRAMES = 32
+
+
+def _inference_walk(model: Model, x: np.ndarray):
+    """(layer name, output) of each layer of the inference walk over x, then
+    of one recurrent step from the zero state, as "rnn"."""
+    for name, feats in model.layers(Tensor(x), training=False):
+        yield name, feats
+    state = tuple(map(Tensor, model.initial_state(len(x), model.dtype)))
+    yield "rnn", model.recur(feats, state)[0]
+
+
 def _first_nonfinite_layer(model: Model, dataset: Dataset, batch) -> str:
-    """Name the earliest source of non-finite values for a diagnostic."""
+    """Name the earliest source of non-finite values for a diagnostic: a
+    parameter, else the earliest layer of the inference walk that is
+    non-finite for any frame of the batch. Each frame passes that walk on
+    its own, so it runs over _DIAGNOSTIC_FRAMES frames at a time."""
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             return f"parameter {p.name}"
     x = _trunk_input(model, dataset, batch)
+    where, depth = "loss", None  # the earliest non-finite layer so far, and its place
     with ag.no_grad():
-        for name, feats in model.layers(Tensor(x), training=False):
-            if not np.all(np.isfinite(feats.data)):
-                return name
-        state = tuple(map(Tensor, model.initial_state(len(x), model.dtype)))
-        out, _ = model.recur(feats, state)
-        if not np.all(np.isfinite(out.data)):
-            return "rnn"
-    return "loss"
+        for i in range(0, len(x), _DIAGNOSTIC_FRAMES):
+            for d, (name, out) in enumerate(_inference_walk(model, x[i:i + _DIAGNOSTIC_FRAMES])):
+                if depth is not None and d >= depth:
+                    break
+                if not np.all(np.isfinite(out.data)):
+                    where, depth = name, d
+                    break
+    return where
 
 
 # ---------------------------------------------------------------------------

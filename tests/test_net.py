@@ -8,7 +8,7 @@ import pytest
 
 from speechface import autograd as ag
 from speechface.audio import NUM_BANDS, NUM_COLUMNS, Spectrogram
-from speechface.errors import DataError, ParseError, ShapeError
+from speechface.errors import ConfigError, DataError, ParseError, ShapeError
 from speechface.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -145,7 +145,7 @@ class TestTrainingWalk:
         with ag.no_grad():
             train_rows = [(n, t.shape[1:]) for n, t in model.layers(x, training=True)]
             infer_rows = [(n, t.shape[1:]) for n, t in model.layers(x, training=False)]
-        assert [n for n, _ in train_rows] == ["input", "pool1", "pool2", "conv3", "conv4",
+        assert [n for n, _ in train_rows] == ["input", "pool2", "conv3", "conv4",
                                               "pool5", "conv6", "conv7", "conv8", "dense1"]
         assert all(dims[n] == d for n, d in train_rows)
         assert infer_rows == EXPECTED_TRACE[:13]
@@ -182,6 +182,56 @@ class TestTrainingWalk:
         for name, w in want.items():
             assert got[name].dtype == np.float64
             assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+
+    def test_fused_trunk_matches_the_unfused_walk_over_several_blocks(self, monkeypatch):
+        """As above on 7 samples, with conv2's GEMM blocks cut to 3 samples:
+        conv2's node makes conv1's pooled output for blocks of 3, 3 and 1
+        samples, each from conv1's own blocks of one sample (float64 conv1
+        outputs take 1 MiB a sample), in forward and again in backward.
+        Every array within 1e-12 of the unfused walk's largest value."""
+        monkeypatch.setattr(ag, "_GEMM_BLOCK_BYTES", 3 * (96 * 16 * 32 + 64 * 32 * 32) * 8)
+        made, kernel_calls = [], []
+        run, kernel = ag.ConvBnReluPool.run, ag._conv_pool_relu
+        monkeypatch.setattr(ag.ConvBnReluPool, "run",
+                            lambda st, blk, *a: (made.append((blk.start, blk.stop)), run(st, blk, *a)))
+        monkeypatch.setattr(ag, "_conv_pool_relu",
+                            lambda col, *a: (kernel_calls.append(len(col)), kernel(col, *a)))
+        x = np.random.default_rng(8).normal(size=(7, 1, NUM_BANDS, NUM_COLUMNS))
+        proj = np.random.default_rng(9).normal(size=(7, STANDARD_ARCH.hidden))
+        results = []
+        for fused in (True, False):
+            model = _float64_copy(build_model("cnn_static", seed=4))
+            rng = np.random.default_rng(7)
+            for b in model.conv_b.values():
+                b.data[:] = 0.1 * rng.normal(size=b.data.shape)
+            for bn in model.conv_bn.values():
+                bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
+                bn.beta.data[:] = rng.normal(size=bn.channels)
+            tx = ag.Tensor(x)
+            feats = model.trunk(tx, training=True) if fused else unfused_trunk(model, tx)
+            ag.sum_all(ag.mul(feats, ag.Tensor(proj))).backward()
+            arrays = {"features": feats.data}
+            arrays.update((p.name, p.grad) for p in model.parameters() if p.grad is not None)
+            arrays.update((f"{name}.bn", np.concatenate([bn.running_mean, bn.running_var]))
+                          for name, bn in model.conv_bn.items())
+            results.append(arrays)
+        assert made == [(0, 3), (3, 6), (6, 7)] * 2
+        assert kernel_calls == [1] * 14
+        got, want = results
+        assert got.keys() == want.keys()
+        for name, w in want.items():
+            assert got[name].dtype == np.float64
+            assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+
+    def test_input_that_takes_a_gradient_is_refused(self):
+        """conv2's node runs conv1's stage without its input's gradient, so
+        a trunk input that asks for one is refused, not left without it."""
+        model = build_model("cnn_static", seed=0)
+        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32),
+                      requires_grad=True)
+        with pytest.raises(ConfigError, match="conv_stage: the input of a conv_bn_relu_pool "
+                                              "in front of it takes no gradient"):
+            model.trunk(x, training=True)
 
     def test_fused_stage_error_names_its_conv(self):
         model = build_model("cnn_static", seed=0)

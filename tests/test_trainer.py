@@ -12,6 +12,7 @@ import pytest
 
 import speechface
 from speechface import autograd as ag
+from speechface import trainer
 from speechface.audio import NUM_BANDS, NUM_COLUMNS, NormStats
 from speechface.autograd import Parameter, Tensor
 from speechface.data import Dataset
@@ -411,6 +412,42 @@ class TestTrain:
         with pytest.raises(NumericError, match="conv2"):
             train(cfg, ds, model=model)
 
+    def test_nonfinite_diagnostic_names_a_layer_of_a_later_chunk(self, monkeypatch):
+        """Every parameter is finite, but conv3's weights are scaled so that
+        its output overflows for frame 9 alone, which the diagnostic's walk
+        of 4 frames at a time reaches in its third pass: it names conv3. With
+        a NaN in frame 9's input as well, and frame 1 overflowing in conv3
+        in the first pass, it names the earlier layer, the input."""
+        monkeypatch.setattr(trainer, "_DIAGNOSTIC_FRAMES", 4)
+        ds = build_synth_dataset(np.random.default_rng(30), counts=(10,))
+        model = build_model("cnn_static", seed=0)
+        model.conv_w["conv3"].data *= 1e10
+        ds.spectrograms[9] = 1e30
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert trainer._first_nonfinite_layer(model, ds, [(0, 9)]) == "loss"
+            assert trainer._first_nonfinite_layer(model, ds, [(0, 10)]) == "conv3"
+            ds.spectrograms[1] = 1e30
+            ds.spectrograms[9, 0, 0] = np.nan
+            assert trainer._first_nonfinite_layer(model, ds, [(0, 10)]) == "input"
+
+    def test_nonfinite_diagnostic_holds_one_chunk_of_frames(self):
+        """The diagnostic's walk of a 96-frame batch whose last frame
+        overflows in conv3, under tracemalloc: it holds each layer's output
+        for one chunk of 32 frames, about 1 MiB a frame, not for the whole
+        batch."""
+        ds = build_synth_dataset(np.random.default_rng(31), counts=(96,))
+        model = build_model("cnn_static", seed=0)
+        model.conv_w["conv3"].data *= 1e10
+        ds.spectrograms[95] = 1e30
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert trainer._first_nonfinite_layer(model, ds, [(0, 96)]) == "conv3"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << 20, peak
+
     def test_on_step_can_stop_early(self):
         rng = np.random.default_rng(13)
         ds = build_synth_dataset(rng, counts=(12,))
@@ -473,6 +510,26 @@ class TestTrain:
             tracemalloc.stop()
         assert len(peaks) == 2
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_step_memory_per_frame(self):
+        """A 32-frame cnn_lstm step of four 8-frame segments under
+        tracemalloc: the forward tape holds at most 0.75 MiB a frame and the
+        step peaks at 1 MiB a frame. conv2's node makes conv1's pooled
+        output, 0.25 MiB a frame, its winner mask and its gradient one block
+        of samples at a time; kept or made whole, they would take those
+        bounds past 0.95 and 1.2 MiB a frame."""
+        ds = build_synth_dataset(np.random.default_rng(31), counts=(32,))
+        model = build_model("cnn_lstm", seed=0)
+        tracemalloc.start()
+        try:
+            loss = _batch_loss(model, ds, [(i, i + 8) for i in range(0, 32, 8)])
+            tape = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape <= 32 * (3 << 18), tape
+        assert peak <= 32 << 20, peak
 
     def test_training_reduces_loss_on_tiny_overfit(self):
         """A few dozen steps on one tiny batch should cut the loss."""
