@@ -338,8 +338,8 @@ _BLOCK_BYTES = 1 << 19
 _GEMM_BLOCK_BYTES = 1 << 21
 
 
-def _blocks(nb: int, sample_bytes: int, budget: int = _BLOCK_BYTES) -> list:
-    step = max(1, budget // max(1, sample_bytes))
+def _blocks(nb: int, sample_bytes: int, budget: int | None = None) -> list:
+    step = max(1, (_BLOCK_BYTES if budget is None else budget) // max(1, sample_bytes))
     return [slice(i, min(i + step, nb)) for i in range(0, nb, step)]
 
 
@@ -858,11 +858,17 @@ class ConvBnReluPool:
         return col
 
     def _within(self, blk):
-        """The stage's own blocks of samples blk, each with where it lies in blk."""
+        """Samples blk cut at the bounds of the stage's own blocks, each part
+        with where it lies in blk. Where blk starts and ends on those bounds,
+        the parts are the stage's blocks, and the output and P those of
+        :func:`conv_bn_relu_pool` bit for bit; a block cut in two runs its
+        GEMMs on other rows and agrees only up to rounding."""
         step = self.blocks[0].stop
-        for i in range(blk.start, blk.stop, step):
-            j = min(i + step, blk.stop)
+        i = blk.start
+        while i < blk.stop:
+            j = min((i // step + 1) * step, blk.stop)
             yield slice(i, j), slice(i - blk.start, j - blk.start)
+            i = j
 
     def run(self, blk, out, wins=None) -> None:
         """The channels-last output of samples blk into out, and where each
@@ -1004,7 +1010,10 @@ def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, 
     with its winner mask, takes its gradient into a buffer of one block and
     adds that block's P at once, then finishes the front's gradients from
     P. The tape then holds the front's one-channel input and small arrays
-    in place of its output. The front's input takes no gradient.
+    in place of its output. The front's input takes no gradient. Where
+    every GEMM block starts and ends on the front's own blocks, as it does
+    at the standard input size, whose conv1 blocks are one sample each, the
+    front's output and P are :func:`conv_bn_relu_pool`'s bit for bit.
     """
     op = "conv_stage"
     front = x if isinstance(x, ConvBnReluPool) else None

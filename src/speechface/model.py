@@ -198,14 +198,15 @@ class Model:
         :func:`~.autograd.conv_stage`, and a pool it takes is yielded under
         the pool's name: the tape then keeps no normalized or activated
         array, and no im2col. conv1, over the one-channel spectrogram, runs
-        as :func:`~.autograd.conv_bn_relu_pool`, which never makes the
-        conv's output: with three im2col columns per output element, batch
-        norm's statistics and every gradient follow from those columns and
-        from sums at the pooled size. When a conv follows its pool, as conv2
-        follows pool1, that conv's node runs it too, one block of samples at
-        a time (:class:`~.autograd.ConvBnReluPool`), so its pooled output is
-        never made whole and is not yielded. Each node yields the (B, C, F,
-        T) view of its channels-last array, which the next stage reads in
+        as :func:`~.autograd.conv_bn_relu_pool`'s stage, which never makes
+        the conv's output: with three im2col columns per output element,
+        batch norm's statistics and every gradient follow from those columns
+        and from sums at the pooled size. The node of the conv that follows
+        its pool, as conv2 follows pool1, runs that stage one block of
+        samples at a time (:class:`~.autograd.ConvBnReluPool`), so its
+        pooled output is never made whole and is not yielded; a stage that
+        no conv follows raises ShapeError. Each node yields the (B, C, F, T)
+        view of its channels-last array, which the next stage reads in
         place. Inference yields every stage, which is what
         :func:`forward_trace` and the non-finite diagnostics read.
         """
@@ -224,23 +225,23 @@ class Model:
                             x = ag.batch_norm(x, bn, False)
                         x = ag.relu(x)
                     else:
-                        nxt, after = (stack[i + 1:i + 3] + (None, None))[:2]
+                        nxt = stack[i + 1] if i + 1 < len(stack) else None
                         pool = (nxt.window if isinstance(nxt, PoolSpec) and nxt.stride == nxt.window
                                 and nxt.window in ((2, 1), (1, 2)) else None)
-                        if x.shape[1] != 1 or bn is None or pool is None:
-                            x = ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool)
-                        elif isinstance(after, ConvSpec):  # that conv's node runs this stage
+                        if x.shape[1] == 1 and bn is not None and pool is not None:
+                            # the next conv's node runs this stage
                             x, fused = ag.ConvBnReluPool(x, w, spec.stride, spec.pad, bn, pool), nxt
                             continue
-                        else:
-                            x = ag.conv_bn_relu_pool(x, w, spec.stride, spec.pad, bn, pool)
+                        x = ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool)
                         if pool is not None:
                             spec = fused = nxt
                 else:
+                    _no_front(x, fused)
                     x = ag.max_pool2d(x, spec.window, spec.stride)
             except ShapeError as err:
                 raise ShapeError(f"layer {spec.name}: {err}") from None
             yield spec.name, x
+        _no_front(x, fused)
 
     def trunk(self, x: Tensor, training: bool, early: Tensor | None = None) -> Tensor:
         """Conv/pool stack plus the first dense layer: (B,1,F,T) -> (B,hidden);
@@ -278,6 +279,12 @@ class Model:
         for cnn_gru and (h, c) for cnn_lstm, each array (batch, hidden)."""
         return tuple(np.zeros((batch, self.arch.hidden), dtype)
                      for _ in range(_STATE_SIZE[self.variant]))
+
+
+def _no_front(x, pool: PoolSpec) -> None:
+    """Refuse a conv_bn_relu_pool stage, ending at ``pool``, that no conv runs."""
+    if isinstance(x, ag.ConvBnReluPool):
+        raise ShapeError(f"no conv follows {pool.name} to run its conv_bn_relu_pool stage")
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):

@@ -183,13 +183,18 @@ class TestTrainingWalk:
             assert got[name].dtype == np.float64
             assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
-    def test_fused_trunk_matches_the_unfused_walk_over_several_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("conv1_samples, kernel_rows", [(1, [1] * 7), (2, [2, 1, 1, 2, 1])])
+    def test_fused_trunk_matches_the_unfused_walk_over_several_blocks(
+            self, monkeypatch, conv1_samples, kernel_rows):
         """As above on 7 samples, with conv2's GEMM blocks cut to 3 samples:
         conv2's node makes conv1's pooled output for blocks of 3, 3 and 1
-        samples, each from conv1's own blocks of one sample (float64 conv1
-        outputs take 1 MiB a sample), in forward and again in backward.
-        Every array within 1e-12 of the unfused walk's largest value."""
+        samples, in forward and again in backward. With conv1's own blocks
+        of one sample (float64 conv1 outputs take 1 MiB a sample) those nest
+        in the GEMM blocks; with blocks of two, a GEMM block that ends inside
+        one of them takes its part only. Every array within 1e-12 of the
+        unfused walk's largest value."""
         monkeypatch.setattr(ag, "_GEMM_BLOCK_BYTES", 3 * (96 * 16 * 32 + 64 * 32 * 32) * 8)
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", conv1_samples << 20)
         made, kernel_calls = [], []
         run, kernel = ag.ConvBnReluPool.run, ag._conv_pool_relu
         monkeypatch.setattr(ag.ConvBnReluPool, "run",
@@ -216,7 +221,7 @@ class TestTrainingWalk:
                           for name, bn in model.conv_bn.items())
             results.append(arrays)
         assert made == [(0, 3), (3, 6), (6, 7)] * 2
-        assert kernel_calls == [1] * 14
+        assert kernel_calls == kernel_rows * 2
         got, want = results
         assert got.keys() == want.keys()
         for name, w in want.items():
@@ -232,6 +237,15 @@ class TestTrainingWalk:
         with pytest.raises(ConfigError, match="conv_stage: the input of a conv_bn_relu_pool "
                                               "in front of it takes no gradient"):
             model.trunk(x, training=True)
+
+    def test_conv1_stage_that_no_conv_runs_is_refused(self):
+        """Only a conv's node runs conv1's stage; a walk that stops at pool1
+        says so rather than hand on a stage that was never run."""
+        model = build_model("cnn_static", seed=0)
+        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))
+        with pytest.raises(ShapeError, match="no conv follows pool1 to run its "
+                                             "conv_bn_relu_pool stage"):
+            list(model.stages(x, training=True, stop=2))
 
     def test_fused_stage_error_names_its_conv(self):
         model = build_model("cnn_static", seed=0)
