@@ -4,10 +4,9 @@ Everything the network needs is built from the primitives in this module:
 convolution, max pooling, batch normalization, dense layers, elementwise
 activations and the LSTM/GRU cell steps, plus the trunk's training stages,
 each a conv with its batch norm, ReLU and pool as one node on channels-last
-arrays (:func:`conv_stage`, and :func:`conv_bn_relu_pool` for the
-one-channel conv1, which never makes its conv's output and which
-:func:`conv_stage` can run in front of its own conv). Each
-primitive records a backward closure on a tape; calling
+arrays (:func:`conv_stage`, which also runs the one-channel conv1's stage,
+a :class:`ConvBnReluPool` that never makes its conv's output, in front of
+its own conv). Each primitive records a backward closure on a tape; calling
 :meth:`Tensor.backward` on a scalar loss walks the tape in reverse
 topological order and accumulates exact gradients into every leaf tensor
 that requested them. Backward closures read their inputs' arrays when they
@@ -320,12 +319,12 @@ def sigmoid(x: Tensor) -> Tensor:
 # and so do the gradient checks. Training runs each conv of the trunk with
 # its batch norm, ReLU and pool as one node on channels-last (B, T, F, C)
 # arrays, the layout of the batched plan in model.py, whose conv kernels it
-# shares: conv_bn_relu_pool for conv1 over the one-channel spectrogram,
-# conv_stage for the others. A stage's Tensor holds the (B, C, F, T) view
-# a.transpose(0, 3, 2, 1) of its array a, so the walk keeps its shapes, and
-# the next stage reads a in place. conv_stage also takes conv1's stage as a
-# ConvBnReluPool and runs it one block of samples at a time, so that
-# stage's output is never made whole.
+# shares: conv_stage, one node per conv from conv2 on. A stage's Tensor
+# holds the (B, C, F, T) view a.transpose(0, 3, 2, 1) of its array a, so
+# the walk keeps its shapes, and the next stage reads a in place. conv1's
+# stage over the one-channel spectrogram is a ConvBnReluPool, which conv2's
+# conv_stage takes as its input and runs one block of samples at a time,
+# so that stage's output is never made whole.
 #
 # The stages run over the batch in blocks of samples. Their elementwise
 # passes (batch norm, ReLU, pool, and the per-channel sums, float32 column
@@ -378,18 +377,13 @@ def _tap_span(n_in: int, n_out: int, i: int, s: int, p: int):
     return lo, hi, slice(s * lo + i - p, s * (hi - 1) + i - p + 1, s)
 
 
-def _tap_cols(col: np.ndarray, x: np.ndarray, s: int, p: int, k: int,
-              scatter: bool = False) -> None:
+def _tap_cols(col: np.ndarray, x: np.ndarray, s: int, p: int, k: int) -> None:
     """Tap-major im2col of a one-channel convolution along the last axis of
     x, (..., L), into col[..., :k], (..., m, >= k): slot i of output j holds
-    x[..., s*j + i - p], and 0 where that lies in the padding. With
-    ``scatter``, add each slot of col to the x it holds instead."""
+    x[..., s*j + i - p], and 0 where that lies in the padding."""
     m = col.shape[-2]
     for i in range(k):
         lo, hi, src = _tap_span(x.shape[-1], m, i, s, p)
-        if scatter:
-            x[..., src] += col[..., lo:hi, i]
-            continue
         col[..., :lo, i] = 0.0
         col[..., hi:, i] = 0.0
         col[..., lo:hi, i] = x[..., src]
@@ -796,34 +790,60 @@ def _colsum(a: np.ndarray) -> np.ndarray:
 
 
 class ConvBnReluPool:
-    """:func:`conv_bn_relu_pool`'s stage before its output exists: its
-    checks, batch norm's statistics of the batch (which update the running
-    ones here), the conv's weights folded with them, and the steps that
-    make its output, and take its gradients, for any block of samples.
+    """conv1's training stage, a conv over one input channel with
+    training-mode batch norm, ReLU and a (2, 1) pool with stride (2, 1),
+    before its output exists: its checks, batch norm's statistics of the
+    batch (which update the running ones here), the conv's weights folded
+    with them, and the steps that make its output, and take its gradients,
+    for any block of samples. The kernel spans frequency only; any other
+    geometry raises ShapeError. Errors name ``conv_bn_relu_pool``.
 
     :func:`conv_stage` takes one as its input and makes that input one of
     its own blocks of samples at a time, in forward and again in backward,
     so the output, its winner mask and its gradient never exist at full
     size. ``shape`` and ``dtype`` are those of the output's (B, C, F, T)
-    view."""
+    view.
+
+    The conv is linear in its tap-major im2col columns, K = kF of them
+    (three for conv1): y = W col. So batch norm's mean and variance follow
+    from the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
+    float64 one block of samples at a time. The output is the plan's conv1
+    kernel, :func:`_conv_pool_relu`: z = Wz [col; 1] over each pool tap's
+    columns, where ``wz`` is W folded with batch norm (its scale on W, its
+    shift on the ones row), keeping the ReLU'd larger of each pair and
+    where the second tap won. The gradient routes the pooled gradient
+    through that mask onto the taps' columns, P = sum of g [col; 1]', (C,
+    K+1); batch norm's sums and the w gradient follow from P and the Gram
+    matrix exactly.
+
+    Output, running statistics and gradients are those of conv2d,
+    batch_norm, relu and max_pool2d up to rounding; since z comes from the
+    folded GEMM rather than from y, two taps whose conv outputs tie may
+    resolve either way."""
 
     def __init__(self, x: Tensor, w: Tensor, stride, pad, state: BatchNormState, window):
         op = "conv_bn_relu_pool"
         xd, wd = x.data, w.data
-        along_f, k, s, p, _, shape, self.axis = _stage_geometry(op, xd.shape, w, None, stride,
-                                                                pad, window)
+        along_f, k, s, p, _, shape, axis = _stage_geometry(op, xd.shape, w, None, stride, pad,
+                                                           window)
+        if not along_f or axis != 2:
+            raise ShapeError(f"{op}: expected a kernel along frequency and a (2,1) window, "
+                             f"got kernel {wd.shape[2:]} and window {window}")
         if xd.shape[1] != 1:
             raise ShapeError(f"{op}: expected one input channel, got {xd.shape[1]}")
+        if x.requires_grad:
+            raise ConfigError("conv_stage: the input of a conv_bn_relu_pool in front of it "
+                              "takes no gradient")
         nb, c = shape[:2]
         self.x, self.w, self.state = x, w, state
-        self.along_f, self.k, self.s, self.p = along_f, k, s, p
+        self.k, self.s, self.p = k, s, p
         self.n_red = math.prod(shape) // c
         self.out_cl = _pooled(shape, window)
         self.shape = tuple(self.out_cl[i] for i in (0, 3, 2, 1))
         dtype = np.result_type(xd, wd)
         self.cl = (nb, shape[3], shape[2], c)  # the conv output, channels-last
         self.blocks = _blocks(nb, math.prod(self.cl[1:]) * np.dtype(dtype).itemsize)
-        self.xv = self._last(xd)
+        self.xv = xd[:, 0].transpose(0, 2, 1)  # (B, T, F), the conv's axis last
 
         self.wa = wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
         wa[:, :k] = wd.reshape(c, k)
@@ -842,27 +862,17 @@ class ConvBnReluPool:
         wz[:, k] += shift
         self.wz = wz.T.astype(self.dtype)
 
-    def _last(self, a: np.ndarray) -> np.ndarray:
-        """The (B, F, T) view of an array laid out as x with the conv's axis last."""
-        return a[:, 0].transpose(0, 2, 1) if self.along_f else a[:, 0]
-
-    def _taps(self, col: np.ndarray) -> np.ndarray:
-        """The (n, T, F, K+1) array col with the conv's axis at axis 2, as
-        :func:`_tap_cols` takes it."""
-        return col if self.along_f else col.transpose(0, 2, 1, 3)
-
     def cols(self, blk, dtype) -> np.ndarray:
         """[col; 1] of the conv outputs of samples blk, (n, T, F, K+1)."""
         col = np.ones((blk.stop - blk.start,) + self.cl[1:3] + (self.k + 1,), dtype)
-        _tap_cols(self._taps(col), self.xv[blk], self.s, self.p, self.k)
+        _tap_cols(col, self.xv[blk], self.s, self.p, self.k)
         return col
 
     def _within(self, blk):
         """Samples blk cut at the bounds of the stage's own blocks, each part
-        with where it lies in blk. Where blk starts and ends on those bounds,
-        the parts are the stage's blocks, and the output and P those of
-        :func:`conv_bn_relu_pool` bit for bit; a block cut in two runs its
-        GEMMs on other rows and agrees only up to rounding."""
+        with where it lies in blk. A block cut in two runs its GEMMs on
+        other rows than when whole, so it agrees with itself uncut only up
+        to rounding."""
         step = self.blocks[0].stop
         i = blk.start
         while i < blk.stop:
@@ -875,101 +885,36 @@ class ConvBnReluPool:
         pool's second tap won into wins, if given, one of the stage's own
         blocks at a time: :func:`_conv_pool_relu` on that block's [col; 1]."""
         for sub, r in self._within(blk):
-            _conv_pool_relu(self.cols(sub, self.dtype), self.axis, self.wz, out[r],
+            _conv_pool_relu(self.cols(sub, self.dtype), 2, self.wz, out[r],
                             None if wins is None else wins[r])
 
     def buffer(self, dtype) -> np.ndarray:
-        """Room for :meth:`routed`'s two taps of one of the stage's blocks."""
+        """Room for :meth:`add_p`'s two taps of one of the stage's blocks."""
         return np.empty((2, self.blocks[0].stop * math.prod(self.out_cl[1:3]), self.cl[3]),
                         dtype)
-
-    def routed(self, g, out, wins, buf) -> list:
-        """The gradient g of one of the stage's blocks of output, out,
-        channels-last, masked by the ReLU in place and routed through the
-        winner mask wins onto each pool tap's conv outputs, as (rows, C)
-        arrays in the buffers of buf."""
-        c = g.shape[-1]
-        gb = g.reshape(-1, c)
-        np.multiply(gb, out.reshape(-1, c) > 0, out=gb)
-        return _route(gb, wins.reshape(-1, c), buf[:, :len(gb)])
 
     def add_p(self, pa, blk, g, out, wins, buf) -> None:
         """Add P = sum of g [col; 1]', (C, K+1), of samples blk into pa, from
         their channels-last output out, its winner mask wins and its
-        gradient g, which is masked in place."""
+        gradient g: g, masked by the ReLU in place, is routed through wins
+        onto each pool tap's conv outputs, as (rows, C) arrays in the
+        buffers of buf."""
+        c = g.shape[-1]
         for sub, r in self._within(blk):
             col = self.cols(sub, g.dtype)
-            for e, gr in enumerate(self.routed(g[r], out[r], wins[r], buf)):
-                pa += gr.T @ _pool_tap(col, self.axis, e).reshape(-1, self.k + 1)
+            gb = g[r].reshape(-1, c)
+            np.multiply(gb, out[r].reshape(-1, c) > 0, out=gb)
+            for e, gr in enumerate(_route(gb, wins[r].reshape(-1, c), buf[:, :len(gb)])):
+                pa += gr.T @ _pool_tap(col, 2, e).reshape(-1, self.k + 1)
 
-    def grads(self, pa):
-        """From the batch's P: accumulate gamma's, beta's and w's gradients,
-        and return batch norm's (A, C) terms, as :func:`_bn_grad_terms`."""
+    def grads(self, pa) -> None:
+        """From the batch's P: accumulate gamma's, beta's and w's gradients."""
         k, wa, gram = self.k, self.wa, self.gram
         a_ch, c_ch = _bn_grad_terms((pa[:, k], (wa * pa).sum(axis=1)), self.n_red, self.state,
                                     self.fold, True)
         gw = self.fold[2][:, None] * (pa + a_ch[:, None] * (wa @ gram) + c_ch[:, None] * gram[k])
         wd = self.w.data
         _accum_owned(self.w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
-        return a_ch, c_ch
-
-
-def conv_bn_relu_pool(x: Tensor, w: Tensor, stride, pad, state: BatchNormState,
-                      window) -> Tensor:
-    """A conv over one input channel, training-mode batch norm, ReLU and a
-    two-tap pool, (2, 1) or (1, 2) with stride equal to the window, as one
-    node that never makes the conv's output or its gradient at full size.
-    The kernel spans frequency or time only. The output is the (B, C, F, T)
-    view of a channels-last array, as :func:`conv_stage` takes it.
-
-    The conv is linear in its tap-major im2col columns, K = kF * kT of them
-    (three for conv1): y = W col. So batch norm's mean and variance follow
-    from the (K+1) x (K+1) Gram matrix of [col; 1] over the batch, summed in
-    float64 one block of samples at a time. Forward then runs the plan's
-    conv1 kernel, :func:`_conv_pool_relu`: z = Wz [col; 1] over each pool
-    tap's columns, with the weights folded with batch norm, keeping the
-    ReLU'd larger of each pair and where the second tap won. Backward
-    routes the pooled gradient through that mask onto the taps' columns,
-    P = sum of g [col; 1]', (C, K+1); batch norm's sums and the w gradient
-    follow from P and the Gram matrix exactly. x's gradient, which no model
-    input asks for, is built one block of columns at a time. Each step is a
-    method of :class:`ConvBnReluPool`, which :func:`conv_stage` also runs.
-
-    The tape holds ``x``, the pooled output and the winner mask. Output,
-    running statistics and gradients are those of conv2d, batch_norm, relu
-    and max_pool2d up to rounding; since z comes from the folded GEMM rather
-    than from y, two taps whose conv outputs tie may resolve either way.
-    """
-    st = ConvBnReluPool(x, w, stride, pad, state, window)
-    out = np.empty(st.out_cl, dtype=st.dtype)
-    wins = np.empty(st.out_cl, dtype=bool)  # where the second tap is larger
-    st.run(slice(0, len(out)), out, wins)
-
-    def backward(g):
-        buf = st.buffer(g.dtype)
-        pa = np.zeros_like(st.wa)
-        for blk in st.blocks:
-            st.add_p(pa, blk, _cl(g[blk]), out[blk], wins[blk], buf)
-        a_ch, c_ch = st.grads(pa)
-        if x.requires_grad:
-            # gcol = ((g_routed + A * y + C) * scale) W, with y = W col
-            k, wa, scale, dtype = st.k, st.wa, st.fold[2], st.dtype
-            ws = (wa[:, :k] * scale[:, None]).astype(dtype)
-            m = wa[:, :k].T @ ((a_ch * scale)[:, None] * wa)
-            m[:, k] += wa[:, :k].T @ (c_ch * scale)
-            m = m.T.astype(dtype)
-            gx = np.zeros(x.shape, dtype=x.dtype)
-            gxv = st._last(gx)
-            for blk in st.blocks:
-                col = st.cols(blk, dtype)
-                gc = col[..., :k] @ m[:k] + m[k]
-                for e, r in enumerate(st.routed(_cl(g[blk]), out[blk], wins[blk], buf)):
-                    t = _pool_tap(gc, st.axis, e)
-                    t += (r @ ws).reshape(t.shape)
-                _tap_cols(st._taps(gc), gxv[blk], st.s, st.p, k, scatter=True)
-            _accum_owned(x, gx)
-
-    return _make(out.transpose(0, 3, 2, 1), (x, w, state.gamma, state.beta), backward)
 
 
 def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, pad,
@@ -1010,16 +955,11 @@ def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, 
     with its winner mask, takes its gradient into a buffer of one block and
     adds that block's P at once, then finishes the front's gradients from
     P. The tape then holds the front's one-channel input and small arrays
-    in place of its output. The front's input takes no gradient. Where
-    every GEMM block starts and ends on the front's own blocks, as it does
-    at the standard input size, whose conv1 blocks are one sample each, the
-    front's output and P are :func:`conv_bn_relu_pool`'s bit for bit.
+    in place of its output. The front's input takes no gradient, and a
+    :class:`ConvBnReluPool` refuses one that asks for it.
     """
     op = "conv_stage"
     front = x if isinstance(x, ConvBnReluPool) else None
-    if front is not None and front.x.requires_grad:
-        raise ConfigError(f"{op}: the input of a conv_bn_relu_pool in front of it takes "
-                          "no gradient")
     along_f, k, s, p, length, shape, axis = _stage_geometry(op, x.shape, w, b, stride, pad, window)
     if state is not None and b is not None:
         raise ConfigError(f"{op}: a conv that batch norm follows takes no bias")

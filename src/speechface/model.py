@@ -197,18 +197,18 @@ class Model:
         two-tap pool that follows it as one node on channels-last arrays,
         :func:`~.autograd.conv_stage`, and a pool it takes is yielded under
         the pool's name: the tape then keeps no normalized or activated
-        array, and no im2col. conv1, over the one-channel spectrogram, runs
-        as :func:`~.autograd.conv_bn_relu_pool`'s stage, which never makes
-        the conv's output: with three im2col columns per output element,
-        batch norm's statistics and every gradient follow from those columns
-        and from sums at the pooled size. The node of the conv that follows
-        its pool, as conv2 follows pool1, runs that stage one block of
-        samples at a time (:class:`~.autograd.ConvBnReluPool`), so its
-        pooled output is never made whole and is not yielded; a stage that
-        no conv follows raises ShapeError. Each node yields the (B, C, F, T)
-        view of its channels-last array, which the next stage reads in
-        place. Inference yields every stage, which is what
-        :func:`forward_trace` and the non-finite diagnostics read.
+        array, and no im2col. conv1, over the one-channel spectrogram, with
+        its pool1, is a :class:`~.autograd.ConvBnReluPool` stage, which
+        never makes the conv's output: with three im2col columns per output
+        element, batch norm's statistics and every gradient follow from
+        those columns and from sums at the pooled size. The node of the conv
+        that follows its pool, as conv2 follows pool1, runs that stage one
+        block of samples at a time, so its pooled output is never made whole
+        and is not yielded; a stage that no conv follows raises ShapeError.
+        Each node yields the (B, C, F, T) view of its channels-last array,
+        which the next stage reads in place. Inference yields every stage,
+        which is what :func:`forward_trace` and the non-finite diagnostics
+        read.
         """
         stack = self.arch.stack[start:stop]
         fused = None

@@ -150,15 +150,38 @@ class TestTrainingWalk:
         assert all(dims[n] == d for n, d in train_rows)
         assert infer_rows == EXPECTED_TRACE[:13]
 
-    def test_fused_trunk_matches_the_unfused_walk(self):
+    @pytest.mark.parametrize("samples, gemm_samples, conv1_samples, gemm_blocks, kernel_rows", [
+        (3, None, None, [(0, 2), (2, 3)], [1] * 3),
+        (7, 3, 1, [(0, 3), (3, 6), (6, 7)], [1] * 7),
+        (7, 3, 2, [(0, 3), (3, 6), (6, 7)], [2, 1, 1, 2, 1])])
+    def test_fused_trunk_matches_the_unfused_walk(
+            self, monkeypatch, samples, gemm_samples, conv1_samples, gemm_blocks, kernel_rows):
         """Features, every trunk gradient and the running stats after one
         training-mode pass each, on a float64 copy of the model with random
         batch-norm parameters and conv8 bias: within 1e-12 of each array's
         largest value. conv1's stage takes its outputs from a GEMM folded
         with batch norm rather than from the conv's output, so the walks
-        agree up to rounding."""
-        x = np.random.default_rng(5).normal(size=(3, 1, NUM_BANDS, NUM_COLUMNS))
-        proj = np.random.default_rng(6).normal(size=(3, STANDARD_ARCH.hidden))
+        agree up to rounding.
+
+        conv2's node makes conv1's pooled output one of its GEMM blocks at a
+        time, in forward and again in backward: at the default block sizes,
+        blocks of 2 and 1 of 3 samples; with GEMM blocks cut to 3 samples,
+        blocks of 3, 3 and 1 of 7. With conv1's own blocks of one sample
+        (float64 conv1 outputs take 1 MiB a sample) those nest in the GEMM
+        blocks; with blocks of two, a GEMM block that ends inside one of
+        them takes its part only."""
+        if gemm_samples is not None:
+            monkeypatch.setattr(ag, "_GEMM_BLOCK_BYTES",
+                                gemm_samples * (96 * 16 * 32 + 64 * 32 * 32) * 8)
+            monkeypatch.setattr(ag, "_BLOCK_BYTES", conv1_samples << 20)
+        made, kernel_calls = [], []
+        run, kernel = ag.ConvBnReluPool.run, ag._conv_pool_relu
+        monkeypatch.setattr(ag.ConvBnReluPool, "run",
+                            lambda st, blk, *a: (made.append((blk.start, blk.stop)), run(st, blk, *a)))
+        monkeypatch.setattr(ag, "_conv_pool_relu",
+                            lambda col, *a: (kernel_calls.append(len(col)), kernel(col, *a)))
+        x = np.random.default_rng(8).normal(size=(samples, 1, NUM_BANDS, NUM_COLUMNS))
+        proj = np.random.default_rng(9).normal(size=(samples, STANDARD_ARCH.hidden))
         results = []
         for fused in (True, False):
             model = _float64_copy(build_model("cnn_static", seed=4))
@@ -176,6 +199,8 @@ class TestTrainingWalk:
             arrays.update((f"{name}.bn", np.concatenate([bn.running_mean, bn.running_var]))
                           for name, bn in model.conv_bn.items())
             results.append(arrays)
+        assert made == gemm_blocks * 2
+        assert kernel_calls == kernel_rows * 2
         got, want = results
         assert got.keys() == want.keys()
         assert "conv8.b" in got
@@ -183,60 +208,19 @@ class TestTrainingWalk:
             assert got[name].dtype == np.float64
             assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
 
-    @pytest.mark.parametrize("conv1_samples, kernel_rows", [(1, [1] * 7), (2, [2, 1, 1, 2, 1])])
-    def test_fused_trunk_matches_the_unfused_walk_over_several_blocks(
-            self, monkeypatch, conv1_samples, kernel_rows):
-        """As above on 7 samples, with conv2's GEMM blocks cut to 3 samples:
-        conv2's node makes conv1's pooled output for blocks of 3, 3 and 1
-        samples, in forward and again in backward. With conv1's own blocks
-        of one sample (float64 conv1 outputs take 1 MiB a sample) those nest
-        in the GEMM blocks; with blocks of two, a GEMM block that ends inside
-        one of them takes its part only. Every array within 1e-12 of the
-        unfused walk's largest value."""
-        monkeypatch.setattr(ag, "_GEMM_BLOCK_BYTES", 3 * (96 * 16 * 32 + 64 * 32 * 32) * 8)
-        monkeypatch.setattr(ag, "_BLOCK_BYTES", conv1_samples << 20)
-        made, kernel_calls = [], []
-        run, kernel = ag.ConvBnReluPool.run, ag._conv_pool_relu
-        monkeypatch.setattr(ag.ConvBnReluPool, "run",
-                            lambda st, blk, *a: (made.append((blk.start, blk.stop)), run(st, blk, *a)))
-        monkeypatch.setattr(ag, "_conv_pool_relu",
-                            lambda col, *a: (kernel_calls.append(len(col)), kernel(col, *a)))
-        x = np.random.default_rng(8).normal(size=(7, 1, NUM_BANDS, NUM_COLUMNS))
-        proj = np.random.default_rng(9).normal(size=(7, STANDARD_ARCH.hidden))
-        results = []
-        for fused in (True, False):
-            model = _float64_copy(build_model("cnn_static", seed=4))
-            rng = np.random.default_rng(7)
-            for b in model.conv_b.values():
-                b.data[:] = 0.1 * rng.normal(size=b.data.shape)
-            for bn in model.conv_bn.values():
-                bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=bn.channels)
-                bn.beta.data[:] = rng.normal(size=bn.channels)
-            tx = ag.Tensor(x)
-            feats = model.trunk(tx, training=True) if fused else unfused_trunk(model, tx)
-            ag.sum_all(ag.mul(feats, ag.Tensor(proj))).backward()
-            arrays = {"features": feats.data}
-            arrays.update((p.name, p.grad) for p in model.parameters() if p.grad is not None)
-            arrays.update((f"{name}.bn", np.concatenate([bn.running_mean, bn.running_var]))
-                          for name, bn in model.conv_bn.items())
-            results.append(arrays)
-        assert made == [(0, 3), (3, 6), (6, 7)] * 2
-        assert kernel_calls == kernel_rows * 2
-        got, want = results
-        assert got.keys() == want.keys()
-        for name, w in want.items():
-            assert got[name].dtype == np.float64
-            assert np.abs(got[name] - w).max() <= 1e-12 * np.abs(w).max(), name
-
     def test_input_that_takes_a_gradient_is_refused(self):
         """conv2's node runs conv1's stage without its input's gradient, so
-        a trunk input that asks for one is refused, not left without it."""
+        a trunk input that asks for one is refused, not left without it,
+        and before it changes conv1's running statistics."""
         model = build_model("cnn_static", seed=0)
-        x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32),
-                      requires_grad=True)
+        bn = model.conv_bn["conv1"]
+        before = bn.running_mean.tobytes(), bn.running_var.tobytes()
+        x = ag.Tensor(np.random.default_rng(10).normal(size=(2, 1, NUM_BANDS, NUM_COLUMNS))
+                      .astype(np.float32), requires_grad=True)
         with pytest.raises(ConfigError, match="conv_stage: the input of a conv_bn_relu_pool "
                                               "in front of it takes no gradient"):
             model.trunk(x, training=True)
+        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
 
     def test_conv1_stage_that_no_conv_runs_is_refused(self):
         """Only a conv's node runs conv1's stage; a walk that stops at pool1
@@ -255,9 +239,9 @@ class TestTrainingWalk:
                                              "channels, state has 3"):
             model.trunk(x, training=True)
 
-
     def test_conv1_stage_error_names_its_conv(self):
-        """conv1, over the one-channel input, runs as one conv_bn_relu_pool node."""
+        """conv1's stage, over the one-channel input, names itself
+        conv_bn_relu_pool."""
         model = build_model("cnn_static", seed=0)
         model.conv_bn["conv1"] = ag.BatchNormState("conv1.bn", 3)
         x = ag.Tensor(np.zeros((2, 1, NUM_BANDS, NUM_COLUMNS), dtype=np.float32))

@@ -16,6 +16,7 @@ import pytest
 from speechface import autograd as ag
 from speechface.autograd import (
     BatchNormState,
+    ConvBnReluPool,
     GRUParams,
     LSTMParams,
     Parameter,
@@ -23,7 +24,6 @@ from speechface.autograd import (
     add,
     batch_norm,
     conv2d,
-    conv_bn_relu_pool,
     conv_stage,
     dense,
     gru_step,
@@ -696,19 +696,23 @@ class TestConvStage:
         assert peak <= x.nbytes + _ROW_BLOCK + (128 << 10), peak
 
 
-def _conv1_stage_run(fused, x, w, conv, gamma, beta, window, proj):
-    """Output, the x/w/gamma/beta gradients and the running stats of one
-    conv stage, as one conv_bn_relu_pool node or as the unfused chain."""
+def _conv1_stage_run(fused, x, w, conv, gamma, beta, proj):
+    """Output, the w/gamma/beta gradients and the running stats of conv1's
+    stage with a (2, 1) pool: as a ConvBnReluPool that conv_stage runs in
+    front of a 1x1 identity conv, whose output is the front's bit for bit,
+    or as the unfused chain."""
     state = BatchNormState("bn", w.shape[0], dtype=x.dtype)
     state.gamma.data[:] = gamma
     state.beta.data[:] = beta
-    tx, tw = Tensor(x, requires_grad=True), Parameter("w", w)
+    tw = Parameter("w", w)
     if fused:
-        out = conv_bn_relu_pool(tx, tw, *conv, state, window)
+        front = ConvBnReluPool(Tensor(x), tw, *conv, state, (2, 1))
+        eye = Tensor(np.eye(w.shape[0], dtype=x.dtype)[:, :, None, None])
+        out = conv_stage(front, eye, None, (1, 1), (0, 0))
     else:
-        out = _chain(tx, tw, None, *conv, state, window)
+        out = _chain(Tensor(x), tw, None, *conv, state, (2, 1))
     _proj_loss(out, proj).backward()
-    return [out.data, tx.grad, tw.grad, state.gamma.grad, state.beta.grad,
+    return [out.data, tw.grad, state.gamma.grad, state.beta.grad,
             state.running_mean, state.running_var]
 
 
@@ -719,83 +723,76 @@ def _max_rel(got, want) -> float:
 
 class TestConvBnReluPool:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape,c_out,kernel,stride,pad,window", [
-        ((6, 1, 16, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
-        ((5, 1, 18, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
-        ((5, 1, 8, 18), 8, (1, 3), (1, 2), (0, 1), (1, 2)),
-        ((4, 1, 8, 8), 8, (3, 1), (2, 1), (1, 0), (2, 1)),
-        ((7, 1, 128, 32), 16, (3, 1), (2, 1), (1, 0), (2, 1))])
-    def test_matches_unfused_chain(self, shape, c_out, kernel, stride, pad, window, dtype):
-        """Output, the x, w, gamma and beta gradients and the running stats,
-        against conv2d, batch_norm, relu and max_pool2d in float64: within 1e-12 of the largest
-        value in float64, and within 1e-5 in float32 (the chain's own float32
-        error is of the same order as the node's, under 1e-6).
+    @pytest.mark.parametrize("shape,c_out", [
+        ((6, 1, 16, 8), 8), ((5, 1, 18, 8), 8), ((4, 1, 8, 8), 8), ((7, 1, 128, 32), 16)])
+    def test_matches_unfused_chain(self, shape, c_out, dtype):
+        """Output, the w, gamma and beta gradients and the running stats of
+        conv1's stage, kernel (3, 1), stride (2, 1) and pad (1, 0), against
+        conv2d, batch_norm, relu and max_pool2d in float64: within 1e-12 of
+        the largest value in float64, and within 1e-5 in float32 (the
+        chain's own float32 error is of the same order as the stage's,
+        under 1e-6).
 
-        Inputs are real-valued, so no two taps tie: the node computes each
+        Inputs are real-valued, so no two taps tie: the stage computes each
         tap from its own folded GEMM, so a tie in the conv output may
         resolve either way. Some pairs have both taps below zero after batch
-        norm. The second and third shapes pool 9 rows or columns, so a
-        trailing one is dropped. The fourth has a narrow output, 32
-        positions per sample. The last is conv1's geometry, which the node
-        runs as several blocks of samples."""
+        norm. The second shape pools 9 rows, so a trailing one is dropped.
+        The third has a narrow output, 32 positions per sample. The last is
+        conv1's geometry, which the stage runs as several blocks of
+        samples."""
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape)
-        w = rng.normal(size=(c_out, 1) + kernel)
+        w = rng.normal(size=(c_out, 1, 3, 1))
         gamma = rng.normal(size=c_out)
         beta = rng.normal(size=c_out)
-        conv = (stride, pad)
+        conv = ((2, 1), (1, 0))
         state = BatchNormState("bn", c_out, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
         act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
-        axis = 2 if window[0] == 2 else 3
-        taps = [np.moveaxis(act, axis, 0)[k:act.shape[axis] // 2 * 2:2] for k in (0, 1)]
+        taps = [act[:, :, k:act.shape[2] // 2 * 2:2] for k in (0, 1)]
         assert ((taps[0] < 0) & (taps[1] < 0)).any()
-        assert act.shape[axis] % 2 == (shape in ((5, 1, 18, 8), (5, 1, 8, 18)))
-        proj = rng.normal(size=max_pool2d(Tensor(act), window).shape)
+        assert act.shape[2] % 2 == (shape == (5, 1, 18, 8))
+        proj = rng.normal(size=max_pool2d(Tensor(act), (2, 1)).shape)
 
-        want = _conv1_stage_run(False, x, w, conv, gamma, beta, window, proj)
+        want = _conv1_stage_run(False, x, w, conv, gamma, beta, proj)
         got = _conv1_stage_run(True, *(a.astype(dtype) for a in (x, w)), conv,
-                              gamma.astype(dtype), beta.astype(dtype), window,
-                              proj.astype(dtype))
+                               gamma.astype(dtype), beta.astype(dtype), proj.astype(dtype))
         tol = 1e-12 if dtype == np.float64 else 1e-5
-        names = ("out", "x.grad", "w.grad", "gamma.grad", "beta.grad",
-                 "running_mean", "running_var")
+        names = ("out", "w.grad", "gamma.grad", "beta.grad", "running_mean", "running_var")
         for name, g, w_ in zip(names, got, want):
             assert g.dtype == dtype and g.shape == w_.shape
             assert _max_rel(g, w_) <= tol, name
 
-    @pytest.mark.parametrize("shape,kernel,stride,pad,window", [
-        ((3, 1, 16, 8), (3, 1), (2, 1), (1, 0), (2, 1)),
-        ((3, 1, 8, 16), (1, 3), (1, 2), (0, 1), (1, 2))])
-    def test_gradients(self, shape, kernel, stride, pad, window):
-        """Float64 central differences for x, w, gamma and beta, pooling
-        along frequency and along time. Every activation and every pair
-        difference is over 1e-3 from the ReLU kink and from a tie, while a
-        probe moves an activation by about 1e-4."""
+    def test_gradients(self):
+        """Float64 central differences for w, gamma and beta, through a 1x1
+        identity conv_stage. Every activation and every pair difference is
+        over 1e-3 from the ReLU kink and from a tie, while a probe moves an
+        activation by about 1e-4."""
         rng = np.random.default_rng(44)
-        x = rng.normal(size=shape)
-        w = rng.normal(size=(2, 1) + kernel)
+        x = rng.normal(size=(3, 1, 16, 8))
+        w = rng.normal(size=(2, 1, 3, 1))
         gamma = np.array([1.3, -0.8])
         beta = np.array([0.05, -0.11])
-        conv = (stride, pad)
+        conv = ((2, 1), (1, 0))
         state = BatchNormState("bn", 2, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
         act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
-        axis = 2 if window[0] == 2 else 3
-        taps = [np.moveaxis(act, axis, 0)[k::2] for k in (0, 1)]
+        taps = [act[:, :, k::2] for k in (0, 1)]
         assert np.abs(act).min() > 1e-3 and (act < 0).any()
         assert np.abs(taps[0] - taps[1]).min() > 1e-3
-        proj = rng.normal(size=max_pool2d(Tensor(act), window).shape)
+        proj = rng.normal(size=max_pool2d(Tensor(act), (2, 1)).shape)
+        eye = Tensor(np.eye(2)[:, :, None, None])
 
-        def build(vals):  # x, w, gamma and beta
+        def build(vals):  # w, gamma and beta
             state = BatchNormState("bn", 2, dtype=np.float64)
-            state.gamma.data[:] = vals[2]
-            state.beta.data[:] = vals[3]
-            tx, tw = (Tensor(v, requires_grad=True) for v in vals[:2])
-            out = conv_bn_relu_pool(tx, tw, *conv, state, window)
-            return _proj_loss(out, proj), [tx, tw, state.gamma, state.beta]
+            state.gamma.data[:] = vals[1]
+            state.beta.data[:] = vals[2]
+            tw = Tensor(vals[0], requires_grad=True)
+            front = ConvBnReluPool(Tensor(x), tw, *conv, state, (2, 1))
+            out = conv_stage(front, eye, None, (1, 1), (0, 0))
+            return _proj_loss(out, proj), [tw, state.gamma, state.beta]
 
-        assert check_gradients(build, [x, w, gamma, beta]) <= 1e-4
+        assert check_gradients(build, [w, gamma, beta]) <= 1e-4
 
     def test_offset_input_keeps_the_variance(self):
         """An input offset by 50, a mean far above its spread: the batch
@@ -807,72 +804,69 @@ class TestConvBnReluPool:
         w = rng.normal(size=(8, 1, 3, 1))
         gamma, beta = rng.normal(size=8), rng.normal(size=8)
         proj = rng.normal(size=(5, 8, 4, 8))
-        args = (x, w, ((2, 1), (1, 0)), gamma, beta, (2, 1), proj)
+        args = (x, w, ((2, 1), (1, 0)), gamma, beta, proj)
         got, want = _conv1_stage_run(True, *args), _conv1_stage_run(False, *args)
-        assert _max_rel(got[5], want[5]) <= 1e-10
-        assert _max_rel(got[6] - 0.9, want[6] - 0.9) <= 1e-10
+        assert _max_rel(got[4], want[4]) <= 1e-10
+        assert _max_rel(got[5] - 0.9, want[5] - 0.9) <= 1e-10
 
-    def test_backward_stays_at_pooled_size(self):
-        """backward() of a conv1-sized stage under tracemalloc: past the
-        upstream gradient, the size of the pooled output, and the ReLU mask
-        of the output, one byte per element, it allocates at most one block
-        of samples (plus numpy's ufunc buffers and the columns, under
-        128 KiB): neither the conv's output nor its gradient is made at full
-        size, and the w gradient comes from pooled-size sums."""
+    def test_front_and_conv2_stay_within_blocks(self):
+        """conv1's stage in front of conv2's node, on 32 samples of conv1's
+        input, float32, under tracemalloc. Forward keeps conv2's conv
+        output, its pooled output and its winner mask, and allocates at most
+        one block beyond them; backward() allocates a few blocks. pool1, and
+        conv1's output twice its size, are larger than either slack, so
+        neither is kept or made whole."""
         rng = np.random.default_rng(47)
-        x = rng.normal(size=(8, 1, 128, 32)).astype(np.float32)
-        w = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
-        state = BatchNormState("conv1.bn", 64)
-        out = conv_bn_relu_pool(Tensor(x), w, (2, 1), (1, 0), state, (2, 1))
-        loss = sum_all(out)
+        x = rng.normal(size=(32, 1, 128, 32)).astype(np.float32)
+        w1 = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
+        w2 = Parameter("conv2.w", (rng.normal(size=(96, 64, 3, 1)) / 8).astype(np.float32))
+        bn1, bn2 = BatchNormState("conv1.bn", 64), BatchNormState("conv2.bn", 96)
         tracemalloc.start()
         try:
-            loss.backward()
+            front = ConvBnReluPool(Tensor(x), w1, (2, 1), (1, 0), bn1, (2, 1))
+            out = conv_stage(front, w2, None, (2, 1), (1, 0), bn2, (2, 1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool1 = 32 * 64 * 32 * 32 * 4
+        slack = 2 * _ROW_BLOCK + 2 * ag._BLOCK_BYTES + (128 << 10)
+        assert slack < pool1
+        kept = 32 * 96 * 16 * 32 * 4 + out.data.nbytes + out.data.size
+        assert held <= kept + (64 << 10), held
+        assert peak <= kept + _ROW_BLOCK + (128 << 10), peak
+        g = np.ones_like(out.data)  # channels-last, as the next stage passes it on
+        backward = out._backward
+        tracemalloc.start()
+        try:
+            backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert w.grad is not None and state.gamma.grad is not None
-        assert peak <= out.data.nbytes + out.data.size + ag._BLOCK_BYTES + (128 << 10), peak
+        assert w1.grad is not None and bn1.gamma.grad is not None and w2.grad is not None
+        assert peak <= slack, peak
 
     def test_errors_name_the_stage(self):
         w = Tensor(np.ones((2, 1, 3, 1)))
         with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels but "
                                              "weights expect 1"):
-            conv_bn_relu_pool(Tensor(np.zeros((2, 2, 16, 8))), w, (2, 1), (1, 0),
-                              BatchNormState("bn", 2), (2, 1))
+            ConvBnReluPool(Tensor(np.zeros((2, 2, 16, 8))), w, (2, 1), (1, 0),
+                           BatchNormState("bn", 2), (2, 1))
         with pytest.raises(ShapeError, match="conv_bn_relu_pool: input has 2 channels, "
                                              "state has 3"):
-            conv_bn_relu_pool(Tensor(np.zeros((2, 1, 16, 8))), w, (2, 1), (1, 0),
-                              BatchNormState("bn", 3), (2, 1))
+            ConvBnReluPool(Tensor(np.zeros((2, 1, 16, 8))), w, (2, 1), (1, 0),
+                           BatchNormState("bn", 3), (2, 1))
         with pytest.raises(ConfigError, match="batch size >= 2"):
-            conv_bn_relu_pool(Tensor(np.zeros((1, 1, 16, 8))), w, (2, 1), (1, 0),
-                              BatchNormState("bn", 2), (2, 1))
+            ConvBnReluPool(Tensor(np.zeros((1, 1, 16, 8))), w, (2, 1), (1, 0),
+                           BatchNormState("bn", 2), (2, 1))
 
-    def test_tape_holds_only_output_and_mask(self):
-        """Forward of a conv1-sized stage under tracemalloc: the node keeps
-        its pooled output and the winner mask, one byte per output element;
-        its block buffers and im2col are gone when it returns. The two-node
-        chain also keeps the conv's output, twice the pooled output's size."""
-        rng = np.random.default_rng(45)
-        x = rng.normal(size=(8, 1, 128, 32)).astype(np.float32)
-        w = Parameter("conv1.w", rng.normal(size=(64, 1, 3, 1)).astype(np.float32))
-        for fused in (True, False):
-            state = BatchNormState("conv1.bn", 64)
-            tracemalloc.start()
-            try:
-                if fused:
-                    out = conv_bn_relu_pool(Tensor(x), w, (2, 1), (1, 0), state, (2, 1))
-                else:
-                    out = _chain(Tensor(x), w, None, (2, 1), (1, 0), state, (2, 1))
-                held, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            kept = out.data.nbytes + out.data.size
-            if fused:
-                assert held <= kept + (64 << 10), held
-                assert peak <= kept + 2 * ag._BLOCK_BYTES + (128 << 10), peak
-            else:
-                assert held >= kept + 2 * out.data.nbytes, held
+    @pytest.mark.parametrize("kernel,stride,pad,window", [
+        ((1, 3), (1, 2), (0, 1), (2, 1)), ((3, 1), (2, 1), (1, 0), (1, 2))])
+    def test_only_a_frequency_kernel_and_a_2_1_window(self, kernel, stride, pad, window):
+        """A kernel along time, or a (1, 2) window, is no conv1 stage."""
+        with pytest.raises(ShapeError, match="conv_bn_relu_pool: expected a kernel along "
+                                             "frequency and a \\(2,1\\) window"):
+            ConvBnReluPool(Tensor(np.zeros((2, 1, 16, 16))), Tensor(np.ones((2, 1) + kernel)),
+                           stride, pad, BatchNormState("bn", 2), window)
 
 
 # =============================================================================
