@@ -723,29 +723,31 @@ def _max_rel(got, want) -> float:
 
 class TestConvBnReluPool:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape,c_out", [
-        ((6, 1, 16, 8), 8), ((5, 1, 18, 8), 8), ((4, 1, 8, 8), 8), ((7, 1, 128, 32), 16)])
-    def test_matches_unfused_chain(self, shape, c_out, dtype):
+    @pytest.mark.parametrize("shape,c_out,kernel,stride,pad", [
+        ((6, 1, 16, 8), 8, 3, 2, 1), ((5, 1, 18, 8), 8, 3, 2, 1), ((4, 1, 8, 8), 8, 3, 2, 1),
+        ((7, 1, 128, 32), 16, 3, 2, 1), ((4, 1, 16, 8), 8, 5, 1, 2)])
+    def test_matches_unfused_chain(self, shape, c_out, kernel, stride, pad, dtype):
         """Output, the w, gamma and beta gradients and the running stats of
-        conv1's stage, kernel (3, 1), stride (2, 1) and pad (1, 0), against
-        conv2d, batch_norm, relu and max_pool2d in float64: within 1e-12 of
-        the largest value in float64, and within 1e-5 in float32 (the
-        chain's own float32 error is of the same order as the stage's,
-        under 1e-6).
+        conv1's stage against conv2d, batch_norm, relu and max_pool2d in
+        float64: within 1e-12 of the largest value in float64, and within
+        1e-5 in float32 (the chain's own float32 error is of the same order
+        as the stage's, under 1e-6).
 
         Inputs are real-valued, so no two taps tie: the stage computes each
         tap from its own folded GEMM, so a tie in the conv output may
         resolve either way. Some pairs have both taps below zero after batch
-        norm. The second shape pools 9 rows, so a trailing one is dropped.
-        The third has a narrow output, 32 positions per sample. The last is
-        conv1's geometry, which the stage runs as several blocks of
-        samples."""
+        norm. The first four take conv1's kernel (3, 1), stride (2, 1) and
+        pad (1, 0). The second shape pools 9 rows, so a trailing one is
+        dropped. The third has a narrow output, 32 positions per sample.
+        The fourth is conv1's geometry, which the stage runs as several
+        blocks of samples. The last takes a kernel of 5 taps at stride 1,
+        whose columns overlap by four taps and reach two rows of padding."""
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape)
-        w = rng.normal(size=(c_out, 1, 3, 1))
+        w = rng.normal(size=(c_out, 1, kernel, 1))
         gamma = rng.normal(size=c_out)
         beta = rng.normal(size=c_out)
-        conv = ((2, 1), (1, 0))
+        conv = ((stride, 1), (pad, 0))
         state = BatchNormState("bn", c_out, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
         act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
@@ -763,13 +765,16 @@ class TestConvBnReluPool:
             assert g.dtype == dtype and g.shape == w_.shape
             assert _max_rel(g, w_) <= tol, name
 
-    def test_gradients(self):
+    @pytest.mark.parametrize("shape,seed", [((3, 1, 16, 8), 44), ((3, 1, 18, 8), 46)])
+    def test_gradients(self, shape, seed):
         """Float64 central differences for w, gamma and beta, through a 1x1
         identity conv_stage. Every activation and every pair difference is
         over 1e-3 from the ReLU kink and from a tie, while a probe moves an
-        activation by about 1e-4."""
-        rng = np.random.default_rng(44)
-        x = rng.normal(size=(3, 1, 16, 8))
+        activation by about 1e-4. The second shape pools 9 rows: its
+        trailing row takes no gradient, but it is in batch norm's
+        statistics, so it moves every other row's."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
         w = rng.normal(size=(2, 1, 3, 1))
         gamma = np.array([1.3, -0.8])
         beta = np.array([0.05, -0.11])
@@ -777,7 +782,8 @@ class TestConvBnReluPool:
         state = BatchNormState("bn", 2, dtype=np.float64)
         state.gamma.data[:], state.beta.data[:] = gamma, beta
         act = batch_norm(conv2d(Tensor(x), Tensor(w), None, *conv), state, True).data
-        taps = [act[:, :, k::2] for k in (0, 1)]
+        assert act.shape[2] % 2 == (shape[2] == 18)
+        taps = [act[:, :, k:act.shape[2] // 2 * 2:2] for k in (0, 1)]
         assert np.abs(act).min() > 1e-3 and (act < 0).any()
         assert np.abs(taps[0] - taps[1]).min() > 1e-3
         proj = rng.normal(size=max_pool2d(Tensor(act), (2, 1)).shape)
