@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .errors import ConfigError, DataError, RangeError, ShapeError, check_real
+from .errors import ConfigError, DataError, RangeError, ShapeError, check_real, is_index, is_int
 
 SAMPLE_RATE = 44100
 FFT_SIZE = 256
@@ -199,10 +199,11 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     """Write a mono or (n, channels) waveform as 16-bit PCM or 32-bit float.
 
     Finite samples are clipped to [-1, 1]; a NaN or Inf sample raises
-    DataError before anything is written. So do a rate below
-    MIN_SAMPLE_RATE (ConfigError) and a shape other than (n,) or (n, 1|2)
-    (ShapeError), which :func:`load_wav` would reject, and a rate whose byte
-    rate does not fit the header's 32 bits (ConfigError).
+    DataError before anything is written. So do a rate that is not an
+    integer, a bool included, or is below MIN_SAMPLE_RATE (ConfigError), a
+    shape other than (n,) or (n, 1|2) (ShapeError), which :func:`load_wav`
+    would reject, and a rate whose byte rate does not fit the header's 32
+    bits (ConfigError).
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
@@ -210,6 +211,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE,
     if arr.ndim != 2 or arr.shape[1] not in (1, 2):
         raise ShapeError(f"wav not written: samples must be (n,) or (n, 1|2), "
                          f"got shape {np.shape(samples)}")
+    if not is_int(sample_rate):
+        raise ConfigError(f"wav not written: sample rate must be an integer, got {sample_rate!r}")
     if sample_rate < MIN_SAMPLE_RATE:
         raise ConfigError(f"wav not written: sample rate {sample_rate} is below "
                           f"{MIN_SAMPLE_RATE} Hz")
@@ -285,10 +288,12 @@ def extract_frame_window(clip: AudioClip, t: int, fps: float) -> np.ndarray:
     """The 4224 samples ending at frame t's boundary, zero-padded on the left.
 
     Never reads any sample at or beyond the boundary, so outputs are valid in
-    a live stream where later samples do not exist yet.
+    a live stream where later samples do not exist yet. A frame index that
+    is not a non-negative integer (:func:`~.errors.is_index`) raises
+    RangeError.
     """
-    if t < 0:
-        raise RangeError(f"frame index must be non-negative, got {t}")
+    if not is_index(t):
+        raise RangeError(f"frame index must be a non-negative integer, got {t!r}")
     check_fps(fps)
     end = frame_boundary(t, fps)
     n = len(clip.samples)

@@ -378,10 +378,12 @@ def _tap_span(n_in: int, n_out: int, i: int, s: int, p: int):
 
 
 def _tap_cols(col: np.ndarray, x: np.ndarray, s: int, p: int, k: int) -> None:
-    """Tap-major im2col of a one-channel convolution along the last axis of
-    x, (..., L), into col[..., :k], (..., m, >= k): slot i of output j holds
-    x[..., s*j + i - p], and 0 where that lies in the padding."""
+    """[col; 1], the tap-major im2col of a one-channel convolution along the
+    last axis of x, (..., L), with a ones column, into col, (..., m, k + 1):
+    slot i < k of output j holds x[..., s*j + i - p], and 0 where that lies
+    in the padding; slot k holds 1."""
     m = col.shape[-2]
+    col[..., k] = 1.0
     for i in range(k):
         lo, hi, src = _tap_span(x.shape[-1], m, i, s, p)
         col[..., :lo, i] = 0.0
@@ -404,15 +406,14 @@ def _tap_groups(k: int, s: int, p: int):
         yield d, i0, i1, i0 - p - d * s
 
 
-def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None,
-               samples=None) -> np.ndarray:
+def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None) -> np.ndarray:
     """Convolution along L of channels-last (N, L, C_in) x, L = m*s, without
     bias, into ``out`` (N, m, C_out) or a new array; ``w`` is (k, C_in,
     C_out). One GEMM per tap group (:func:`_tap_groups`) on a column slice
     of the block view, which BLAS reads without a copy; group d's rows land
     d output rows away, and a row whose block lies in the padding gets
     nothing from that d. Such a group's product is a temporary, made for
-    each slice of x's samples in ``samples``, by default for all at once."""
+    one :func:`_blocks` of samples of the output at a time."""
     n, length, c = x.shape
     m = length // s
     blocks = x.reshape(n * m, s * c)
@@ -423,7 +424,7 @@ def _gemm_conv(x: np.ndarray, k: int, s: int, p: int, w: np.ndarray, out=None,
             out = out.reshape(n, m, -1)
             continue
         lo, hi = max(0, -d), m - max(0, d)
-        for blk in samples or (slice(0, n),):
+        for blk in _blocks(n, out[0].nbytes):
             rows = a[blk.start * m:blk.stop * m]
             out[blk, lo:hi] += (rows @ wd).reshape(-1, m, wd.shape[1])[:, lo + d:hi + d]
     return out
@@ -763,17 +764,21 @@ def _pool_relu(z0, z1, out, wins=None) -> None:
     np.maximum(out, 0, out=out)
 
 
-def _pool_tap(a: np.ndarray, axis: int, e: int) -> np.ndarray:
-    """What tap e of a two-tap pool with stride 2 along ``axis`` reads of a."""
-    return a[(slice(None),) * axis + (slice(e, e + a.shape[axis] // 2 * 2, 2),)]
+def _pool_tap(a: np.ndarray, e: int) -> np.ndarray:
+    """What tap e of a two-tap pool with stride 2 along axis 1 reads of a."""
+    return a[:, e:e + a.shape[1] // 2 * 2:2]
 
 
-def _conv_pool_relu(col, axis: int, wz, out, wins=None) -> None:
-    """A one-channel conv, a two-tap pool with stride 2 along ``axis`` and
-    :func:`_pool_relu`, from col, the conv's [col; 1] im2col (..., K+1), and
-    wz, its (K+1, C) weights over its bias row: one GEMM per pool tap."""
-    z = (_pool_tap(col, axis, e).reshape(-1, len(wz)) @ wz for e in (0, 1))
-    _pool_relu(*(a.reshape(out.shape) for a in z), out, wins)
+def _conv_pool_relu(col, wz, out, wins=None) -> None:
+    """A one-channel conv, a two-tap pool with stride 2 along its m outputs
+    and :func:`_pool_relu`, into out (rows, m // 2, C) and wins, from col,
+    the conv's [col; 1] im2col (rows, m, K+1), and wz, its (K+1, C) weights
+    over its bias row: one GEMM per pool tap on each :func:`_blocks` of
+    rows, about 512 KiB of both taps' outputs."""
+    for r in _blocks(len(out), 2 * out[0].nbytes):
+        z = (_pool_tap(col[r], e).reshape(-1, len(wz)) @ wz for e in (0, 1))
+        _pool_relu(*(a.reshape(out[r].shape) for a in z), out[r],
+                   None if wins is None else wins[r])
 
 
 def _route(g, wins, r) -> list:
@@ -838,17 +843,16 @@ class ConvBnReluPool:
         self.x, self.w, self.state = x, w, state
         self.k, self.s, self.p = k, s, p
         self.n_red = math.prod(shape) // c
-        self.out_cl = _pooled(shape, window)
-        self.shape = tuple(self.out_cl[i] for i in (0, 3, 2, 1))
+        out_cl = _pooled(shape, window)
+        self.shape = tuple(out_cl[i] for i in (0, 3, 2, 1))
         dtype = np.result_type(xd, wd)
         self.cl = (nb, shape[3], shape[2], c)  # the conv output, channels-last
-        self.blocks = _blocks(nb, math.prod(self.cl[1:]) * np.dtype(dtype).itemsize)
         self.xv = xd[:, 0].transpose(0, 2, 1)  # (B, T, F), the conv's axis last
 
         self.wa = wa = np.zeros((c, k + 1))  # W, and a zero column for the ones
         wa[:, :k] = wd.reshape(c, k)
         self.gram = gram = np.zeros((k + 1, k + 1))  # its last row is [column sum, n_red]
-        for blk in self.blocks:
+        for blk in _blocks(nb, math.prod(self.cl[1:]) * np.dtype(dtype).itemsize):
             col = self.cols(blk, np.float64).reshape(-1, k + 1)
             gram += col.T @ col
         mean = gram[k] / self.n_red  # [column mean, 1]
@@ -863,49 +867,33 @@ class ConvBnReluPool:
         self.wz = wz.T.astype(self.dtype)
 
     def cols(self, blk, dtype) -> np.ndarray:
-        """[col; 1] of the conv outputs of samples blk, (n, T, F, K+1)."""
-        col = np.ones((blk.stop - blk.start,) + self.cl[1:3] + (self.k + 1,), dtype)
+        """[col; 1] of the conv outputs of samples blk, (n * T, F, K+1)."""
+        col = np.empty((blk.stop - blk.start,) + self.cl[1:3] + (self.k + 1,), dtype)
         _tap_cols(col, self.xv[blk], self.s, self.p, self.k)
-        return col
-
-    def _within(self, blk):
-        """Samples blk cut at the bounds of the stage's own blocks, each part
-        with where it lies in blk. A block cut in two runs its GEMMs on
-        other rows than when whole, so it agrees with itself uncut only up
-        to rounding."""
-        step = self.blocks[0].stop
-        i = blk.start
-        while i < blk.stop:
-            j = min((i // step + 1) * step, blk.stop)
-            yield slice(i, j), slice(i - blk.start, j - blk.start)
-            i = j
+        return col.reshape(-1, self.cl[2], self.k + 1)
 
     def run(self, blk, out, wins=None) -> None:
         """The channels-last output of samples blk into out, and where each
-        pool's second tap won into wins, if given, one of the stage's own
-        blocks at a time: :func:`_conv_pool_relu` on that block's [col; 1]."""
-        for sub, r in self._within(blk):
-            _conv_pool_relu(self.cols(sub, self.dtype), 2, self.wz, out[r],
-                            None if wins is None else wins[r])
+        pool's second tap won into wins, if given: :func:`_conv_pool_relu`
+        on their [col; 1]."""
+        _conv_pool_relu(self.cols(blk, self.dtype), self.wz, out.reshape(-1, *out.shape[2:]),
+                        None if wins is None else wins.reshape(-1, *wins.shape[2:]))
 
-    def buffer(self, dtype) -> np.ndarray:
-        """Room for :meth:`add_p`'s two taps of one of the stage's blocks."""
-        return np.empty((2, self.blocks[0].stop * math.prod(self.out_cl[1:3]), self.cl[3]),
-                        dtype)
-
-    def add_p(self, pa, blk, g, out, wins, buf) -> None:
+    def add_p(self, pa, blk, g, out, wins) -> None:
         """Add P = sum of g [col; 1]', (C, K+1), of samples blk into pa, from
         their channels-last output out, its winner mask wins and its
         gradient g: g, masked by the ReLU in place, is routed through wins
-        onto each pool tap's conv outputs, as (rows, C) arrays in the
-        buffers of buf."""
-        c = g.shape[-1]
-        for sub, r in self._within(blk):
-            col = self.cols(sub, g.dtype)
+        onto each pool tap's conv outputs, one of :func:`_conv_pool_relu`'s
+        blocks of rows at a time."""
+        col, c = self.cols(blk, g.dtype), g.shape[-1]
+        g, out, wins = (a.reshape(len(col), -1, c) for a in (g, out, wins))
+        blocks = _blocks(len(out), 2 * out[0].nbytes)
+        buf = np.empty((2, blocks[0].stop * out.shape[1], c), g.dtype)  # the first is the largest
+        for r in blocks:
             gb = g[r].reshape(-1, c)
             np.multiply(gb, out[r].reshape(-1, c) > 0, out=gb)
             for e, gr in enumerate(_route(gb, wins[r].reshape(-1, c), buf[:, :len(gb)])):
-                pa += gr.T @ _pool_tap(col, 2, e).reshape(-1, self.k + 1)
+                pa += gr.T @ _pool_tap(col[r], e).reshape(-1, self.k + 1)
 
     def grads(self, pa) -> None:
         """From the batch's P: accumulate gamma's, beta's and w's gradients."""
@@ -1080,7 +1068,7 @@ def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, 
             gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
         else:  # one GEMM block of the front's output, its winner mask and its gradient
             xbuf, wbuf, gx = (np.empty(x_block, dtype=t) for t in (dtype, bool, dtype))
-            pa, fbuf = np.zeros_like(front.wa), front.buffer(dtype)
+            pa = np.zeros_like(front.wa)
         for blk in gemm:
             if front is None:
                 xb, gxb = x_cl[blk], None if gx is None else gx[blk]
@@ -1103,7 +1091,7 @@ def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, 
                                  None if gxb is None else rows(gxb, tap, length),
                                  init=e == len(taps) - 1 or tap[2] is not None)
             if front is not None:
-                front.add_p(pa, blk, gxb, xb, wb, fbuf)
+                front.add_p(pa, blk, gxb, xb, wb)
         if state is not None:
             gw *= fold[2]
         _accum_owned(w, gw.transpose(2, 1, 0).reshape(w.data.shape).astype(w.data.dtype))

@@ -39,10 +39,21 @@ class NumericError(SpeechFaceError):
     """Non-finite values were produced where finite values are required."""
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_index(value) -> bool:
+    """Whether ``value`` is an index: an integer (:func:`is_int`) of at
+    least 0."""
+    return is_int(value) and value >= 0
+
+
 def check_seed(seed) -> int:
     """Return ``seed`` if it is a non-negative integer; otherwise raise
     ConfigError."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")

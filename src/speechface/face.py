@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader
-from .errors import DataError, ShapeError, check_seed
+from .errors import DataError, ShapeError, check_seed, is_index
 
 NUM_EXPRESSIONS = 46
 NUM_ROTATION = 3
@@ -53,7 +53,7 @@ class FaceFrame:
         if np.any(np.abs(self.r) > 1.0):
             raise DataError("rotation free parameters must lie in [-1, 1]")
         index = self.frame_index
-        if not isinstance(index, (int, np.integer)) or isinstance(index, bool) or index < 0:
+        if not is_index(index):
             raise DataError(f"frame index must be a non-negative integer, got {index!r}")
 
     @property

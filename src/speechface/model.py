@@ -397,10 +397,11 @@ class _Plan:
     its bias, both with batch norm folded in, the layout training's conv1
     stage gives :func:`~.autograd._conv_pool_relu`. ``trunk`` holds
     one (k, stride, pad, w, b) row per later layer of the stack, each
-    acting along L of a channels-last (N, L, C) activation; a pool has
-    ``w`` None. The first ``column_stages`` rows act along frequency, with
-    N frames x columns; frequency is 1 after them, and the rest act along
-    time, with N frames. Conv weights are (k, C_in, C_out) with batch norm
+    acting along L of a channels-last (N, L, C) activation; a pool, a
+    two-tap one with stride 2 as in training, has ``w`` None. The first
+    ``column_stages`` rows act along frequency, with N frames x columns;
+    frequency is 1 after them, and the rest act along time, with N
+    frames. Conv weights are (k, C_in, C_out) with batch norm
     folded in. ``dense1`` is (w, b). The recurrent layer, dense2 and the
     heads are compiled apart, once the trunk has run and its plan is gone.
     """
@@ -466,36 +467,22 @@ def _front(plan: _Plan, x: np.ndarray, ws: _Workspace) -> np.ndarray:
     (N, m // 2, C), N the product of x's leading dimensions and m conv1's
     outputs, without making conv1's output: training's conv1 kernel
     (:func:`~.autograd._conv_pool_relu`) on conv1's tap-major im2col with a
-    ones column, one block of rows at a time. Max commutes with adding a
-    per-channel constant, so only the GEMM's rounding differs from conv,
-    pool, then bias. The im2col and the result are workspace ``ws``'s "col"
-    and 0 buffers."""
+    ones column. Max commutes with adding a per-channel constant, so only
+    the GEMM's rounding differs from conv, pool, then bias. The im2col and
+    the result are workspace ``ws``'s "col" and 0 buffers."""
     k, s, p, wz = plan.front
     m = (x.shape[-1] + 2 * p - k) // s + 1
     col = ws("col", (*x.shape[:-1], m, k + 1))
     ag._tap_cols(col, x, s, p, k)
-    col[..., k] = 1.0
     col = col.reshape(-1, m, k + 1)
     out = ws(0, (len(col), m // 2, wz.shape[1]))
-    for blk in ag._blocks(len(col), 2 * out[0].nbytes):
-        ag._conv_pool_relu(col[blk], 1, wz, out[blk])
+    ag._conv_pool_relu(col, wz, out)
     return out
 
 
 def _bias_relu(x, b):
     x += b
     return np.maximum(x, 0.0, out=x)
-
-
-def _pool(x, k, s, out=None):
-    """Max pool along L of channels-last (N, L, C) x, into ``out`` or a new
-    array: the maximum of k strided views."""
-    m = (x.shape[1] - k) // s + 1
-    taps = [x[:, i:i + s * (m - 1) + 1:s] for i in range(k)]
-    out = np.maximum(taps[0], taps[-1], out=out)
-    for tap in taps[1:-1]:
-        np.maximum(out, tap, out=out)
-    return out
 
 
 def _trunk(plan: _Plan, bands: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -522,14 +509,12 @@ def _trunk(plan: _Plan, bands: np.ndarray, ws: _Workspace) -> np.ndarray:
             x = x.reshape(frames, t, x.shape[2])  # frequency is 1: L is time
         n, length, c = x.shape
         side = 1 - side
-        if w is None:
-            x = _pool(x, k, s, ws(side, (n, (length - k) // s + 1, c)))
+        if w is None:  # a two-tap pool with stride 2, as training's
+            x = np.maximum(*(ag._pool_tap(x, e) for e in (0, 1)), out=ws(side, (n, length // 2, c)))
             continue
         if bias is not None:
             x = _bias_relu(x, bias)
-        shape = (n, length // s, w.shape[2])
-        samples = ag._blocks(n, math.prod(shape[1:]) * w.itemsize)
-        x, bias = ag._gemm_conv(x, k, s, p, w, ws(side, shape), samples), b
+        x, bias = ag._gemm_conv(x, k, s, p, w, ws(side, (n, length // s, w.shape[2]))), b
     x = _bias_relu(x, bias)
     w, b = plan.dense1
     h = x.transpose(0, 2, 1).reshape(frames, -1) @ w.T  # flatten as (C, F, T)

@@ -306,6 +306,18 @@ class TestFrameWindows:
         with pytest.raises(RangeError):
             extract_frame_window(clip, -1, 30.0)
 
+    @pytest.mark.parametrize("t", [1.5, 1.0, True, np.float64(2.0), "1", None])
+    def test_frame_that_is_not_an_integer_raises(self, t):
+        """Only an int or a numpy integer names a frame, as for FaceFrame: a
+        fractional index would end between two frames' boundaries, and True
+        is no frame 1."""
+        clip = AudioClip(np.zeros(6000), SAMPLE_RATE)
+        with pytest.raises(RangeError, match=re.escape(
+                f"frame index must be a non-negative integer, got {t!r}")):
+            extract_frame_window(clip, t, 30.0)
+        np.testing.assert_array_equal(extract_frame_window(clip, np.int64(1), 30.0),
+                                      extract_frame_window(clip, 1, 30.0))
+
     def test_no_lookahead(self):
         """Samples at or past the frame boundary never affect the window."""
         rng = np.random.default_rng(2)

@@ -117,6 +117,20 @@ class TestWav:
         write_wav(path, np.zeros(100), MIN_SAMPLE_RATE)
         assert len(load_wav(path).samples) == 99 * SAMPLE_RATE // MIN_SAMPLE_RATE + 1
 
+    @pytest.mark.parametrize("rate", [22050.0, "44100", True, np.float64(44100)])
+    def test_write_refuses_a_rate_that_is_not_an_integer(self, tmp_path, rate):
+        """The header stores the rate as an integer; a float, a string or a
+        bool raises ConfigError and writes nothing, and a numpy integer
+        writes the same file as an int."""
+        path = tmp_path / "odd.wav"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"wav not written: sample rate must be an integer, got {rate!r}")):
+            write_wav(path, np.zeros(100), rate)
+        assert not path.exists()
+        write_wav(path, np.zeros(100), np.int32(SAMPLE_RATE))
+        write_wav(tmp_path / "int.wav", np.zeros(100), SAMPLE_RATE)
+        assert path.read_bytes() == (tmp_path / "int.wav").read_bytes()
+
     @pytest.mark.parametrize("fmt,channels,rate", [("pcm16", 1, 2**31),
                                                    ("float32", 2, 2**29)])
     def test_write_refuses_a_byte_rate_over_32_bits(self, tmp_path, fmt, channels, rate):

@@ -18,7 +18,6 @@ from speechface.model import (
     _Workspace,
     _compile,
     _front,
-    _pool,
     build_model,
     forward,
     forward_sequence,
@@ -151,9 +150,9 @@ class TestTrainingWalk:
         assert infer_rows == EXPECTED_TRACE[:13]
 
     @pytest.mark.parametrize("samples, gemm_samples, conv1_samples, gemm_blocks, kernel_rows", [
-        (3, None, None, [(0, 2), (2, 3)], [1] * 3),
-        (7, 3, 1, [(0, 3), (3, 6), (6, 7)], [1] * 7),
-        (7, 3, 2, [(0, 3), (3, 6), (6, 7)], [2, 1, 1, 2, 1])])
+        (3, None, None, [(0, 2), (2, 3)], [[16] * 4, [16] * 2]),
+        (7, 3, 1, [(0, 3), (3, 6), (6, 7)], [[32] * 3, [32] * 3, [32]]),
+        (7, 3, 2, [(0, 3), (3, 6), (6, 7)], [[64, 32], [64, 32], [32]])])
     def test_fused_trunk_matches_the_unfused_walk(
             self, monkeypatch, samples, gemm_samples, conv1_samples, gemm_blocks, kernel_rows):
         """Features, every trunk gradient and the running stats after one
@@ -166,20 +165,24 @@ class TestTrainingWalk:
         conv2's node makes conv1's pooled output one of its GEMM blocks at a
         time, in forward and again in backward: at the default block sizes,
         blocks of 2 and 1 of 3 samples; with GEMM blocks cut to 3 samples,
-        blocks of 3, 3 and 1 of 7. With conv1's own blocks of one sample
-        (float64 conv1 outputs take 1 MiB a sample) those nest in the GEMM
-        blocks; with blocks of two, a GEMM block that ends inside one of
-        them takes its part only."""
+        blocks of 3, 3 and 1 of 7. Each is one call of conv1's kernel on
+        its 32 rows a sample, which the kernel cuts, from the block's
+        start, into blocks of rows whose two pool taps take _BLOCK_BYTES:
+        float64 outputs take 32 KiB a row, so 16 rows at the default 512
+        KiB, one sample's 32 at 1 MiB and 64 at 2 MiB. Backward takes P's
+        sums over the same blocks of rows."""
         if gemm_samples is not None:
             monkeypatch.setattr(ag, "_GEMM_BLOCK_BYTES",
                                 gemm_samples * (96 * 16 * 32 + 64 * 32 * 32) * 8)
             monkeypatch.setattr(ag, "_BLOCK_BYTES", conv1_samples << 20)
-        made, kernel_calls = [], []
-        run, kernel = ag.ConvBnReluPool.run, ag._conv_pool_relu
+        made, kernel_calls, tap_rows = [], [], []
+        run, kernel, pool_tap = ag.ConvBnReluPool.run, ag._conv_pool_relu, ag._pool_tap
         monkeypatch.setattr(ag.ConvBnReluPool, "run",
                             lambda st, blk, *a: (made.append((blk.start, blk.stop)), run(st, blk, *a)))
         monkeypatch.setattr(ag, "_conv_pool_relu",
                             lambda col, *a: (kernel_calls.append(len(col)), kernel(col, *a)))
+        monkeypatch.setattr(ag, "_pool_tap",
+                            lambda a, e: (e == 0 and tap_rows.append(len(a)), pool_tap(a, e))[1])
         x = np.random.default_rng(8).normal(size=(samples, 1, NUM_BANDS, NUM_COLUMNS))
         proj = np.random.default_rng(9).normal(size=(samples, STANDARD_ARCH.hidden))
         results = []
@@ -200,7 +203,8 @@ class TestTrainingWalk:
                           for name, bn in model.conv_bn.items())
             results.append(arrays)
         assert made == gemm_blocks * 2
-        assert kernel_calls == kernel_rows * 2
+        assert kernel_calls == [32 * (b - a) for a, b in gemm_blocks] * 2
+        assert tap_rows == sum(kernel_rows, []) + sum((rows * 2 for rows in kernel_rows), [])
         got, want = results
         assert got.keys() == want.keys()
         assert "conv8.b" in got
@@ -527,7 +531,7 @@ class TestInferencePlan:
         model.conv_w["conv1"].data *= 32.0
         bn = model.conv_bn["conv1"]
         bn.beta.data[:] = 0.0
-        pooled = _pool(conv1_oracle(model, bands), 2, 2)
+        pooled = pool_oracle(conv1_oracle(model, bands))
         bn.beta.data -= np.median(pooled, axis=(0, 1)).astype(np.float32)
         with ag.no_grad():
             pool1 = dict(model.layers(ag.Tensor(bands[:, None]), training=False))["pool1"]
@@ -622,6 +626,13 @@ def conv1_oracle(model, bands):
     return conv_oracle(x, 3, 2, 1, w) * scale + (beta - mean * scale)
 
 
+def pool_oracle(x):
+    """A two-tap pool with stride 2 along L of channels-last (N, L, C) x, as
+    a reshape and a max."""
+    m = x.shape[1] // 2
+    return x[:, :2 * m].reshape(len(x), m, 2, -1).max(axis=2)
+
+
 class TestPlanKernels:
     """The plan's conv and pool on channels-last (N, L, C) activations."""
 
@@ -645,16 +656,24 @@ class TestPlanKernels:
         (3, 2, 1, 64, 32),   # conv2: tap 0 lies one block back
         (4, 2, 1, 8, 12),    # one group a block back, one a block ahead
     ])
-    def test_conv_in_sample_blocks_writes_into_out(self, k, s, p, c_in, length):
-        """The groups that read a neighbouring block, made one slice of
-        samples at a time, the last one short, into a given output."""
+    def test_conv_in_sample_blocks_writes_into_out(self, monkeypatch, k, s, p, c_in, length):
+        """The groups that read a neighbouring block, made one block of
+        samples at a time, the last one short, into a given output: with
+        _BLOCK_BYTES at three samples' outputs, 7 samples in blocks of 3, 3
+        and 1 for each such group."""
         rng = np.random.default_rng(k * 10 + c_in)
         x = rng.normal(size=(7, length, c_in))
         w = rng.normal(size=(k, c_in, 5))
         out = np.full((7, length // s, 5), np.nan)
-        got = ag._gemm_conv(x, k, s, p, w, out, [slice(0, 3), slice(3, 6), slice(6, 7)])
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", 3 * out[0].nbytes)
+        cuts, blocks = [], ag._blocks
+        monkeypatch.setattr(ag, "_blocks", lambda *a: (cuts.append(blocks(*a)), cuts[-1])[1])
+        got = ag._gemm_conv(x, k, s, p, w, out)
         assert np.shares_memory(got, out)
         assert np.max(np.abs(out - conv_oracle(x, k, s, p, w))) <= 1e-12
+        shifted = len(list(ag._tap_groups(k, s, p))) - 1
+        assert shifted >= 1
+        assert cuts == [[slice(0, 3), slice(3, 6), slice(6, 7)]] * shifted
 
     @pytest.mark.parametrize("frames,columns", [
         (1, NUM_COLUMNS), (TRUNK_CHUNK, NUM_COLUMNS),
@@ -669,7 +688,7 @@ class TestPlanKernels:
         model = build_model("cnn_static", seed=1)
         randomize_batch_norm(model, rng)
         bands = rng.normal(size=(frames, NUM_BANDS, columns))
-        want = np.maximum(_pool(conv1_oracle(model, bands), 2, 2), 0.0)
+        want = np.maximum(pool_oracle(conv1_oracle(model, bands)), 0.0)
         got = _front(_compile(model), bands.transpose(0, 2, 1), _Workspace())
         assert got.shape == want.shape == (frames * columns, NUM_BANDS // 4, 64)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -677,13 +696,14 @@ class TestPlanKernels:
 
     @pytest.mark.parametrize("length", [32, 33])
     def test_pool_matches_reshape_max(self, length):
+        """The plan's pools: the larger of the two taps' strided views, which
+        read the input in place; an odd length drops the last position."""
         x = np.random.default_rng(length).normal(size=(5, length, 3))
-        m = length // 2
-        want = x[:, :2 * m].reshape(5, m, 2, 3).max(axis=2)
-        np.testing.assert_array_equal(_pool(x, 2, 2), want)
-        out = np.empty_like(want)
-        assert _pool(x, 2, 2, out) is out
-        np.testing.assert_array_equal(out, want)
+        taps = [ag._pool_tap(x, e) for e in (0, 1)]
+        assert all(np.shares_memory(tap, x) for tap in taps)
+        out = np.empty((5, length // 2, 3))
+        assert np.maximum(*taps, out=out) is out
+        np.testing.assert_array_equal(out, pool_oracle(x))
 
 
 # =============================================================================
