@@ -3,10 +3,12 @@
 Everything the network needs is built from the primitives in this module:
 convolution, max pooling, batch normalization, dense layers, elementwise
 activations and the LSTM/GRU cell steps, plus the trunk's training stages,
-each a conv with its batch norm, ReLU and pool as one node on channels-last
-arrays (:func:`conv_stage`, which also runs the one-channel conv1's stage,
-a :class:`ConvBnReluPool` that never makes its conv's output, in front of
-its own conv). Each primitive records a backward closure on a tape; calling
+each a conv with its batch norm, ReLU and pool on channels-last arrays
+(:class:`ConvStage`, and :class:`ConvBnReluPool` for the one-channel
+conv1, which never makes its conv's output). A stage keeps its conv's
+output, not its own, which the stage after it makes again one block at a
+time; :func:`conv_stage` runs a chain of stages as one node. Each primitive
+records a backward closure on a tape; calling
 :meth:`Tensor.backward` on a scalar loss walks the tape in reverse
 topological order and accumulates exact gradients into every leaf tensor
 that requested them. Backward closures read their inputs' arrays when they
@@ -317,14 +319,15 @@ def sigmoid(x: Tensor) -> Tensor:
 # conv2d, max_pool2d and batch_norm act on (B, C, F, T) arrays, one op per
 # stage: the layer walk of inference runs them, so it reports every stage,
 # and so do the gradient checks. Training runs each conv of the trunk with
-# its batch norm, ReLU and pool as one node on channels-last (B, T, F, C)
+# its batch norm, ReLU and pool as one stage on channels-last (B, T, F, C)
 # arrays, the layout of the batched plan in model.py, whose conv kernels it
-# shares: conv_stage, one node per conv from conv2 on. A stage's Tensor
-# holds the (B, C, F, T) view a.transpose(0, 3, 2, 1) of its array a, so
-# the walk keeps its shapes, and the next stage reads a in place. conv1's
-# stage over the one-channel spectrogram is a ConvBnReluPool, which conv2's
-# conv_stage takes as its input and runs one block of samples at a time,
-# so that stage's output is never made whole.
+# shares: a ConvStage per conv from conv2 on, and before them conv1's stage
+# over the one-channel spectrogram, a ConvBnReluPool. Each stage takes the
+# one before it as its input and makes that input one block of samples at
+# a time, in forward and again in backward, so no stage output is kept:
+# conv_stage makes the chain one node, which makes only the last stage's
+# output whole, and holds its (B, C, F, T) view a.transpose(0, 3, 2, 1) of
+# that array a, so the walk keeps its shapes.
 #
 # The stages run over the batch in blocks of samples. Their elementwise
 # passes (batch norm, ReLU, pool, and the per-channel sums, float32 column
@@ -789,12 +792,53 @@ def _route(g, wins, r) -> list:
     return [np.subtract(g, second, out=r[0]), second]
 
 
+def _tiled(v, shape, dtype):
+    """A per-channel vector v as an array of ``shape``, one sample of a
+    channels-last array, or None for None. An elementwise pass that
+    broadcasts it over whole samples, not over rows of C, takes about 40%
+    less time."""
+    return None if v is None else np.ascontiguousarray(np.broadcast_to(v, shape), dtype)
+
+
 def _colsum(a: np.ndarray) -> np.ndarray:
     """Per-column sums of a (rows, C) block, by BLAS in a's precision."""
     return np.ones(len(a), a.dtype) @ a
 
 
-class ConvBnReluPool:
+class _Rebuilt:
+    """A training stage whose output is never kept: :meth:`run` makes it
+    for any block of samples, wherever the conv after it reads it."""
+
+    def outputs(self, gemm):
+        """Yield each block of samples blk of gemm with its channels-last
+        output, made in one buffer."""
+        buf = np.empty((gemm[0].stop,) + self.shape[:0:-1], self.dtype)
+        for blk in gemm:
+            out = buf[:blk.stop - blk.start]
+            self.run(blk, out)
+            yield blk, out
+
+
+class _Input:
+    """A Tensor as the input of a :class:`ConvStage`: its channels-last
+    array, read in place, and the gradient that it takes there."""
+
+    def __init__(self, x: Tensor, dtype):
+        self.x, self.cl, self.params = x, _cl(x.data, dtype), (x,)
+
+    def outputs(self, gemm):
+        for blk in gemm:
+            yield blk, self.cl[blk]
+
+    def grad_outputs(self, gemm):
+        gx = np.empty_like(self.cl) if self.x.requires_grad else None
+        for blk in gemm:
+            yield blk, self.cl[blk], None if gx is None else gx[blk]
+        if gx is not None:
+            _accum_owned(self.x, gx.transpose(0, 3, 2, 1))
+
+
+class ConvBnReluPool(_Rebuilt):
     """conv1's training stage, a conv over one input channel with
     training-mode batch norm, ReLU and a (2, 1) pool with stride (2, 1),
     before its output exists: its checks, batch norm's statistics of the
@@ -803,7 +847,7 @@ class ConvBnReluPool:
     for any block of samples. The kernel spans frequency only; any other
     geometry raises ShapeError. Errors name ``conv_bn_relu_pool``.
 
-    :func:`conv_stage` takes one as its input and makes that input one of
+    A :class:`ConvStage` takes one as its input and makes that input one of
     its own blocks of samples at a time, in forward and again in backward,
     so the output, its winner mask and its gradient never exist at full
     size. ``shape`` and ``dtype`` are those of the output's (B, C, F, T)
@@ -840,7 +884,8 @@ class ConvBnReluPool:
             raise ConfigError("conv_stage: the input of a conv_bn_relu_pool in front of it "
                               "takes no gradient")
         nb, c = shape[:2]
-        self.x, self.w, self.state = x, w, state
+        self.w, self.state = w, state
+        self.params = (x, w, state.gamma, state.beta)
         self.k, self.s, self.p = k, s, p
         self.n_red = math.prod(shape) // c
         out_cl = _pooled(shape, window)
@@ -879,6 +924,23 @@ class ConvBnReluPool:
         _conv_pool_relu(self.cols(blk, self.dtype), self.wz, out.reshape(-1, *out.shape[2:]),
                         None if wins is None else wins.reshape(-1, *wins.shape[2:]))
 
+    def grad_outputs(self, gemm):
+        """Yield each block of samples blk of gemm with its output, made
+        again, and a buffer that the caller fills with that output's
+        gradient before it moves on; then add the block's P
+        (:meth:`add_p`), and after the last block take the gradients from P
+        (:meth:`grads`). The output, its winner mask and its gradient exist
+        one block at a time."""
+        bufs = [np.empty((gemm[0].stop,) + self.shape[:0:-1], t)
+                for t in (self.dtype, bool, self.dtype)]
+        pa = np.zeros_like(self.wa)
+        for blk in gemm:
+            out, wins, g = (a[:blk.stop - blk.start] for a in bufs)
+            self.run(blk, out, wins)
+            yield blk, out, g
+            self.add_p(pa, blk, g, out, wins)
+        self.grads(pa)
+
     def add_p(self, pa, blk, g, out, wins) -> None:
         """Add P = sum of g [col; 1]', (C, K+1), of samples blk into pa, from
         their channels-last output out, its winner mask wins and its
@@ -905,206 +967,259 @@ class ConvBnReluPool:
         _accum_owned(self.w, gw[:, :k].reshape(wd.shape).astype(wd.dtype))
 
 
-def conv_stage(x: Tensor | ConvBnReluPool, w: Tensor, b: Tensor | None, stride, pad,
-               state: BatchNormState | None = None, window=None) -> Tensor:
+class ConvStage(_Rebuilt):
     """A conv with ``state``'s training-mode batch norm, if given, then ReLU
     and, with a ``window`` of (2, 1) or (1, 2), a two-tap pool with stride
-    equal to it, as one node on channels-last arrays: ``conv2d``,
-    ``batch_norm``, ``relu`` and ``max_pool2d`` up to rounding.
+    equal to it, on channels-last arrays: ``conv2d``, ``batch_norm``,
+    ``relu`` and ``max_pool2d`` up to rounding. It keeps its conv's output
+    y, not its own: :meth:`run` makes that again for any block of samples,
+    the next stage's input, and :func:`conv_stage` makes the stages up to
+    one of them a node of the tape.
 
-    ``x`` is best the (B, C, F, T) view of a channels-last (B, T, F, C)
-    array, as the stages return it; any other layout is copied once. The
-    kernel spans frequency or, over one frequency row, time; along that
-    axis the stride must tile the input, L = m * stride for m outputs. The
-    pooled axis must have even length, and a pool across the conv's axis
-    needs m = 1. Each block of samples is then (rows, L, C), and the conv is
-    one GEMM per tap group on it in place (:func:`_gemm_conv`, the plan's
-    kernel); backward needs no col2im (:func:`_gemm_conv_grads`). With a
-    pool, each of its two taps reads the outputs of a conv of its own, so
-    each tap's outputs are one contiguous array.
+    ``x`` is a Tensor, best the (B, C, F, T) view of a channels-last (B, T,
+    F, C) array, as the nodes return it (any other layout is copied once),
+    or the stage before this one, a :class:`ConvStage` or a
+    :class:`ConvBnReluPool`. The kernel spans frequency or, over one
+    frequency row, time; along that axis the stride must tile the input, L
+    = m * stride for m outputs. The pooled axis must have even length, and
+    a pool across the conv's axis needs m = 1. Each block of samples is then
+    (rows, L, C), and the conv is one GEMM per tap group on it in place
+    (:func:`_gemm_conv`, the plan's kernel); backward needs no col2im
+    (:func:`_gemm_conv_grads`). With a pool, each of its two taps reads the
+    outputs of a conv of its own, so each tap's outputs are one contiguous
+    array.
 
     A conv that batch norm follows takes no bias ``b``, since batch norm
     would subtract it again; without batch norm, ``b`` is added before the
-    ReLU. Forward makes y, the conv's output without its bias, one block at
-    a time, and takes batch norm's per-channel sums from each block while it
-    is in cache; a second pass normalizes (or adds b), pools and applies
-    ReLU. Backward masks the gradient by the ReLU and routes it through the
-    saved winners to take batch norm's sums; then, block by block, it routes
-    it again, turns it into y's gradient divided by batch norm's scale,
-    which joins the weights instead, and runs that block's GEMMs. b's
-    gradient is the per-channel sum of y's gradient.
+    ReLU. Forward makes y one GEMM block of samples at a time, from that
+    block of the input (the stage before this one makes it in a buffer),
+    and takes batch norm's per-channel sums from each block while it is in
+    cache. The output, ReLU(pool(y * scale + shift)) with batch norm's
+    folded scale and shift (or y + b), follows from y by elementwise passes
+    alone, done the same way whenever it is made, so it is the same bit for
+    bit each time.
 
-    The tape holds the input, y (with batch norm), the output and the winner
-    mask; every other array is at most one block.
-
-    ``x`` may instead be a :class:`ConvBnReluPool`, whose output is this
-    conv's input: the node then runs both stages. Forward makes each GEMM
-    block's input with :meth:`ConvBnReluPool.run`; backward makes it again,
-    with its winner mask, takes its gradient into a buffer of one block and
-    adds that block's P at once, then finishes the front's gradients from
-    P. The tape then holds the front's one-channel input and small arrays
-    in place of its output. The front's input takes no gradient, and a
-    :class:`ConvBnReluPool` refuses one that asks for it.
+    Backward (:meth:`backward`) starts from the gradient at the output,
+    already masked by the ReLU, and the winner mask, which the stage after
+    this one leaves in ``g`` and ``wins`` as it makes each block of this
+    output again for its weight gradient (:meth:`grad_outputs`). It routes
+    the gradient through the winners to take batch norm's sums; then, block
+    by block, it routes it again, turns it into y's gradient divided by
+    batch norm's scale, which joins the weights instead, and runs that
+    block's GEMMs, which write the input's gradient where the stage before
+    this one gives them room. b's gradient is the per-channel sum of y's
+    gradient. Then the stage drops y.
     """
-    op = "conv_stage"
-    front = x if isinstance(x, ConvBnReluPool) else None
-    along_f, k, s, p, length, shape, axis = _stage_geometry(op, x.shape, w, b, stride, pad, window)
-    if state is not None and b is not None:
-        raise ConfigError(f"{op}: a conv that batch norm follows takes no bias")
-    nb, c_out, c_in = shape[0], shape[1], x.shape[1]
-    m = shape[2] if along_f else shape[3]
-    if not along_f and x.shape[2] != 1:
-        raise ShapeError(f"{op}: a kernel along time needs one frequency row, got {x.shape[2]}")
-    if p >= k or m * s != length:
-        raise ShapeError(f"{op}: {m} outputs of kernel {k}, stride {s} and pad {p} "
-                         f"do not tile input length {length}")
-    # per pool tap e, the conv that makes the outputs it reads, as (stride,
-    # pad, parity): along the conv's axis, stride 2s and pad p - e*s; across
-    # it, where the conv has one output, the input rows t = e mod 2
-    taps = [(s, p, None)]
-    if axis is not None:
-        if shape[4 - axis] % 2:
-            raise ShapeError(f"{op}: the pooled axis of {shape[2:]} has odd length")
-        if axis == (2 if along_f else 1):
-            taps = [(2 * s, p - e * s, None) for e in (0, 1)]
-        elif m == 1:
-            taps = [(s, p, e) for e in (0, 1)]
-        else:
-            raise ShapeError(f"{op}: a pool across the conv's axis needs one output "
-                             f"along it, got {m}")
-    dtype = np.result_type(x.dtype, w.data)
-    x_cl = None if front is not None else _cl(x.data, dtype)
-    out_cl = _pooled(shape, window)
-    m_tap = out_cl[2] if along_f else out_cl[1]  # each tap's outputs along the conv's axis
-    n_red = math.prod(shape) // c_out
-    item = np.dtype(dtype).itemsize
-    y_bytes = math.prod(shape[1:]) * item  # per sample
-    blocks = _blocks(nb, y_bytes)
-    gemm = _blocks(nb, y_bytes + math.prod(x.shape[1:]) * item, _GEMM_BLOCK_BYTES)
-    x_block = (gemm[0].stop,) + x.shape[:0:-1]  # room for one GEMM block of x, channels-last
-    y = np.empty((len(taps),) + out_cl, dtype=dtype)
 
-    def rows(a, tap, width):  # the rows of a block a that ``tap`` reads, (R, width, C)
-        if tap[2] is None:
-            return a.reshape(-1, width, a.shape[-1])
-        return a.reshape(-1, 2, width, a.shape[-1])[:, tap[2]]
-
-    def weights():  # (k, C_in, C_out), the layout of the plan's convs
-        return np.ascontiguousarray(w.data.reshape(c_out, c_in, k).transpose(2, 1, 0), dtype)
-
-    def convolved():  # y, one block and tap at a time, as (rows, C_out)
-        wt = weights()
-        buf = None if front is None else np.empty(x_block, dtype=dtype)
-        for blk in gemm:
-            if front is None:
-                xb = x_cl[blk]
+    def __init__(self, x, w: Tensor, b: Tensor | None, stride, pad,
+                 state: BatchNormState | None = None, window=None):
+        op = "conv_stage"
+        along_f, k, s, p, length, shape, axis = _stage_geometry(op, x.shape, w, b, stride, pad,
+                                                               window)
+        if state is not None and b is not None:
+            raise ConfigError(f"{op}: a conv that batch norm follows takes no bias")
+        nb, c_out, c_in = shape[0], shape[1], x.shape[1]
+        m = shape[2] if along_f else shape[3]
+        if not along_f and x.shape[2] != 1:
+            raise ShapeError(f"{op}: a kernel along time needs one frequency row, got {x.shape[2]}")
+        if p >= k or m * s != length:
+            raise ShapeError(f"{op}: {m} outputs of kernel {k}, stride {s} and pad {p} "
+                             f"do not tile input length {length}")
+        # per pool tap e, the conv that makes the outputs it reads, as (stride,
+        # pad, parity): along the conv's axis, stride 2s and pad p - e*s; across
+        # it, where the conv has one output, the input rows t = e mod 2
+        taps = [(s, p, None)]
+        if axis is not None:
+            if shape[4 - axis] % 2:
+                raise ShapeError(f"{op}: the pooled axis of {shape[2:]} has odd length")
+            if axis == (2 if along_f else 1):
+                taps = [(2 * s, p - e * s, None) for e in (0, 1)]
+            elif m == 1:
+                taps = [(s, p, e) for e in (0, 1)]
             else:
-                xb = buf[:blk.stop - blk.start]
-                front.run(blk, xb)
-            for ye, tap in zip(y, taps):
-                yb = ye[blk].reshape(-1, m_tap, c_out)
-                yield _gemm_conv(rows(xb, tap, length), k, *tap[:2], wt, yb).reshape(-1, c_out)
+                raise ShapeError(f"{op}: a pool across the conv's axis needs one output "
+                                 f"along it, got {m}")
+        self.dtype = dtype = np.result_type(x.dtype, w.data)
+        self.front = x if isinstance(x, _Rebuilt) else _Input(x, dtype)
+        self.w, self.b, self.state, self.taps = w, b, state, taps
+        self.k, self.length, self.c_in = k, length, c_in
+        extra = (state.gamma, state.beta) if state is not None else () if b is None else (b,)
+        self.params = self.front.params + (w,) + extra
+        out_cl = _pooled(shape, window)
+        self.shape = tuple(out_cl[i] for i in (0, 3, 2, 1))
+        self.m_tap = out_cl[2] if along_f else out_cl[1]  # each tap's outputs along the conv's axis
+        item = np.dtype(dtype).itemsize
+        self.y_bytes = math.prod(shape[1:]) * item  # per sample
+        self.blocks = _blocks(nb, self.y_bytes)
+        self.gemm = _blocks(nb, self.y_bytes + math.prod(x.shape[1:]) * item, _GEMM_BLOCK_BYTES)
+        # one array per tap: glibc's malloc maps an array over 32 MiB afresh,
+        # and faults it in, on every step, as it did conv2's whole y (54 MiB
+        # at 288 frames)
+        self.y = [np.empty(out_cl, dtype) for _ in taps]
+        self.g = self.wins = None
+        self.n_red = n_red = math.prod(shape) // c_out
 
-    def moments():
-        sums = np.zeros((2, c_out))
-        for yb in convolved():
-            sums[0] += _colsum(yb)
-            sums[1] += _colsum(yb * yb)
-        mu = sums[0] / n_red
-        return mu, sums[1] / n_red - mu * mu
+        def moments():
+            sums = np.zeros((2, c_out))
+            for yb in self.convolved():
+                sums[0] += _colsum(yb)
+                sums[1] += _colsum(yb * yb)
+            mu = sums[0] / n_red
+            return mu, sums[1] / n_red - mu * mu
 
-    if state is None:
-        for _ in convolved():
-            pass
-        shift = None if b is None else b.data.astype(dtype)
-    else:
-        fold = _bn_fold(shape, dtype, moments, state, True, op)
-        scale, shift = (f.astype(dtype) for f in fold[2:])
-    out = y[0] if window is None and state is None else np.empty(out_cl, dtype=dtype)
-    wins = None if window is None else np.empty(out_cl, dtype=bool)
-    if state is not None and window is not None:
-        buf = np.empty((2, blocks[0].stop) + out_cl[1:], dtype=dtype)
-    for blk in blocks:
-        if state is None:  # y + b, in place
-            zs = [ye[blk] for ye in y]
-            if shift is not None:
-                for z in zs:
-                    z += shift
-        else:  # batch norm, into the output or, before a pool, a buffer per tap
-            zs = [out[blk]] if window is None else list(buf[:, :blk.stop - blk.start])
-            for ye, z in zip(y, zs):
-                np.multiply(ye[blk], scale, out=z)
-                z += shift
-        if window is None:
-            np.maximum(zs[0], 0, out=zs[0])
+        if state is None:
+            for _ in self.convolved():
+                pass
+            self.scale, self.shift = None, None if b is None else b.data.astype(dtype)
         else:
-            _pool_relu(*zs, out[blk], wins[blk])
-    if state is None:
-        y = None  # backward needs it only for batch norm
+            self.fold = _bn_fold(shape, dtype, moments, state, True, op)
+            self.scale, self.shift = (f.astype(dtype) for f in self.fold[2:])
 
-    def backward(g):
-        g = _cl(g, dtype)
-        if window is not None:
-            r = np.empty((2, max(blocks[0].stop, gemm[0].stop)) + out_cl[1:], dtype=dtype)
+    def rows(self, a, tap):
+        """The rows of a block a of the input that ``tap`` reads, (R, L, C)."""
+        if tap[2] is None:
+            return a.reshape(-1, self.length, a.shape[-1])
+        return a.reshape(-1, 2, self.length, a.shape[-1])[:, tap[2]]
+
+    def weights(self):
+        """(k, C_in, C_out), the layout of the plan's convs."""
+        w = self.w.data
+        return np.ascontiguousarray(w.reshape(len(w), self.c_in, self.k).transpose(2, 1, 0),
+                                    self.dtype)
+
+    def convolved(self):
+        """Make y, one GEMM block and tap at a time, yielding it as (rows, C_out)."""
+        wt, c_out = self.weights(), self.shape[1]
+        for blk, xb in self.front.outputs(self.gemm):
+            for ye, tap in zip(self.y, self.taps):
+                yb = ye[blk].reshape(-1, self.m_tap, c_out)
+                yield _gemm_conv(self.rows(xb, tap), self.k, *tap[:2], wt, yb).reshape(-1, c_out)
+
+    def run(self, blk, out, wins=None) -> None:
+        """The channels-last output of samples blk into out, and where each
+        pool's second tap won into wins, if given: ReLU(pool(y * scale +
+        shift)), or ReLU(pool(y + b)) without batch norm, by elementwise
+        passes over blocks of about _BLOCK_BYTES of y."""
+        y = [ye[blk] for ye in self.y]
+        cuts = _blocks(len(out), self.y_bytes)
+        scale, shift = (_tiled(v, out.shape[1:], self.dtype) for v in (self.scale, self.shift))
+        if shift is not None:
+            buf = np.empty((len(y), cuts[0].stop) + out.shape[1:], self.dtype)
+        for r in cuts:
+            z = [ye[r] for ye in y]
+            if shift is not None:
+                zb = buf[:, :r.stop - r.start]
+                for ze, zbe in zip(z, zb):
+                    if scale is None:
+                        np.add(ze, shift, out=zbe)
+                    else:
+                        np.multiply(ze, scale, out=zbe)
+                        zbe += shift
+                z = zb
+            if len(z) == 1:
+                np.maximum(z[0], 0, out=out[r])
+            else:
+                _pool_relu(*z, out[r], None if wins is None else wins[r])
+
+    def grad_outputs(self, gemm):
+        """Yield each block of samples blk of gemm with its output, made
+        again, and where its gradient goes, ``g``: the caller fills that
+        before it moves on, and the block's gradient is then masked by the
+        ReLU while it is in cache. The winner mask goes to ``wins``.
+        :meth:`backward` then reads both."""
+        self.g = np.empty(self.y[0].shape, self.dtype)
+        self.wins = None if len(self.taps) == 1 else np.empty(self.g.shape, bool)
+        buf = np.empty((gemm[0].stop,) + self.g.shape[1:], self.dtype)
+        for blk in gemm:
+            out, g = buf[:blk.stop - blk.start], self.g[blk]
+            self.run(blk, out, None if self.wins is None else self.wins[blk])
+            yield blk, out, g
+            np.multiply(g, out > 0, out=g)
+
+    def backward(self) -> None:
+        """Accumulate the gradients of w and of gamma and beta, or b, and
+        make the input's, from ``g`` and ``wins``; then drop y, g and wins."""
+        g, wins, y, taps, state = self.g, self.wins, self.y, self.taps, self.state
+        c_out, dtype = g.shape[-1], self.dtype
+        if wins is not None:
+            r = np.empty((2, max(self.blocks[0].stop, self.gemm[0].stop)) + g.shape[1:],
+                         dtype=dtype)
 
         def routed(blk):  # the block's gradient at the outputs each tap reads
             gb = g[blk]
-            return [gb] if window is None else _route(gb, wins[blk], r[:, :len(gb)])
+            return [gb] if wins is None else _route(gb, wins[blk], r[:, :len(gb)])
 
-        sums = np.zeros((2, c_out))
-        for blk in blocks:
-            gb = g[blk]
-            np.multiply(gb, out[blk] > 0, out=gb)
-            if state is not None:
+        wt = self.weights()
+        if state is not None:
+            sums = np.zeros((2, c_out))
+            for blk in self.blocks:
                 for ye, rb in zip(y, routed(blk)):
                     sums[0] += _colsum(rb.reshape(-1, c_out))
                     sums[1] += _colsum((rb * ye[blk]).reshape(-1, c_out))
-        wt = weights()
-        if state is not None:
-            a_ch, c_ch = (t.astype(dtype) for t in _bn_grad_terms(sums, n_red, state, fold, True))
-            wt *= fold[2].astype(dtype)
-        gw, gb_sum = np.zeros(wt.shape), None if b is None else np.zeros(c_out)
-        if front is None:
-            gx = np.empty(x_cl.shape, dtype=dtype) if x.requires_grad else None
-        else:  # one GEMM block of the front's output, its winner mask and its gradient
-            xbuf, wbuf, gx = (np.empty(x_block, dtype=t) for t in (dtype, bool, dtype))
-            pa = np.zeros_like(front.wa)
-        for blk in gemm:
-            if front is None:
-                xb, gxb = x_cl[blk], None if gx is None else gx[blk]
-            else:
-                n = blk.stop - blk.start
-                xb, wb, gxb = xbuf[:n], wbuf[:n], gx[:n]
-                front.run(blk, xb, wb)
+            a_ch, c_ch = (_tiled(t, g.shape[1:], dtype)
+                          for t in _bn_grad_terms(sums, self.n_red, state, self.fold, True))
+            wt *= self.fold[2].astype(dtype)
+        gw, gb_sum = np.zeros(wt.shape), None if self.b is None else np.zeros(c_out)
+        for blk, xb, gxb in self.front.grad_outputs(self.gemm):
             # along the conv's axis, the second tap's conv reads more of each
             # block of input positions than the first, so it writes gx first
             for e, gy in reversed(list(enumerate(routed(blk)))):
-                gy = gy.reshape(-1, c_out)
                 if state is not None:  # batch norm's input gradient over its scale, in place
-                    gy += y[e, blk].reshape(-1, c_out) * a_ch
+                    gy += y[e][blk] * a_ch
                     gy += c_ch
+                gy = gy.reshape(-1, c_out)
                 if gb_sum is not None:
                     gb_sum += _colsum(gy)
                 tap = taps[e]
-                _gemm_conv_grads(rows(xb, tap, length), k, *tap[:2], wt,
-                                 gy.reshape(-1, m_tap, c_out), gw,
-                                 None if gxb is None else rows(gxb, tap, length),
+                _gemm_conv_grads(self.rows(xb, tap), self.k, *tap[:2], wt,
+                                 gy.reshape(-1, self.m_tap, c_out), gw,
+                                 None if gxb is None else self.rows(gxb, tap),
                                  init=e == len(taps) - 1 or tap[2] is not None)
-            if front is not None:
-                front.add_p(pa, blk, gxb, xb, wb)
+        self.y = self.g = self.wins = None
         if state is not None:
-            gw *= fold[2]
+            gw *= self.fold[2]
+        w = self.w
         _accum_owned(w, gw.transpose(2, 1, 0).reshape(w.data.shape).astype(w.data.dtype))
-        if b is not None:
-            _accum_owned(b, gb_sum.astype(b.data.dtype))
-        if front is not None:
-            front.grads(pa)
-        elif gx is not None:
-            _accum_owned(x, gx.transpose(0, 3, 2, 1))
+        if self.b is not None:
+            _accum_owned(self.b, gb_sum.astype(self.b.data.dtype))
 
-    ins = (x,) if front is None else (front.x, front.w, front.state.gamma, front.state.beta)
-    extra = (state.gamma, state.beta) if state is not None else () if b is None else (b,)
-    return _make(out.transpose(0, 3, 2, 1), ins + (w,) + extra, backward)
+
+def conv_stage(x, w: Tensor, b: Tensor | None, stride, pad,
+               state: BatchNormState | None = None, window=None) -> Tensor:
+    """The :class:`ConvStage` of these arguments, and the stages before it
+    that ``x`` holds, back to the first one whose input is a Tensor or a
+    :class:`ConvBnReluPool`, as one node: ``conv2d``, ``batch_norm``,
+    ``relu`` and ``max_pool2d`` up to rounding, stage after stage. The node
+    makes this stage's output whole, with its winner mask, and returns the
+    output's (B, C, F, T) view; its backward runs the stages from this one
+    back to the first.
+
+    The tape holds the node's input, the y of each stage with batch norm,
+    small arrays, and this stage's output and winner mask; the outputs of
+    the stages before it are made again one block at a time wherever they
+    are read. Every other array is at most one block, except that backward
+    holds, while it runs a stage and the one after it, the gradient at that
+    stage's output and its winner mask. A node's input that is a
+    :class:`ConvBnReluPool` takes no gradient, and refuses one that asks
+    for it.
+    """
+    last = ConvStage(x, w, b, stride, pad, state, window)
+    out = np.empty(last.y[0].shape, last.dtype)
+    wins = None if len(last.taps) == 1 else np.empty(out.shape, bool)
+    last.run(slice(0, len(out)), out, wins)
+    if state is None:
+        last.y = None  # backward reads it for batch norm only
+
+    def backward(g):
+        g = _cl(g, last.dtype)
+        for blk in last.blocks:
+            np.multiply(g[blk], out[blk] > 0, out=g[blk])
+        last.g, last.wins, st = g, wins, last
+        while isinstance(st, ConvStage):
+            st.backward()
+            st = st.front
+
+    return _make(out.transpose(0, 3, 2, 1), last.params, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -194,21 +194,24 @@ class Model:
         output) for each.
 
         In training, each conv runs with its batch norm, its ReLU and a
-        two-tap pool that follows it as one node on channels-last arrays,
-        :func:`~.autograd.conv_stage`, and a pool it takes is yielded under
-        the pool's name: the tape then keeps no normalized or activated
-        array, and no im2col. conv1, over the one-channel spectrogram, with
-        its pool1, is a :class:`~.autograd.ConvBnReluPool` stage, which
-        never makes the conv's output: with three im2col columns per output
+        two-tap pool that follows it as one stage on channels-last arrays,
+        :class:`~.autograd.ConvStage`, and a pool it takes is yielded under
+        the pool's name. conv1, over the one-channel spectrogram, with its
+        pool1, is a :class:`~.autograd.ConvBnReluPool` stage, which never
+        makes the conv's output: with three im2col columns per output
         element, batch norm's statistics and every gradient follow from
-        those columns and from sums at the pooled size. The node of the conv
-        that follows its pool, as conv2 follows pool1, runs that stage one
-        block of samples at a time, so its pooled output is never made whole
-        and is not yielded; a stage that no conv follows raises ShapeError.
-        Each node yields the (B, C, F, T) view of its channels-last array,
-        which the next stage reads in place. Inference yields every stage,
-        which is what :func:`forward_trace` and the non-finite diagnostics
-        read.
+        those columns and from sums at the pooled size. It is not yielded,
+        and a stage that no conv follows raises ShapeError. Each stage takes
+        the one before it as its input and keeps its conv's output, not its
+        own: the next stage makes that again one block of samples at a time,
+        in forward and in backward. The stage that no conv follows, conv8's,
+        is made by :func:`~.autograd.conv_stage`, which makes the stages from
+        conv1 on one node of the tape and yields the (B, C, F, T) view of
+        its output; a stage inside the node yields itself, whose ``shape`` is
+        its output's. The tape then keeps no normalized, pooled or activated
+        array but the node's output, and no im2col. Inference yields every
+        stage, which is what :func:`forward_trace` and the non-finite
+        diagnostics read.
         """
         stack = self.arch.stack[start:stop]
         fused = None
@@ -229,10 +232,14 @@ class Model:
                         pool = (nxt.window if isinstance(nxt, PoolSpec) and nxt.stride == nxt.window
                                 and nxt.window in ((2, 1), (1, 2)) else None)
                         if x.shape[1] == 1 and bn is not None and pool is not None:
-                            # the next conv's node runs this stage
+                            # the next conv's stage runs this one
                             x, fused = ag.ConvBnReluPool(x, w, spec.stride, spec.pad, bn, pool), nxt
                             continue
-                        x = ag.conv_stage(x, w, b, spec.stride, spec.pad, bn, pool)
+                        # a stage that a conv follows is that conv's input
+                        rest = stack[i + (1 if pool is None else 2):]
+                        inner = bool(rest) and isinstance(rest[0], ConvSpec)
+                        x = (ag.ConvStage if inner else ag.conv_stage)(x, w, b, spec.stride,
+                                                                       spec.pad, bn, pool)
                         if pool is not None:
                             spec = fused = nxt
                 else:

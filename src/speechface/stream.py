@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .audio import (FFT_SIZE, HOP, WINDOW_SAMPLES, NormStats, check_fps, frame_boundary,
                     power_columns, sample_array)
-from .errors import ConfigError, DataError, SpeechFaceError
+from .errors import ConfigError, DataError, SpeechFaceError, is_int
 from .model import Model, _assemble, forward_split
 
 # A frame's first HEAD_START_COLUMNS spectrogram columns end HEAD_START_LEAD
@@ -141,7 +141,7 @@ def bench(model: Model, iters: int = 100) -> dict:
     Pushes random audio into a StreamingSession one frame interval at a
     time, so each timed push buffers the audio and emits exactly one frame.
     """
-    if not isinstance(iters, (int, np.integer)) or isinstance(iters, bool):
+    if not is_int(iters):
         raise ConfigError(f"iters must be an integer, got {iters!r}")
     if iters < 1:
         raise ConfigError(f"iters must be positive, got {iters}")

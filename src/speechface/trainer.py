@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import EMOTION_NAMES, LABEL_ABSENT, Dataset
-from .errors import ConfigError, DataError, NumericError, check_real, check_seed
+from .errors import ConfigError, DataError, NumericError, check_real, check_seed, is_int
 from .face import NUM_ROTATION, landmark_rmse, weights_mse
 from .model import VARIANTS, Model, build_model
 
@@ -38,7 +38,7 @@ class TrainConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         for name in ("epochs", "bptt_len", "minibatch_frames", "epoch_frames"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         check_seed(self.seed)
         for name in ("epochs", "bptt_len"):

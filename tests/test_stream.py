@@ -440,6 +440,11 @@ class TestBench:
         with pytest.raises(ConfigError, match="iters must be"):
             bench(build_model("cnn_static", seed=0), iters=iters)
 
+    def test_numpy_integer_iters_accepted(self):
+        """iters follows the one integer rule: a numpy integer counts, a
+        bool does not (above)."""
+        assert bench(build_model("cnn_static", seed=0), iters=np.int64(2))["iters"] == 2
+
     def test_report_fields_and_budget(self):
         model = build_model("cnn_static", seed=0)
         report = bench(model, iters=12)

@@ -17,6 +17,7 @@ from speechface import autograd as ag
 from speechface.autograd import (
     BatchNormState,
     ConvBnReluPool,
+    ConvStage,
     GRUParams,
     LSTMParams,
     Parameter,
@@ -551,6 +552,40 @@ class TestConvStage:
         for name_, w_ in want.items():
             assert got[name_].dtype == dtype and got[name_].shape == w_.shape
             assert _max_rel(got[name_], w_) <= tol, name_
+
+    @pytest.mark.parametrize("name", ["conv2", "conv5", "conv3"])
+    def test_output_made_in_blocks_is_the_whole_batch_output(self, monkeypatch, name):
+        """A stage keeps its conv's output, not its own, and makes its own
+        again for any block of samples. In float64, with _BLOCK_BYTES
+        patched to one sample's conv output, the output made for blocks of
+        3, 1 and 2 of 6 samples, each in passes of one sample, is bit for
+        bit the output, and winner mask, made for the whole batch in one
+        pass at the default sizes. The cases are a (2, 1) pool, a (1, 2)
+        pool across a conv with one output along its axis (conv5's), and
+        no pool."""
+        kernel, stride, pad, window, _ = STAGES[name]
+        shape = STAGE_INPUTS[name]
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=shape)
+        w = Parameter("w", rng.normal(size=(12, shape[1]) + kernel) / np.sqrt(shape[1]))
+        state = BatchNormState("bn", 12, dtype=np.float64)
+        state.gamma.data[:], state.beta.data[:] = rng.normal(size=12), rng.normal(size=12)
+        stage = ConvStage(Tensor(x), w, None, stride, pad, state, window)
+        out_cl = stage.shape[:1] + stage.shape[:0:-1]
+        outs = [np.full(out_cl, np.nan), np.full(out_cl, np.nan)]
+        wins = [None, None] if window is None else [np.zeros(out_cl, bool), np.ones(out_cl, bool)]
+        stage.run(slice(0, 6), outs[0], wins[0])
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", stage.y_bytes)
+        cuts, blocks = [], ag._blocks
+        monkeypatch.setattr(ag, "_blocks", lambda *a: (cuts.append(blocks(*a)), cuts[-1])[1])
+        for blk in (slice(0, 3), slice(3, 4), slice(4, 6)):
+            stage.run(blk, outs[1][blk], None if window is None else wins[1][blk])
+        assert cuts == [[slice(i, i + 1) for i in range(n)] for n in (3, 1, 2)]
+        assert outs[0].dtype == np.float64 and 0.0 < np.mean(outs[0] == 0.0) < 1.0
+        assert outs[0].tobytes() == outs[1].tobytes()
+        if window is not None:
+            assert 0.0 < np.mean(wins[0]) < 1.0
+            assert np.array_equal(wins[0], wins[1])
 
     @pytest.mark.parametrize("name", list(STAGES))
     def test_gradients(self, name):
